@@ -2,22 +2,32 @@
 
 A dilation chain ``M_l = J_l ... J_1 M_0`` and an admissible window ``g``
 define one trigonometric scaling function per level through its Fourier
-coefficients: sample values of a recursively built window product
+coefficients, the samples of a window product ``P_l``:
 
-    profile(level n)   = g
-    profile(level l)   = [sum_z g(. + J_{l+1}^T z)] * profile(l+1)(J_{l+1}^{-T} .)
+    P_n = g,   P_l(x) = g^J(x) * P_{l+1}(J^{-T} x),   g^J(x) = sum_z g(x + J^T z),
 
-    c_k(phi_l) = profile(l)(M_l^{-T} k) / sqrt(m_l),   k in Z^d.
+    c_k(phi_l) = P_l(M_l^{-T} k) / sqrt(m_l),   k in Z^d,
 
-The translates of ``phi_l`` over the pattern ``P(M_l)`` span nested
-spaces; the vector linking consecutive levels is obtained by sampling
-the periodization of ``g`` alone.  For dyadic factors (``|det J| = 2``)
-the orthogonal complement between consecutive spaces is spanned by the
-translates of a single wavelet whose coefficients sample a shifted and
-modulated variant of the same product.
+with ``J`` the factor from level ``l`` to ``l + 1``.  Since
+``J^{-T} M_l^{-T} k = M_{l+1}^{-T} k`` and ``g^J`` is ``J^T Z^d``
+periodic, the value ``g^J(M_l^{-T} k)`` depends only on the class of
+``k`` modulo ``M_{l+1}^T`` (the two-scale relation).  The spectra are
+built from it:
 
-Frequency arguments ``M_l^{-T} k`` are computed as exact rationals, so
-half-open support boundaries (the Dirichlet window) are decided exactly.
+* the top level samples ``g`` once, at ``M_n^{-T} k`` for every ``k`` in
+  the bounding box of ``M_n^T [-hw, hw]`` (``hw`` the support halfwidths);
+* each lower level multiplies the level above by ``g^J`` evaluated once
+  per class of ``G(M_{l+1}^T)``;
+* for a dyadic factor (``|det J| = 2``) the wavelet, whose translates
+  span the orthogonal complement between consecutive spaces, multiplies
+  the level-``(l+1)`` samples by ``g^J`` shifted by ``J^T v`` and by one
+  unit phase per class.
+
+Frequency arguments and samples stay exact rationals until the float
+coefficients are formed, so half-open support boundaries (the Dirichlet
+window) and zero tests are decided exactly.  :func:`scaling_profile` and
+:func:`wavelet_profile` evaluate the product directly at one point; they
+are the reference the spectra are tested against.
 """
 
 from __future__ import annotations
@@ -34,8 +44,8 @@ import numpy as np
 
 from . import tol
 from .admissible import AdmissibleFn, periodized_sum
-from .errors import DegenerateClass, LevelOutOfRange, NotDyadic
-from .intlat import ChainSpec, IntMat, generating_set
+from .errors import ConditionViolated, DegenerateClass, LevelOutOfRange, NotDyadic
+from .intlat import ChainSpec, IntMat, generating_set, pattern
 from .latfft import SpectrumVector
 
 Vec = tuple[int, ...]
@@ -173,10 +183,10 @@ def wavelet_shift_vectors(J: IntMat) -> tuple[tuple[Fraction, ...], tuple[Fracti
     """The unique nonzero points of ``P_I(J^T)`` and ``P_I(J)`` of a
     determinant-2 factor."""
     _require_dyadic_factor(J)
-    from .intlat import pattern
-
-    v = next(p for p in pattern(J.T, "I").points if any(c != 0 for c in p))
-    w = next(p for p in pattern(J, "I").points if any(c != 0 for c in p))
+    v = next((p for p in pattern(J.T, "I").points if any(p)), None)
+    w = next((p for p in pattern(J, "I").points if any(p)), None)
+    if v is None or w is None:
+        raise NotDyadic(f"a pattern of factor {J} has no nonzero point")
     return v, w
 
 
@@ -185,19 +195,18 @@ def _wavelet_frequency_shift(J: IntMat) -> Vec:
     frequency classes that a dyadic factor splits."""
     v, _ = wavelet_shift_vectors(J)
     gt = J.apply_T(v)
-    out = tuple(int(c) for c in gt)
-    assert all(Fraction(o) == c for o, c in zip(out, gt))
-    return out
+    if any(Fraction(c).denominator != 1 for c in gt):
+        raise ConditionViolated(f"J^T v = {gt} is not an integer vector for factor {J}")
+    return tuple(int(c) for c in gt)
 
 
 def wavelet_profile(chain: ChainSpec, level: int, g: AdmissibleFn, x: Sequence) -> complex:
     """Shifted and modulated window product sampled by the wavelet
-    coefficients.  The window is translated by the integer class
-    representative ``J^T v`` (the pattern point ``v`` itself would pair
-    wrong frequency classes and break orthogonality of the complement)."""
-    n = chain.n_levels
-    if not 0 <= level < n:
-        raise LevelOutOfRange(f"wavelet level {level} outside 0..{n - 1}")
+    coefficients, evaluated directly at one point.  The window is
+    translated by the integer class representative ``J^T v`` (the pattern
+    point ``v`` itself would pair wrong frequency classes and break
+    orthogonality of the complement)."""
+    _check_level(chain, level, top=chain.n_levels - 1)
     J = _require_dyadic_factor(chain.factors[level])
     _, w = wavelet_shift_vectors(J)
     gt = _wavelet_frequency_shift(J)
@@ -222,17 +231,6 @@ def _dot_mod1(x: Sequence, y: Sequence):
     return float(sum(float(a) * float(b) for a, b in zip(x, y))) % 1.0
 
 
-@lru_cache(maxsize=None)
-def _profile_box(chain: ChainSpec, level: int, g: AdmissibleFn) -> tuple[Fraction, ...]:
-    """Per-axis halfwidths of a box containing the level profile support."""
-    hw = list(g.support_halfwidths)
-    for j in range(chain.n_levels - 1, level - 1, -1):
-        JT = chain.factors[j].T
-        hw = [sum(abs(JT.entries[i][k]) * hw[k] for k in range(len(hw)))
-              for i in range(len(hw))]
-    return tuple(hw)
-
-
 def _frequency_candidates(M: IntMat, hw: Sequence[Fraction]):
     """Integer points of the bounding box of ``M^T [-hw, hw]``."""
     d = M.dim
@@ -244,70 +242,93 @@ def _frequency_candidates(M: IntMat, hw: Sequence[Fraction]):
 
 
 @lru_cache(maxsize=None)
+def _class_sums(chain: ChainSpec, level: int, g: AdmissibleFn, kind: str,
+                variant: str = "S") -> tuple:
+    """Exact two-scale values over the classes ``h`` of ``G(M_{l+1}^T)``:
+    ``g^J(M_l^{-T} h)`` for ``kind == "scaling"``, and the wavelet modulus
+    ``g^J(M_l^{-T} h - J^T v)`` for ``kind == "wavelet"``; each holds for
+    every frequency of its class."""
+    J = chain.factors[level]
+    M = chain.matrix(level)
+    shift = _wavelet_frequency_shift(J) if kind == "wavelet" else (0,) * chain.dim
+    gs = generating_set(chain.matrix(level + 1).T, variant)
+    return tuple(periodized_sum(g, J, tuple(a - b for a, b in zip(M.inv_T_apply(h), shift)))
+                 for h in gs.reps)
+
+
+@lru_cache(maxsize=None)
+def _class_phases(chain: ChainSpec, level: int, variant: str) -> tuple[complex, ...]:
+    """Unit phases ``exp(-2 pi i h . M_l^{-1} w)`` of the classes ``h`` of
+    ``G(M_{l+1}^T)``; a dyadic factor's ``w`` makes them constant on each
+    class."""
+    _, w = wavelet_shift_vectors(chain.factors[level])
+    u = chain.matrix(level).inv_apply(w)
+    gs = generating_set(chain.matrix(level + 1).T, variant)
+    return tuple(cmath.exp(-2j * math.pi * float(_dot_mod1(h, u))) for h in gs.reps)
+
+
+@lru_cache(maxsize=None)
+def _exact_samples(chain: ChainSpec, level: int, g: AdmissibleFn) -> dict:
+    """The nonzero exact samples ``P_l(M_l^{-T} k)``, keys in lexicographic
+    order: ``g`` sampled once at the top level, then per level down the
+    level above times the two-scale value of each key's class."""
+    if level == chain.n_levels:
+        M = chain.matrix(level)
+        samples = ((k, g(M.inv_T_apply(k)))
+                   for k in _frequency_candidates(M, g.support_halfwidths))
+    else:
+        a = _class_sums(chain, level, g, "scaling")
+        gs = generating_set(chain.matrix(level + 1).T)
+        samples = ((k, a[gs.index_of(k)] * p)
+                   for k, p in _exact_samples(chain, level + 1, g).items())
+    return {k: p for k, p in samples if p != 0}
+
+
+@lru_cache(maxsize=None)
 def scaling_spectrum(chain: ChainSpec, level: int, g: AdmissibleFn) -> ScalingFunction:
     """Fourier coefficients of the level-``level`` scaling function."""
-    n = chain.n_levels
-    _check_level(chain, level, top=n)
-    M = chain.matrix(level)
+    _check_level(chain, level, top=chain.n_levels)
     root = math.sqrt(chain.size(level))
-    hw = _profile_box(chain, level, g)
     coeffs: dict[Vec, complex] = {}
     samples: dict[Vec, float] = {}
-    for k in _frequency_candidates(M, hw):
-        x = M.inv_T_apply(k)
-        val = scaling_profile(chain, level, g, x)
-        if val != 0:
-            p = float(val)
-            c = p / root
-            if abs(c) > tol.ZERO_TRIM:
-                coeffs[k] = c
-                samples[k] = p
+    for k, val in _exact_samples(chain, level, g).items():
+        p = float(val)
+        c = p / root
+        if abs(c) > tol.ZERO_TRIM:
+            coeffs[k] = c
+            samples[k] = p
     return ScalingFunction(chain=chain, level=level, g=g, samples=samples,
-                           spectrum=SparseSpectrum(dim=M.dim, coeffs=coeffs, all_real=True))
+                           spectrum=SparseSpectrum(dim=chain.dim, coeffs=coeffs, all_real=True))
 
 
 @lru_cache(maxsize=None)
 def wavelet_spectrum(chain: ChainSpec, level: int, g: AdmissibleFn) -> Wavelet:
-    """Fourier coefficients of the level-``level`` wavelet (dyadic factor)."""
-    n = chain.n_levels
-    if not 0 <= level < n:
-        raise LevelOutOfRange(f"wavelet level {level} outside 0..{n - 1}")
-    J = _require_dyadic_factor(chain.factors[level])
-    M = chain.matrix(level)
+    """Fourier coefficients of the level-``level`` wavelet (dyadic factor):
+    per frequency the wavelet class value times ``P_{l+1}`` times the
+    class phase."""
+    _check_level(chain, level, top=chain.n_levels - 1)
+    v, w = wavelet_shift_vectors(chain.factors[level])
     root = math.sqrt(chain.size(level))
-    v, w = wavelet_shift_vectors(J)
-    gt = _wavelet_frequency_shift(J)
-    hw = _profile_box(chain, level, g)
+    b = _class_sums(chain, level, g, "wavelet")
+    phases = _class_phases(chain, level, "S")
+    gs = generating_set(chain.matrix(level + 1).T)
     coeffs: dict[Vec, complex] = {}
-    for k in _frequency_candidates(M, hw):
-        x = M.inv_T_apply(k)
-        shifted = tuple(a - b for a, b in zip(x, gt))
-        first = periodized_sum(g, J, shifted)
-        if first == 0:
-            continue
-        rest = scaling_profile(chain, level + 1, g, J.inv_T_apply(x))
-        if rest == 0:
-            continue
-        modulus = float(first * rest) / root
-        if abs(modulus) <= tol.ZERO_TRIM:
-            continue
-        phase = cmath.exp(-2j * math.pi * float(_dot_mod1(x, w)))
-        coeffs[k] = modulus * phase
+    for k, p in _exact_samples(chain, level + 1, g).items():
+        i = gs.index_of(k)
+        modulus = float(b[i] * p) / root
+        if abs(modulus) > tol.ZERO_TRIM:
+            coeffs[k] = modulus * phases[i]
     return Wavelet(chain=chain, level=level, g=g, v=v, w=w,
-                   spectrum=SparseSpectrum(dim=M.dim, coeffs=coeffs, all_real=False))
+                   spectrum=SparseSpectrum(dim=chain.dim, coeffs=coeffs, all_real=False))
 
 
 def two_scale(chain: ChainSpec, level: int, g: AdmissibleFn,
               variant: str = "S") -> TwoScaleCoeffs:
     """Raw two-scale vector: ``sqrt(|det J|) * g^J`` sampled on
     ``M_l^{-T} G(M_{l+1}^T)``; the unscaled samples ``g^J`` are kept too."""
-    if not 0 <= level < chain.n_levels:
-        raise LevelOutOfRange(f"two-scale level {level} outside 0..{chain.n_levels - 1}")
-    J = chain.factors[level]
-    M = chain.matrix(level)
-    gs = generating_set(chain.matrix(level + 1).T, variant)
-    samples = np.array([float(periodized_sum(g, J, M.inv_T_apply(h))) for h in gs.reps])
-    vals = (math.sqrt(J.absdet) * samples).astype(complex)
+    _check_level(chain, level, top=chain.n_levels - 1)
+    samples = np.array([float(a) for a in _class_sums(chain, level, g, "scaling", variant)])
+    vals = (math.sqrt(chain.factors[level].absdet) * samples).astype(complex)
     return TwoScaleCoeffs(chain=chain, level=level, kind="scaling", samples=samples,
                           values=SpectrumVector(matrix=chain.matrix(level + 1),
                                                 values=vals, variant=variant))
@@ -318,25 +339,12 @@ def wavelet_two_scale(chain: ChainSpec, level: int, g: AdmissibleFn,
     """Raw wavelet two-scale vector over ``G(M_{l+1}^T)``; its real moduli
     before the ``sqrt(2)`` factor and the unit phases are kept as
     ``samples``."""
-    if not 0 <= level < chain.n_levels:
-        raise LevelOutOfRange(f"two-scale level {level} outside 0..{chain.n_levels - 1}")
-    J = _require_dyadic_factor(chain.factors[level])
-    M = chain.matrix(level)
-    _, w = wavelet_shift_vectors(J)
-    gt = _wavelet_frequency_shift(J)
-    gs = generating_set(chain.matrix(level + 1).T, variant)
+    _check_level(chain, level, top=chain.n_levels - 1)
+    moduli = [float(b) for b in _class_sums(chain, level, g, "wavelet", variant)]
     root = math.sqrt(2.0)
-    Minv = M.inverse()
-    samples = np.empty(len(gs))
-    vals = np.empty(len(gs), dtype=complex)
-    for i, h in enumerate(gs.reps):
-        x = M.inv_T_apply(h)
-        shifted = tuple(a - b for a, b in zip(x, gt))
-        samples[i] = modulus = float(periodized_sum(g, J, shifted))
-        r = sum(Fraction(h[a]) * sum(Minv[a][b] * w[b] for b in range(M.dim))
-                for a in range(M.dim))
-        vals[i] = root * modulus * cmath.exp(-2j * math.pi * float(r - (r.numerator // r.denominator)))
-    return TwoScaleCoeffs(chain=chain, level=level, kind="wavelet", samples=samples,
+    vals = np.array([root * mu * phase
+                     for mu, phase in zip(moduli, _class_phases(chain, level, variant))])
+    return TwoScaleCoeffs(chain=chain, level=level, kind="wavelet", samples=np.array(moduli),
                           values=SpectrumVector(matrix=chain.matrix(level + 1),
                                                 values=vals, variant=variant))
 
@@ -344,17 +352,7 @@ def wavelet_two_scale(chain: ChainSpec, level: int, g: AdmissibleFn,
 def complement_phases(chain: ChainSpec, level: int, variant: str = "S") -> np.ndarray:
     """Unit phases ``exp(-2 pi i h . M_l^{-1} w)`` over ``G(M_{l+1}^T)``;
     they flip sign between the two classes each dyadic factor pairs."""
-    J = _require_dyadic_factor(chain.factors[level])
-    M = chain.matrix(level)
-    _, w = wavelet_shift_vectors(J)
-    Minv = M.inverse()
-    gs = generating_set(chain.matrix(level + 1).T, variant)
-    out = np.empty(len(gs), dtype=complex)
-    for i, h in enumerate(gs.reps):
-        r = sum(Fraction(h[a]) * sum(Minv[a][b] * w[b] for b in range(M.dim))
-                for a in range(M.dim))
-        out[i] = cmath.exp(-2j * math.pi * float(r - (r.numerator // r.denominator)))
-    return out
+    return np.array(_class_phases(chain, level, variant))
 
 
 # -- orthonormalization ------------------------------------------------------
@@ -397,8 +395,9 @@ def fiber_partner(chain: ChainSpec, level: int, variant: str = "S") -> np.ndarra
     gs = generating_set(chain.matrix(level + 1).T, variant)
     partner = np.array([gs.index_of(tuple(a + b for a, b in zip(h, shift)))
                         for h in gs.reps])
-    assert np.all(partner[partner] == np.arange(len(gs)))
-    assert np.all(partner != np.arange(len(gs)))
+    own = np.arange(len(gs))
+    if np.any(partner[partner] != own) or np.any(partner == own):
+        raise ConditionViolated(f"factor {J} does not pair the classes of level {level + 1}")
     return partner
 
 

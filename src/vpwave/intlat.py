@@ -491,14 +491,10 @@ def chain(M0: IntMat, factors: Sequence[IntMat] = ()) -> ChainSpec:
 
 
 # The three determinant-2 matrices of the plane: quincunx rotation and the
-# two axis doublings; shears are their unimodular companions.
+# two axis doublings.
 J_D = IntMat.from_rows([[1, -1], [1, 1]])
 J_X = IntMat.from_rows([[2, 0], [0, 1]])
 J_Y = IntMat.from_rows([[1, 0], [0, 2]])
-J_X_PLUS = IntMat.from_rows([[2, 0], [1, 1]])
-J_X_MINUS = IntMat.from_rows([[2, 0], [-1, 1]])
-J_Y_PLUS = IntMat.from_rows([[1, 1], [0, 2]])
-J_Y_MINUS = IntMat.from_rows([[1, -1], [0, 2]])
 
 
 def axis_doubling(d: int, i: int) -> IntMat:

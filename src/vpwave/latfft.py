@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import IndexMismatch, MatrixMismatch, TooLarge
+from .errors import IndexMismatch, TooLarge
 from .intlat import IntMat, generating_set, pattern, smith_normal_form
 
 FOURIER_MATRIX_GUARD = 2 ** 16
@@ -74,11 +74,6 @@ class SpectrumVector:
     @property
     def frequencies(self):
         return generating_set(self.matrix.T, self.variant)
-
-
-def _require_same_basis(x, y):
-    if x.matrix != y.matrix or x.variant != y.variant:
-        raise MatrixMismatch("vectors indexed by different lattices")
 
 
 @lru_cache(maxsize=None)

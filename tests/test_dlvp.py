@@ -1,10 +1,14 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from vpwave import dlvp, tol
 from vpwave.admissible import AdmissibleFn
 from vpwave.dlvp import (
     class_powers,
@@ -24,8 +28,17 @@ from vpwave.dlvp import (
     wavelet_two_scale,
     write_spectrum_csv,
 )
-from vpwave.errors import DegenerateClass, LevelOutOfRange, NotDyadic
-from vpwave.intlat import J_D, J_X, J_Y, IntMat, chain, generating_set
+from vpwave.errors import ConditionViolated, DegenerateClass, LevelOutOfRange, NotDyadic
+from vpwave.intlat import (
+    J_D,
+    J_X,
+    J_Y,
+    IntMat,
+    axis_doubling,
+    chain,
+    generating_set,
+    plane_rotation,
+)
 from vpwave.dlvp import SparseSpectrum, ScalingFunction
 
 
@@ -186,6 +199,63 @@ def test_support_nesting_across_levels():
         scaling_spectrum(c, 1, g).spectrum.support()
 
 
+# -- spectra against direct profile evaluation -----------------------------------
+
+
+def _widened_box(keys, pad=2):
+    K = np.array(sorted(keys))
+    lo, hi = K.min(axis=0) - pad, K.max(axis=0) + pad
+    return product(*(range(int(a), int(b) + 1) for a, b in zip(lo, hi)))
+
+
+def assert_spectra_match_profiles(c, g):
+    """Every level's scaling spectrum equals the directly evaluated profile
+    exactly (trimmed values read 0), and every wavelet spectrum matches
+    ``wavelet_profile`` within TWO_SCALE, on the support box widened by 2."""
+    for level in range(c.n_levels + 1):
+        M, root = c.matrix(level), math.sqrt(c.size(level))
+        phi = scaling_spectrum(c, level, g).spectrum
+        for k in _widened_box(phi.coeffs):
+            expected = float(scaling_profile(c, level, g, M.inv_T_apply(k))) / root
+            if abs(expected) <= tol.ZERO_TRIM:
+                expected = 0.0
+            assert phi[k] == expected, (level, k)
+        if level < c.n_levels:
+            psi = wavelet_spectrum(c, level, g).spectrum
+            for k in _widened_box(psi.coeffs):
+                expected = wavelet_profile(c, level, g, M.inv_T_apply(k)) / root
+                assert abs(psi[k] - expected) < tol.TWO_SCALE, (level, k)
+
+
+ORACLE_CASES = {
+    "example_48": example_48,
+    "1d_fig1": chain_1d_fig1,
+    "diag4_vp": lambda: (chain(IntMat.diagonal([4, 4]), [J_D, J_X, J_D]),
+                         AdmissibleFn.tensor_linear([F(1, 10), F(1, 10)])),
+    "quincunx_dirichlet": lambda: (chain(IntMat.identity(2), [J_D] * 4),
+                                   AdmissibleFn.characteristic(2)),
+    "3d_axis_rotation": lambda: (
+        chain(IntMat.identity(3),
+              [axis_doubling(3, 0), plane_rotation(3, 0, 1), axis_doubling(3, 2)]),
+        AdmissibleFn.tensor_linear([F(1, 20)] * 3)),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_spectra_match_direct_profiles(case):
+    assert_spectra_match_profiles(*ORACLE_CASES[case]())
+
+
+@settings(max_examples=6, deadline=None)
+@given(M0=st.sampled_from([IntMat.identity(2), IntMat.diagonal([3, 2]),
+                           IntMat.from_rows([[2, 1], [-1, 2]])]),
+       factors=st.lists(st.sampled_from(DYADIC_POOL), min_size=1, max_size=3),
+       alpha=st.fractions(min_value=0, max_value=F(1, 4), max_denominator=40)
+       .filter(lambda a: a > 0))
+def test_spectra_match_direct_profiles_random_chains(M0, factors, alpha):
+    assert_spectra_match_profiles(chain(M0, factors), AdmissibleFn.tensor_linear([alpha, alpha]))
+
+
 # -- two-scale relations -------------------------------------------------------
 
 
@@ -287,6 +357,23 @@ def test_fine_classes_covered_by_filter_pair():
     a = two_scale(c, 0, g).values.values
     b = wavelet_two_scale(c, 0, g).values.values
     assert np.all((np.abs(a) > 0) | (np.abs(b) > 0))
+
+
+def test_wavelet_invariants_raise_typed_errors(monkeypatch):
+    # plain raises, not asserts: these checks also run under python -O
+    c, _ = example_48()
+    J = c.factors[0]
+    monkeypatch.setattr(dlvp, "wavelet_shift_vectors",
+                        lambda J: ((F(1, 3), F(0)), (F(1, 2), F(0))))
+    with pytest.raises(ConditionViolated):
+        dlvp._wavelet_frequency_shift(J)
+    monkeypatch.setattr(dlvp, "_wavelet_frequency_shift", lambda J: (0, 0))
+    with pytest.raises(ConditionViolated):
+        fiber_partner.__wrapped__(c, 0)  # uncached: a zero shift pairs each class with itself
+    monkeypatch.undo()
+    monkeypatch.setattr(dlvp, "pattern", lambda M, variant: SimpleNamespace(points=((F(0), F(0)),)))
+    with pytest.raises(NotDyadic):
+        wavelet_shift_vectors(J)
 
 
 def test_wavelet_requires_dyadic_chain():
