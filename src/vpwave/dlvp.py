@@ -44,8 +44,8 @@ import numpy as np
 
 from . import tol
 from .admissible import AdmissibleFn, periodized_sum
-from .errors import ConditionViolated, DegenerateClass, LevelOutOfRange, NotDyadic
-from .intlat import ChainSpec, IntMat, generating_set, pattern
+from .errors import ConditionViolated, DegenerateClass, LevelOutOfRange, NotDyadic, TooLarge
+from .intlat import ENUMERATION_GUARD, ChainSpec, IntMat, generating_set, pattern
 from .latfft import SpectrumVector
 
 Vec = tuple[int, ...]
@@ -238,6 +238,9 @@ def _frequency_candidates(M: IntMat, hw: Sequence[Fraction]):
     for i in range(d):
         b = sum(abs(M.entries[j][i]) * hw[j] for j in range(d))
         bounds.append(int(math.floor(b)))
+    count = math.prod(2 * b + 1 for b in bounds)
+    if count > ENUMERATION_GUARD:
+        raise TooLarge(f"refusing to sample the window at {count} > {ENUMERATION_GUARD} frequencies")
     return product(*(range(-b, b + 1) for b in bounds))
 
 

@@ -2,8 +2,7 @@
 
 Regular integer matrices, exact determinants, Smith normal form,
 enumeration of patterns and generating sets, congruence reduction and
-dilation chains.  Everything here runs on Python integers and
-``fractions.Fraction``; floating point never decides a congruence.
+dilation chains.  Floating point never decides a congruence.
 
 Conventions
 -----------
@@ -22,23 +21,51 @@ with class lattice ``M^T Z^d``; :func:`reduce_mod` reduces into that set.
 Both sets carry one canonical order: the lexicographic order of the
 digit tuples in the Smith-diagonal coordinates, so every module and
 file format of this package agrees on element positions.
+
+Integer arrays
+--------------
+Matrices hold Python integers; batches of lattice points are ``(n, d)``
+integer arrays, one point per row.  With ``M^{-1} = A / q`` (the scaled
+adjugate, ``q = |det M|``) a batch ``K`` reduces into the box as
+
+    K - M floor((2 A K + q) / (2 q))   (variant S),
+    K - M floor(A K / q)               (variant I),
+
+by exact floor division.  ``G(M)`` is the Smith digit grid mapped by
+``U`` and reduced in one such step.  Because ``M Z^d = U S Z^d`` for
+``M = U S V``, the class of ``k`` is the digit vector
+``U^{-1} k mod diag(S)``, and its mixed-radix value is its position in
+the canonical order.  Both sets are stored as integer arrays, the
+pattern as the numerators ``A g`` over the single denominator ``q``; the
+tuples ``reps`` and the ``Fraction`` points are formed only on demand.
+
+Overflow rule: before each array product the entries are bounded
+(``max|B| max|X| d`` plus any addend) against ``2^62``; if the bound
+fails, the product runs on ``dtype=object`` arrays of Python integers,
+so int64 never wraps silently.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, SingularMatrix
+import numpy as np
+
+from .errors import ConditionViolated, DimensionMismatch, SingularMatrix, TooLarge
 
 Vec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
 
 VARIANT_S = "S"
 VARIANT_I = "I"
+
+# Largest m = |det M| for which G(M), P(M) or a frequency box is enumerated.
+ENUMERATION_GUARD = 2 ** 20
+# Bound on every entry of an int64 array product; above it, Python ints.
+_INT64_SAFE = 2 ** 62
 
 
 def _check_variant(variant: str) -> str:
@@ -130,17 +157,17 @@ class IntMat:
         return _inverse(self)
 
     def inv_apply(self, v: Sequence) -> FracVec:
-        """``M^{-1} v`` exactly."""
-        return tuple(sum(a * Fraction(b) for a, b in zip(row, v)) for row in _inverse(self))
+        """``M^{-1} v`` exactly (entries of ``v``: ints, Fractions or floats)."""
+        A, q = _scaled_adjugate(self)
+        return _divide_rows(A.entries, q, v)
 
     def inv_T_apply(self, v: Sequence) -> FracVec:
         """``M^{-T} v`` exactly."""
-        inv = _inverse(self)
-        d = self.dim
-        return tuple(sum(inv[i][j] * Fraction(v[i]) for i in range(d)) for j in range(d))
+        A, q = _scaled_adjugate(self)
+        return _divide_rows(tuple(zip(*A.entries)), q, v)
 
-    def scaled_adjugate(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """Integer matrix ``A`` and ``q = det`` with ``M^{-1} = A / q``."""
+    def scaled_adjugate(self) -> tuple["IntMat", int]:
+        """Integer matrix ``A`` and ``q = |det M|`` with ``M^{-1} = A / q``."""
         return _scaled_adjugate(self)
 
     def to_lists(self) -> list[list[int]]:
@@ -196,11 +223,9 @@ def _inverse(M: IntMat) -> tuple[FracVec, ...]:
 
 
 @lru_cache(maxsize=None)
-def _scaled_adjugate(M: IntMat) -> tuple[tuple[tuple[int, ...], ...], int]:
-    q = _det(M)
-    inv = _inverse(M)
-    adj = tuple(tuple(int(x * q) for x in row) for row in inv)
-    return adj, q
+def _scaled_adjugate(M: IntMat) -> tuple[IntMat, int]:
+    q = abs(_det(M))
+    return IntMat(tuple(tuple(int(x * q) for x in row) for row in _inverse(M))), q
 
 
 def determinant(M: IntMat) -> int:
@@ -321,12 +346,65 @@ def _snf(M: IntMat) -> SmithDecomposition:
                     row_negate(i + 1)
 
     dec = SmithDecomposition(U=IntMat.from_rows(U), S=IntMat.from_rows(A), V=IntMat.from_rows(V))
-    assert dec.U @ dec.S @ dec.V == M, "Smith reconstruction failed"
-    assert abs(dec.U.det) == 1 and abs(dec.V.det) == 1
+    if dec.U @ dec.S @ dec.V != M or abs(dec.U.det) != 1 or abs(dec.V.det) != 1:
+        raise ConditionViolated(f"Smith reconstruction of {M} failed")
     diag = dec.diagonal
-    assert all(diag[i] > 0 for i in range(d))
-    assert all(diag[i + 1] % diag[i] == 0 for i in range(d - 1))
+    if any(s <= 0 for s in diag) or any(diag[i + 1] % diag[i] for i in range(d - 1)):
+        raise ConditionViolated(f"Smith diagonal {diag} of {M} is not a divisor chain")
     return dec
+
+
+def unimodular_inverse(U: IntMat) -> IntMat:
+    """Exact integer inverse of a matrix with ``|det| = 1``."""
+    inv = U.inverse()
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ConditionViolated(f"matrix {U} is not unimodular")
+    return IntMat(tuple(tuple(int(x) for x in row) for row in inv))
+
+
+def _divide_rows(rows: tuple[Vec, ...], q: int, v: Sequence) -> FracVec:
+    """``rows v / q`` as exact Fractions."""
+    if len(v) != len(rows):
+        raise DimensionMismatch("vector length differs from matrix dimension")
+    x = tuple(b if type(b) in (int, Fraction) else Fraction(b) for b in v)
+    return tuple(Fraction(sum(a * b for a, b in zip(row, x)), q) for row in rows)
+
+
+def _absmax(X: np.ndarray) -> int:
+    return int(np.abs(X).max()) if X.size else 0
+
+
+def apply_rows(B: IntMat, X: np.ndarray, addend: int = 0) -> np.ndarray:
+    """``B x`` for every row ``x`` of the integer array ``X``, exactly.
+
+    The product runs in int64 when ``max|B| max|X| d + addend`` stays below
+    ``2^62`` (``addend`` reserves room for a later sum), and on Python
+    integers (``dtype=object``) otherwise.
+    """
+    rows = B.entries
+    bound = max(abs(v) for row in rows for v in row) * _absmax(X) * B.dim + addend
+    if bound < _INT64_SAFE:
+        return X.astype(np.int64, copy=False) @ np.array(rows, dtype=np.int64).T
+    return X.astype(object) @ np.array(rows, dtype=object).T
+
+
+def digit_index(D: np.ndarray, diag: Sequence[int]) -> np.ndarray:
+    """Mixed-radix (C-order) value of the digits ``D mod diag`` of each row."""
+    index = np.zeros(len(D), dtype=np.intp)
+    for column, s in zip(D.T, diag):
+        index = index * s + (column % s).astype(np.intp)
+    return index
+
+
+def _reduce_box(M: IntMat, K: np.ndarray, variant: str) -> np.ndarray:
+    """Representatives in ``M [-1/2,1/2)^d`` (S) or ``M [0,1)^d`` (I) of the
+    rows of ``K`` modulo ``M Z^d``: ``K - M floor(M^{-1} K + c)`` with
+    ``c = 1/2`` resp. ``0``.  For S, ``floor((2 A k + q) / (2 q))`` equals
+    ``floor((A k + floor(q/2)) / q)``, which is what is computed."""
+    A, q = _scaled_adjugate(M)
+    N = apply_rows(A, K, addend=q)
+    F = N // q if variant == VARIANT_I else (N + q // 2) // q
+    return K - apply_rows(M, F, addend=_absmax(K))
 
 
 def _frac_box(x: FracVec, variant: str) -> FracVec:
@@ -342,41 +420,68 @@ def _frac_box(x: FracVec, variant: str) -> FracVec:
 
 @dataclass(frozen=True)
 class GeneratingSet:
-    """Integer representatives of ``Z^d / M Z^d`` in canonical order."""
+    """Integer representatives of ``Z^d / M Z^d`` in canonical order.
+
+    ``rep_array`` holds them as a read-only ``(m, d)`` integer array;
+    ``reps`` gives them as tuples, built on first use.  ``diagonal`` is
+    the Smith diagonal of ``M = U S V`` and ``digit_map`` the rows of
+    ``U^{-1}``: representative ``i`` has the Smith digits
+    ``U^{-1} rep mod diagonal`` of mixed-radix value ``i``.
+    """
 
     matrix: IntMat
     variant: str
-    reps: tuple[Vec, ...]
-    index: dict[Vec, int] = field(repr=False, hash=False, compare=False)
+    rep_array: np.ndarray = field(repr=False, compare=False)
+    diagonal: tuple[int, ...] = field(repr=False, compare=False)
+    digit_map: tuple[Vec, ...] = field(repr=False, compare=False)
 
     def __len__(self) -> int:
-        return len(self.reps)
+        return len(self.rep_array)
+
+    @cached_property
+    def reps(self) -> tuple[Vec, ...]:
+        return tuple(map(tuple, self.rep_array.tolist()))
 
     def reduce(self, k: Sequence[int]) -> Vec:
         """Unique representative of ``k`` modulo ``M Z^d``."""
-        x = self.matrix.inv_apply(k)
-        f = _frac_box(x, self.variant)
-        h = self.matrix.apply(f)
-        out = tuple(int(v) for v in h)
-        assert all(Fraction(o) == v for o, v in zip(out, h))
-        return out
+        if len(k) != self.matrix.dim:
+            raise DimensionMismatch("vector length differs from matrix dimension")
+        K = np.array([[int(v) for v in k]], dtype=object)
+        return tuple(_reduce_box(self.matrix, K, self.variant)[0].tolist())
 
     def index_of(self, k: Sequence[int]) -> int:
-        return self.index[self.reduce(k)]
+        """Position of the class of ``k`` in ``reps``."""
+        if len(k) != len(self.diagonal):
+            raise DimensionMismatch("vector length differs from matrix dimension")
+        i = 0
+        for row, s in zip(self.digit_map, self.diagonal):
+            i = i * s + sum(a * b for a, b in zip(row, k)) % s
+        return i
 
 
 @dataclass(frozen=True)
 class Pattern:
     """Rational representatives of ``M^{-1} Z^d / Z^d``, paired with the
-    generating set of the same matrix (``points[i] = M^{-1} reps[i]``)."""
+    generating set of the same matrix: point ``i`` is
+    ``numerators[i] / denominator = M^{-1} reps[i]``, with
+    ``denominator = |det M|``."""
 
     matrix: IntMat
     variant: str
-    points: tuple[FracVec, ...]
-    index: dict[FracVec, int] = field(repr=False, hash=False, compare=False)
+    numerators: np.ndarray = field(repr=False, compare=False)
+    denominator: int
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.numerators)
+
+    @cached_property
+    def points(self) -> tuple[FracVec, ...]:
+        q = self.denominator
+        return tuple(tuple(Fraction(n, q) for n in row) for row in self.numerators.tolist())
+
+    @cached_property
+    def index(self) -> dict[FracVec, int]:
+        return {p: i for i, p in enumerate(self.points)}
 
     def reduce(self, y: Sequence) -> FracVec:
         return _frac_box(tuple(Fraction(v) for v in y), self.variant)
@@ -392,21 +497,20 @@ class Pattern:
 
 @lru_cache(maxsize=None)
 def _generating_set(M: IntMat, variant: str) -> GeneratingSet:
-    M.require_regular()
+    m = M.require_regular().absdet
+    if m > ENUMERATION_GUARD:
+        raise TooLarge(f"refusing to enumerate {m} > {ENUMERATION_GUARD} lattice points")
     snf = _snf(M)
     diag = snf.diagonal
-    U = snf.U
-    reps = []
-    for digits in itertools.product(*(range(s) for s in diag)):
-        r = U.apply(digits)
-        x = M.inv_apply(r)
-        f = _frac_box(x, variant)
-        h = M.apply(f)
-        reps.append(tuple(int(v) for v in h))
-    gs = GeneratingSet(matrix=M, variant=variant, reps=tuple(reps),
-                       index={r: i for i, r in enumerate(reps)})
-    assert len(gs.index) == M.absdet, "representatives are not distinct"
-    return gs
+    # Smith digit vectors, one per row, in lexicographic order
+    digits = np.indices(diag).reshape(M.dim, -1).T
+    R = _reduce_box(M, apply_rows(snf.U, digits), variant)
+    R.flags.writeable = False
+    Uinv = unimodular_inverse(snf.U)
+    if np.any(digit_index(apply_rows(Uinv, R), diag) != np.arange(m)):
+        raise ConditionViolated(f"representatives of {M} leave the canonical class order")
+    return GeneratingSet(matrix=M, variant=variant, rep_array=R, diagonal=diag,
+                         digit_map=Uinv.entries)
 
 
 def generating_set(M: IntMat, variant: str = VARIANT_S) -> GeneratingSet:
@@ -416,10 +520,10 @@ def generating_set(M: IntMat, variant: str = VARIANT_S) -> GeneratingSet:
 
 @lru_cache(maxsize=None)
 def _pattern(M: IntMat, variant: str) -> Pattern:
-    gs = _generating_set(M, variant)
-    points = tuple(M.inv_apply(r) for r in gs.reps)
-    return Pattern(matrix=M, variant=variant, points=points,
-                   index={p: i for i, p in enumerate(points)})
+    A, q = _scaled_adjugate(M)
+    N = apply_rows(A, _generating_set(M, variant).rep_array)
+    N.flags.writeable = False
+    return Pattern(matrix=M, variant=variant, numerators=N, denominator=q)
 
 
 def pattern(M: IntMat, variant: str = VARIANT_S) -> Pattern:

@@ -11,7 +11,11 @@ the unitary Fourier matrix carries an extra ``1/sqrt(m)``.
 Two implementations are provided: a naive summation with exact integer
 phase arithmetic (the oracle) and an O(m log m) route that reduces the
 pattern group to ``Z_{s_1} x ... x Z_{s_d}`` via the Smith normal form
-and runs per-axis cyclic FFTs.
+and runs per-axis cyclic FFTs.  The fast route leaves out the unit Smith
+axes (``s_i = 1``), which only cost an extra FFT pass.  Its plan holds
+the position of every canonical frequency in the digit cube and the
+inverse permutation, so :func:`idft` gathers the spectrum into a fresh
+array and transforms it in place.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IndexMismatch, TooLarge
-from .intlat import IntMat, generating_set, pattern, smith_normal_form
+from .intlat import (IntMat, apply_rows, digit_index, generating_set, pattern,
+                     smith_normal_form, unimodular_inverse)
 
 FOURIER_MATRIX_GUARD = 2 ** 16
 _NAIVE_BLOCK = 256
@@ -79,12 +84,10 @@ class SpectrumVector:
 @lru_cache(maxsize=None)
 def _phase_table(M: IntMat, variant: str) -> tuple[np.ndarray, int]:
     """Integer matrix R and modulus q with h_i . y_j = R[i, j] / q  (mod 1)."""
-    adj, det = M.scaled_adjugate()
-    sign = 1 if det > 0 else -1
-    q = abs(det)
-    A = sign * np.array(adj, dtype=object)
-    H = np.array(generating_set(M.T, variant).reps, dtype=object)
-    G = np.array(generating_set(M, variant).reps, dtype=object)
+    adj, q = M.scaled_adjugate()
+    A = np.array(adj.entries, dtype=object)
+    H = generating_set(M.T, variant).rep_array.astype(object)
+    G = generating_set(M, variant).rep_array.astype(object)
     R = (H @ A @ G.T) % q
     return R.astype(np.int64), q
 
@@ -112,40 +115,36 @@ def dft(a: PatternVector) -> SpectrumVector:
 
 
 @lru_cache(maxsize=None)
-def _fast_plan(M: IntMat, variant: str):
-    """Digit shape and the position of each canonical frequency inside the
-    Smith-digit FFT cube."""
+def _fast_plan(M: IntMat, variant: str) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """FFT shape (the Smith diagonal without unit axes), the position of
+    each canonical frequency inside that digit cube, and the inverse
+    permutation.  With ``M = U S V`` the digits of a frequency ``h`` are
+    ``V^{-T} h mod diag(S)``."""
     dec = smith_normal_form(M)
-    shape = dec.diagonal
-    d = M.dim
-    # integer inverse of the unimodular V, then transpose
-    vinv = dec.V.inverse()
-    VinvT = tuple(tuple(int(vinv[i][j]) for i in range(d)) for j in range(d))
-    reps = generating_set(M.T, variant).reps
-    flat = np.empty(len(reps), dtype=np.intp)
-    for i, h in enumerate(reps):
-        u = tuple(
-            sum(VinvT[r][c] * h[c] for c in range(d)) % shape[r] for r in range(d)
-        )
-        flat[i] = np.ravel_multi_index(u, shape)
-    return shape, flat
+    H = generating_set(M.T, variant).rep_array
+    flat = digit_index(apply_rows(unimodular_inverse(dec.V).T, H), dec.diagonal)
+    shape = tuple(s for s in dec.diagonal if s > 1) or (1,)
+    inv = np.empty_like(flat)
+    inv[flat] = np.arange(len(flat))
+    flat.flags.writeable = inv.flags.writeable = False
+    return shape, flat, inv
 
 
 def dft_fast(a: PatternVector) -> SpectrumVector:
     """Fast transform: per-axis cyclic FFTs in Smith-digit coordinates."""
     M = a.matrix
-    shape, flat = _fast_plan(M, a.variant)
-    cube = np.fft.fftn(a.values.reshape(shape))
+    shape, flat, _ = _fast_plan(M, a.variant)
+    cube = np.fft.fftn(a.values.reshape(shape), out=np.empty(shape, dtype=complex))
     return SpectrumVector(matrix=M, values=cube.reshape(-1)[flat], variant=a.variant)
 
 
 def idft(ahat: SpectrumVector) -> PatternVector:
     """Inverse transform, ``a[y] = (1/m) sum_h ahat[h] exp(2 pi i h.y)``."""
     M = ahat.matrix
-    shape, flat = _fast_plan(M, ahat.variant)
-    cube = np.zeros(np.prod(shape), dtype=complex)
-    cube[flat] = ahat.values
-    vals = np.fft.ifftn(cube.reshape(shape)).reshape(-1)
+    shape, _, inv = _fast_plan(M, ahat.variant)
+    vals = ahat.values[inv]
+    cube = vals.reshape(shape)
+    np.fft.ifftn(cube, out=cube)
     return PatternVector(matrix=M, values=vals, variant=ahat.variant)
 
 

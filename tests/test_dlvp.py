@@ -28,7 +28,7 @@ from vpwave.dlvp import (
     wavelet_two_scale,
     write_spectrum_csv,
 )
-from vpwave.errors import ConditionViolated, DegenerateClass, LevelOutOfRange, NotDyadic
+from vpwave.errors import ConditionViolated, DegenerateClass, LevelOutOfRange, NotDyadic, TooLarge
 from vpwave.intlat import (
     J_D,
     J_X,
@@ -381,6 +381,15 @@ def test_wavelet_requires_dyadic_chain():
     g = AdmissibleFn.tensor_linear([F(1, 10), F(1, 10)])
     with pytest.raises(NotDyadic):
         wavelet_spectrum(c, 0, g)
+
+
+def test_top_level_frequency_box_guard():
+    # m = 10^6 passes the enumeration guard, but the window's frequency box
+    # M^T [-3/5, 3/5]^2 holds 1201^2 > 2^20 points
+    c = chain(IntMat.diagonal([1000, 1000]))
+    g = AdmissibleFn.tensor_linear([F(1, 10), F(1, 10)])
+    with pytest.raises(TooLarge):
+        scaling_spectrum(c, 0, g)
 
 
 # -- orthonormalization --------------------------------------------------------

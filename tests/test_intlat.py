@@ -1,10 +1,15 @@
+import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from vpwave.errors import DimensionMismatch, SingularMatrix
+from vpwave.errors import ConditionViolated, DimensionMismatch, SingularMatrix, TooLarge
 from vpwave.intlat import (
+    ENUMERATION_GUARD,
     J_D,
     J_X,
     J_Y,
@@ -17,6 +22,7 @@ from vpwave.intlat import (
     plane_rotation,
     reduce_mod,
     smith_normal_form,
+    unimodular_inverse,
 )
 
 
@@ -231,3 +237,91 @@ def test_highdim_factor_constructors():
     R = plane_rotation(3, 0, 2)
     assert R.det == 2
     assert R.apply((1, 0, 0)) == (1, 0, 1)
+
+
+# -- integer-array core against the per-point Fraction enumeration -------------
+
+
+def oracle_reps(M, variant):
+    """G(M) point by point in Fraction arithmetic: each Smith digit tuple, in
+    lexicographic order, mapped by U and reduced as M frac(M^{-1} U digits)."""
+    dec = smith_normal_form(M)
+    half = Fraction(1, 2) if variant == "S" else 0
+    reps = []
+    for digits in itertools.product(*(range(s) for s in dec.diagonal)):
+        x = M.inv_apply(dec.U.apply(digits))
+        h = M.apply(tuple(v - math.floor(v + half) for v in x))
+        assert all(Fraction(v).denominator == 1 for v in h)
+        reps.append(tuple(int(v) for v in h))
+    return tuple(reps)
+
+
+ENTRY_RANGE = {1: 2048, 2: 40, 3: 10}
+
+
+@st.composite
+def regular_matrices(draw, max_det=2048):
+    d = draw(st.integers(1, 3))
+    r = ENTRY_RANGE[d]
+    rows = draw(st.lists(st.lists(st.integers(-r, r), min_size=d, max_size=d),
+                         min_size=d, max_size=d))
+    M = IntMat.from_rows(rows)
+    assume(0 < M.absdet <= max_det)
+    return M
+
+
+@settings(max_examples=40, deadline=None)
+@given(M=regular_matrices(), variant=st.sampled_from("SI"), data=st.data())
+def test_lattice_core_matches_fraction_oracle(M, variant, data):
+    gs = generating_set(M, variant)
+    assert gs.reps == oracle_reps(M, variant)
+    pat = pattern(M, variant)
+    d = M.dim
+    for i in data.draw(st.lists(st.integers(0, len(gs) - 1), min_size=1, max_size=8)):
+        assert gs.index_of(gs.reps[i]) == i
+        assert pat.points[i] == M.inv_apply(gs.reps[i])
+    vec = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=d, max_size=d)
+    for _ in range(4):
+        k = tuple(data.draw(vec))
+        z = tuple(v // 10 ** 4 for v in data.draw(vec))
+        shifted = tuple(a + b for a, b in zip(k, M.apply(z)))
+        h = gs.reduce(k)
+        assert gs.reduce(h) == h
+        assert gs.reduce(shifted) == h
+        assert gs.reps[gs.index_of(k)] == h
+        assert gs.index_of(shifted) == gs.index_of(k)
+
+
+def test_int64_overflow_falls_back_to_python_ints():
+    M = IntMat.from_rows([[1, 2 ** 62], [0, 3]])
+    for variant in ("S", "I"):
+        gs = generating_set(M, variant)
+        assert gs.reps == oracle_reps(M, variant)
+        assert [gs.index_of(r) for r in gs.reps] == [0, 1, 2]
+        assert list(pattern(M, variant).points) == [M.inv_apply(r) for r in gs.reps]
+    assert generating_set(M).reps[2] == (-1537228672809129301, -1)
+
+
+def test_enumeration_guard_raises_before_work():
+    M = IntMat.diagonal([1024, 1025])
+    assert M.absdet > ENUMERATION_GUARD
+    for build in (generating_set, pattern):
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge):
+            build(M)
+        assert time.perf_counter() - t0 < 0.5
+
+
+def test_class_index_and_reduce_check_dimension():
+    gs = generating_set(IntMat.diagonal([2, 3]))
+    with pytest.raises(DimensionMismatch):
+        gs.index_of((1, 2, 3))
+    with pytest.raises(DimensionMismatch):
+        gs.reduce((1,))
+
+
+def test_unimodular_inverse():
+    U = IntMat.from_rows([[2, 1], [1, 1]])
+    assert unimodular_inverse(U) @ U == IntMat.identity(2)
+    with pytest.raises(ConditionViolated):
+        unimodular_inverse(IntMat.diagonal([1, 2]))

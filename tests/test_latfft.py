@@ -2,7 +2,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from vpwave import tol
 from vpwave.errors import IndexMismatch, TooLarge
 from vpwave.intlat import IntMat, generating_set, pattern
 from vpwave.latfft import (
@@ -80,7 +82,7 @@ def test_dft_constant_vector():
     ahat = dft(PatternVector(matrix=M, values=np.ones(m)))
     gs = generating_set(M.T)
     expected = np.zeros(m)
-    expected[gs.index[(0,) * M.dim]] = m
+    expected[gs.index_of((0,) * M.dim)] = m
     assert np.max(np.abs(ahat.values - expected)) < 1e-12
 
 
@@ -142,7 +144,7 @@ def test_idft_delta_spectrum():
     m = M.absdet
     gs = generating_set(M.T)
     vals = np.zeros(m)
-    vals[gs.index[(0, 0)]] = 1.0
+    vals[gs.index_of((0, 0))] = 1.0
     a = idft(SpectrumVector(matrix=M, values=vals))
     assert np.max(np.abs(a.values - 1.0 / m)) < 1e-14
 
@@ -179,3 +181,37 @@ def test_vector_length_checks():
         PatternVector(matrix=M, values=np.ones(3))
     with pytest.raises(IndexMismatch):
         SpectrumVector(matrix=M, values=np.ones(5))
+
+
+def assert_fast_transforms(M, variant, rng_np):
+    """dft_fast against the naive sum, the inverse round trip and Parseval,
+    all relative to the input at tol.FAST_VS_NAIVE."""
+    a = random_pattern_vector(rng_np, M, variant)
+    fast, slow = dft_fast(a).values, dft(a).values
+    scale = float(np.max(np.abs(slow)))
+    assert float(np.max(np.abs(fast - slow))) <= tol.FAST_VS_NAIVE * scale
+    back = idft(dft_fast(a)).values
+    assert float(np.max(np.abs(back - a.values))) <= tol.FAST_VS_NAIVE * float(np.max(np.abs(a.values)))
+    energy = M.absdet * float(np.vdot(a.values, a.values).real)
+    assert abs(float(np.vdot(fast, fast).real) - energy) <= tol.FAST_VS_NAIVE * energy
+
+
+@pytest.mark.parametrize("rows", [[[1, 0], [3, 16]], [[2, 0, 0], [0, 2, 1], [0, 0, 4]],
+                                  [[1, 0, 0], [0, 1, 0], [0, 0, 7]], [[1]], [[1, 2 ** 62], [0, 3]]])
+def test_fast_transforms_with_unit_smith_axes(rows):
+    rng_np = np.random.default_rng(0)
+    for M in (IntMat.from_rows(rows), IntMat.from_rows(rows).T):
+        for variant in ("S", "I"):
+            assert_fast_transforms(M, variant, rng_np)
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(1, 3), data=st.data(), variant=st.sampled_from("SI"),
+       seed=st.integers(0, 2 ** 16))
+def test_fast_transforms_random_matrices(d, data, variant, seed):
+    r = {1: 512, 2: 20, 3: 6}[d]
+    rows = data.draw(st.lists(st.lists(st.integers(-r, r), min_size=d, max_size=d),
+                              min_size=d, max_size=d))
+    M = IntMat.from_rows(rows)
+    assume(0 < M.absdet <= 512)
+    assert_fast_transforms(M, variant, np.random.default_rng(seed))
