@@ -18,10 +18,11 @@ Three tensor-product families are implemented, per axis:
   (a centered B-spline kernel supported on ``[-p, p]``); ``r - 1``
   continuous derivatives, reduces to ``tensor_linear`` at ``r = 1``.
 
-All parameters are exact rationals.  Evaluation is polymorphic: Fraction
-input gives an exact Fraction result (this is what decides half-open
-boundaries in spectra), float input takes a fast floating path, and
-:meth:`AdmissibleFn.eval_many` evaluates numpy grids.
+All parameters are exact rationals.  Pointwise evaluation is exact: on
+Fraction or int input it gives an exact result (this is what decides
+half-open boundaries in spectra), and :func:`periodized_sum` converts
+float input exactly with ``Fraction(v)``.  Float grids take the numpy
+path, :meth:`AdmissibleFn.eval_many` and :func:`periodized_sum_many`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SingularMatrix
+from .errors import DimensionMismatch
 from .intlat import IntMat
 
 HALF = Fraction(1, 2)
@@ -126,7 +127,7 @@ class AdmissibleFn:
             if at < HALF:
                 return 1
             if at == HALF:
-                return HALF if isinstance(t, Fraction) else 0.5
+                return HALF
             return 0
         if self.kind == KIND_LINEAR:
             if at <= HALF - a:
@@ -185,9 +186,9 @@ def _bspline_cdf_scalar(y, r: int):
     """Integral of the centered cardinal B-spline of order r up to y."""
     half_r = Fraction(r, 2)
     if y <= -half_r:
-        return 0 if isinstance(y, Fraction) else 0.0
+        return 0
     if y >= half_r:
-        return 1 if isinstance(y, Fraction) else 1.0
+        return 1
     acc = 0
     sign = 1
     for j in range(r + 1):
@@ -213,35 +214,35 @@ def _bspline_cdf(y: np.ndarray, r: int) -> np.ndarray:
 # -- periodization ----------------------------------------------------------
 
 
-def _shift_range(J: IntMat, x, halfwidths, pad=0) -> list[range]:
-    """Per-axis integer ranges of z with x + J^T z possibly in the support box."""
-    d = J.dim
-    inv = J.T.inverse()  # rows of (J^T)^{-1}
+def _shift_ranges(J: IntMat, halfwidths, lo, hi) -> list[range]:
+    """Per-axis integer ranges holding every ``z`` with ``x + J^T z`` in the
+    support box ``[-hw, hw]`` for some ``x`` in the box ``[lo, hi]``
+    (``lo = hi`` for one point): ``z = J^{-T} t`` with each ``t_j`` in
+    ``[-hw_j - hi_j, hw_j - lo_j]``, and ``J^{-T} = A^T / q``."""
+    if not len(halfwidths) == len(lo) == len(hi) == J.dim:
+        raise DimensionMismatch("point, window and factor dimensions differ")
+    A, q = J.scaled_adjugate()
+    t_lo = [-h - u for h, u in zip(halfwidths, hi)]
+    t_hi = [h - l for h, l in zip(halfwidths, lo)]
     ranges = []
-    for i in range(d):
-        lo = hi = 0
-        for j in range(d):
-            c = inv[i][j]
-            a = c * (-halfwidths[j] - x[j])
-            b = c * (halfwidths[j] - x[j])
-            lo = lo + min(a, b)
-            hi = hi + max(a, b)
-        ranges.append(range(math.ceil(lo - pad), math.floor(hi + pad) + 1))
+    for col in zip(*A.entries):
+        a = b = 0
+        for c, tl, th in zip(col, t_lo, t_hi):
+            if c > 0:
+                a, b = a + c * tl, b + c * th
+            elif c < 0:
+                a, b = a + c * th, b + c * tl
+        ranges.append(range(-(-a // q), b // q + 1))
     return ranges
 
 
 def periodized_sum(g: AdmissibleFn, J: IntMat, x: Sequence):
-    """``sum_z g(x + J^T z)``, finite because the support box is compact."""
-    if J.det == 0:
-        raise SingularMatrix("periodization factor must be regular")
-    hw = g.support_halfwidths
-    exact = all(isinstance(v, (Fraction, int)) for v in x)
-    xv = tuple(Fraction(v) for v in x) if exact else tuple(float(v) for v in x)
-    pad = 0 if exact else Fraction(1, 10 ** 9)
+    """``sum_z g(x + J^T z)``, finite because the support box is compact;
+    exact, float input is converted with ``Fraction(v)``."""
+    xv = tuple(Fraction(v) for v in x)
     total = 0
-    for z in product(*_shift_range(J, xv, hw, pad)):
-        shift = J.apply_T(z)
-        total = total + g(tuple(a + b for a, b in zip(xv, shift)))
+    for z in product(*_shift_ranges(J, g.support_halfwidths, xv, xv)):
+        total = total + g(tuple(a + b for a, b in zip(xv, J.apply_T(z))))
     return total
 
 
@@ -250,24 +251,11 @@ def periodized_sum_many(g: AdmissibleFn, J: IntMat, X: np.ndarray) -> np.ndarray
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    hw = g.support_halfwidths
+    # cover every point of X: the shifts of its bounding box, rounded outward to 2^-20
     lo = [Fraction(math.floor(X[:, j].min() * 2 ** 20), 2 ** 20) for j in range(g.dim)]
     hi = [Fraction(math.ceil(X[:, j].max() * 2 ** 20), 2 ** 20) for j in range(g.dim)]
-    # cover every point of X: widen the box by its extent before ranging z
-    d = g.dim
-    inv = J.T.inverse()
-    ranges = []
-    for i in range(d):
-        a = b = Fraction(0)
-        for j in range(d):
-            c = inv[i][j]
-            cands = [c * (-hw[j] - hi[j]), c * (-hw[j] - lo[j]),
-                     c * (hw[j] - hi[j]), c * (hw[j] - lo[j])]
-            a = a + min(cands)
-            b = b + max(cands)
-        ranges.append(range(math.ceil(a), math.floor(b) + 1))
     out = np.zeros(X.shape[0])
-    for z in product(*ranges):
+    for z in product(*_shift_ranges(J, g.support_halfwidths, lo, hi)):
         shift = np.array([float(v) for v in J.apply_T(z)])
         out += g.eval_many(X + shift)
     return out

@@ -25,9 +25,12 @@ built from it:
 
 Frequency arguments and samples stay exact rationals until the float
 coefficients are formed, so half-open support boundaries (the Dirichlet
-window) and zero tests are decided exactly.  :func:`scaling_profile` and
-:func:`wavelet_profile` evaluate the product directly at one point; they
-are the reference the spectra are tested against.
+window) and zero tests are decided exactly.  Every class vector (two-scale
+values, phases, class powers, filters) is indexed by ``G(M^T)`` in the
+canonical order of the symmetric box (variant ``S``).
+:func:`scaling_profile` and :func:`wavelet_profile` evaluate the product
+directly at one point, exactly (float input is converted with
+``Fraction(v)``); they are the reference the spectra are tested against.
 """
 
 from __future__ import annotations
@@ -151,31 +154,21 @@ def periodized_product(g: AdmissibleFn, J: IntMat, f2, x: Sequence):
     first = periodized_sum(g, J, x)
     if first == 0:
         return 0
-    return first * f2(J.inv_T_apply(x) if _is_exact(x) else
-                      tuple(float(v) for v in J.inv_T_apply(x)))
-
-
-def _is_exact(x: Sequence) -> bool:
-    return all(isinstance(v, (Fraction, int)) for v in x)
+    return first * f2(J.inv_T_apply(x))
 
 
 def scaling_profile(chain: ChainSpec, level: int, g: AdmissibleFn, x: Sequence):
     """The window product whose samples are the level-``level`` scaling
-    coefficients; exact on Fraction input."""
-    n = chain.n_levels
-    _check_level(chain, level, top=n)
-    exact = _is_exact(x)
-    cur = tuple(Fraction(v) for v in x) if exact else tuple(float(v) for v in x)
+    coefficients; exact, float input is converted with ``Fraction(v)``."""
+    _check_level(chain, level, top=chain.n_levels)
+    cur = tuple(Fraction(v) for v in x)
     val = 1
-    for j in range(level, n):
-        J = chain.factors[j]
+    for J in chain.factors[level:]:
         first = periodized_sum(g, J, cur)
         if first == 0:
             return 0
         val = val * first
         cur = J.inv_T_apply(cur)
-        if not exact:
-            cur = tuple(float(v) for v in cur)
     return val * g(cur)
 
 
@@ -210,25 +203,20 @@ def wavelet_profile(chain: ChainSpec, level: int, g: AdmissibleFn, x: Sequence) 
     J = _require_dyadic_factor(chain.factors[level])
     _, w = wavelet_shift_vectors(J)
     gt = _wavelet_frequency_shift(J)
-    exact = _is_exact(x)
-    xv = tuple(Fraction(v) for v in x) if exact else tuple(float(v) for v in x)
-    shifted = tuple(a - b for a, b in zip(xv, gt))
-    first = periodized_sum(g, J, shifted)
+    xv = tuple(Fraction(v) for v in x)
+    first = periodized_sum(g, J, tuple(a - b for a, b in zip(xv, gt)))
     if first == 0:
         return 0j
-    rest = scaling_profile(chain, level + 1, g, J.inv_T_apply(xv) if exact else
-                           tuple(float(v) for v in J.inv_T_apply(xv)))
+    rest = scaling_profile(chain, level + 1, g, J.inv_T_apply(xv))
     if rest == 0:
         return 0j
     phase = cmath.exp(-2j * math.pi * float(_dot_mod1(xv, w)))
-    return phase * float(first) * float(rest) if exact else phase * first * rest
+    return phase * float(first) * float(rest)
 
 
-def _dot_mod1(x: Sequence, y: Sequence):
-    if _is_exact(x):
-        r = sum(Fraction(a) * b for a, b in zip(x, y))
-        return r - (r.numerator // r.denominator)
-    return float(sum(float(a) * float(b) for a, b in zip(x, y))) % 1.0
+def _dot_mod1(x: Sequence, y: Sequence) -> Fraction:
+    r = sum(Fraction(a) * b for a, b in zip(x, y))
+    return r - (r.numerator // r.denominator)
 
 
 def _frequency_candidates(M: IntMat, hw: Sequence[Fraction]):
@@ -245,8 +233,7 @@ def _frequency_candidates(M: IntMat, hw: Sequence[Fraction]):
 
 
 @lru_cache(maxsize=None)
-def _class_sums(chain: ChainSpec, level: int, g: AdmissibleFn, kind: str,
-                variant: str = "S") -> tuple:
+def _class_sums(chain: ChainSpec, level: int, g: AdmissibleFn, kind: str) -> tuple:
     """Exact two-scale values over the classes ``h`` of ``G(M_{l+1}^T)``:
     ``g^J(M_l^{-T} h)`` for ``kind == "scaling"``, and the wavelet modulus
     ``g^J(M_l^{-T} h - J^T v)`` for ``kind == "wavelet"``; each holds for
@@ -254,19 +241,19 @@ def _class_sums(chain: ChainSpec, level: int, g: AdmissibleFn, kind: str,
     J = chain.factors[level]
     M = chain.matrix(level)
     shift = _wavelet_frequency_shift(J) if kind == "wavelet" else (0,) * chain.dim
-    gs = generating_set(chain.matrix(level + 1).T, variant)
+    gs = generating_set(chain.matrix(level + 1).T)
     return tuple(periodized_sum(g, J, tuple(a - b for a, b in zip(M.inv_T_apply(h), shift)))
                  for h in gs.reps)
 
 
 @lru_cache(maxsize=None)
-def _class_phases(chain: ChainSpec, level: int, variant: str) -> tuple[complex, ...]:
+def _class_phases(chain: ChainSpec, level: int) -> tuple[complex, ...]:
     """Unit phases ``exp(-2 pi i h . M_l^{-1} w)`` of the classes ``h`` of
     ``G(M_{l+1}^T)``; a dyadic factor's ``w`` makes them constant on each
     class."""
     _, w = wavelet_shift_vectors(chain.factors[level])
     u = chain.matrix(level).inv_apply(w)
-    gs = generating_set(chain.matrix(level + 1).T, variant)
+    gs = generating_set(chain.matrix(level + 1).T)
     return tuple(cmath.exp(-2j * math.pi * float(_dot_mod1(h, u))) for h in gs.reps)
 
 
@@ -313,7 +300,7 @@ def wavelet_spectrum(chain: ChainSpec, level: int, g: AdmissibleFn) -> Wavelet:
     v, w = wavelet_shift_vectors(chain.factors[level])
     root = math.sqrt(chain.size(level))
     b = _class_sums(chain, level, g, "wavelet")
-    phases = _class_phases(chain, level, "S")
+    phases = _class_phases(chain, level)
     gs = generating_set(chain.matrix(level + 1).T)
     coeffs: dict[Vec, complex] = {}
     for k, p in _exact_samples(chain, level + 1, g).items():
@@ -325,60 +312,56 @@ def wavelet_spectrum(chain: ChainSpec, level: int, g: AdmissibleFn) -> Wavelet:
                    spectrum=SparseSpectrum(dim=chain.dim, coeffs=coeffs, all_real=False))
 
 
-def two_scale(chain: ChainSpec, level: int, g: AdmissibleFn,
-              variant: str = "S") -> TwoScaleCoeffs:
+def two_scale(chain: ChainSpec, level: int, g: AdmissibleFn) -> TwoScaleCoeffs:
     """Raw two-scale vector: ``sqrt(|det J|) * g^J`` sampled on
     ``M_l^{-T} G(M_{l+1}^T)``; the unscaled samples ``g^J`` are kept too."""
     _check_level(chain, level, top=chain.n_levels - 1)
-    samples = np.array([float(a) for a in _class_sums(chain, level, g, "scaling", variant)])
+    samples = np.array([float(a) for a in _class_sums(chain, level, g, "scaling")])
     vals = (math.sqrt(chain.factors[level].absdet) * samples).astype(complex)
     return TwoScaleCoeffs(chain=chain, level=level, kind="scaling", samples=samples,
-                          values=SpectrumVector(matrix=chain.matrix(level + 1),
-                                                values=vals, variant=variant))
+                          values=SpectrumVector(matrix=chain.matrix(level + 1), values=vals))
 
 
-def wavelet_two_scale(chain: ChainSpec, level: int, g: AdmissibleFn,
-                      variant: str = "S") -> TwoScaleCoeffs:
+def wavelet_two_scale(chain: ChainSpec, level: int, g: AdmissibleFn) -> TwoScaleCoeffs:
     """Raw wavelet two-scale vector over ``G(M_{l+1}^T)``; its real moduli
     before the ``sqrt(2)`` factor and the unit phases are kept as
     ``samples``."""
     _check_level(chain, level, top=chain.n_levels - 1)
-    moduli = [float(b) for b in _class_sums(chain, level, g, "wavelet", variant)]
+    moduli = [float(b) for b in _class_sums(chain, level, g, "wavelet")]
     root = math.sqrt(2.0)
     vals = np.array([root * mu * phase
-                     for mu, phase in zip(moduli, _class_phases(chain, level, variant))])
+                     for mu, phase in zip(moduli, _class_phases(chain, level))])
     return TwoScaleCoeffs(chain=chain, level=level, kind="wavelet", samples=np.array(moduli),
-                          values=SpectrumVector(matrix=chain.matrix(level + 1),
-                                                values=vals, variant=variant))
+                          values=SpectrumVector(matrix=chain.matrix(level + 1), values=vals))
 
 
-def complement_phases(chain: ChainSpec, level: int, variant: str = "S") -> np.ndarray:
+def complement_phases(chain: ChainSpec, level: int) -> np.ndarray:
     """Unit phases ``exp(-2 pi i h . M_l^{-1} w)`` over ``G(M_{l+1}^T)``;
     they flip sign between the two classes each dyadic factor pairs."""
-    return np.array(_class_phases(chain, level, variant))
+    return np.array(_class_phases(chain, level))
 
 
 # -- orthonormalization ------------------------------------------------------
 
 
-def class_powers(fn: ScalingFunction | Wavelet, variant: str = "S") -> np.ndarray:
+def class_powers(fn: ScalingFunction | Wavelet) -> np.ndarray:
     """Per-class sums ``sum_z |c_{h + M_l^T z}|^2`` over ``G(M_l^T)``."""
-    gs = generating_set(fn.matrix.T, variant)
+    gs = generating_set(fn.matrix.T)
     powers = np.zeros(len(gs))
     for k, c in fn.spectrum.coeffs.items():
         powers[gs.index_of(k)] += abs(c) ** 2
     return powers
 
 
-def orthonormalize(fn: ScalingFunction | Wavelet, variant: str = "S"):
+def orthonormalize(fn: ScalingFunction | Wavelet):
     """Scale each frequency class so the translates over ``P(M_l)`` become
     orthonormal: ``m_l * sum_z |c|^2 = 1`` per class afterwards."""
-    powers = class_powers(fn, variant)
+    powers = class_powers(fn)
     peak = float(np.max(powers)) if len(powers) else 0.0
     if peak <= 0.0 or float(np.min(powers)) <= DEGENERATE_REL * peak:
         raise DegenerateClass("a frequency class carries no coefficient mass")
     m = fn.size
-    gs = generating_set(fn.matrix.T, variant)
+    gs = generating_set(fn.matrix.T)
     scale = 1.0 / np.sqrt(m * powers)
     coeffs = {k: c * scale[gs.index_of(k)] for k, c in fn.spectrum.coeffs.items()}
     spec = SparseSpectrum(dim=fn.spectrum.dim, coeffs=coeffs,
@@ -389,13 +372,13 @@ def orthonormalize(fn: ScalingFunction | Wavelet, variant: str = "S"):
 
 
 @lru_cache(maxsize=None)
-def fiber_partner(chain: ChainSpec, level: int, variant: str = "S") -> np.ndarray:
+def fiber_partner(chain: ChainSpec, level: int) -> np.ndarray:
     """For each class of ``G(M_{l+1}^T)``, the index of the second class a
     dyadic factor merges with it over ``G(M_l^T)``; an involution."""
     J = _require_dyadic_factor(chain.factors[level])
     gt = _wavelet_frequency_shift(J)
     shift = chain.matrix(level).apply_T(gt)
-    gs = generating_set(chain.matrix(level + 1).T, variant)
+    gs = generating_set(chain.matrix(level + 1).T)
     partner = np.array([gs.index_of(tuple(a + b for a, b in zip(h, shift)))
                         for h in gs.reps])
     own = np.arange(len(gs))
@@ -405,8 +388,8 @@ def fiber_partner(chain: ChainSpec, level: int, variant: str = "S") -> np.ndarra
 
 
 @lru_cache(maxsize=None)
-def normalized_filters(chain: ChainSpec, level: int, g: AdmissibleFn,
-                       variant: str = "S") -> tuple[TwoScaleCoeffs, TwoScaleCoeffs]:
+def normalized_filters(chain: ChainSpec, level: int,
+                       g: AdmissibleFn) -> tuple[TwoScaleCoeffs, TwoScaleCoeffs]:
     """Orthonormal two-scale filter pair of one dyadic refinement step.
 
     The scaling filter is the raw one rescaled by the class powers of the
@@ -419,42 +402,41 @@ def normalized_filters(chain: ChainSpec, level: int, g: AdmissibleFn,
     not give the orthogonal complement unless the raw translates already
     were orthonormal, as in the Dirichlet case.)
     """
-    a_raw = two_scale(chain, level, g, variant)
+    a_raw = two_scale(chain, level, g)
     fine = scaling_spectrum(chain, level + 1, g)
     coarse_phi = scaling_spectrum(chain, level, g)
-    p_fine = class_powers(fine, variant)
-    q_phi = class_powers(coarse_phi, variant)
+    p_fine = class_powers(fine)
+    q_phi = class_powers(coarse_phi)
     for arr, who in ((p_fine, "fine scaling"), (q_phi, "coarse scaling")):
         if float(np.min(arr)) <= DEGENERATE_REL * float(np.max(arr)):
             raise DegenerateClass(f"{who} spectrum has an empty frequency class")
     m_fine = chain.size(level + 1)
     m_coarse = chain.size(level)
-    gs_coarse = generating_set(chain.matrix(level).T, variant)
-    fine_gs = generating_set(chain.matrix(level + 1).T, variant)
+    gs_coarse = generating_set(chain.matrix(level).T)
+    fine_gs = generating_set(chain.matrix(level + 1).T)
     coarse_of_fine = np.array([gs_coarse.index_of(h) for h in fine_gs.reps])
     a_vals = (a_raw.values.values * np.sqrt(m_fine * p_fine)
               / np.sqrt(m_coarse * q_phi[coarse_of_fine]))
-    partner = fiber_partner(chain, level, variant)
-    sigma = complement_phases(chain, level, variant)
+    partner = fiber_partner(chain, level)
+    sigma = complement_phases(chain, level)
     b_vals = sigma * np.conj(a_vals[partner])
     mk = chain.matrix(level + 1)
     return (
         TwoScaleCoeffs(chain=chain, level=level, kind="scaling", normalized=True,
-                       values=SpectrumVector(matrix=mk, values=a_vals, variant=variant)),
+                       values=SpectrumVector(matrix=mk, values=a_vals)),
         TwoScaleCoeffs(chain=chain, level=level, kind="wavelet", normalized=True,
-                       values=SpectrumVector(matrix=mk, values=b_vals, variant=variant)),
+                       values=SpectrumVector(matrix=mk, values=b_vals)),
     )
 
 
 @lru_cache(maxsize=None)
-def orthonormal_wavelet(chain: ChainSpec, level: int, g: AdmissibleFn,
-                        variant: str = "S") -> Wavelet:
+def orthonormal_wavelet(chain: ChainSpec, level: int, g: AdmissibleFn) -> Wavelet:
     """The wavelet spanning the orthogonal complement of the level space
     inside the next one, with orthonormal translates: the complement
     filter applied to the orthonormalized next-level scaling function."""
-    _, b2 = normalized_filters(chain, level, g, variant)
-    fine = orthonormalize(scaling_spectrum(chain, level + 1, g), variant)
-    gs = generating_set(chain.matrix(level + 1).T, variant)
+    _, b2 = normalized_filters(chain, level, g)
+    fine = orthonormalize(scaling_spectrum(chain, level + 1, g))
+    gs = generating_set(chain.matrix(level + 1).T)
     coeffs: dict[Vec, complex] = {}
     for k, c in fine.spectrum.coeffs.items():
         val = b2.values.values[gs.index_of(k)] * c

@@ -33,14 +33,6 @@ class DegenerateClass(VpwaveError):
     """A frequency congruence class carries no usable coefficient mass."""
 
 
-class NotNormalized(VpwaveError):
-    """An operation requires orthonormalized translates."""
-
-
-class MatrixMismatch(VpwaveError):
-    """Two objects refer to different lattice matrices."""
-
-
 class UnsupportedDimension(VpwaveError):
     """A specialized check only exists for particular dimensions."""
 

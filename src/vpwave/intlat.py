@@ -116,9 +116,6 @@ class IntMat:
     def absdet(self) -> int:
         return abs(_det(self))
 
-    def is_regular(self) -> bool:
-        return _det(self) != 0
-
     def require_regular(self) -> "IntMat":
         if _det(self) == 0:
             raise SingularMatrix(f"matrix {self.entries} is singular")
@@ -151,10 +148,6 @@ class IntMat:
             raise DimensionMismatch("vector length differs from matrix dimension")
         d = self.dim
         return tuple(sum(self.entries[i][j] * v[i] for i in range(d)) for j in range(d))
-
-    def inverse(self) -> tuple[FracVec, ...]:
-        """Exact inverse as rows of Fractions."""
-        return _inverse(self)
 
     def inv_apply(self, v: Sequence) -> FracVec:
         """``M^{-1} v`` exactly (entries of ``v``: ints, Fractions or floats)."""
@@ -205,8 +198,10 @@ def _det(M: IntMat) -> int:
 
 
 @lru_cache(maxsize=None)
-def _inverse(M: IntMat) -> tuple[FracVec, ...]:
-    M.require_regular()
+def _scaled_adjugate(M: IntMat) -> tuple[IntMat, int]:
+    """``M^{-1} = A / q`` with ``q = |det M|``, by Gauss-Jordan elimination
+    on Fractions."""
+    q = M.require_regular().absdet
     d = M.dim
     a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(d)]
          for i, row in enumerate(M.entries)]
@@ -219,13 +214,7 @@ def _inverse(M: IntMat) -> tuple[FracVec, ...]:
             if r != col and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[d:]) for row in a)
-
-
-@lru_cache(maxsize=None)
-def _scaled_adjugate(M: IntMat) -> tuple[IntMat, int]:
-    q = abs(_det(M))
-    return IntMat(tuple(tuple(int(x * q) for x in row) for row in _inverse(M))), q
+    return IntMat(tuple(tuple(int(x * q) for x in row[d:]) for row in a)), q
 
 
 def determinant(M: IntMat) -> int:
@@ -356,10 +345,10 @@ def _snf(M: IntMat) -> SmithDecomposition:
 
 def unimodular_inverse(U: IntMat) -> IntMat:
     """Exact integer inverse of a matrix with ``|det| = 1``."""
-    inv = U.inverse()
-    if any(x.denominator != 1 for row in inv for x in row):
+    A, q = _scaled_adjugate(U)
+    if q != 1:
         raise ConditionViolated(f"matrix {U} is not unimodular")
-    return IntMat(tuple(tuple(int(x) for x in row) for row in inv))
+    return A
 
 
 def _divide_rows(rows: tuple[Vec, ...], q: int, v: Sequence) -> FracVec:

@@ -29,7 +29,9 @@ from .errors import IndexMismatch, TooLarge
 from .intlat import (IntMat, apply_rows, digit_index, generating_set, pattern,
                      smith_normal_form, unimodular_inverse)
 
-FOURIER_MATRIX_GUARD = 2 ** 16
+# Largest m for which the naive m x m phase table (naive DFT, Fourier matrix)
+# is built; it holds m^2 Python integers, about 72 MB at m = 1024.
+FOURIER_MATRIX_GUARD = 2 ** 10
 _NAIVE_BLOCK = 256
 
 
@@ -84,6 +86,9 @@ class SpectrumVector:
 @lru_cache(maxsize=None)
 def _phase_table(M: IntMat, variant: str) -> tuple[np.ndarray, int]:
     """Integer matrix R and modulus q with h_i . y_j = R[i, j] / q  (mod 1)."""
+    m = M.require_regular().absdet
+    if m > FOURIER_MATRIX_GUARD:
+        raise TooLarge(f"refusing to build a {m}x{m} phase table")
     adj, q = M.scaled_adjugate()
     A = np.array(adj.entries, dtype=object)
     H = generating_set(M.T, variant).rep_array.astype(object)
@@ -95,11 +100,8 @@ def _phase_table(M: IntMat, variant: str) -> tuple[np.ndarray, int]:
 def fourier_matrix(M: IntMat, variant: str = "S") -> np.ndarray:
     """Dense unitary Fourier matrix of ``M``; rows over ``G(M^T)``,
     columns over ``P(M)``."""
-    m = M.require_regular().absdet
-    if m > FOURIER_MATRIX_GUARD:
-        raise TooLarge(f"refusing to materialize a {m}x{m} Fourier matrix")
     R, q = _phase_table(M, variant)
-    return np.exp((-2j * np.pi / q) * R) / np.sqrt(m)
+    return np.exp((-2j * np.pi / q) * R) / np.sqrt(len(R))
 
 
 def dft(a: PatternVector) -> SpectrumVector:

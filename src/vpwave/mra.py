@@ -32,7 +32,6 @@ from .intlat import (
     IntMat,
     J_D,
     axis_doubling,
-    chain,
     generating_set,
     plane_rotation,
 )
@@ -43,13 +42,12 @@ GRID_POINTS_PER_AXIS = 512
 # -- basis and nesting ---------------------------------------------------------
 
 
-def basis_check(chn: ChainSpec, level: int, g: AdmissibleFn,
-                variant: str = "S") -> tuple[bool, float]:
+def basis_check(chn: ChainSpec, level: int, g: AdmissibleFn) -> tuple[bool, float]:
     """Whether the translates span a space of full dimension ``m_l``:
     every frequency class must carry positive coefficient power.
     Returns the flag and the minimal class power."""
     sf = scaling_spectrum(chn, level, g)
-    powers = class_powers(sf, variant)
+    powers = class_powers(sf)
     peak = float(np.max(powers))
     min_power = float(np.min(powers))
     return min_power > 1e-18 * peak, min_power
@@ -80,13 +78,12 @@ def nesting_residual(chn: ChainSpec, level: int, g: AdmissibleFn) -> float:
     return float(worst) / math.sqrt(chn.size(level))
 
 
-def independent_nesting_residual(coarse: ScalingFunction, fine: ScalingFunction,
-                                 variant: str = "S") -> float:
+def independent_nesting_residual(coarse: ScalingFunction, fine: ScalingFunction) -> float:
     """Nesting defect without a constructed two-scale vector: per class the
     best least-squares multiplier is fitted first.  Zero iff some vector
     links the two spectra, i.e. iff the coarse space embeds in the fine one."""
     M_fine = fine.matrix
-    gs = generating_set(M_fine.T, variant)
+    gs = generating_set(M_fine.T)
     num = np.zeros(len(gs), dtype=complex)
     den = np.zeros(len(gs))
     support = coarse.spectrum.support() | fine.spectrum.support()
@@ -133,7 +130,7 @@ def _ball_points(d: int, r: int):
 # -- orthonormality audit --------------------------------------------------------
 
 
-def audit_orthonormality(ts: TwoScaleCoeffs, variant: str = "S") -> float:
+def audit_orthonormality(ts: TwoScaleCoeffs) -> float:
     """Max over merged class pairs of ``| |b_h|^2 + |b_h'|^2 - |det J| |``.
     Zero exactly when the translates of the corresponding function are
     orthonormal inside the orthonormal next-level basis.
@@ -146,7 +143,7 @@ def audit_orthonormality(ts: TwoScaleCoeffs, variant: str = "S") -> float:
     moduli and is audited on its complex values.  Both report in the units
     of ``|b_h|^2``."""
     detj = ts.chain.factors[ts.level].absdet
-    partner = fiber_partner(ts.chain, ts.level, variant)
+    partner = fiber_partner(ts.chain, ts.level)
     if ts.samples is not None:
         mu = ts.samples
         return detj * float(np.max(np.abs(mu ** 2 + mu[partner] ** 2 - 1.0)))
@@ -182,7 +179,9 @@ def _apply_points(M_inv_T: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _inv_T_float(M: IntMat) -> np.ndarray:
-    return np.array([[float(v) for v in row] for row in M.T.inverse()])
+    """``M^{-T} = A^T / q`` in float, correctly rounded entry by entry."""
+    A, q = M.scaled_adjugate()
+    return np.array(A.entries, dtype=float).T / q
 
 
 def check_reduction(g: AdmissibleFn, J: IntMat, mode: str,
@@ -323,13 +322,13 @@ class MraReport:
         return "\n".join(lines) + "\n"
 
 
-def build_report(chn: ChainSpec, g: AdmissibleFn, variant: str = "S") -> MraReport:
+def build_report(chn: ChainSpec, g: AdmissibleFn) -> MraReport:
     """Run every per-level check on a chain and collect the results."""
     radii = support_radii(chn, g)
     levels = []
     ok = True
     for level in range(chn.n_levels + 1):
-        dim_ok, min_power = basis_check(chn, level, g, variant)
+        dim_ok, min_power = basis_check(chn, level, g)
         ok &= dim_ok
         nest = None
         fdef_a = fdef_b = None
@@ -337,9 +336,9 @@ def build_report(chn: ChainSpec, g: AdmissibleFn, variant: str = "S") -> MraRepo
             nest = nesting_residual(chn, level, g)
             ok &= nest < tol.TWO_SCALE
             if chn.dyadic:
-                a2, b2 = normalized_filters(chn, level, g, variant)
-                fdef_a = audit_orthonormality(a2, variant)
-                fdef_b = audit_orthonormality(b2, variant)
+                a2, b2 = normalized_filters(chn, level, g)
+                fdef_a = audit_orthonormality(a2)
+                fdef_b = audit_orthonormality(b2)
                 ok &= fdef_a < tol.ORTHO and fdef_b < tol.ORTHO
         levels.append(LevelReport(
             level=level, size=chn.size(level), dim_ok=dim_ok,

@@ -1,16 +1,20 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vpwave.admissible import (
     AdmissibleFn,
+    _shift_ranges,
     check_partition_of_unity,
     parse_admissible,
     periodized_sum,
     periodized_sum_many,
 )
-from vpwave.intlat import J_D, J_X, J_Y, IntMat
+from vpwave.errors import DimensionMismatch
+from vpwave.intlat import J_D, J_X, J_Y, IntMat, determinant
 
 F = Fraction
 
@@ -200,3 +204,69 @@ def test_rejects_out_of_range_parameters():
         AdmissibleFn.tensor_smoothed([F(1, 2)], order=2)
     with pytest.raises(ValueError):
         AdmissibleFn.tensor_smoothed([F(1, 8)], order=0)
+
+
+def test_periodized_sum_converts_float_input_exactly():
+    rng = np.random.default_rng(9)
+    for g in (AdmissibleFn.tensor_linear([F(1, 10), F(1, 7)]),
+              AdmissibleFn.tensor_smoothed([F(1, 12), F(1, 9)], order=3)):
+        for J in (J_D, J_X, IntMat.from_rows([[1, 1], [0, 2]])):
+            for x in rng.uniform(-1.2, 1.2, size=(40, 2)):
+                exact = periodized_sum(g, J, tuple(F(v) for v in x))
+                got = periodized_sum(g, J, tuple(x))
+                assert got == exact and type(got) is type(exact)
+
+
+def test_periodized_sum_checks_dimensions():
+    g = AdmissibleFn.tensor_linear([F(1, 10), F(1, 10)])
+    for x in ((F(5),), (F(0),), (F(0), F(0), F(0))):
+        with pytest.raises(DimensionMismatch):
+            periodized_sum(g, J_D, x)
+    with pytest.raises(DimensionMismatch):
+        periodized_sum(g, IntMat.identity(3), (F(0), F(0)))
+
+
+def inverse_T_by_cofactors(J):
+    """(J^T)^{-1} = C / det J, with C the cofactor matrix of J."""
+    d = J.dim
+
+    def minor(i, j):
+        return IntMat.from_rows([[J.entries[r][c] for c in range(d) if c != j]
+                                 for r in range(d) if r != i])
+    return tuple(tuple(F((-1) ** (i + j) * determinant(minor(i, j)), J.det)
+                       for j in range(d)) for i in range(d))
+
+
+def shift_range_oracle(J, halfwidths, lo, hi):
+    """The former bound: z = (J^T)^{-1} (y - x) over the support box of y and
+    the box [lo, hi] of x, per axis the extremes of each product's four
+    corner values; for lo = hi this is the former per-point bound."""
+    inv = inverse_T_by_cofactors(J)
+    ranges = []
+    for row in inv:
+        a = b = 0
+        for c, h, l, u in zip(row, halfwidths, lo, hi):
+            corners = [c * (-h - u), c * (-h - l), c * (h - u), c * (h - l)]
+            a, b = a + min(corners), b + max(corners)
+        ranges.append(range(math.ceil(a), math.floor(b) + 1))
+    return ranges
+
+
+SHIFT_FACTORS = [J_D, J_X, J_Y, IntMat.from_rows([[1, 1], [0, 2]]),
+                 IntMat.from_rows([[2, 1, 0], [0, 1, 1], [1, 0, 1]])]
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=60)
+
+
+@settings(max_examples=100, deadline=None)
+@given(J=st.sampled_from(SHIFT_FACTORS), data=st.data())
+def test_shift_ranges_match_the_former_bound(J, data):
+    d = J.dim
+    hw = data.draw(st.lists(st.fractions(min_value=F(1, 2), max_value=1, max_denominator=30),
+                            min_size=d, max_size=d))
+    lo = data.draw(st.lists(rationals, min_size=d, max_size=d))
+    if data.draw(st.booleans()):
+        hi = lo
+    else:
+        hi = [v + w for v, w in zip(lo, data.draw(st.lists(
+            st.fractions(min_value=0, max_value=2, max_denominator=60), min_size=d, max_size=d)))]
+    assert _shift_ranges(J, hw, lo, hi) == shift_range_oracle(J, hw, lo, hi)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vpwave import dlvp, tol
-from vpwave.admissible import AdmissibleFn
+from vpwave.admissible import AdmissibleFn, periodized_sum
 from vpwave.dlvp import (
     class_powers,
     complement_phases,
@@ -110,6 +110,35 @@ def test_scaling_profile_dirichlet_chains():
         for _ in range(100):
             x = tuple(F(v).limit_denominator(64) for v in rng.uniform(-1, 1, 2))
             assert scaling_profile(c, level, g, x) == g(x)
+
+
+def test_scaling_profile_converts_float_input_exactly():
+    c, g = example_48()
+    rng = np.random.default_rng(8)
+    for level in (0, 1):
+        for x in rng.uniform(-0.8, 0.8, size=(100, 2)):
+            exact = scaling_profile(c, level, g, tuple(F(v) for v in x))
+            got = scaling_profile(c, level, g, tuple(x))
+            assert got == exact and type(got) is type(exact)
+
+
+def test_filters_reuse_the_class_sums_of_the_spectra(monkeypatch):
+    # the spectra and the two-scale vectors share one exact class-sum table
+    c = chain(IntMat.from_rows([[5, 1], [-1, 3]]), [J_D, J_X])
+    g = AdmissibleFn.tensor_linear([F(1, 7), F(1, 9)])
+    for level in range(c.n_levels + 1):
+        scaling_spectrum(c, level, g)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return periodized_sum(*args)
+
+    monkeypatch.setattr(dlvp, "periodized_sum", counted)
+    for level in range(c.n_levels):
+        two_scale(c, level, g)
+        normalized_filters(c, level, g)
+    assert calls == []
 
 
 def test_scaling_profile_positive_on_unit_cube():

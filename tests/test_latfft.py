@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -56,6 +57,16 @@ def test_fourier_matrix_unitary_random():
 def test_fourier_matrix_guard():
     with pytest.raises(TooLarge):
         fourier_matrix(IntMat.diagonal([2 ** 9, 2 ** 9]))
+
+
+def test_naive_transforms_share_the_phase_table_guard():
+    a = PatternVector(matrix=IntMat.diagonal([32, 64]), values=np.zeros(2048))
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        dft(a)
+    with pytest.raises(TooLarge):
+        idft_naive(SpectrumVector(matrix=a.matrix, values=a.values))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_dft_delta_at_origin():
