@@ -27,7 +27,9 @@ Frequency arguments and samples stay exact rationals until the float
 coefficients are formed, so half-open support boundaries (the Dirichlet
 window) and zero tests are decided exactly.  Every class vector (two-scale
 values, phases, class powers, filters) is indexed by ``G(M^T)`` in the
-canonical order of the symmetric box (variant ``S``).
+canonical order of the symmetric box (variant ``S``).  A spectrum is a
+sorted key array with a value array; a class vector acts on it by one
+gather over ``class_index(keys)``, and per-class sums are one ``np.bincount``.
 :func:`scaling_profile` and :func:`wavelet_profile` evaluate the product
 directly at one point, exactly (float input is converted with
 ``Fraction(v)``); they are the reference the spectra are tested against.
@@ -39,15 +41,15 @@ import cmath
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from . import tol
 from .admissible import AdmissibleFn, periodized_sum
-from .errors import ConditionViolated, DegenerateClass, LevelOutOfRange, NotDyadic, TooLarge
+from .errors import (ConditionViolated, DegenerateClass, DimensionMismatch, LevelOutOfRange,
+                     NotDyadic, TooLarge)
 from .intlat import ENUMERATION_GUARD, ChainSpec, IntMat, generating_set, pattern
 from .latfft import SpectrumVector
 
@@ -56,26 +58,38 @@ Vec = tuple[int, ...]
 DEGENERATE_REL = 1e-18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseSpectrum:
-    """Finite map from integer frequencies to Fourier coefficients."""
+    """Finite map from integer frequencies to Fourier coefficients: the
+    distinct ``keys`` as an ``(n, d)`` int64 array and the matching
+    ``values``, sorted lexicographically by the constructor and read-only.
+    A class vector ``a`` over ``G(M^T)`` acts by the gather
+    ``a[generating_set(M^T).class_index(keys)]``.  ``coeffs`` is a dict
+    view ``{k: c}`` of the same data, built on first use."""
 
     dim: int
-    coeffs: dict[Vec, complex]
-    all_real: bool = False
+    keys: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        keys = np.asarray(self.keys, dtype=np.int64).reshape(-1, self.dim)
+        values = np.asarray(self.values)
+        if values.shape != (len(keys),):
+            raise DimensionMismatch("a spectrum needs one coefficient per frequency")
+        order = np.lexsort(keys.T[::-1])
+        for name, arr in (("keys", keys[order]), ("values", values[order])):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @cached_property
+    def coeffs(self) -> dict[Vec, complex]:
+        return dict(zip(map(tuple, self.keys.tolist()), self.values.tolist()))
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return len(self.keys)
 
     def support(self) -> set[Vec]:
-        return set(self.coeffs)
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Frequencies as an (n, d) int array plus matching coefficients."""
-        keys = sorted(self.coeffs)
-        K = np.array(keys, dtype=np.int64).reshape(len(keys), self.dim)
-        c = np.array([self.coeffs[k] for k in keys], dtype=complex)
-        return K, c
+        return set(map(tuple, self.keys.tolist()))
 
     def __getitem__(self, k: Sequence[int]) -> complex:
         return self.coeffs.get(tuple(int(v) for v in k), 0.0)
@@ -84,8 +98,9 @@ class SparseSpectrum:
 @dataclass(frozen=True)
 class ScalingFunction:
     """``samples`` holds the unscaled profile value ``P(M_l^{-T} k)`` of each
-    stored frequency, so that ``coeffs[k] == samples[k] / sqrt(m_l)``; it is
-    ``None`` when the coefficients are not plain profile samples (after
+    stored frequency, on the keys of ``spectrum``, so that
+    ``spectrum[k] == samples[k] / sqrt(m_l)``; it is ``None`` when the
+    coefficients are not plain profile samples (after
     :func:`orthonormalize`, or for a hand-built spectrum)."""
 
     chain: ChainSpec
@@ -93,7 +108,7 @@ class ScalingFunction:
     g: AdmissibleFn
     spectrum: SparseSpectrum
     normalized: bool = False
-    samples: dict[Vec, float] | None = None
+    samples: SparseSpectrum | None = None
 
     @property
     def matrix(self) -> IntMat:
@@ -210,17 +225,14 @@ def wavelet_profile(chain: ChainSpec, level: int, g: AdmissibleFn, x: Sequence) 
     rest = scaling_profile(chain, level + 1, g, J.inv_T_apply(xv))
     if rest == 0:
         return 0j
-    phase = cmath.exp(-2j * math.pi * float(_dot_mod1(xv, w)))
+    turns = sum(a * b for a, b in zip(xv, w))
+    phase = cmath.exp(-2j * math.pi * float(turns - math.floor(turns)))
     return phase * float(first) * float(rest)
 
 
-def _dot_mod1(x: Sequence, y: Sequence) -> Fraction:
-    r = sum(Fraction(a) * b for a, b in zip(x, y))
-    return r - (r.numerator // r.denominator)
-
-
-def _frequency_candidates(M: IntMat, hw: Sequence[Fraction]):
-    """Integer points of the bounding box of ``M^T [-hw, hw]``."""
+def _frequency_candidates(M: IntMat, hw: Sequence[Fraction]) -> np.ndarray:
+    """Integer points of the bounding box of ``M^T [-hw, hw]``, as an
+    ``(n, d)`` array in lexicographic order."""
     d = M.dim
     bounds = []
     for i in range(d):
@@ -229,66 +241,73 @@ def _frequency_candidates(M: IntMat, hw: Sequence[Fraction]):
     count = math.prod(2 * b + 1 for b in bounds)
     if count > ENUMERATION_GUARD:
         raise TooLarge(f"refusing to sample the window at {count} > {ENUMERATION_GUARD} frequencies")
-    return product(*(range(-b, b + 1) for b in bounds))
+    return np.indices([2 * b + 1 for b in bounds]).reshape(d, -1).T - np.array(bounds)
 
 
 @lru_cache(maxsize=None)
-def _class_sums(chain: ChainSpec, level: int, g: AdmissibleFn, kind: str) -> tuple:
-    """Exact two-scale values over the classes ``h`` of ``G(M_{l+1}^T)``:
-    ``g^J(M_l^{-T} h)`` for ``kind == "scaling"``, and the wavelet modulus
-    ``g^J(M_l^{-T} h - J^T v)`` for ``kind == "wavelet"``; each holds for
-    every frequency of its class."""
+def _class_sums(chain: ChainSpec, level: int, g: AdmissibleFn, kind: str) -> np.ndarray:
+    """Exact two-scale values over the classes ``h`` of ``G(M_{l+1}^T)``, as a
+    read-only object array: ``g^J(M_l^{-T} h)`` for ``kind == "scaling"``,
+    and the wavelet modulus ``g^J(M_l^{-T} h - J^T v)`` for
+    ``kind == "wavelet"``; each holds for every frequency of its class."""
     J = chain.factors[level]
     M = chain.matrix(level)
     shift = _wavelet_frequency_shift(J) if kind == "wavelet" else (0,) * chain.dim
     gs = generating_set(chain.matrix(level + 1).T)
-    return tuple(periodized_sum(g, J, tuple(a - b for a, b in zip(M.inv_T_apply(h), shift)))
-                 for h in gs.reps)
+    sums = np.array([periodized_sum(g, J, tuple(a - b for a, b in zip(M.inv_T_apply(h), shift)))
+                     for h in gs.reps], dtype=object)
+    sums.flags.writeable = False
+    return sums
 
 
 @lru_cache(maxsize=None)
-def _class_phases(chain: ChainSpec, level: int) -> tuple[complex, ...]:
-    """Unit phases ``exp(-2 pi i h . M_l^{-1} w)`` of the classes ``h`` of
-    ``G(M_{l+1}^T)``; a dyadic factor's ``w`` makes them constant on each
-    class."""
+def complement_phases(chain: ChainSpec, level: int) -> np.ndarray:
+    """Unit phases ``exp(-2 pi i h . M_l^{-1} w)`` over ``G(M_{l+1}^T)``, read-only;
+    they flip sign between the two classes a dyadic factor pairs.  With
+    ``M_l^{-1} = A / q`` and ``2 w`` integral, the turns ``h . A (2 w) / (2 q)``
+    are reduced mod 1 exactly in integers."""
     _, w = wavelet_shift_vectors(chain.factors[level])
-    u = chain.matrix(level).inv_apply(w)
+    A, q = chain.matrix(level).scaled_adjugate()
+    u = np.array(A.apply([int(2 * c) for c in w]), dtype=object)
     gs = generating_set(chain.matrix(level + 1).T)
-    return tuple(cmath.exp(-2j * math.pi * float(_dot_mod1(h, u))) for h in gs.reps)
+    turns = (gs.rep_array.astype(object) @ u % (2 * q)).astype(float) / (2 * q)
+    phases = np.exp(-2j * math.pi * turns)
+    phases.flags.writeable = False
+    return phases
 
 
 @lru_cache(maxsize=None)
-def _exact_samples(chain: ChainSpec, level: int, g: AdmissibleFn) -> dict:
-    """The nonzero exact samples ``P_l(M_l^{-T} k)``, keys in lexicographic
-    order: ``g`` sampled once at the top level, then per level down the
-    level above times the two-scale value of each key's class."""
+def _exact_samples(chain: ChainSpec, level: int, g: AdmissibleFn) -> tuple:
+    """The nonzero exact samples ``P_l(M_l^{-T} k)`` as read-only arrays: the
+    keys ``k`` in lexicographic order and an object array of exact
+    rationals.  ``g`` is sampled once at the top level; each level down is
+    the level above times the two-scale value of each key's class."""
     if level == chain.n_levels:
         M = chain.matrix(level)
-        samples = ((k, g(M.inv_T_apply(k)))
-                   for k in _frequency_candidates(M, g.support_halfwidths))
+        K = _frequency_candidates(M, g.support_halfwidths)
+        P = np.array([g(M.inv_T_apply(k)) for k in K.tolist()], dtype=object)
     else:
-        a = _class_sums(chain, level, g, "scaling")
+        K, P = _exact_samples(chain, level + 1, g)
         gs = generating_set(chain.matrix(level + 1).T)
-        samples = ((k, a[gs.index_of(k)] * p)
-                   for k, p in _exact_samples(chain, level + 1, g).items())
-    return {k: p for k, p in samples if p != 0}
+        P = _class_sums(chain, level, g, "scaling")[gs.class_index(K)] * P
+    keep = P != 0
+    K, P = K[keep], P[keep]
+    K.flags.writeable = P.flags.writeable = False
+    return K, P
 
 
 @lru_cache(maxsize=None)
 def scaling_spectrum(chain: ChainSpec, level: int, g: AdmissibleFn) -> ScalingFunction:
     """Fourier coefficients of the level-``level`` scaling function."""
     _check_level(chain, level, top=chain.n_levels)
-    root = math.sqrt(chain.size(level))
-    coeffs: dict[Vec, complex] = {}
-    samples: dict[Vec, float] = {}
-    for k, val in _exact_samples(chain, level, g).items():
-        p = float(val)
-        c = p / root
-        if abs(c) > tol.ZERO_TRIM:
-            coeffs[k] = c
-            samples[k] = p
-    return ScalingFunction(chain=chain, level=level, g=g, samples=samples,
-                           spectrum=SparseSpectrum(dim=chain.dim, coeffs=coeffs, all_real=True))
+    K, P = _exact_samples(chain, level, g)
+    p = P.astype(float)
+    c = p / math.sqrt(chain.size(level))
+    keep = np.abs(c) > tol.ZERO_TRIM
+    return ScalingFunction(
+        chain=chain, level=level, g=g,
+        samples=SparseSpectrum(dim=chain.dim, keys=K[keep], values=p[keep]),
+        spectrum=SparseSpectrum(dim=chain.dim, keys=K[keep], values=c[keep]))
 
 
 @lru_cache(maxsize=None)
@@ -298,25 +317,21 @@ def wavelet_spectrum(chain: ChainSpec, level: int, g: AdmissibleFn) -> Wavelet:
     class phase."""
     _check_level(chain, level, top=chain.n_levels - 1)
     v, w = wavelet_shift_vectors(chain.factors[level])
-    root = math.sqrt(chain.size(level))
-    b = _class_sums(chain, level, g, "wavelet")
-    phases = _class_phases(chain, level)
-    gs = generating_set(chain.matrix(level + 1).T)
-    coeffs: dict[Vec, complex] = {}
-    for k, p in _exact_samples(chain, level + 1, g).items():
-        i = gs.index_of(k)
-        modulus = float(b[i] * p) / root
-        if abs(modulus) > tol.ZERO_TRIM:
-            coeffs[k] = modulus * phases[i]
+    K, P = _exact_samples(chain, level + 1, g)
+    idx = generating_set(chain.matrix(level + 1).T).class_index(K)
+    modulus = ((_class_sums(chain, level, g, "wavelet")[idx] * P).astype(float)
+               / math.sqrt(chain.size(level)))
+    keep = np.abs(modulus) > tol.ZERO_TRIM
+    values = modulus[keep] * complement_phases(chain, level)[idx[keep]]
     return Wavelet(chain=chain, level=level, g=g, v=v, w=w,
-                   spectrum=SparseSpectrum(dim=chain.dim, coeffs=coeffs, all_real=False))
+                   spectrum=SparseSpectrum(dim=chain.dim, keys=K[keep], values=values))
 
 
 def two_scale(chain: ChainSpec, level: int, g: AdmissibleFn) -> TwoScaleCoeffs:
     """Raw two-scale vector: ``sqrt(|det J|) * g^J`` sampled on
     ``M_l^{-T} G(M_{l+1}^T)``; the unscaled samples ``g^J`` are kept too."""
     _check_level(chain, level, top=chain.n_levels - 1)
-    samples = np.array([float(a) for a in _class_sums(chain, level, g, "scaling")])
+    samples = _class_sums(chain, level, g, "scaling").astype(float)
     vals = (math.sqrt(chain.factors[level].absdet) * samples).astype(complex)
     return TwoScaleCoeffs(chain=chain, level=level, kind="scaling", samples=samples,
                           values=SpectrumVector(matrix=chain.matrix(level + 1), values=vals))
@@ -327,30 +342,22 @@ def wavelet_two_scale(chain: ChainSpec, level: int, g: AdmissibleFn) -> TwoScale
     before the ``sqrt(2)`` factor and the unit phases are kept as
     ``samples``."""
     _check_level(chain, level, top=chain.n_levels - 1)
-    moduli = [float(b) for b in _class_sums(chain, level, g, "wavelet")]
-    root = math.sqrt(2.0)
-    vals = np.array([root * mu * phase
-                     for mu, phase in zip(moduli, _class_phases(chain, level))])
-    return TwoScaleCoeffs(chain=chain, level=level, kind="wavelet", samples=np.array(moduli),
+    moduli = _class_sums(chain, level, g, "wavelet").astype(float)
+    vals = math.sqrt(2.0) * moduli * complement_phases(chain, level)
+    return TwoScaleCoeffs(chain=chain, level=level, kind="wavelet", samples=moduli,
                           values=SpectrumVector(matrix=chain.matrix(level + 1), values=vals))
-
-
-def complement_phases(chain: ChainSpec, level: int) -> np.ndarray:
-    """Unit phases ``exp(-2 pi i h . M_l^{-1} w)`` over ``G(M_{l+1}^T)``;
-    they flip sign between the two classes each dyadic factor pairs."""
-    return np.array(_class_phases(chain, level))
 
 
 # -- orthonormalization ------------------------------------------------------
 
 
 def class_powers(fn: ScalingFunction | Wavelet) -> np.ndarray:
-    """Per-class sums ``sum_z |c_{h + M_l^T z}|^2`` over ``G(M_l^T)``."""
+    """Per-class sums ``sum_z |c_{h + M_l^T z}|^2`` over ``G(M_l^T)``, in key
+    order, with the C library's ``hypot`` and ``pow`` as in ``abs(c) ** 2``."""
     gs = generating_set(fn.matrix.T)
-    powers = np.zeros(len(gs))
-    for k, c in fn.spectrum.coeffs.items():
-        powers[gs.index_of(k)] += abs(c) ** 2
-    return powers
+    c = fn.spectrum.values
+    return np.bincount(gs.class_index(fn.spectrum.keys), minlength=len(gs),
+                       weights=np.float_power(np.hypot(c.real, c.imag), 2.0))
 
 
 def orthonormalize(fn: ScalingFunction | Wavelet):
@@ -360,12 +367,10 @@ def orthonormalize(fn: ScalingFunction | Wavelet):
     peak = float(np.max(powers)) if len(powers) else 0.0
     if peak <= 0.0 or float(np.min(powers)) <= DEGENERATE_REL * peak:
         raise DegenerateClass("a frequency class carries no coefficient mass")
-    m = fn.size
-    gs = generating_set(fn.matrix.T)
-    scale = 1.0 / np.sqrt(m * powers)
-    coeffs = {k: c * scale[gs.index_of(k)] for k, c in fn.spectrum.coeffs.items()}
-    spec = SparseSpectrum(dim=fn.spectrum.dim, coeffs=coeffs,
-                          all_real=fn.spectrum.all_real)
+    scale = 1.0 / np.sqrt(fn.size * powers)
+    s = fn.spectrum
+    spec = SparseSpectrum(dim=s.dim, keys=s.keys,
+                          values=s.values * scale[generating_set(fn.matrix.T).class_index(s.keys)])
     if isinstance(fn, ScalingFunction):
         return replace(fn, spectrum=spec, normalized=True, samples=None)
     return replace(fn, spectrum=spec, normalized=True)
@@ -376,11 +381,9 @@ def fiber_partner(chain: ChainSpec, level: int) -> np.ndarray:
     """For each class of ``G(M_{l+1}^T)``, the index of the second class a
     dyadic factor merges with it over ``G(M_l^T)``; an involution."""
     J = _require_dyadic_factor(chain.factors[level])
-    gt = _wavelet_frequency_shift(J)
-    shift = chain.matrix(level).apply_T(gt)
+    shift = chain.matrix(level).apply_T(_wavelet_frequency_shift(J))
     gs = generating_set(chain.matrix(level + 1).T)
-    partner = np.array([gs.index_of(tuple(a + b for a, b in zip(h, shift)))
-                        for h in gs.reps])
+    partner = gs.class_index(gs.rep_array + np.array(shift, dtype=object))
     own = np.arange(len(gs))
     if np.any(partner[partner] != own) or np.any(partner == own):
         raise ConditionViolated(f"factor {J} does not pair the classes of level {level + 1}")
@@ -412,9 +415,8 @@ def normalized_filters(chain: ChainSpec, level: int,
             raise DegenerateClass(f"{who} spectrum has an empty frequency class")
     m_fine = chain.size(level + 1)
     m_coarse = chain.size(level)
-    gs_coarse = generating_set(chain.matrix(level).T)
-    fine_gs = generating_set(chain.matrix(level + 1).T)
-    coarse_of_fine = np.array([gs_coarse.index_of(h) for h in fine_gs.reps])
+    coarse_of_fine = generating_set(chain.matrix(level).T).class_index(
+        generating_set(chain.matrix(level + 1).T).rep_array)
     a_vals = (a_raw.values.values * np.sqrt(m_fine * p_fine)
               / np.sqrt(m_coarse * q_phi[coarse_of_fine]))
     partner = fiber_partner(chain, level)
@@ -435,16 +437,13 @@ def orthonormal_wavelet(chain: ChainSpec, level: int, g: AdmissibleFn) -> Wavele
     inside the next one, with orthonormal translates: the complement
     filter applied to the orthonormalized next-level scaling function."""
     _, b2 = normalized_filters(chain, level, g)
-    fine = orthonormalize(scaling_spectrum(chain, level + 1, g))
+    fine = orthonormalize(scaling_spectrum(chain, level + 1, g)).spectrum
     gs = generating_set(chain.matrix(level + 1).T)
-    coeffs: dict[Vec, complex] = {}
-    for k, c in fine.spectrum.coeffs.items():
-        val = b2.values.values[gs.index_of(k)] * c
-        if abs(val) > tol.ZERO_TRIM:
-            coeffs[k] = val
+    vals = b2.values.values[gs.class_index(fine.keys)] * fine.values
+    keep = np.abs(vals) > tol.ZERO_TRIM
     v, w = wavelet_shift_vectors(chain.factors[level])
     return Wavelet(chain=chain, level=level, g=g, v=v, w=w, normalized=True,
-                   spectrum=SparseSpectrum(dim=chain.dim, coeffs=coeffs, all_real=False))
+                   spectrum=SparseSpectrum(dim=chain.dim, keys=fine.keys[keep], values=vals[keep]))
 
 
 # -- series evaluation and export ---------------------------------------------
@@ -452,10 +451,9 @@ def orthonormal_wavelet(chain: ChainSpec, level: int, g: AdmissibleFn) -> Wavele
 
 def evaluate_series(s: SparseSpectrum, x: Sequence[float]) -> complex:
     """``sum_k c_k exp(i k . x)`` at a point of the torus ``[0, 2pi)^d``."""
-    K, c = s.arrays()
-    if len(c) == 0:
+    if len(s) == 0:
         return 0j
-    return complex(np.sum(c * np.exp(1j * (K @ np.asarray(x, dtype=float)))))
+    return complex(np.sum(s.values * np.exp(1j * (s.keys @ np.asarray(x, dtype=float)))))
 
 
 def write_spectrum_csv(s: SparseSpectrum, path) -> None:
@@ -464,7 +462,6 @@ def write_spectrum_csv(s: SparseSpectrum, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         cols = ",".join(f"k{i + 1}" for i in range(s.dim))
         fh.write(f"{cols},re,im\n")
-        for k in sorted(s.coeffs):
-            c = s.coeffs[k]
+        for k, c in zip(s.keys.tolist(), s.values.tolist()):
             kpart = ",".join(str(v) for v in k)
             fh.write(f"{kpart},{c.real:.17g},{c.imag:.17g}\n")

@@ -35,9 +35,12 @@ by exact floor division.  ``G(M)`` is the Smith digit grid mapped by
 ``U`` and reduced in one such step.  Because ``M Z^d = U S Z^d`` for
 ``M = U S V``, the class of ``k`` is the digit vector
 ``U^{-1} k mod diag(S)``, and its mixed-radix value is its position in
-the canonical order.  Both sets are stored as integer arrays, the
-pattern as the numerators ``A g`` over the single denominator ``q``; the
-tuples ``reps`` and the ``Fraction`` points are formed only on demand.
+the canonical order; :meth:`GeneratingSet.class_index` computes it for a
+whole ``(n, d)`` batch (``index_of`` is its one-row form), so a class
+vector over ``G(M)`` acts on many frequencies by one gather.  Both sets
+are stored as integer arrays, the pattern as the numerators ``A g`` over
+the single denominator ``q``; the tuples ``reps`` and the ``Fraction``
+points are formed only on demand.
 
 Overflow rule: before each array product the entries are bounded
 (``max|B| max|X| d`` plus any addend) against ``2^62``; if the bound
@@ -413,16 +416,16 @@ class GeneratingSet:
 
     ``rep_array`` holds them as a read-only ``(m, d)`` integer array;
     ``reps`` gives them as tuples, built on first use.  ``diagonal`` is
-    the Smith diagonal of ``M = U S V`` and ``digit_map`` the rows of
-    ``U^{-1}``: representative ``i`` has the Smith digits
-    ``U^{-1} rep mod diagonal`` of mixed-radix value ``i``.
+    the Smith diagonal of ``M = U S V`` and ``digit_map`` is ``U^{-1}``:
+    representative ``i`` has the Smith digits ``U^{-1} rep mod diagonal``
+    of mixed-radix value ``i``.
     """
 
     matrix: IntMat
     variant: str
     rep_array: np.ndarray = field(repr=False, compare=False)
     diagonal: tuple[int, ...] = field(repr=False, compare=False)
-    digit_map: tuple[Vec, ...] = field(repr=False, compare=False)
+    digit_map: IntMat = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.rep_array)
@@ -438,14 +441,16 @@ class GeneratingSet:
         K = np.array([[int(v) for v in k]], dtype=object)
         return tuple(_reduce_box(self.matrix, K, self.variant)[0].tolist())
 
+    def class_index(self, K: np.ndarray) -> np.ndarray:
+        """Positions in ``reps`` of the classes of the rows of the ``(n, d)``
+        integer array ``K`` (int64, or ``dtype=object`` for larger entries)."""
+        if K.ndim != 2 or K.shape[1] != len(self.diagonal):
+            raise DimensionMismatch("vector length differs from matrix dimension")
+        return digit_index(apply_rows(self.digit_map, K), self.diagonal)
+
     def index_of(self, k: Sequence[int]) -> int:
         """Position of the class of ``k`` in ``reps``."""
-        if len(k) != len(self.diagonal):
-            raise DimensionMismatch("vector length differs from matrix dimension")
-        i = 0
-        for row, s in zip(self.digit_map, self.diagonal):
-            i = i * s + sum(a * b for a, b in zip(row, k)) % s
-        return i
+        return int(self.class_index(np.array([[int(v) for v in k]], dtype=object))[0])
 
 
 @dataclass(frozen=True)
@@ -495,11 +500,11 @@ def _generating_set(M: IntMat, variant: str) -> GeneratingSet:
     digits = np.indices(diag).reshape(M.dim, -1).T
     R = _reduce_box(M, apply_rows(snf.U, digits), variant)
     R.flags.writeable = False
-    Uinv = unimodular_inverse(snf.U)
-    if np.any(digit_index(apply_rows(Uinv, R), diag) != np.arange(m)):
+    gs = GeneratingSet(matrix=M, variant=variant, rep_array=R, diagonal=diag,
+                       digit_map=unimodular_inverse(snf.U))
+    if np.any(gs.class_index(R) != np.arange(m)):
         raise ConditionViolated(f"representatives of {M} leave the canonical class order")
-    return GeneratingSet(matrix=M, variant=variant, rep_array=R, diagonal=diag,
-                         digit_map=Uinv.entries)
+    return gs
 
 
 def generating_set(M: IntMat, variant: str = VARIANT_S) -> GeneratingSet:

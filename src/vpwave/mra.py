@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +21,7 @@ from . import tol
 from .admissible import AdmissibleFn, periodized_sum, periodized_sum_many
 from .dlvp import (
     ScalingFunction,
+    SparseSpectrum,
     TwoScaleCoeffs,
     class_powers,
     fiber_partner,
@@ -68,63 +70,58 @@ def nesting_residual(chn: ChainSpec, level: int, g: AdmissibleFn) -> float:
     units of the coefficients ``c_k(phi_l)``."""
     if not 0 <= level < chn.n_levels:
         raise LevelOutOfRange(f"level {level} has no next level")
-    coarse = scaling_spectrum(chn, level, g).samples
-    fine = scaling_spectrum(chn, level + 1, g).samples
+    keys, coarse, fine = _on_union(scaling_spectrum(chn, level, g).samples,
+                                   scaling_spectrum(chn, level + 1, g).samples)
     J, M = chn.factors[level], chn.matrix(level)
-    worst = 0.0
-    for k in coarse.keys() | fine.keys():
-        a = float(periodized_sum(g, J, M.inv_T_apply(k)))
-        worst = max(worst, abs(coarse.get(k, 0.0) - a * fine.get(k, 0.0)))
-    return float(worst) / math.sqrt(chn.size(level))
+    a = np.array([float(periodized_sum(g, J, M.inv_T_apply(k))) for k in keys.tolist()])
+    return float(np.max(np.abs(coarse - a * fine), initial=0.0)) / math.sqrt(chn.size(level))
 
 
 def independent_nesting_residual(coarse: ScalingFunction, fine: ScalingFunction) -> float:
     """Nesting defect without a constructed two-scale vector: per class the
     best least-squares multiplier is fitted first.  Zero iff some vector
     links the two spectra, i.e. iff the coarse space embeds in the fine one."""
-    M_fine = fine.matrix
-    gs = generating_set(M_fine.T)
-    num = np.zeros(len(gs), dtype=complex)
-    den = np.zeros(len(gs))
-    support = coarse.spectrum.support() | fine.spectrum.support()
-    classes = {k: gs.index_of(k) for k in support}
-    for k, i in classes.items():
-        cf = fine.spectrum[k]
-        num[i] += coarse.spectrum[k] * np.conj(cf)
-        den[i] += abs(cf) ** 2
+    keys, c, f = _on_union(coarse.spectrum, fine.spectrum)
+    m = fine.size
+    idx = generating_set(fine.matrix.T).class_index(keys)
+    cf = c * np.conj(f)
+    num = np.bincount(idx, cf.real, m) + 1j * np.bincount(idx, cf.imag, m)
+    den = np.bincount(idx, np.abs(f) ** 2, m)
     best = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-    worst = 0.0
-    for k, i in classes.items():
-        worst = max(worst, abs(coarse.spectrum[k] - best[i] * fine.spectrum[k]))
-    return worst
+    return float(np.max(np.abs(c - best[idx] * f), initial=0.0))
+
+
+def _on_union(s: SparseSpectrum, t: SparseSpectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted union of the supports of ``s`` and ``t``, with the values of
+    each spectrum on it (0 off its own support)."""
+    keys, inv = np.unique(np.concatenate([s.keys, t.keys]), axis=0, return_inverse=True)
+    a = np.zeros(len(keys), s.values.dtype)
+    b = np.zeros(len(keys), t.values.dtype)
+    a[inv[:len(s)]] = s.values
+    b[inv[len(s):]] = t.values
+    return keys, a, b
 
 
 def support_radii(chn: ChainSpec, g: AdmissibleFn) -> list[int]:
     """Per level, the largest ``r`` with the whole closed centred sup-norm
     ball ``{k : |k|_inf <= r}`` inside the coefficient support (the finite
-    density surrogate).  A centred half-open support box of side
-    ``s = 2^j``, ``j >= 1``, such as ``[-s/2, s/2)^d`` from the Dirichlet
-    window at even quincunx levels, has radius ``2^{j-1} - 1``: the face
-    at distance ``s/2`` is missing on one side of each axis."""
+    density surrogate), or 0 when not even ``r = 1`` fits.  A centred
+    half-open support box of side ``s = 2^j``, ``j >= 1``, such as
+    ``[-s/2, s/2)^d`` from the Dirichlet window at even quincunx levels,
+    has radius ``2^{j-1} - 1``: the face at distance ``s/2`` is missing on
+    one side of each axis.  The radius is one less than the smallest
+    sup-norm of a missing frequency: in the keys' bounding box ``[lo, hi]``,
+    or beyond it, at an axis point ``lo_i - 1`` or ``hi_i + 1``."""
     out = []
-    d = chn.dim
     for level in range(chn.n_levels + 1):
-        supp = scaling_spectrum(chn, level, g).spectrum.support()
-        r = 0
-        while True:
-            ball = _ball_points(d, r + 1)
-            if all(p in supp for p in ball):
-                r += 1
-            else:
-                break
-        out.append(r)
+        keys = scaling_spectrum(chn, level, g).spectrum.keys
+        lo, hi = keys.min(axis=0), keys.max(axis=0)
+        inside = np.zeros(hi - lo + 1, dtype=bool)
+        inside[tuple((keys - lo).T)] = True
+        norms = reduce(np.maximum, np.ix_(*(np.abs(np.arange(a, b + 1)) for a, b in zip(lo, hi))))
+        beyond = min(1 - lo.max(), hi.min() + 1)
+        out.append(max(int(np.min(norms[~inside], initial=beyond)) - 1, 0))
     return out
-
-
-def _ball_points(d: int, r: int):
-    from itertools import product
-
-    return list(product(range(-r, r + 1), repeat=d))
 
 
 # -- orthonormality audit --------------------------------------------------------
@@ -261,10 +258,8 @@ def check_reduction_highdim(g: AdmissibleFn, chn: ChainSpec) -> list[bool]:
     for level in range(chn.n_levels):
         full = scaling_spectrum(chn, level, g).spectrum
         head = scaling_spectrum(chn.subchain(level + 1), level, g).spectrum
-        worst = 0.0
-        for k in full.support() | head.support():
-            worst = max(worst, abs(full[k] - head[k]))
-        flags.append(worst < tol.GRID_EQUALITY)
+        _, a, b = _on_union(full, head)
+        flags.append(np.max(np.abs(a - b), initial=0.0) < tol.GRID_EQUALITY)
     return flags
 
 
@@ -277,10 +272,8 @@ def trailing_axis_collapse(chn: ChainSpec, g: AdmissibleFn) -> float:
         raise LevelOutOfRange("need at least one factor")
     with_tail = scaling_spectrum(chn.subchain(n), n - 1, g).spectrum
     plain = scaling_spectrum(chn.subchain(n - 1), n - 1, g).spectrum
-    worst = 0.0
-    for k in with_tail.support() | plain.support():
-        worst = max(worst, abs(with_tail[k] - plain[k]))
-    return worst
+    _, a, b = _on_union(with_tail, plain)
+    return float(np.max(np.abs(a - b), initial=0.0))
 
 
 # -- report -----------------------------------------------------------------------

@@ -22,8 +22,5 @@ ORTHO = 1e-10
 # Pointwise equality of window functions on sampling grids.
 GRID_EQUALITY = 1e-12
 
-# Interpolation: resampled interpolant against the input samples.
-INTERPOLATION = 1e-9
-
 # Partition-of-unity deviation for admissible windows.
 PARTITION_OF_UNITY = 1e-10

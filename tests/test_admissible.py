@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vpwave import tol
 from vpwave.admissible import (
     AdmissibleFn,
     _shift_ranges,
@@ -83,7 +84,7 @@ def test_partition_of_unity_characteristic():
 
 def test_partition_of_unity_smoothed():
     g = AdmissibleFn.tensor_smoothed([F(1, 20), F(1, 20)], order=3)
-    assert check_partition_of_unity(g, 10_000, seed=5) < 1e-10
+    assert check_partition_of_unity(g, 10_000, seed=5) < tol.PARTITION_OF_UNITY
 
 
 def test_partition_of_unity_exact_rationals():

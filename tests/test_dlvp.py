@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vpwave import dlvp, tol
+from vpwave import dlvp, mra, tol
 from vpwave.admissible import AdmissibleFn, periodized_sum
 from vpwave.dlvp import (
     class_powers,
@@ -270,9 +270,71 @@ ORACLE_CASES = {
 }
 
 
+# -- per-key class lookups: the loops the array code replaced, kept as oracles --
+
+
+def oracle_class_powers(fn):
+    gs = generating_set(fn.matrix.T)
+    powers = np.zeros(len(gs))
+    for k, c in fn.spectrum.coeffs.items():
+        powers[gs.index_of(k)] += abs(c) ** 2
+    return powers
+
+
+def oracle_orthonormalize(fn):
+    gs = generating_set(fn.matrix.T)
+    scale = 1.0 / np.sqrt(fn.size * oracle_class_powers(fn))
+    return {k: c * scale[gs.index_of(k)] for k, c in fn.spectrum.coeffs.items()}
+
+
+def oracle_fiber_partner(c, level):
+    shift = c.matrix(level).apply_T(dlvp._wavelet_frequency_shift(c.factors[level]))
+    gs = generating_set(c.matrix(level + 1).T)
+    return np.array([gs.index_of(tuple(a + b for a, b in zip(h, shift))) for h in gs.reps])
+
+
+def oracle_coarse_of_fine(c, level):
+    gs_coarse = generating_set(c.matrix(level).T)
+    return np.array([gs_coarse.index_of(h) for h in generating_set(c.matrix(level + 1).T).reps])
+
+
+def oracle_support_radii(c, g):
+    out = []
+    for level in range(c.n_levels + 1):
+        supp = scaling_spectrum(c, level, g).spectrum.support()
+        r = 0
+        while all(p in supp for p in product(range(-r - 1, r + 2), repeat=c.dim)):
+            r += 1
+        out.append(r)
+    return out
+
+
+def assert_class_lookups_match_oracles(c, g):
+    """The gathers and bincounts of the spectral layer equal the per-key
+    ``index_of`` loops they replaced, bit for bit."""
+    assert mra.support_radii(c, g) == oracle_support_radii(c, g)
+    for level in range(c.n_levels + 1):
+        fns = [scaling_spectrum(c, level, g)]
+        if level < c.n_levels:
+            fns += [wavelet_spectrum(c, level, g), orthonormal_wavelet(c, level, g)]
+        for fn in fns:
+            assert np.array_equal(class_powers(fn), oracle_class_powers(fn))
+            assert orthonormalize(fn).spectrum.coeffs == oracle_orthonormalize(fn)
+        if level == c.n_levels:
+            continue
+        assert np.array_equal(fiber_partner(c, level), oracle_fiber_partner(c, level))
+        # the normalized scaling filter, rebuilt with the per-key coarse class map
+        fine, coarse = scaling_spectrum(c, level + 1, g), scaling_spectrum(c, level, g)
+        q_phi = class_powers(coarse)[oracle_coarse_of_fine(c, level)]
+        a_vals = (two_scale(c, level, g).values.values * np.sqrt(c.size(level + 1) * class_powers(fine))
+                  / np.sqrt(c.size(level) * q_phi))
+        assert np.array_equal(normalized_filters(c, level, g)[0].values.values, a_vals)
+
+
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_spectra_match_direct_profiles(case):
     assert_spectra_match_profiles(*ORACLE_CASES[case]())
+    assert_class_lookups_match_oracles(*ORACLE_CASES[case]())
 
 
 @settings(max_examples=6, deadline=None)
@@ -282,7 +344,9 @@ def test_spectra_match_direct_profiles(case):
        alpha=st.fractions(min_value=0, max_value=F(1, 4), max_denominator=40)
        .filter(lambda a: a > 0))
 def test_spectra_match_direct_profiles_random_chains(M0, factors, alpha):
-    assert_spectra_match_profiles(chain(M0, factors), AdmissibleFn.tensor_linear([alpha, alpha]))
+    c, g = chain(M0, factors), AdmissibleFn.tensor_linear([alpha, alpha])
+    assert_spectra_match_profiles(c, g)
+    assert_class_lookups_match_oracles(c, g)
 
 
 # -- two-scale relations -------------------------------------------------------
@@ -475,9 +539,9 @@ def test_orthonormalize_degenerate_class():
     # zero out one whole congruence class
     gs = generating_set(c.M0.T)
     kill = gs.index_of((1, 1))
-    coeffs = {k: v for k, v in sf.spectrum.coeffs.items() if gs.index_of(k) != kill}
-    broken = ScalingFunction(chain=c, level=0, g=g,
-                             spectrum=SparseSpectrum(dim=2, coeffs=coeffs, all_real=True))
+    keep = gs.class_index(sf.spectrum.keys) != kill
+    broken = ScalingFunction(chain=c, level=0, g=g, spectrum=SparseSpectrum(
+        dim=2, keys=sf.spectrum.keys[keep], values=sf.spectrum.values[keep]))
     with pytest.raises(DegenerateClass):
         orthonormalize(broken)
 
@@ -550,7 +614,7 @@ def test_orthonormal_wavelet_random_dyadic_chains():
 
 
 def test_evaluate_series_constant():
-    s = SparseSpectrum(dim=2, coeffs={(0, 0): 1.0})
+    s = SparseSpectrum(dim=2, keys=[[0, 0]], values=[1.0])
     assert evaluate_series(s, (0.3, 1.1)) == pytest.approx(1.0)
 
 

@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -292,6 +293,33 @@ def test_lattice_core_matches_fraction_oracle(M, variant, data):
         assert gs.index_of(shifted) == gs.index_of(k)
 
 
+def oracle_class_index(M, k):
+    """Mixed-radix value of the Smith digits ``U^{-1} k mod diag(S)``, in
+    Python integers, one vector at a time."""
+    snf = smith_normal_form(M)
+    i = 0
+    for row, s in zip(unimodular_inverse(snf.U).entries, snf.diagonal):
+        i = i * s + sum(a * b for a, b in zip(row, k)) % s
+    return i
+
+
+@settings(max_examples=40, deadline=None)
+@given(M=regular_matrices(), bound=st.sampled_from([10 ** 3, 2 ** 40, 2 ** 70]), data=st.data())
+def test_class_index_matches_scalar_lookup(M, bound, data):
+    # entries up to 2^70 take the dtype=object path of apply_rows
+    gs = generating_set(M)
+    d = M.dim
+    rows = data.draw(st.lists(st.lists(st.integers(-bound, bound), min_size=d, max_size=d),
+                              max_size=12)) + [[-bound] + [bound] * (d - 1)]
+    idx = gs.class_index(np.array(rows, dtype=object).reshape(len(rows), d)).tolist()
+    assert idx == [oracle_class_index(M, k) for k in rows]
+    assert idx == [gs.index_of(k) for k in rows]
+    assert [gs.reps[i] for i in idx] == [gs.reduce(k) for k in rows]
+    if bound < 2 ** 62:
+        assert gs.class_index(np.array(rows, dtype=np.int64).reshape(len(rows), d)).tolist() == idx
+    assert gs.class_index(np.zeros((0, d), dtype=np.int64)).shape == (0,)
+
+
 def test_int64_overflow_falls_back_to_python_ints():
     M = IntMat.from_rows([[1, 2 ** 62], [0, 3]])
     for variant in ("S", "I"):
@@ -316,6 +344,8 @@ def test_class_index_and_reduce_check_dimension():
     gs = generating_set(IntMat.diagonal([2, 3]))
     with pytest.raises(DimensionMismatch):
         gs.index_of((1, 2, 3))
+    with pytest.raises(DimensionMismatch):
+        gs.class_index(np.zeros((4, 3), dtype=np.int64))
     with pytest.raises(DimensionMismatch):
         gs.reduce((1,))
 

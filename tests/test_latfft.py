@@ -51,7 +51,7 @@ def test_fourier_matrix_unitary_random():
         M = random_regular(rng, d, max_det=256)
         F = fourier_matrix(M)
         defect = np.max(np.abs(F @ F.conj().T - np.eye(M.absdet)))
-        assert defect < 1e-12
+        assert defect < tol.UNITARITY
 
 
 def test_fourier_matrix_guard():

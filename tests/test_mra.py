@@ -71,9 +71,9 @@ def test_zeroed_class_fails_dimension():
     sf = scaling_spectrum(c, 0, g)
     gs = generating_set(c.M0.T)
     kill = gs.index_of((2, 1))
-    coeffs = {k: v for k, v in sf.spectrum.coeffs.items() if gs.index_of(k) != kill}
-    broken = ScalingFunction(chain=c, level=0, g=g,
-                             spectrum=SparseSpectrum(dim=2, coeffs=coeffs, all_real=True))
+    keep = gs.class_index(sf.spectrum.keys) != kill
+    broken = ScalingFunction(chain=c, level=0, g=g, spectrum=SparseSpectrum(
+        dim=2, keys=sf.spectrum.keys[keep], values=sf.spectrum.values[keep]))
     powers = class_powers(broken)
     assert powers[kill] == 0.0
 

@@ -33,3 +33,13 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line}: {name}"
                    for line, name in _imported_names(tree) if name not in used]
     assert not unused, f"unused imports in src/vpwave: {unused}"
+
+
+def test_no_scalar_class_lookup_in_spectral_layer():
+    # spectra apply class vectors by one gather over GeneratingSet.class_index
+    found = [f"{name}:{node.lineno}"
+             for name in ("dlvp.py", "mra.py")
+             for node in ast.walk(ast.parse((SRC / name).read_text(), filename=name))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "index_of"]
+    assert not found, f"scalar index_of calls in the spectral layer: {found}"
