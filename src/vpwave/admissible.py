@@ -18,11 +18,31 @@ Three tensor-product families are implemented, per axis:
   (a centered B-spline kernel supported on ``[-p, p]``); ``r - 1``
   continuous derivatives, reduces to ``tensor_linear`` at ``r = 1``.
 
-All parameters are exact rationals.  Pointwise evaluation is exact: on
-Fraction or int input it gives an exact result (this is what decides
-half-open boundaries in spectra), and :func:`periodized_sum` converts
-float input exactly with ``Fraction(v)``.  Float grids take the numpy
-path, :meth:`AdmissibleFn.eval_many` and :func:`periodized_sum_many`.
+All parameters are exact rationals.  Windows and their periodizations
+``g^J(x) = sum_z g(x + J^T z)`` are evaluated on three paths:
+
+* the scalar oracle -- ``g(x)`` and :func:`periodized_sum` at one point,
+  exact on Fraction or int input (float input is converted exactly with
+  ``Fraction(v)``); the tests and the direct profiles of ``dlvp`` use it;
+* the exact batched path -- :meth:`AdmissibleFn.eval_exact` and
+  :func:`periodized_sum_exact` at the rows of ``N / q`` for an ``(n, d)``
+  integer array ``N``, as integer numerators over one denominator that
+  depends on ``q`` only; every spectrum is built from it, so half-open
+  support boundaries and zero tests are decided exactly.  Per axis, with
+  ``alpha = p / s``, the numerators are ``[-q <= 2 N < q]`` over 1
+  (characteristic), ``2, 1, 0`` for ``2 |N|`` below, at or above ``q``
+  over 2 (``alpha = 0``), ``(s + 2 p) q - 2 s |N|`` clipped to
+  ``[0, 4 p q]`` over ``4 p q`` (linear ramp), and the B-spline sum
+  ``sum_j (-1)^j C(r, j) [max(U+_j, 0)^r - max(U-_j, 0)^r]`` with
+  ``U+-_j = r s (2 N +- q) + 2 (r - 2 j) p q`` over ``r! (4 p q)^r``
+  (smoothed); the axes multiply.  As in ``intlat.apply_rows``, an array
+  whose entries could pass ``2^62`` is computed on Python integers
+  (``dtype=object``) instead of int64;
+* the float grid -- :meth:`AdmissibleFn.eval_many` and
+  :func:`periodized_sum_many` on float arrays, for the grid checks.
+
+:func:`exact_floats` turns exact numerators into float64, each correctly
+rounded, as ``float(Fraction(n, q))`` is.
 """
 
 from __future__ import annotations
@@ -37,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch
-from .intlat import IntMat
+from .intlat import _INT64_SAFE, IntMat, _absmax
 
 HALF = Fraction(1, 2)
 
@@ -165,6 +185,44 @@ class AdmissibleFn:
         s = float(Fraction(r) / (2 * a))
         return _bspline_cdf(s * (t + 0.5), r) - _bspline_cdf(s * (t - 0.5), r)
 
+    def eval_exact(self, N: np.ndarray, q: int) -> tuple[np.ndarray, int]:
+        """Exact values at the rows of ``N / q`` for an ``(n, d)`` integer
+        array ``N`` and an integer ``q >= 1``: the numerators, and their
+        common denominator, which depends on ``q`` only."""
+        N = _numerator_rows(N, self.dim)
+        num, den = np.ones(len(N), dtype=np.int64), 1
+        for axis, n in enumerate(N.T):
+            f, f_den = self._axis_exact(axis, n, q)
+            den *= f_den
+            if den >= _INT64_SAFE:  # every factor is at most 1, so |num| <= den
+                num = num.astype(object)
+            num = num * f
+        return num, den
+
+    def _axis_exact(self, axis: int, n: np.ndarray, q: int) -> tuple[np.ndarray, int]:
+        """One axis factor at ``n / q``: numerators and denominator."""
+        a, r = self.alpha[axis], self.order
+        p, s = a.numerator, a.denominator
+        # bounds 2|n| + q, the ramp numerator and each U of the B-spline sum
+        bound = r * s * (2 * _absmax(n) + q) + 2 * r * p * q
+        if 2 ** (r + 1) * bound ** r >= _INT64_SAFE:
+            n = n.astype(object)
+        if self.kind == KIND_CHARACTERISTIC:
+            return ((-q <= 2 * n) & (2 * n < q)).astype(np.int64), 1
+        if a == 0:
+            twice = 2 * np.abs(n)
+            return (twice < q).astype(np.int64) + (twice <= q), 2
+        den = 4 * p * q
+        if self.kind == KIND_LINEAR:
+            return np.minimum(np.maximum((s + 2 * p) * q - 2 * s * np.abs(n), 0), den), den
+        plus, minus = r * s * (2 * n + q), r * s * (2 * n - q)
+        acc = 0
+        for j in range(r + 1):
+            t = 2 * (r - 2 * j) * p * q
+            acc = acc + (-1) ** j * math.comb(r, j) * (np.maximum(plus + t, 0) ** r
+                                                       - np.maximum(minus + t, 0) ** r)
+        return acc, math.factorial(r) * den ** r
+
     def eval_many(self, X: np.ndarray) -> np.ndarray:
         """Evaluate on an (n, d) float array of points."""
         X = np.asarray(X, dtype=float)
@@ -246,6 +304,61 @@ def periodized_sum(g: AdmissibleFn, J: IntMat, x: Sequence):
     return total
 
 
+def periodized_sum_exact(g: AdmissibleFn, J: IntMat, N: np.ndarray,
+                         q: int) -> tuple[np.ndarray, int]:
+    """Exact ``sum_z g(N_i / q + J^T z)`` for every row ``N_i`` of an
+    ``(n, d)`` integer array, as numerators over one denominator (that of
+    :meth:`AdmissibleFn.eval_exact` for ``q``).  The shifts come from one
+    box around all rows; each is added as ``q J^T z`` in integers and
+    evaluated only on the rows it moves into the support box
+    ``|Y| <= floor(hw q)``, outside of which every window is 0."""
+    N = _numerator_rows(N, g.dim)
+    if J.dim != g.dim:
+        raise DimensionMismatch("factor and window dimensions differ")
+    den = g.eval_exact(N[:0], q)[1]
+    # partition of unity: the sum is at most 1, so |total| <= den
+    total = np.zeros(len(N), dtype=np.int64 if den < _INT64_SAFE else object)
+    if not len(N):
+        return total, den
+    hw = g.support_halfwidths
+    lo = [Fraction(int(c.min()), q) for c in N.T]
+    hi = [Fraction(int(c.max()), q) for c in N.T]
+    reach = [math.floor(h * q) for h in hw]
+    size = _absmax(N)
+    for z in product(*_shift_ranges(J, hw, lo, hi)):
+        shift = [q * v for v in J.apply_T(z)]
+        dtype = np.int64 if size + max(map(abs, shift)) < _INT64_SAFE else object
+        Y = N.astype(dtype, copy=False) + np.array(shift, dtype=dtype)
+        near = np.all(np.abs(Y) <= reach, axis=1)
+        if near.any():
+            total[near] += g.eval_exact(Y[near], q)[0].astype(total.dtype, copy=False)
+    return total, den
+
+
+def exact_floats(num: np.ndarray, den: int) -> np.ndarray:
+    """``num / den`` as float64, each entry correctly rounded (as
+    ``float(Fraction(n, den))``): one float division when both sides are
+    exact floats (at most ``2^53``), Python-int division otherwise."""
+    if den <= 2 ** 53 and _absmax(num) <= 2 ** 53:
+        return num.astype(np.float64) / den
+    return np.array([n / den for n in num.tolist()], dtype=np.float64)
+
+
+def exact_product(x: np.ndarray, x_den: int, y: np.ndarray, y_den: int) -> tuple[np.ndarray, int]:
+    """Exact product of two arrays of values in ``[0, 1]``, numerators over
+    ``x_den * y_den``; on Python integers once that bound on them reaches ``2^62``."""
+    den = x_den * y_den
+    return (x if den < _INT64_SAFE else x.astype(object)) * y, den
+
+
+def _numerator_rows(N: np.ndarray, dim: int) -> np.ndarray:
+    if N.ndim != 2 or N.shape[1] != dim:
+        raise DimensionMismatch("numerator rows and window dimension differ")
+    if N.dtype.kind not in "iO":
+        raise TypeError(f"numerators must be integers, not {N.dtype}")
+    return N
+
+
 def periodized_sum_many(g: AdmissibleFn, J: IntMat, X: np.ndarray) -> np.ndarray:
     """Vectorized ``sum_z g(X + J^T z)`` over an (n, d) float array.  A shift
     is evaluated only on the rows it moves into the support box widened by
@@ -279,32 +392,38 @@ def check_partition_of_unity(g: AdmissibleFn, n_samples: int = 10_000,
 # -- config grammar ----------------------------------------------------------
 
 _CALL_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(\s*(.*?)\s*\))?\s*$", re.S)
+# keywords each window kind takes
+_KEYWORDS = {KIND_CHARACTERISTIC: (), KIND_LINEAR: ("alpha",), KIND_SMOOTHED: ("p", "order")}
 
 
 def parse_admissible(text: str, dim: int) -> AdmissibleFn:
     """Parse a window descriptor like ``tensor_linear(alpha = [1/10, 1/10])``.
 
     Scalars are broadcast across axes; rationals may be written as
-    fractions (``1/10``) or decimal strings (``0.1``), both exact.
+    fractions (``1/10``) or decimal strings (``0.1``), both exact.  An
+    unknown kind, a keyword the kind does not take (or given twice) and a
+    malformed value, such as a list with unbalanced brackets, raise
+    ``ValueError``.
     """
     m = _CALL_RE.match(text)
     if not m:
         raise ValueError(f"cannot parse window descriptor {text!r}")
     kind, argtext = m.group(1), m.group(2) or ""
+    if kind not in _KEYWORDS:
+        raise ValueError(f"unknown window kind {kind!r}")
     args = {}
     if argtext:
         for part in _split_args(argtext):
-            key, _, val = part.partition("=")
-            args[key.strip()] = val.strip()
+            key, eq, val = (v.strip() for v in part.partition("="))
+            if not eq or key not in _KEYWORDS[kind] or key in args:
+                raise ValueError(f"bad argument {part.strip()!r} for {kind}")
+            args[key] = val
     if kind == KIND_CHARACTERISTIC:
         return AdmissibleFn.characteristic(dim)
     if kind == KIND_LINEAR:
         return AdmissibleFn.tensor_linear(_rational_list(args.get("alpha", "0"), dim))
-    if kind == KIND_SMOOTHED:
-        return AdmissibleFn.tensor_smoothed(
-            _rational_list(args.get("p", "0"), dim), order=int(args.get("order", "2"))
-        )
-    raise ValueError(f"unknown window kind {kind!r}")
+    return AdmissibleFn.tensor_smoothed(
+        _rational_list(args.get("p", "0"), dim), order=int(args.get("order", "2")))
 
 
 def _split_args(text: str) -> list[str]:
@@ -326,7 +445,7 @@ def _split_args(text: str) -> list[str]:
 
 def _rational_list(text: str, dim: int) -> list[Fraction]:
     text = text.strip()
-    if text.startswith("["):
+    if text.startswith("[") and text.endswith("]"):
         items = [Fraction(tok.strip()) for tok in text[1:-1].split(",") if tok.strip()]
     else:
         items = [Fraction(text)]

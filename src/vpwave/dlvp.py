@@ -23,12 +23,14 @@ built from it:
   the level-``(l+1)`` samples by ``g^J`` shifted by ``J^T v`` and by one
   unit phase per class.
 
-Frequency arguments and samples stay exact rationals until the float
-coefficients are formed, so half-open support boundaries (the Dirichlet
-window) and zero tests are decided exactly.  Every class vector (two-scale
-values, phases, class powers, filters) is indexed by ``G(M^T)`` in the
-canonical order of the symmetric box (variant ``S``).  A spectrum is a
-sorted key array with a value array; a class vector acts on it by one
+Frequency arguments ``M_l^{-T} k`` are integer numerators over
+``q = |det M_l|``; windows are evaluated on them in exact batches, and
+samples stay integer numerators over one denominator until each float is
+one correctly rounded division, so half-open support boundaries (the
+Dirichlet window) and zero tests are decided exactly.  Every class vector
+(two-scale values, phases, class powers, filters) is indexed by ``G(M^T)``
+in the canonical order of the symmetric box (variant ``S``).  A spectrum is
+a sorted key array with a value array; a class vector acts on it by one
 gather over ``class_index(keys)``, and per-class sums are one ``np.bincount``.
 :func:`scaling_profile` and :func:`wavelet_profile` evaluate the product
 directly at one point, exactly (float input is converted with
@@ -47,7 +49,8 @@ from typing import Sequence
 import numpy as np
 
 from . import tol
-from .admissible import AdmissibleFn, periodized_sum
+from .admissible import (AdmissibleFn, exact_floats, exact_product, periodized_sum,
+                         periodized_sum_exact)
 from .errors import (ConditionViolated, DegenerateClass, DimensionMismatch, LevelOutOfRange,
                      NotDyadic, TooLarge)
 from .intlat import ENUMERATION_GUARD, ChainSpec, IntMat, generating_set, pattern
@@ -245,32 +248,27 @@ def _frequency_candidates(M: IntMat, hw: Sequence[Fraction]) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _class_sums(chain: ChainSpec, level: int, g: AdmissibleFn, kind: str) -> np.ndarray:
-    """Exact two-scale values over the classes ``h`` of ``G(M_{l+1}^T)``, as a
-    read-only object array: ``g^J(M_l^{-T} h)`` for ``kind == "scaling"``,
-    and the wavelet modulus ``g^J(M_l^{-T} h - J^T v)`` for
-    ``kind == "wavelet"``; each holds for every frequency of its class."""
-    J = chain.factors[level]
-    M = chain.matrix(level)
-    shift = _wavelet_frequency_shift(J) if kind == "wavelet" else (0,) * chain.dim
-    gs = generating_set(chain.matrix(level + 1).T)
-    sums = np.array([periodized_sum(g, J, tuple(a - b for a, b in zip(M.inv_T_apply(h), shift)))
-                     for h in gs.reps], dtype=object)
+def _class_sums(chain: ChainSpec, level: int, g: AdmissibleFn) -> tuple:
+    """Exact ``g^J(M_l^{-T} h)`` over the classes ``h`` of ``G(M_{l+1}^T)``, as
+    read-only numerators and their denominator; the value of every frequency
+    of the class.  The wavelet modulus ``g^J(M_l^{-T} h - J^T v)`` is the
+    value of the partner class, which ``M_l^T J^T v`` pairs with ``h``."""
+    reps = generating_set(chain.matrix(level + 1).T).rep_array
+    sums, den = periodized_sum_exact(g, chain.factors[level], *chain.matrix(level).inv_T_rows(reps))
     sums.flags.writeable = False
-    return sums
+    return sums, den
 
 
 @lru_cache(maxsize=None)
 def complement_phases(chain: ChainSpec, level: int) -> np.ndarray:
     """Unit phases ``exp(-2 pi i h . M_l^{-1} w)`` over ``G(M_{l+1}^T)``, read-only;
     they flip sign between the two classes a dyadic factor pairs.  With
-    ``M_l^{-1} = A / q`` and ``2 w`` integral, the turns ``h . A (2 w) / (2 q)``
+    ``M_l^{-T} h = N / q`` and ``2 w`` integral, the turns ``N . (2 w) / (2 q)``
     are reduced mod 1 exactly in integers."""
     _, w = wavelet_shift_vectors(chain.factors[level])
-    A, q = chain.matrix(level).scaled_adjugate()
-    u = np.array(A.apply([int(2 * c) for c in w]), dtype=object)
-    gs = generating_set(chain.matrix(level + 1).T)
-    turns = (gs.rep_array.astype(object) @ u % (2 * q)).astype(float) / (2 * q)
+    N, q = chain.matrix(level).inv_T_rows(generating_set(chain.matrix(level + 1).T).rep_array)
+    two_w = np.array([int(2 * c) for c in w], dtype=object)
+    turns = (N.astype(object) @ two_w % (2 * q)).astype(float) / (2 * q)
     phases = np.exp(-2j * math.pi * turns)
     phases.flags.writeable = False
     return phases
@@ -278,30 +276,33 @@ def complement_phases(chain: ChainSpec, level: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _exact_samples(chain: ChainSpec, level: int, g: AdmissibleFn) -> tuple:
-    """The nonzero exact samples ``P_l(M_l^{-T} k)`` as read-only arrays: the
-    keys ``k`` in lexicographic order and an object array of exact
-    rationals.  ``g`` is sampled once at the top level; each level down is
+    """The nonzero exact samples ``P_l(M_l^{-T} k)``: read-only arrays of the
+    keys ``k`` in lexicographic order and of the numerators, and their
+    denominator.  ``g`` is sampled once at the top level; each level down is
     the level above times the two-scale value of each key's class."""
     if level == chain.n_levels:
+        if g.dim != chain.dim:
+            raise DimensionMismatch(f"window of dimension {g.dim} on a chain of dimension {chain.dim}")
         M = chain.matrix(level)
         K = _frequency_candidates(M, g.support_halfwidths)
-        P = np.array([g(M.inv_T_apply(k)) for k in K.tolist()], dtype=object)
+        P, den = g.eval_exact(*M.inv_T_rows(K))
     else:
-        K, P = _exact_samples(chain, level + 1, g)
-        gs = generating_set(chain.matrix(level + 1).T)
-        P = _class_sums(chain, level, g, "scaling")[gs.class_index(K)] * P
+        K, P, den = _exact_samples(chain, level + 1, g)
+        a, a_den = _class_sums(chain, level, g)
+        P, den = exact_product(a[generating_set(chain.matrix(level + 1).T).class_index(K)], a_den,
+                               P, den)
     keep = P != 0
     K, P = K[keep], P[keep]
     K.flags.writeable = P.flags.writeable = False
-    return K, P
+    return K, P, den
 
 
 @lru_cache(maxsize=None)
 def scaling_spectrum(chain: ChainSpec, level: int, g: AdmissibleFn) -> ScalingFunction:
     """Fourier coefficients of the level-``level`` scaling function."""
     _check_level(chain, level, top=chain.n_levels)
-    K, P = _exact_samples(chain, level, g)
-    p = P.astype(float)
+    K, P, den = _exact_samples(chain, level, g)
+    p = exact_floats(P, den)
     c = p / math.sqrt(chain.size(level))
     keep = np.abs(c) > tol.ZERO_TRIM
     return ScalingFunction(
@@ -317,9 +318,10 @@ def wavelet_spectrum(chain: ChainSpec, level: int, g: AdmissibleFn) -> Wavelet:
     class phase."""
     _check_level(chain, level, top=chain.n_levels - 1)
     v, w = wavelet_shift_vectors(chain.factors[level])
-    K, P = _exact_samples(chain, level + 1, g)
+    K, P, den = _exact_samples(chain, level + 1, g)
     idx = generating_set(chain.matrix(level + 1).T).class_index(K)
-    modulus = ((_class_sums(chain, level, g, "wavelet")[idx] * P).astype(float)
+    a, a_den = _class_sums(chain, level, g)
+    modulus = (exact_floats(*exact_product(a[fiber_partner(chain, level)[idx]], a_den, P, den))
                / math.sqrt(chain.size(level)))
     keep = np.abs(modulus) > tol.ZERO_TRIM
     values = modulus[keep] * complement_phases(chain, level)[idx[keep]]
@@ -331,7 +333,7 @@ def two_scale(chain: ChainSpec, level: int, g: AdmissibleFn) -> TwoScaleCoeffs:
     """Raw two-scale vector: ``sqrt(|det J|) * g^J`` sampled on
     ``M_l^{-T} G(M_{l+1}^T)``; the unscaled samples ``g^J`` are kept too."""
     _check_level(chain, level, top=chain.n_levels - 1)
-    samples = _class_sums(chain, level, g, "scaling").astype(float)
+    samples = exact_floats(*_class_sums(chain, level, g))
     vals = (math.sqrt(chain.factors[level].absdet) * samples).astype(complex)
     return TwoScaleCoeffs(chain=chain, level=level, kind="scaling", samples=samples,
                           values=SpectrumVector(matrix=chain.matrix(level + 1), values=vals))
@@ -341,8 +343,7 @@ def wavelet_two_scale(chain: ChainSpec, level: int, g: AdmissibleFn) -> TwoScale
     """Raw wavelet two-scale vector over ``G(M_{l+1}^T)``; its real moduli
     before the ``sqrt(2)`` factor and the unit phases are kept as
     ``samples``."""
-    _check_level(chain, level, top=chain.n_levels - 1)
-    moduli = _class_sums(chain, level, g, "wavelet").astype(float)
+    moduli = two_scale(chain, level, g).samples[fiber_partner(chain, level)]
     vals = math.sqrt(2.0) * moduli * complement_phases(chain, level)
     return TwoScaleCoeffs(chain=chain, level=level, kind="wavelet", samples=moduli,
                           values=SpectrumVector(matrix=chain.matrix(level + 1), values=vals))

@@ -162,6 +162,12 @@ class IntMat:
         A, q = _scaled_adjugate(self)
         return _divide_rows(tuple(zip(*A.entries)), q, v)
 
+    def inv_T_rows(self, K: np.ndarray) -> tuple[np.ndarray, int]:
+        """``M^{-T} k`` for every row ``k`` of the integer array ``K``, exactly:
+        the numerators ``A^T k`` over the denominator ``q`` (``M^{-1} = A / q``)."""
+        A, q = _scaled_adjugate(self)
+        return apply_rows(A.T, K), q
+
     def scaled_adjugate(self) -> tuple["IntMat", int]:
         """Integer matrix ``A`` and ``q = |det M|`` with ``M^{-1} = A / q``."""
         return _scaled_adjugate(self)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tol
-from .admissible import AdmissibleFn, periodized_sum, periodized_sum_many
+from .admissible import AdmissibleFn, exact_floats, periodized_sum_exact, periodized_sum_many
 from .dlvp import (
     ScalingFunction,
     SparseSpectrum,
@@ -61,7 +61,7 @@ def nesting_residual(chn: ChainSpec, level: int, g: AdmissibleFn) -> float:
 
     The identity is checked on the unscaled samples, as
     ``P_l(k) = g^J(M_l^{-T} k) P_{l+1}(k)``, with ``g^J`` evaluated
-    directly at each ``k`` rather than looked up per frequency class as
+    directly at every ``k`` in one exact batch, not looked up per class as
     the spectra are built; the top level holds plain window samples, so
     this checks the construction of every level by induction.  The
     square roots of ``m_l``, ``m_{l+1}`` and ``|det J|`` cancel, so no
@@ -72,8 +72,8 @@ def nesting_residual(chn: ChainSpec, level: int, g: AdmissibleFn) -> float:
         raise LevelOutOfRange(f"level {level} has no next level")
     keys, coarse, fine = _on_union(scaling_spectrum(chn, level, g).samples,
                                    scaling_spectrum(chn, level + 1, g).samples)
-    J, M = chn.factors[level], chn.matrix(level)
-    a = np.array([float(periodized_sum(g, J, M.inv_T_apply(k))) for k in keys.tolist()])
+    N, q = chn.matrix(level).inv_T_rows(keys)
+    a = exact_floats(*periodized_sum_exact(g, chn.factors[level], N, q))
     return float(np.max(np.abs(coarse - a * fine), initial=0.0)) / math.sqrt(chn.size(level))
 
 

@@ -3,15 +3,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from vpwave import tol
 from vpwave.admissible import (
     AdmissibleFn,
     _shift_ranges,
     check_partition_of_unity,
+    exact_floats,
     parse_admissible,
     periodized_sum,
+    periodized_sum_exact,
     periodized_sum_many,
 )
 from vpwave.errors import DimensionMismatch
@@ -198,6 +200,20 @@ def test_parse_admissible():
         parse_admissible("unknown_kind()", 2)
 
 
+@pytest.mark.parametrize("text", [
+    "tensor_linear(alpha = [1/10, 1/40)",  # unclosed: must not read as (1/10, 1/4)
+    "tensor_linear(alpha = 1/10])",
+    "tensor_linear(alpah = 1/10)",  # misspelt: must not default to alpha = 0
+    "characteristic(alpha = 1/4)",
+    "tensor_smoothed(p = 1/10, ordr = 4)",
+    "tensor_linear(alpha = 1/10, alpha = 1/8)",
+    "tensor_linear(1/10)",
+])
+def test_parse_admissible_rejects_malformed_descriptors(text):
+    with pytest.raises(ValueError):
+        parse_admissible(text, 2)
+
+
 def test_rejects_out_of_range_parameters():
     with pytest.raises(ValueError):
         AdmissibleFn.tensor_linear([F(3, 5)])
@@ -225,6 +241,16 @@ def test_periodized_sum_checks_dimensions():
             periodized_sum(g, J_D, x)
     with pytest.raises(DimensionMismatch):
         periodized_sum(g, IntMat.identity(3), (F(0), F(0)))
+    for N in (np.zeros((4, 1), dtype=np.int64), np.zeros((4, 3), dtype=np.int64),
+              np.zeros(4, dtype=np.int64)):
+        with pytest.raises(DimensionMismatch):
+            periodized_sum_exact(g, J_D, N, 5)
+        with pytest.raises(DimensionMismatch):
+            g.eval_exact(N, 5)
+    with pytest.raises(DimensionMismatch):
+        periodized_sum_exact(g, IntMat.identity(3), np.zeros((4, 2), dtype=np.int64), 5)
+    with pytest.raises(TypeError):
+        periodized_sum_exact(g, J_D, np.zeros((4, 2)), 5)
 
 
 def inverse_T_by_cofactors(J):
@@ -271,3 +297,75 @@ def test_shift_ranges_match_the_former_bound(J, data):
         hi = [v + w for v, w in zip(lo, data.draw(st.lists(
             st.fractions(min_value=0, max_value=2, max_denominator=60), min_size=d, max_size=d)))]
     assert _shift_ranges(J, hw, lo, hi) == shift_range_oracle(J, hw, lo, hi)
+
+
+# -- exact batched periodization ----------------------------------------------
+
+# per-axis parameters: the alpha = 0 limit, small rationals, and Fraction(0.1),
+# whose denominator 2^55 sends the numerators onto Python integers
+axis_params = st.one_of(st.just(F(0)), st.just(F(0.1)),
+                        st.fractions(min_value=0, max_value=F(12, 25), max_denominator=40))
+
+
+@st.composite
+def windows(draw, d):
+    kind = draw(st.sampled_from(["characteristic", "tensor_linear", "tensor_smoothed"]))
+    if kind == "characteristic":
+        return AdmissibleFn.characteristic(d)
+    a = draw(st.lists(axis_params, min_size=d, max_size=d))
+    if kind == "tensor_linear":
+        return AdmissibleFn.tensor_linear(a)
+    return AdmissibleFn.tensor_smoothed(a, order=draw(st.integers(1, 4)))
+
+
+@st.composite
+def regular_factors(draw, d):
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                         min_size=d, max_size=d))
+    J = IntMat.from_rows(rows)
+    assume(J.det != 0)
+    return J
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_periodized_sum_exact_matches_scalar_oracle(data):
+    d = data.draw(st.integers(1, 3))
+    g = data.draw(windows(d))
+    J = data.draw(regular_factors(d))
+    q = data.draw(st.integers(1, 60))
+    rows = data.draw(st.lists(st.lists(st.integers(-3 * q, 3 * q), min_size=d, max_size=d),
+                              min_size=1, max_size=6))
+    # a common offset by q J^T w keeps the box of rows small; a huge one
+    # makes every shifted row exceed int64
+    w = data.draw(st.sampled_from([0, 2 ** 61]))
+    N = np.array(rows, dtype=object) + np.array([q * v for v in J.apply_T((w,) * d)], dtype=object)
+    if not w:
+        N = N.astype(np.int64)
+    num, den = periodized_sum_exact(g, J, N, q)
+    got = exact_floats(num, den)
+    for n, f, x in zip(num.tolist(), got.tolist(), N.tolist()):
+        exact = periodized_sum(g, J, tuple(F(v, q) for v in x))
+        assert F(n, den) == exact
+        assert f == float(exact)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_partition_of_unity_exact_batched(data):
+    d = data.draw(st.integers(1, 3))
+    g = data.draw(windows(d))
+    q = data.draw(st.integers(1, 200))
+    N = np.array(data.draw(st.lists(st.lists(st.integers(-5 * q, 5 * q), min_size=d, max_size=d),
+                                    min_size=1, max_size=20)), dtype=np.int64)
+    num, den = periodized_sum_exact(g, IntMat.identity(d), N, q)
+    assert all(n == den for n in num.tolist())
+
+
+def test_partition_of_unity_exact_on_python_integers():
+    N = np.array([[7, -40], [48, 48], [-49, 0], [0, 1]], dtype=np.int64)
+    for g in (AdmissibleFn.tensor_linear([F(0.1), F(0)]),
+              AdmissibleFn.tensor_smoothed([F(0.1), F(1, 7)], order=3)):
+        num, den = periodized_sum_exact(g, IntMat.identity(2), N, 997)
+        assert den >= 2 ** 62 and num.dtype == object
+        assert all(n == den for n in num.tolist())

@@ -12,7 +12,7 @@ from vpwave.dlvp import (
     two_scale,
     wavelet_two_scale,
 )
-from vpwave.errors import ConditionViolated, UnsupportedDimension
+from vpwave.errors import ConditionViolated, DimensionMismatch, UnsupportedDimension
 from vpwave.intlat import (
     J_D,
     J_X,
@@ -233,3 +233,14 @@ def test_report_detects_near_degenerate_window():
     rep = build_report(c, g)
     assert len(rep.levels) == 2
     assert all(lr.min_class_power >= 0 for lr in rep.levels)
+
+
+@pytest.mark.parametrize("window_dim", [1, 3])
+def test_window_dimension_must_match_chain(window_dim):
+    # a typed error, not an IndexError from inside the sampling
+    c = chain(IntMat.diagonal([4, 4]), [J_D, J_X])
+    g = AdmissibleFn.characteristic(window_dim)
+    for call in (lambda: build_report(c, g), lambda: scaling_spectrum(c, 0, g),
+                 lambda: two_scale(c, 0, g), lambda: nesting_residual(c, 0, g)):
+        with pytest.raises(DimensionMismatch):
+            call()

@@ -43,3 +43,19 @@ def test_no_scalar_class_lookup_in_spectral_layer():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "index_of"]
     assert not found, f"scalar index_of calls in the spectral layer: {found}"
+
+
+def test_no_scalar_periodization_in_spectral_layer():
+    # spectra, two-scale vectors and the nesting check periodize whole arrays
+    # exactly; the scalar periodized_sum serves only the direct profiles
+    oracles = {"scaling_profile", "wavelet_profile", "periodized_product"}
+    found = []
+    for name in ("dlvp.py", "mra.py"):
+        for top in ast.parse((SRC / name).read_text(), filename=name).body:
+            if isinstance(top, ast.FunctionDef) and top.name in oracles:
+                continue
+            found += [f"{name}:{node.lineno}" for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", getattr(node.func, "attr", None))
+                      == "periodized_sum"]
+    assert not found, f"scalar periodized_sum calls in the spectral layer: {found}"
