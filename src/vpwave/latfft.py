@@ -11,28 +11,36 @@ the unitary Fourier matrix carries an extra ``1/sqrt(m)``.
 Two implementations are provided: a naive summation with exact integer
 phase arithmetic (the oracle) and an O(m log m) route that reduces the
 pattern group to ``Z_{s_1} x ... x Z_{s_d}`` via the Smith normal form
-and runs per-axis cyclic FFTs.  The fast route leaves out the unit Smith
-axes (``s_i = 1``), which only cost an extra FFT pass.  Its plan holds
-the position of every canonical frequency in the digit cube and the
-inverse permutation, so :func:`idft` gathers the spectrum into a fresh
-array and transforms it in place.
+and transforms the digit cube one cyclic axis at a time, leaving out the
+unit Smith axes.  An axis of length ``s <= _DENSE_AXIS`` is one BLAS
+product with a dense ``s x s`` DFT factor, cheaper at these lengths than
+a pocketfft call; a longer axis is a pocketfft ``fft``/``ifft``, run in
+place once the transform owns the array, so the caller's values are
+never written.  The plan holds the position of every canonical frequency
+in the digit cube and the inverse permutation, so :func:`idft` gathers
+the spectrum into a fresh array first.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import IndexMismatch, TooLarge
-from .intlat import (IntMat, apply_rows, digit_index, generating_set, pattern,
-                     smith_normal_form, unimodular_inverse)
+from .intlat import (IntMat, _check_variant, apply_rows, digit_index, generating_set,
+                     pattern, smith_normal_form, unimodular_inverse)
 
 # Largest m for which the naive m x m phase table (naive DFT, Fourier matrix)
 # is built; it holds m^2 Python integers, about 72 MB at m = 1024.
 FOURIER_MATRIX_GUARD = 2 ** 10
 _NAIVE_BLOCK = 256
+# Longest Smith axis done as one BLAS product with a dense DFT factor instead
+# of a pocketfft call.  Timed per axis with single-threaded BLAS, the product
+# is faster up to s = 16 at every m up to 2^14, pocketfft from s = 32 at 2^14.
+_DENSE_AXIS = 16
 
 
 @dataclass(frozen=True)
@@ -44,6 +52,7 @@ class PatternVector:
     variant: str = "S"
 
     def __post_init__(self):
+        _check_variant(self.variant)
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != (self.matrix.absdet,):
             raise IndexMismatch(
@@ -68,6 +77,7 @@ class SpectrumVector:
     variant: str = "S"
 
     def __post_init__(self):
+        _check_variant(self.variant)
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != (self.matrix.absdet,):
             raise IndexMismatch(
@@ -117,36 +127,70 @@ def dft(a: PatternVector) -> SpectrumVector:
 
 
 @lru_cache(maxsize=None)
-def _fast_plan(M: IntMat, variant: str) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """FFT shape (the Smith diagonal without unit axes), the position of
-    each canonical frequency inside that digit cube, and the inverse
-    permutation.  With ``M = U S V`` the digits of a frequency ``h`` are
-    ``V^{-T} h mod diag(S)``."""
+def _dense_factors(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """DFT factor ``F[j, k] = exp(-2 pi i (jk mod s) / s)`` of a cyclic axis
+    and its inverse ``conj(F) / s``; both symmetric."""
+    k = np.arange(s)
+    F = np.exp((-2j * np.pi / s) * (np.outer(k, k) % s))
+    F_inv = F.conj() / s
+    F.flags.writeable = F_inv.flags.writeable = False
+    return F, F_inv
+
+
+@lru_cache(maxsize=None)
+def _fast_plan(M: IntMat, variant: str) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Steps over the non-unit Smith axes, the position of each canonical
+    frequency inside the digit cube, and the inverse permutation.  With
+    ``M = U S V`` the digits of a frequency ``h`` are ``V^{-T} h mod diag(S)``.
+    A step is ``(view, factors)``: the view of the cube that puts the axis
+    in the middle, ``(lead, s, trail)``, or ``(lead, s)`` for the last axis,
+    and for ``s <= _DENSE_AXIS`` the pair from :func:`_dense_factors` (a
+    dense step), else ``None`` (an FFT step along axis 1)."""
     dec = smith_normal_form(M)
     H = generating_set(M.T, variant).rep_array
     flat = digit_index(apply_rows(unimodular_inverse(dec.V).T, H), dec.diagonal)
-    shape = tuple(s for s in dec.diagonal if s > 1) or (1,)
     inv = np.empty_like(flat)
     inv[flat] = np.arange(len(flat))
     flat.flags.writeable = inv.flags.writeable = False
-    return shape, flat, inv
+    shape = [s for s in dec.diagonal if s > 1]
+    steps, lead = [], 1
+    for i, s in enumerate(shape):
+        trail = math.prod(shape[i + 1:])
+        view = (lead, s, trail) if trail > 1 else (lead, s)
+        steps.append((view, _dense_factors(s) if s <= _DENSE_AXIS else None))
+        lead *= s
+    return tuple(steps), flat, inv
+
+
+def _transform(steps: tuple, x: np.ndarray, owned: bool, inverse: bool) -> np.ndarray:
+    """Run the plan's steps on the flat cube ``x``; ``owned`` says whether
+    ``x`` may be written.  Each step leaves an array the transform owns."""
+    fft = np.fft.ifft if inverse else np.fft.fft
+    for view, factors in steps:
+        cube = x.reshape(view)
+        if factors is None:
+            x = fft(cube, axis=1, out=cube if owned else None)
+        elif len(view) == 2:
+            x = cube @ factors[inverse]
+        else:
+            x = factors[inverse] @ cube
+        owned = True
+    return x.reshape(-1)
 
 
 def dft_fast(a: PatternVector) -> SpectrumVector:
-    """Fast transform: per-axis cyclic FFTs in Smith-digit coordinates."""
+    """Fast transform: one dense or FFT step per Smith axis of the digit cube."""
     M = a.matrix
-    shape, flat, _ = _fast_plan(M, a.variant)
-    cube = np.fft.fftn(a.values.reshape(shape), out=np.empty(shape, dtype=complex))
-    return SpectrumVector(matrix=M, values=cube.reshape(-1)[flat], variant=a.variant)
+    steps, flat, _ = _fast_plan(M, a.variant)
+    cube = _transform(steps, a.values, owned=False, inverse=False)
+    return SpectrumVector(matrix=M, values=cube[flat], variant=a.variant)
 
 
 def idft(ahat: SpectrumVector) -> PatternVector:
     """Inverse transform, ``a[y] = (1/m) sum_h ahat[h] exp(2 pi i h.y)``."""
     M = ahat.matrix
-    shape, _, inv = _fast_plan(M, ahat.variant)
-    vals = ahat.values[inv]
-    cube = vals.reshape(shape)
-    np.fft.ifftn(cube, out=cube)
+    steps, _, inv = _fast_plan(M, ahat.variant)
+    vals = _transform(steps, ahat.values[inv], owned=True, inverse=True)
     return PatternVector(matrix=M, values=vals, variant=ahat.variant)
 
 

@@ -7,8 +7,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from vpwave import tol
 from vpwave.errors import IndexMismatch, TooLarge
-from vpwave.intlat import IntMat, generating_set, pattern
+from vpwave.intlat import (IntMat, apply_rows, digit_index, generating_set, pattern,
+                           smith_normal_form, unimodular_inverse)
 from vpwave.latfft import (
+    _DENSE_AXIS,
+    FOURIER_MATRIX_GUARD,
     PatternVector,
     SpectrumVector,
     dft,
@@ -194,13 +197,30 @@ def test_vector_length_checks():
         SpectrumVector(matrix=M, values=np.ones(5))
 
 
+def fftn_oracle(a):
+    """The former fast transform: one ``np.fft.fftn`` over the Smith digit
+    cube without its unit axes, then the gather into canonical order."""
+    M = a.matrix
+    dec = smith_normal_form(M)
+    H = generating_set(M.T, a.variant).rep_array
+    flat = digit_index(apply_rows(unimodular_inverse(dec.V).T, H), dec.diagonal)
+    shape = tuple(s for s in dec.diagonal if s > 1) or (1,)
+    return np.fft.fftn(a.values.reshape(shape)).reshape(-1)[flat]
+
+
 def assert_fast_transforms(M, variant, rng_np):
-    """dft_fast against the naive sum, the inverse round trip and Parseval,
-    all relative to the input at tol.FAST_VS_NAIVE."""
+    """dft_fast against the naive sum (against the fftn oracle above the
+    phase-table guard), the inverse round trip and Parseval, all relative
+    to the input at tol.FAST_VS_NAIVE."""
     a = random_pattern_vector(rng_np, M, variant)
-    fast, slow = dft_fast(a).values, dft(a).values
-    scale = float(np.max(np.abs(slow)))
-    assert float(np.max(np.abs(fast - slow))) <= tol.FAST_VS_NAIVE * scale
+    fast, ref = dft_fast(a).values, fftn_oracle(a)
+    if M.absdet <= FOURIER_MATRIX_GUARD:
+        slow = dft(a).values
+        scale = float(np.max(np.abs(slow)))
+        assert float(np.max(np.abs(ref - slow))) <= tol.FAST_VS_NAIVE * scale
+        ref = slow
+    scale = float(np.max(np.abs(ref)))
+    assert float(np.max(np.abs(fast - ref))) <= tol.FAST_VS_NAIVE * scale
     back = idft(dft_fast(a)).values
     assert float(np.max(np.abs(back - a.values))) <= tol.FAST_VS_NAIVE * float(np.max(np.abs(a.values)))
     energy = M.absdet * float(np.vdot(a.values, a.values).real)
@@ -226,3 +246,59 @@ def test_fast_transforms_random_matrices(d, data, variant, seed):
     M = IntMat.from_rows(rows)
     assume(0 < M.absdet <= 512)
     assert_fast_transforms(M, variant, np.random.default_rng(seed))
+
+
+B = _DENSE_AXIS
+# (non-unit Smith axes, matrix): every axis dense, dense and FFT mixed, every
+# axis FFT, axes at the dense bound and one above it, axes not powers of two
+AXIS_KIND_CASES = [
+    ((8, 8), [[0, 8], [-8, 0]]),
+    ((2, 4, 8), [[2, 0, 0], [0, 4, 0], [0, 0, 8]]),
+    ((8, 128), [[8, -24], [48, -16]]),
+    ((2, 8192), [[2, 0], [0, 8192]]),
+    ((32, 512), [[32, 0, 0], [0, 32, 1], [0, 0, 16]]),
+    ((128, 128), [[128, 0], [0, 128]]),
+    ((16384,), [[1, 0], [3, 16384]]),
+    ((B,), [[B]]),
+    ((B + 1,), [[B + 1]]),
+    ((B, B), [[B, 0], [0, B]]),
+    ((B + 1, B + 1), [[B + 1, 0], [0, B + 1]]),
+    ((B, 17 * B), [[B, 0], [0, 17 * B]]),
+    ((3, 6, 12), [[3, 0, 0], [0, 6, 0], [0, 0, 12]]),
+    ((5, 15), [[5, 0], [0, 15]]),
+    ((6, 60), [[6, 0], [0, 60]]),
+]
+
+
+@pytest.mark.parametrize("axes, rows", AXIS_KIND_CASES, ids=[str(c[0]) for c in AXIS_KIND_CASES])
+def test_fast_transforms_every_axis_kind(axes, rows):
+    rng_np = np.random.default_rng(sum(axes))
+    for M in (IntMat.from_rows(rows), IntMat.from_rows(rows).T):
+        assert tuple(s for s in smith_normal_form(M).diagonal if s > 1) == axes
+        for variant in ("S", "I"):
+            assert_fast_transforms(M, variant, rng_np)
+
+
+# first step dense, first step FFT, one dense axis, one FFT axis
+@pytest.mark.parametrize("rows", [[[0, 8], [-8, 0]], [[32, 0], [0, 32]],
+                                  [[1, 0], [3, 16]], [[1, 0], [3, 64]]])
+def test_transforms_leave_their_inputs_alone(rows):
+    M = IntMat.from_rows(rows)
+    a = random_pattern_vector(np.random.default_rng(2), M)
+    ahat = dft_fast(a)
+    a_bits, ahat_bits = a.values.tobytes(), ahat.values.tobytes()
+    back = idft(ahat)
+    dft_fast(a)
+    assert a.values.tobytes() == a_bits and ahat.values.tobytes() == ahat_bits
+    frozen_a, frozen_ahat = a.values.copy(), ahat.values.copy()
+    frozen_a.flags.writeable = frozen_ahat.flags.writeable = False
+    ro_a, ro_ahat = PatternVector(matrix=M, values=frozen_a), SpectrumVector(matrix=M, values=frozen_ahat)
+    assert not ro_a.values.flags.writeable and not ro_ahat.values.flags.writeable
+    assert dft_fast(ro_a).values.tobytes() == ahat_bits
+    assert idft(ro_ahat).values.tobytes() == back.values.tobytes()
+
+
+@pytest.mark.parametrize("cls, variant", [(PatternVector, "X"), (SpectrumVector, "s")])
+def test_vectors_reject_unknown_variant(cls, variant):
+    with pytest.raises(ValueError, match="variant"):
+        cls(matrix=IntMat.diagonal([2, 2]), values=np.ones(4), variant=variant)

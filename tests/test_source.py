@@ -59,3 +59,12 @@ def test_no_scalar_periodization_in_spectral_layer():
                       and getattr(node.func, "id", getattr(node.func, "attr", None))
                       == "periodized_sum"]
     assert not found, f"scalar periodized_sum calls in the spectral layer: {found}"
+
+
+def test_fast_transform_runs_axis_by_axis():
+    # dft_fast/idft have one path: a dense or 1-D FFT step per Smith axis
+    name = "latfft.py"
+    found = [f"{name}:{node.lineno}"
+             for node in ast.walk(ast.parse((SRC / name).read_text(), filename=name))
+             if isinstance(node, ast.Attribute) and node.attr in ("fftn", "ifftn")]
+    assert not found, f"n-dimensional FFT calls in latfft: {found}"
