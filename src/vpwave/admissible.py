@@ -56,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InexactInput, InvalidParameter, MalformedDescriptor
 from .intlat import _INT64_SAFE, IntMat, _absmax
 
 HALF = Fraction(1, 2)
@@ -75,7 +75,7 @@ def _as_fraction(v) -> Fraction:
         return Fraction(v)
     if isinstance(v, float):
         return Fraction(v)
-    raise TypeError(f"cannot interpret {v!r} as an exact rational")
+    raise InexactInput(f"cannot interpret {v!r} as an exact rational")
 
 
 @dataclass(frozen=True)
@@ -95,16 +95,16 @@ class AdmissibleFn:
     def tensor_linear(cls, alpha: Sequence) -> "AdmissibleFn":
         a = tuple(_as_fraction(v) for v in alpha)
         if any(v < 0 or v > HALF for v in a):
-            raise ValueError("linear ramp halfwidths must lie in [0, 1/2]")
+            raise InvalidParameter("linear ramp halfwidths must lie in [0, 1/2]")
         return cls(kind=KIND_LINEAR, dim=len(a), alpha=a)
 
     @classmethod
     def tensor_smoothed(cls, p: Sequence, order: int = 2) -> "AdmissibleFn":
         a = tuple(_as_fraction(v) for v in p)
         if any(v < 0 or v >= HALF for v in a):
-            raise ValueError("smoothing halfwidths must lie in [0, 1/2)")
+            raise InvalidParameter("smoothing halfwidths must lie in [0, 1/2)")
         if order < 1:
-            raise ValueError("smoothing order must be >= 1")
+            raise InvalidParameter("smoothing order must be >= 1")
         return cls(kind=KIND_SMOOTHED, dim=len(a), alpha=a, order=int(order))
 
     # -- support geometry ------------------------------------------------
@@ -159,7 +159,7 @@ class AdmissibleFn:
 
     def __call__(self, x: Sequence):
         if len(x) != self.dim:
-            raise ValueError("point dimension differs from window dimension")
+            raise DimensionMismatch("point dimension differs from window dimension")
         out = 1
         for i, t in enumerate(x):
             f = self.eval_axis(i, t)
@@ -355,7 +355,7 @@ def _numerator_rows(N: np.ndarray, dim: int) -> np.ndarray:
     if N.ndim != 2 or N.shape[1] != dim:
         raise DimensionMismatch("numerator rows and window dimension differ")
     if N.dtype.kind not in "iO":
-        raise TypeError(f"numerators must be integers, not {N.dtype}")
+        raise InexactInput(f"numerators must be integers, not {N.dtype}")
     return N
 
 
@@ -403,27 +403,27 @@ def parse_admissible(text: str, dim: int) -> AdmissibleFn:
     fractions (``1/10``) or decimal strings (``0.1``), both exact.  An
     unknown kind, a keyword the kind does not take (or given twice) and a
     malformed value, such as a list with unbalanced brackets, raise
-    ``ValueError``.
+    ``MalformedDescriptor`` (a ``ValueError``).
     """
     m = _CALL_RE.match(text)
     if not m:
-        raise ValueError(f"cannot parse window descriptor {text!r}")
+        raise MalformedDescriptor(f"cannot parse window descriptor {text!r}")
     kind, argtext = m.group(1), m.group(2) or ""
     if kind not in _KEYWORDS:
-        raise ValueError(f"unknown window kind {kind!r}")
+        raise MalformedDescriptor(f"unknown window kind {kind!r}")
     args = {}
     if argtext:
         for part in _split_args(argtext):
             key, eq, val = (v.strip() for v in part.partition("="))
             if not eq or key not in _KEYWORDS[kind] or key in args:
-                raise ValueError(f"bad argument {part.strip()!r} for {kind}")
+                raise MalformedDescriptor(f"bad argument {part.strip()!r} for {kind}")
             args[key] = val
     if kind == KIND_CHARACTERISTIC:
         return AdmissibleFn.characteristic(dim)
     if kind == KIND_LINEAR:
         return AdmissibleFn.tensor_linear(_rational_list(args.get("alpha", "0"), dim))
     return AdmissibleFn.tensor_smoothed(
-        _rational_list(args.get("p", "0"), dim), order=int(args.get("order", "2")))
+        _rational_list(args.get("p", "0"), dim), order=_literal(int, args.get("order", "2")))
 
 
 def _split_args(text: str) -> list[str]:
@@ -443,14 +443,22 @@ def _split_args(text: str) -> list[str]:
     return parts
 
 
+def _literal(cast, text: str):
+    """``cast(text)``; a malformed literal raises ``MalformedDescriptor``."""
+    try:
+        return cast(text)
+    except (ValueError, ZeroDivisionError):
+        raise MalformedDescriptor(f"malformed number {text!r} in window descriptor") from None
+
+
 def _rational_list(text: str, dim: int) -> list[Fraction]:
     text = text.strip()
     if text.startswith("[") and text.endswith("]"):
-        items = [Fraction(tok.strip()) for tok in text[1:-1].split(",") if tok.strip()]
+        items = [_literal(Fraction, tok.strip()) for tok in text[1:-1].split(",") if tok.strip()]
     else:
-        items = [Fraction(text)]
+        items = [_literal(Fraction, text)]
     if len(items) == 1:
         items = items * dim
     if len(items) != dim:
-        raise ValueError(f"expected {dim} per-axis values, got {len(items)}")
+        raise MalformedDescriptor(f"expected {dim} per-axis values, got {len(items)}")
     return items

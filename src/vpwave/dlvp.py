@@ -29,7 +29,7 @@ samples stay integer numerators over one denominator until each float is
 one correctly rounded division, so half-open support boundaries (the
 Dirichlet window) and zero tests are decided exactly.  Every class vector
 (two-scale values, phases, class powers, filters) is indexed by ``G(M^T)``
-in the canonical order of the symmetric box (variant ``S``).  A spectrum is
+in the canonical order of :mod:`vpwave.intlat`.  A spectrum is
 a sorted key array with a value array; a class vector acts on it by one
 gather over ``class_index(keys)``, and per-class sums are one ``np.bincount``.
 :func:`scaling_profile` and :func:`wavelet_profile` evaluate the product
@@ -59,6 +59,12 @@ from .latfft import SpectrumVector
 Vec = tuple[int, ...]
 
 DEGENERATE_REL = 1e-18
+
+
+def _degenerate(powers: np.ndarray) -> bool:
+    """Whether some frequency class carries no usable mass: its power is at
+    most ``DEGENERATE_REL`` times the largest (also when every power is 0)."""
+    return float(np.min(powers)) <= DEGENERATE_REL * float(np.max(powers))
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,11 +197,11 @@ def scaling_profile(chain: ChainSpec, level: int, g: AdmissibleFn, x: Sequence):
 
 
 def wavelet_shift_vectors(J: IntMat) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """The unique nonzero points of ``P_I(J^T)`` and ``P_I(J)`` of a
-    determinant-2 factor."""
+    """The unique nonzero points of ``P(J^T)`` and ``P(J)`` of a
+    determinant-2 factor, reduced mod 1 into ``[0, 1)^d``."""
     _require_dyadic_factor(J)
-    v = next((p for p in pattern(J.T, "I").points if any(p)), None)
-    w = next((p for p in pattern(J, "I").points if any(p)), None)
+    v, w = (next((tuple(c % 1 for c in p) for p in pattern(M).points if any(p)), None)
+            for M in (J.T, J))
     if v is None or w is None:
         raise NotDyadic(f"a pattern of factor {J} has no nonzero point")
     return v, w
@@ -365,8 +371,7 @@ def orthonormalize(fn: ScalingFunction | Wavelet):
     """Scale each frequency class so the translates over ``P(M_l)`` become
     orthonormal: ``m_l * sum_z |c|^2 = 1`` per class afterwards."""
     powers = class_powers(fn)
-    peak = float(np.max(powers)) if len(powers) else 0.0
-    if peak <= 0.0 or float(np.min(powers)) <= DEGENERATE_REL * peak:
+    if _degenerate(powers):
         raise DegenerateClass("a frequency class carries no coefficient mass")
     scale = 1.0 / np.sqrt(fn.size * powers)
     s = fn.spectrum
@@ -412,7 +417,7 @@ def normalized_filters(chain: ChainSpec, level: int,
     p_fine = class_powers(fine)
     q_phi = class_powers(coarse_phi)
     for arr, who in ((p_fine, "fine scaling"), (q_phi, "coarse scaling")):
-        if float(np.min(arr)) <= DEGENERATE_REL * float(np.max(arr)):
+        if _degenerate(arr):
             raise DegenerateClass(f"{who} spectrum has an empty frequency class")
     m_fine = chain.size(level + 1)
     m_coarse = chain.size(level)

@@ -39,3 +39,15 @@ class UnsupportedDimension(VpwaveError):
 
 class ConditionViolated(VpwaveError):
     """A structural precondition on a factor chain fails."""
+
+
+class InvalidParameter(VpwaveError, ValueError):
+    """A parameter lies outside the values an operation accepts."""
+
+
+class MalformedDescriptor(VpwaveError, ValueError):
+    """A window descriptor string does not follow the grammar."""
+
+
+class InexactInput(VpwaveError, TypeError):
+    """A value cannot be read as an exact integer or rational."""

@@ -9,11 +9,14 @@ Conventions
 For a regular ``M`` in Z^{dxd} with ``m = |det M|``:
 
 * the *pattern* ``P(M)`` collects the ``m`` points of ``M^{-1} Z^d``
-  that fall in the half-open box ``[-1/2, 1/2)^d`` (variant ``S``) or
-  ``[0, 1)^d`` (variant ``I``); they represent ``M^{-1} Z^d / Z^d``;
+  that fall in the half-open box ``[-1/2, 1/2)^d``; they represent
+  ``M^{-1} Z^d / Z^d``;
 * the *generating set* ``G(M)`` collects the ``m`` integer vectors in
-  ``M [-1/2,1/2)^d`` resp. ``M [0,1)^d``; they represent
-  ``Z^d / M Z^d`` and satisfy ``G(M) = M P(M)``.
+  ``M [-1/2,1/2)^d``; they represent ``Z^d / M Z^d`` and satisfy
+  ``G(M) = M P(M)``.
+
+Any other box of representatives gives the same spaces and transforms up
+to a fixed permutation, so this symmetric box is the only one built.
 
 Frequency classes of the DFT with respect to ``M`` live on ``G(M^T)``
 with class lattice ``M^T Z^d``; :func:`reduce_mod` reduces into that set.
@@ -28,8 +31,7 @@ Matrices hold Python integers; batches of lattice points are ``(n, d)``
 integer arrays, one point per row.  With ``M^{-1} = A / q`` (the scaled
 adjugate, ``q = |det M|``) a batch ``K`` reduces into the box as
 
-    K - M floor((2 A K + q) / (2 q))   (variant S),
-    K - M floor(A K / q)               (variant I),
+    K - M floor((2 A K + q) / (2 q))
 
 by exact floor division.  ``G(M)`` is the Smith digit grid mapped by
 ``U`` and reduced in one such step.  Because ``M Z^d = U S Z^d`` for
@@ -37,10 +39,12 @@ by exact floor division.  ``G(M)`` is the Smith digit grid mapped by
 ``U^{-1} k mod diag(S)``, and its mixed-radix value is its position in
 the canonical order; :meth:`GeneratingSet.class_index` computes it for a
 whole ``(n, d)`` batch (``index_of`` is its one-row form), so a class
-vector over ``G(M)`` acts on many frequencies by one gather.  Both sets
-are stored as integer arrays, the pattern as the numerators ``A g`` over
-the single denominator ``q``; the tuples ``reps`` and the ``Fraction``
-points are formed only on demand.
+vector over ``G(M)`` acts on many frequencies by one gather.  A pattern
+point ``y`` has the class of the integer vector ``M y``, so the pattern
+lookups go through the same index.  Both sets are stored as integer
+arrays, the pattern as the numerators ``A g`` over the single denominator
+``q``; the tuples ``reps`` and the ``Fraction`` points are formed only on
+demand.
 
 Overflow rule: before each array product the entries are bounded
 (``max|B| max|X| d`` plus any addend) against ``2^62``; if the bound
@@ -57,24 +61,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConditionViolated, DimensionMismatch, SingularMatrix, TooLarge
+from .errors import (ConditionViolated, DimensionMismatch, IndexMismatch, InvalidParameter,
+                     SingularMatrix, TooLarge)
 
 Vec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
-
-VARIANT_S = "S"
-VARIANT_I = "I"
 
 # Largest m = |det M| for which G(M), P(M) or a frequency box is enumerated.
 ENUMERATION_GUARD = 2 ** 20
 # Bound on every entry of an int64 array product; above it, Python ints.
 _INT64_SAFE = 2 ** 62
-
-
-def _check_variant(variant: str) -> str:
-    if variant not in (VARIANT_S, VARIANT_I):
-        raise ValueError(f"variant must be 'S' or 'I', got {variant!r}")
-    return variant
 
 
 @dataclass(frozen=True)
@@ -394,26 +390,14 @@ def digit_index(D: np.ndarray, diag: Sequence[int]) -> np.ndarray:
     return index
 
 
-def _reduce_box(M: IntMat, K: np.ndarray, variant: str) -> np.ndarray:
-    """Representatives in ``M [-1/2,1/2)^d`` (S) or ``M [0,1)^d`` (I) of the
-    rows of ``K`` modulo ``M Z^d``: ``K - M floor(M^{-1} K + c)`` with
-    ``c = 1/2`` resp. ``0``.  For S, ``floor((2 A k + q) / (2 q))`` equals
-    ``floor((A k + floor(q/2)) / q)``, which is what is computed."""
+def _reduce_box(M: IntMat, K: np.ndarray) -> np.ndarray:
+    """Representatives in ``M [-1/2,1/2)^d`` of the rows of ``K`` modulo
+    ``M Z^d``: ``K - M floor(M^{-1} K + 1/2)``, where
+    ``floor((2 A k + q) / (2 q))`` equals ``floor((A k + floor(q/2)) / q)``,
+    which is what is computed."""
     A, q = _scaled_adjugate(M)
-    N = apply_rows(A, K, addend=q)
-    F = N // q if variant == VARIANT_I else (N + q // 2) // q
+    F = (apply_rows(A, K, addend=q) + q // 2) // q
     return K - apply_rows(M, F, addend=_absmax(K))
-
-
-def _frac_box(x: FracVec, variant: str) -> FracVec:
-    """Reduce each coordinate mod 1 into [-1/2,1/2) or [0,1)."""
-    if variant == VARIANT_I:
-        return tuple(v - (v.numerator // v.denominator) for v in x)
-    out = []
-    for v in x:
-        w = v + Fraction(1, 2)
-        out.append(w - (w.numerator // w.denominator) - Fraction(1, 2))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -428,7 +412,6 @@ class GeneratingSet:
     """
 
     matrix: IntMat
-    variant: str
     rep_array: np.ndarray = field(repr=False, compare=False)
     diagonal: tuple[int, ...] = field(repr=False, compare=False)
     digit_map: IntMat = field(repr=False, compare=False)
@@ -445,7 +428,7 @@ class GeneratingSet:
         if len(k) != self.matrix.dim:
             raise DimensionMismatch("vector length differs from matrix dimension")
         K = np.array([[int(v) for v in k]], dtype=object)
-        return tuple(_reduce_box(self.matrix, K, self.variant)[0].tolist())
+        return tuple(_reduce_box(self.matrix, K)[0].tolist())
 
     def class_index(self, K: np.ndarray) -> np.ndarray:
         """Positions in ``reps`` of the classes of the rows of the ``(n, d)``
@@ -464,10 +447,10 @@ class Pattern:
     """Rational representatives of ``M^{-1} Z^d / Z^d``, paired with the
     generating set of the same matrix: point ``i`` is
     ``numerators[i] / denominator = M^{-1} reps[i]``, with
-    ``denominator = |det M|``."""
+    ``denominator = |det M|``.  A point ``y`` of ``M^{-1} Z^d`` has the
+    position of the class of ``M y`` in ``G(M)``."""
 
     matrix: IntMat
-    variant: str
     numerators: np.ndarray = field(repr=False, compare=False)
     denominator: int
 
@@ -479,24 +462,28 @@ class Pattern:
         q = self.denominator
         return tuple(tuple(Fraction(n, q) for n in row) for row in self.numerators.tolist())
 
-    @cached_property
-    def index(self) -> dict[FracVec, int]:
-        return {p: i for i, p in enumerate(self.points)}
+    def index_of(self, y: Sequence) -> int:
+        """Position of the point congruent to ``y`` mod ``Z^d``; ``y`` must
+        lie on ``M^{-1} Z^d`` (entries: ints, Fractions or floats)."""
+        k = self.matrix.apply(tuple(Fraction(v) for v in y))
+        if any(v.denominator != 1 for v in k):
+            raise IndexMismatch(f"point {tuple(y)} is not on the lattice of {self.matrix}")
+        return generating_set(self.matrix).index_of(k)
 
     def reduce(self, y: Sequence) -> FracVec:
-        return _frac_box(tuple(Fraction(v) for v in y), self.variant)
-
-    def index_of(self, y: Sequence) -> int:
-        return self.index[self.reduce(y)]
+        """The point of the pattern congruent to ``y`` mod ``Z^d``."""
+        return self.points[self.index_of(y)]
 
     def add(self, i: int, j: int) -> int:
-        """Index of ``points[i] + points[j]`` mod 1 (the pattern group law)."""
-        s = tuple(a + b for a, b in zip(self.points[i], self.points[j]))
-        return self.index_of(s)
+        """Index of ``points[i] + points[j]`` mod 1 (the pattern group law):
+        the class of ``reps[i] + reps[j]``."""
+        gs = generating_set(self.matrix)
+        return gs.index_of(tuple(a + b for a, b in zip(gs.reps[i], gs.reps[j])))
 
 
 @lru_cache(maxsize=None)
-def _generating_set(M: IntMat, variant: str) -> GeneratingSet:
+def generating_set(M: IntMat) -> GeneratingSet:
+    """Canonically ordered generating set ``G(M)`` (reps of ``Z^d / M Z^d``)."""
     m = M.require_regular().absdet
     if m > ENUMERATION_GUARD:
         raise TooLarge(f"refusing to enumerate {m} > {ENUMERATION_GUARD} lattice points")
@@ -504,39 +491,29 @@ def _generating_set(M: IntMat, variant: str) -> GeneratingSet:
     diag = snf.diagonal
     # Smith digit vectors, one per row, in lexicographic order
     digits = np.indices(diag).reshape(M.dim, -1).T
-    R = _reduce_box(M, apply_rows(snf.U, digits), variant)
+    R = _reduce_box(M, apply_rows(snf.U, digits))
     R.flags.writeable = False
-    gs = GeneratingSet(matrix=M, variant=variant, rep_array=R, diagonal=diag,
-                       digit_map=unimodular_inverse(snf.U))
+    gs = GeneratingSet(matrix=M, rep_array=R, diagonal=diag, digit_map=unimodular_inverse(snf.U))
     if np.any(gs.class_index(R) != np.arange(m)):
         raise ConditionViolated(f"representatives of {M} leave the canonical class order")
     return gs
 
 
-def generating_set(M: IntMat, variant: str = VARIANT_S) -> GeneratingSet:
-    """Canonically ordered generating set ``G(M)`` (reps of ``Z^d / M Z^d``)."""
-    return _generating_set(M, _check_variant(variant))
-
-
 @lru_cache(maxsize=None)
-def _pattern(M: IntMat, variant: str) -> Pattern:
-    A, q = _scaled_adjugate(M)
-    N = apply_rows(A, _generating_set(M, variant).rep_array)
-    N.flags.writeable = False
-    return Pattern(matrix=M, variant=variant, numerators=N, denominator=q)
-
-
-def pattern(M: IntMat, variant: str = VARIANT_S) -> Pattern:
+def pattern(M: IntMat) -> Pattern:
     """Canonically ordered pattern ``P(M) = M^{-1} G(M)``."""
-    return _pattern(M.require_regular(), _check_variant(variant))
+    A, q = _scaled_adjugate(M)
+    N = apply_rows(A, generating_set(M).rep_array)
+    N.flags.writeable = False
+    return Pattern(matrix=M, numerators=N, denominator=q)
 
 
-def reduce_mod(M: IntMat, k: Sequence[int], variant: str = VARIANT_S) -> Vec:
+def reduce_mod(M: IntMat, k: Sequence[int]) -> Vec:
     """Reduce an integer frequency ``k`` into ``G(M^T)`` modulo ``M^T Z^d``.
 
     These are the congruence classes indexing the DFT with respect to ``M``.
     """
-    return generating_set(M.T, variant).reduce(k)
+    return generating_set(M.T).reduce(k)
 
 
 @dataclass(frozen=True)
@@ -611,7 +588,7 @@ def axis_doubling(d: int, i: int) -> IntMat:
 def plane_rotation(d: int, i: int, j: int) -> IntMat:
     """d-dimensional factor rotating the (i,j) plane by pi/4 with sqrt(2) scale."""
     if i == j:
-        raise ValueError("plane axes must differ")
+        raise InvalidParameter("plane axes must differ")
     rows = IntMat.identity(d).to_lists()
     rows[i][i] = 1
     rows[i][j] = -1

@@ -30,8 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IndexMismatch, TooLarge
-from .intlat import (IntMat, _check_variant, apply_rows, digit_index, generating_set,
-                     pattern, smith_normal_form, unimodular_inverse)
+from .intlat import (IntMat, apply_rows, digit_index, generating_set, pattern,
+                     smith_normal_form, unimodular_inverse)
 
 # Largest m for which the naive m x m phase table (naive DFT, Fourier matrix)
 # is built; it holds m^2 Python integers, about 72 MB at m = 1024.
@@ -44,86 +44,69 @@ _DENSE_AXIS = 16
 
 
 @dataclass(frozen=True)
-class PatternVector:
-    """Complex values indexed by ``P(M)`` in canonical order."""
+class _IndexedValues:
+    """Complex values, one per element of an index set of size ``|det M|``."""
 
     matrix: IntMat
     values: np.ndarray = field(compare=False)
-    variant: str = "S"
 
     def __post_init__(self):
-        _check_variant(self.variant)
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != (self.matrix.absdet,):
-            raise IndexMismatch(
-                f"expected {self.matrix.absdet} pattern values, got shape {vals.shape}"
-            )
+            raise IndexMismatch(f"expected {self.matrix.absdet} values, got shape {vals.shape}")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+class PatternVector(_IndexedValues):
+    """Complex values indexed by ``P(M)`` in canonical order."""
 
     @property
     def pattern(self):
-        return pattern(self.matrix, self.variant)
+        return pattern(self.matrix)
 
 
-@dataclass(frozen=True)
-class SpectrumVector:
+class SpectrumVector(_IndexedValues):
     """Complex values indexed by ``G(M^T)`` in canonical order."""
-
-    matrix: IntMat
-    values: np.ndarray = field(compare=False)
-    variant: str = "S"
-
-    def __post_init__(self):
-        _check_variant(self.variant)
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (self.matrix.absdet,):
-            raise IndexMismatch(
-                f"expected {self.matrix.absdet} spectrum values, got shape {vals.shape}"
-            )
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
     @property
     def frequencies(self):
-        return generating_set(self.matrix.T, self.variant)
+        return generating_set(self.matrix.T)
 
 
 @lru_cache(maxsize=None)
-def _phase_table(M: IntMat, variant: str) -> tuple[np.ndarray, int]:
+def _phase_table(M: IntMat) -> tuple[np.ndarray, int]:
     """Integer matrix R and modulus q with h_i . y_j = R[i, j] / q  (mod 1)."""
     m = M.require_regular().absdet
     if m > FOURIER_MATRIX_GUARD:
         raise TooLarge(f"refusing to build a {m}x{m} phase table")
     adj, q = M.scaled_adjugate()
     A = np.array(adj.entries, dtype=object)
-    H = generating_set(M.T, variant).rep_array.astype(object)
-    G = generating_set(M, variant).rep_array.astype(object)
+    H = generating_set(M.T).rep_array.astype(object)
+    G = generating_set(M).rep_array.astype(object)
     R = (H @ A @ G.T) % q
     return R.astype(np.int64), q
 
 
-def fourier_matrix(M: IntMat, variant: str = "S") -> np.ndarray:
+def fourier_matrix(M: IntMat) -> np.ndarray:
     """Dense unitary Fourier matrix of ``M``; rows over ``G(M^T)``,
     columns over ``P(M)``."""
-    R, q = _phase_table(M, variant)
+    R, q = _phase_table(M)
     return np.exp((-2j * np.pi / q) * R) / np.sqrt(len(R))
 
 
 def dft(a: PatternVector) -> SpectrumVector:
     """Naive transform by direct summation with exact rational phases."""
     M = a.matrix
-    R, q = _phase_table(M, a.variant)
+    R, q = _phase_table(M)
     m = len(a)
     out = np.empty(m, dtype=complex)
     for start in range(0, m, _NAIVE_BLOCK):
         block = R[start:start + _NAIVE_BLOCK]
         out[start:start + _NAIVE_BLOCK] = np.exp((-2j * np.pi / q) * block) @ a.values
-    return SpectrumVector(matrix=M, values=out, variant=a.variant)
+    return SpectrumVector(matrix=M, values=out)
 
 
 @lru_cache(maxsize=None)
@@ -138,7 +121,7 @@ def _dense_factors(s: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _fast_plan(M: IntMat, variant: str) -> tuple[tuple, np.ndarray, np.ndarray]:
+def _fast_plan(M: IntMat) -> tuple[tuple, np.ndarray, np.ndarray]:
     """Steps over the non-unit Smith axes, the position of each canonical
     frequency inside the digit cube, and the inverse permutation.  With
     ``M = U S V`` the digits of a frequency ``h`` are ``V^{-T} h mod diag(S)``.
@@ -147,7 +130,7 @@ def _fast_plan(M: IntMat, variant: str) -> tuple[tuple, np.ndarray, np.ndarray]:
     and for ``s <= _DENSE_AXIS`` the pair from :func:`_dense_factors` (a
     dense step), else ``None`` (an FFT step along axis 1)."""
     dec = smith_normal_form(M)
-    H = generating_set(M.T, variant).rep_array
+    H = generating_set(M.T).rep_array
     flat = digit_index(apply_rows(unimodular_inverse(dec.V).T, H), dec.diagonal)
     inv = np.empty_like(flat)
     inv[flat] = np.arange(len(flat))
@@ -181,26 +164,26 @@ def _transform(steps: tuple, x: np.ndarray, owned: bool, inverse: bool) -> np.nd
 def dft_fast(a: PatternVector) -> SpectrumVector:
     """Fast transform: one dense or FFT step per Smith axis of the digit cube."""
     M = a.matrix
-    steps, flat, _ = _fast_plan(M, a.variant)
+    steps, flat, _ = _fast_plan(M)
     cube = _transform(steps, a.values, owned=False, inverse=False)
-    return SpectrumVector(matrix=M, values=cube[flat], variant=a.variant)
+    return SpectrumVector(matrix=M, values=cube[flat])
 
 
 def idft(ahat: SpectrumVector) -> PatternVector:
     """Inverse transform, ``a[y] = (1/m) sum_h ahat[h] exp(2 pi i h.y)``."""
     M = ahat.matrix
-    steps, _, inv = _fast_plan(M, ahat.variant)
+    steps, _, inv = _fast_plan(M)
     vals = _transform(steps, ahat.values[inv], owned=True, inverse=True)
-    return PatternVector(matrix=M, values=vals, variant=ahat.variant)
+    return PatternVector(matrix=M, values=vals)
 
 
 def idft_naive(ahat: SpectrumVector) -> PatternVector:
     """Inverse by conjugate summation; oracle for :func:`idft`."""
     M = ahat.matrix
-    R, q = _phase_table(M, ahat.variant)
+    R, q = _phase_table(M)
     m = len(ahat)
     out = np.empty(m, dtype=complex)
     for start in range(0, m, _NAIVE_BLOCK):
         block = R[:, start:start + _NAIVE_BLOCK]
         out[start:start + _NAIVE_BLOCK] = ahat.values @ np.exp((2j * np.pi / q) * block) / m
-    return PatternVector(matrix=M, values=out, variant=ahat.variant)
+    return PatternVector(matrix=M, values=out)

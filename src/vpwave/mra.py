@@ -23,12 +23,13 @@ from .dlvp import (
     ScalingFunction,
     SparseSpectrum,
     TwoScaleCoeffs,
+    _degenerate,
     class_powers,
     fiber_partner,
     normalized_filters,
     scaling_spectrum,
 )
-from .errors import ConditionViolated, LevelOutOfRange, UnsupportedDimension
+from .errors import ConditionViolated, InvalidParameter, LevelOutOfRange, UnsupportedDimension
 from .intlat import (
     ChainSpec,
     IntMat,
@@ -48,11 +49,8 @@ def basis_check(chn: ChainSpec, level: int, g: AdmissibleFn) -> tuple[bool, floa
     """Whether the translates span a space of full dimension ``m_l``:
     every frequency class must carry positive coefficient power.
     Returns the flag and the minimal class power."""
-    sf = scaling_spectrum(chn, level, g)
-    powers = class_powers(sf)
-    peak = float(np.max(powers))
-    min_power = float(np.min(powers))
-    return min_power > 1e-18 * peak, min_power
+    powers = class_powers(scaling_spectrum(chn, level, g))
+    return not _degenerate(powers), float(np.min(powers))
 
 
 def nesting_residual(chn: ChainSpec, level: int, g: AdmissibleFn) -> float:
@@ -181,8 +179,7 @@ def _inv_T_float(M: IntMat) -> np.ndarray:
     return np.array(A.entries, dtype=float).T / q
 
 
-def check_reduction(g: AdmissibleFn, J: IntMat, mode: str,
-                    return_deviation: bool = False):
+def check_reduction(g: AdmissibleFn, J: IntMat, mode: str) -> tuple[bool, float]:
     """Pointwise identity tests that decide whether one refinement factor
     determines the scaling function regardless of later chain entries.
 
@@ -191,12 +188,13 @@ def check_reduction(g: AdmissibleFn, J: IntMat, mode: str,
     ``double``: prepending a quincunx step changes nothing,
     ``refine_J(g, refine_D(g, g)) == refine_J(g, g)``.
 
-    True when the grid deviation stays below the grid-equality tolerance.
+    Returns whether the grid deviation stays below the grid-equality
+    tolerance, and the deviation.
     """
     if g.dim != 2:
         raise UnsupportedDimension("reduction checks are specialized to d = 2")
     if mode not in ("single", "double"):
-        raise ValueError(f"unknown reduction mode {mode!r}")
+        raise InvalidParameter(f"unknown reduction mode {mode!r}")
     hw = g.support_halfwidths
     JT = J.T
 
@@ -220,8 +218,7 @@ def check_reduction(g: AdmissibleFn, J: IntMat, mode: str,
         lhs = outer * inner
         rhs = outer * g.eval_many(Y)
     deviation = float(np.max(np.abs(lhs - rhs)))
-    ok = deviation < tol.GRID_EQUALITY
-    return (ok, deviation) if return_deviation else ok
+    return deviation < tol.GRID_EQUALITY, deviation
 
 
 def _classify_factor(J: IntMat) -> tuple:

@@ -16,7 +16,7 @@ from vpwave.admissible import (
     periodized_sum_exact,
     periodized_sum_many,
 )
-from vpwave.errors import DimensionMismatch
+from vpwave.errors import DimensionMismatch, VpwaveError
 from vpwave.intlat import J_D, J_X, J_Y, IntMat, determinant
 
 F = Fraction
@@ -212,6 +212,38 @@ def test_parse_admissible():
 def test_parse_admissible_rejects_malformed_descriptors(text):
     with pytest.raises(ValueError):
         parse_admissible(text, 2)
+
+
+@pytest.mark.parametrize("text", [
+    "tensor_linear(alpha = 1/0)",
+    "tensor_linear(alpha = [1/10, x])",
+    "tensor_smoothed(p = 1/10, order = two)",
+])
+def test_parse_admissible_rejects_malformed_numbers(text):
+    with pytest.raises(VpwaveError):
+        parse_admissible(text, 2)
+
+
+def test_bad_window_input_raises_typed_errors():
+    # each typed error also derives from the built-in that callers may catch
+    for build in (lambda: AdmissibleFn.tensor_linear([F(3, 5)]),
+                  lambda: AdmissibleFn.tensor_smoothed([F(1, 8)], order=0),
+                  lambda: parse_admissible("unknown_kind()", 2)):
+        with pytest.raises(VpwaveError) as info:
+            build()
+        assert isinstance(info.value, ValueError)
+    for call in (lambda: AdmissibleFn.tensor_linear([None]),
+                 lambda: AdmissibleFn.tensor_linear([F(1, 10)]).eval_exact(np.zeros((2, 1)), 5)):
+        with pytest.raises(VpwaveError) as info:
+            call()
+        assert isinstance(info.value, TypeError)
+
+
+def test_window_call_checks_dimension():
+    g = AdmissibleFn.tensor_linear([F(1, 10), F(1, 10)])
+    for x in ((F(0),), (F(0), F(0), F(0))):
+        with pytest.raises(DimensionMismatch):
+            g(x)
 
 
 def test_rejects_out_of_range_parameters():

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 from types import SimpleNamespace
@@ -193,7 +194,7 @@ def test_positive_on_symmetric_generating_set():
     c, g = example_48()
     for level in (0, 1):
         sf = scaling_spectrum(c, level, g)
-        for h in generating_set(c.matrix(level).T, "S").reps:
+        for h in generating_set(c.matrix(level).T).reps:
             assert sf.spectrum[h].real > 0
 
 
@@ -393,13 +394,32 @@ def test_two_scale_level_bounds():
 # -- wavelets ------------------------------------------------------------------
 
 
+E48 = IntMat.from_rows([[1, 1], [0, 2]])
+# factor, v (the nonzero point of P(J^T)) and w (that of P(J)) in [0, 1)^d; hard-coded,
+# so that a change of the box that holds the patterns cannot move them
+SHIFT_VECTORS = [
+    (IntMat.from_rows([[2]]), "1/2", "1/2"),
+    (J_D, "1/2 1/2", "1/2 1/2"),
+    (J_D.T, "1/2 1/2", "1/2 1/2"),
+    (J_X, "1/2 0", "1/2 0"),
+    (J_Y, "0 1/2", "0 1/2"),
+    (E48, "0 1/2", "1/2 1/2"),
+    (E48.T, "1/2 1/2", "0 1/2"),
+    (axis_doubling(3, 0), "1/2 0 0", "1/2 0 0"),
+    (axis_doubling(3, 1), "0 1/2 0", "0 1/2 0"),
+    (axis_doubling(3, 2), "0 0 1/2", "0 0 1/2"),
+    (plane_rotation(3, 0, 1), "1/2 1/2 0", "1/2 1/2 0"),
+    (plane_rotation(3, 0, 2), "1/2 0 1/2", "1/2 0 1/2"),
+    (plane_rotation(3, 1, 0), "1/2 1/2 0", "1/2 1/2 0"),
+    (plane_rotation(3, 1, 2), "0 1/2 1/2", "0 1/2 1/2"),
+    (plane_rotation(3, 2, 0), "1/2 0 1/2", "1/2 0 1/2"),
+    (plane_rotation(3, 2, 1), "0 1/2 1/2", "0 1/2 1/2"),
+]
+
+
 def test_wavelet_shift_vectors():
-    v, w = wavelet_shift_vectors(IntMat.diagonal([2, 1]))
-    assert v == (F(1, 2), F(0)) and w == (F(1, 2), F(0))
-    v, w = wavelet_shift_vectors(IntMat.from_rows([[1, 1], [0, 2]]))
-    assert v == (F(0), F(1, 2)) and w == (F(1, 2), F(1, 2))
-    v, w = wavelet_shift_vectors(J_D)
-    assert v == (F(1, 2), F(1, 2)) and w == (F(1, 2), F(1, 2))
+    for J, v, w in SHIFT_VECTORS:
+        assert wavelet_shift_vectors(J) == (tuple(map(F, v.split())), tuple(map(F, w.split()))), J
     with pytest.raises(NotDyadic):
         wavelet_shift_vectors(IntMat.diagonal([2, 2]))
 
@@ -469,7 +489,7 @@ def test_wavelet_invariants_raise_typed_errors(monkeypatch):
     with pytest.raises(ConditionViolated):
         fiber_partner.__wrapped__(c, 0)  # uncached: a zero shift pairs each class with itself
     monkeypatch.undo()
-    monkeypatch.setattr(dlvp, "pattern", lambda M, variant: SimpleNamespace(points=((F(0), F(0)),)))
+    monkeypatch.setattr(dlvp, "pattern", lambda M: SimpleNamespace(points=((F(0), F(0)),)))
     with pytest.raises(NotDyadic):
         wavelet_shift_vectors(J)
 
@@ -549,6 +569,10 @@ def test_orthonormalize_degenerate_class():
         dim=2, keys=sf.spectrum.keys[keep], values=sf.spectrum.values[keep]))
     with pytest.raises(DegenerateClass):
         orthonormalize(broken)
+    # every class empty: all powers are 0, the largest too
+    empty = replace(broken, spectrum=SparseSpectrum(dim=2, keys=np.zeros((0, 2)), values=np.zeros(0)))
+    with pytest.raises(DegenerateClass):
+        orthonormalize(empty)
 
 
 # -- complement phases and orthogonal filters -----------------------------------

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from vpwave.errors import ConditionViolated, DimensionMismatch, SingularMatrix, TooLarge
+from vpwave.errors import (ConditionViolated, DimensionMismatch, IndexMismatch, InvalidParameter,
+                           SingularMatrix, TooLarge)
 from vpwave.intlat import (
     ENUMERATION_GUARD,
     J_D,
@@ -99,13 +100,13 @@ def test_smith_rejects_singular():
 
 
 def test_generating_set_full_residue_grid():
-    gs = generating_set(IntMat.diagonal([2, 2]), "I")
-    assert set(gs.reps) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    gs = generating_set(IntMat.diagonal([2, 2]))
+    assert set(gs.reps) == {(0, 0), (0, -1), (-1, 0), (-1, -1)}
 
 
 def test_generating_set_quincunx_transpose():
-    gs = generating_set(IntMat.from_rows([[1, 1], [-1, 1]]), "I")
-    assert set(gs.reps) == {(0, 0), (1, 0)}
+    gs = generating_set(IntMat.from_rows([[1, 1], [-1, 1]]))
+    assert set(gs.reps) == {(0, 0), (-1, 0)}
 
 
 def test_generating_set_cardinality_and_incongruence():
@@ -128,14 +129,13 @@ def test_generating_set_boxes():
     rng = random.Random(5)
     for _ in range(20):
         M = random_regular(rng, 2, -5, 5)
-        for variant, lo, hi in (("S", Fraction(-1, 2), Fraction(1, 2)), ("I", 0, 1)):
-            for g in generating_set(M, variant).reps:
-                x = M.inv_apply(g)
-                assert all(lo <= v < hi for v in x)
+        for g in generating_set(M).reps:
+            x = M.inv_apply(g)
+            assert all(Fraction(-1, 2) <= v < Fraction(1, 2) for v in x)
 
 
 def test_reduce_mod_componentwise():
-    assert reduce_mod(IntMat.diagonal([2, 2]), (3, -1), "I") == (1, 1)
+    assert reduce_mod(IntMat.diagonal([2, 2]), (3, -1)) == (-1, -1)
 
 
 def test_reduce_mod_idempotent_and_class_invariant():
@@ -158,19 +158,19 @@ def test_reduce_mod_idempotent_and_class_invariant():
 
 def test_reduce_mod_fixes_representatives():
     M = IntMat.from_rows([[3, 1], [0, 2]])
-    for h in generating_set(M.T, "I").reps:
-        assert reduce_mod(M, h, "I") == h
+    for h in generating_set(M.T).reps:
+        assert reduce_mod(M, h) == h
 
 
 def test_pattern_halving_1d():
-    pat = pattern(IntMat.from_rows([[2]]), "I")
-    assert pat.points == ((Fraction(0),), (Fraction(1, 2),))
+    pat = pattern(IntMat.from_rows([[2]]))
+    assert pat.points == ((Fraction(0),), (Fraction(-1, 2),))
 
 
 def test_pattern_shear_transpose():
-    pat = pattern(IntMat.from_rows([[1, 1], [0, 2]]).T, "I")
+    pat = pattern(IntMat.from_rows([[1, 1], [0, 2]]).T)
     nonzero = [p for p in pat.points if any(v != 0 for v in p)]
-    assert nonzero == [(Fraction(0), Fraction(1, 2))]
+    assert nonzero == [(Fraction(0), Fraction(-1, 2))]
 
 
 def test_pattern_distinct_mod_1():
@@ -201,7 +201,17 @@ def test_subpattern_inclusion():
             M = J @ N
             pm = pattern(M)
             for p in pattern(N).points:
-                assert pm.reduce(p) in pm.index
+                q = pm.points[pm.index_of(p)]
+                assert all((a - b).denominator == 1 for a, b in zip(q, p))
+
+
+def test_pattern_index_of_raises_typed_errors():
+    pat = pattern(IntMat.diagonal([2, 2]))
+    assert pat.index_of((Fraction(-3, 2), 7)) == pat.points.index((Fraction(-1, 2), Fraction(0)))
+    with pytest.raises(IndexMismatch):
+        pat.index_of((Fraction(1, 3), 0))
+    with pytest.raises(DimensionMismatch):
+        pat.index_of((Fraction(1, 2),))
 
 
 def test_chain_products_and_sizes():
@@ -238,20 +248,25 @@ def test_highdim_factor_constructors():
     R = plane_rotation(3, 0, 2)
     assert R.det == 2
     assert R.apply((1, 0, 0)) == (1, 0, 1)
+    with pytest.raises(InvalidParameter):
+        plane_rotation(3, 1, 1)
 
 
 # -- integer-array core against the per-point Fraction enumeration -------------
 
 
-def oracle_reps(M, variant):
+def frac_box(x):
+    """Each coordinate reduced mod 1 into [-1/2, 1/2), in Fractions."""
+    return tuple(v - math.floor(v + Fraction(1, 2)) for v in x)
+
+
+def oracle_reps(M):
     """G(M) point by point in Fraction arithmetic: each Smith digit tuple, in
     lexicographic order, mapped by U and reduced as M frac(M^{-1} U digits)."""
     dec = smith_normal_form(M)
-    half = Fraction(1, 2) if variant == "S" else 0
     reps = []
     for digits in itertools.product(*(range(s) for s in dec.diagonal)):
-        x = M.inv_apply(dec.U.apply(digits))
-        h = M.apply(tuple(v - math.floor(v + half) for v in x))
+        h = M.apply(frac_box(M.inv_apply(dec.U.apply(digits))))
         assert all(Fraction(v).denominator == 1 for v in h)
         reps.append(tuple(int(v) for v in h))
     return tuple(reps)
@@ -272,11 +287,11 @@ def regular_matrices(draw, max_det=2048):
 
 
 @settings(max_examples=40, deadline=None)
-@given(M=regular_matrices(), variant=st.sampled_from("SI"), data=st.data())
-def test_lattice_core_matches_fraction_oracle(M, variant, data):
-    gs = generating_set(M, variant)
-    assert gs.reps == oracle_reps(M, variant)
-    pat = pattern(M, variant)
+@given(M=regular_matrices(), data=st.data())
+def test_lattice_core_matches_fraction_oracle(M, data):
+    gs = generating_set(M)
+    assert gs.reps == oracle_reps(M)
+    pat = pattern(M)
     d = M.dim
     for i in data.draw(st.lists(st.integers(0, len(gs) - 1), min_size=1, max_size=8)):
         assert gs.index_of(gs.reps[i]) == i
@@ -291,6 +306,31 @@ def test_lattice_core_matches_fraction_oracle(M, variant, data):
         assert gs.reduce(shifted) == h
         assert gs.reps[gs.index_of(k)] == h
         assert gs.index_of(shifted) == gs.index_of(k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(M=regular_matrices(), data=st.data())
+def test_pattern_lookups_match_fraction_oracle(M, data):
+    # index_of, reduce and add go through the integer class index of M y;
+    # the oracle reduces each coordinate mod 1 into [-1/2, 1/2) in Fractions
+    pat = pattern(M)
+    d, q = M.dim, M.absdet
+    index = st.integers(0, len(pat) - 1)
+    for _ in range(4):
+        i, j = data.draw(index), data.draw(index)
+        z = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=d, max_size=d))
+        y = tuple(a + b for a, b in zip(pat.points[i], z))
+        assert pat.index_of(y) == i
+        assert pat.reduce(y) == frac_box(y) == pat.points[i]
+        total = tuple(a + b for a, b in zip(pat.points[i], pat.points[j]))
+        assert pat.points[pat.add(i, j)] == frac_box(total)
+        # 1/(q+1) times a column of M is never integral, as q+1 does not divide det M
+        off = (y[0] + Fraction(1, q + 1),) + y[1:]
+        with pytest.raises(IndexMismatch):
+            pat.index_of(off)
+        for bad in (y + (Fraction(0),), y[:-1]):
+            with pytest.raises(DimensionMismatch):
+                pat.index_of(bad)
 
 
 def oracle_class_index(M, k):
@@ -322,11 +362,10 @@ def test_class_index_matches_scalar_lookup(M, bound, data):
 
 def test_int64_overflow_falls_back_to_python_ints():
     M = IntMat.from_rows([[1, 2 ** 62], [0, 3]])
-    for variant in ("S", "I"):
-        gs = generating_set(M, variant)
-        assert gs.reps == oracle_reps(M, variant)
-        assert [gs.index_of(r) for r in gs.reps] == [0, 1, 2]
-        assert list(pattern(M, variant).points) == [M.inv_apply(r) for r in gs.reps]
+    gs = generating_set(M)
+    assert gs.reps == oracle_reps(M)
+    assert [gs.index_of(r) for r in gs.reps] == [0, 1, 2]
+    assert list(pattern(M).points) == [M.inv_apply(r) for r in gs.reps]
     assert generating_set(M).reps[2] == (-1537228672809129301, -1)
 
 

@@ -29,10 +29,10 @@ def random_regular(rng, d, lo=-8, hi=8, max_det=None):
             return M
 
 
-def random_pattern_vector(rng_np, M, variant="S"):
+def random_pattern_vector(rng_np, M):
     m = M.absdet
     vals = rng_np.standard_normal(m) + 1j * rng_np.standard_normal(m)
-    return PatternVector(matrix=M, values=vals, variant=variant)
+    return PatternVector(matrix=M, values=vals)
 
 
 def test_fourier_matrix_1x1():
@@ -42,7 +42,7 @@ def test_fourier_matrix_1x1():
 
 
 def test_fourier_matrix_size_two():
-    F = fourier_matrix(IntMat.from_rows([[2]]), variant="I")
+    F = fourier_matrix(IntMat.from_rows([[2]]))
     expected = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     assert np.max(np.abs(F - expected)) < 1e-15
 
@@ -83,10 +83,10 @@ def test_dft_delta_at_origin():
 
 def test_dft_two_point_example():
     M = IntMat.diagonal([2, 1])
-    pat = pattern(M, "I")
+    pat = pattern(M)
     a = np.zeros(2)
     a[pat.index_of((0, 0))] = 1.0
-    ahat = dft(PatternVector(matrix=M, values=a, variant="I"))
+    ahat = dft(PatternVector(matrix=M, values=a))
     assert np.max(np.abs(ahat.values - np.array([1.0, 1.0]))) < 1e-14
 
 
@@ -117,10 +117,9 @@ def test_dft_fast_matches_naive():
     mats = [random_regular(rng, d, max_det=300) for d in (1, 2, 3) for _ in range(8)]
     mats.append(IntMat.from_rows([[16, 0], [12, 8]]))
     for M in mats:
-        for variant in ("S", "I"):
-            a = random_pattern_vector(rng_np, M, variant)
-            err = np.max(np.abs(dft_fast(a).values - dft(a).values))
-            assert err < 1e-10, f"{M} variant {variant}: {err}"
+        a = random_pattern_vector(rng_np, M)
+        err = np.max(np.abs(dft_fast(a).values - dft(a).values))
+        assert err < 1e-10, f"{M}: {err}"
 
 
 def test_dft_fast_linearity():
@@ -202,17 +201,17 @@ def fftn_oracle(a):
     cube without its unit axes, then the gather into canonical order."""
     M = a.matrix
     dec = smith_normal_form(M)
-    H = generating_set(M.T, a.variant).rep_array
+    H = generating_set(M.T).rep_array
     flat = digit_index(apply_rows(unimodular_inverse(dec.V).T, H), dec.diagonal)
     shape = tuple(s for s in dec.diagonal if s > 1) or (1,)
     return np.fft.fftn(a.values.reshape(shape)).reshape(-1)[flat]
 
 
-def assert_fast_transforms(M, variant, rng_np):
+def assert_fast_transforms(M, rng_np):
     """dft_fast against the naive sum (against the fftn oracle above the
     phase-table guard), the inverse round trip and Parseval, all relative
     to the input at tol.FAST_VS_NAIVE."""
-    a = random_pattern_vector(rng_np, M, variant)
+    a = random_pattern_vector(rng_np, M)
     fast, ref = dft_fast(a).values, fftn_oracle(a)
     if M.absdet <= FOURIER_MATRIX_GUARD:
         slow = dft(a).values
@@ -232,20 +231,18 @@ def assert_fast_transforms(M, variant, rng_np):
 def test_fast_transforms_with_unit_smith_axes(rows):
     rng_np = np.random.default_rng(0)
     for M in (IntMat.from_rows(rows), IntMat.from_rows(rows).T):
-        for variant in ("S", "I"):
-            assert_fast_transforms(M, variant, rng_np)
+        assert_fast_transforms(M, rng_np)
 
 
 @settings(max_examples=25, deadline=None)
-@given(d=st.integers(1, 3), data=st.data(), variant=st.sampled_from("SI"),
-       seed=st.integers(0, 2 ** 16))
-def test_fast_transforms_random_matrices(d, data, variant, seed):
+@given(d=st.integers(1, 3), data=st.data(), seed=st.integers(0, 2 ** 16))
+def test_fast_transforms_random_matrices(d, data, seed):
     r = {1: 512, 2: 20, 3: 6}[d]
     rows = data.draw(st.lists(st.lists(st.integers(-r, r), min_size=d, max_size=d),
                               min_size=d, max_size=d))
     M = IntMat.from_rows(rows)
     assume(0 < M.absdet <= 512)
-    assert_fast_transforms(M, variant, np.random.default_rng(seed))
+    assert_fast_transforms(M, np.random.default_rng(seed))
 
 
 B = _DENSE_AXIS
@@ -275,8 +272,7 @@ def test_fast_transforms_every_axis_kind(axes, rows):
     rng_np = np.random.default_rng(sum(axes))
     for M in (IntMat.from_rows(rows), IntMat.from_rows(rows).T):
         assert tuple(s for s in smith_normal_form(M).diagonal if s > 1) == axes
-        for variant in ("S", "I"):
-            assert_fast_transforms(M, variant, rng_np)
+        assert_fast_transforms(M, rng_np)
 
 
 # first step dense, first step FFT, one dense axis, one FFT axis
@@ -297,8 +293,3 @@ def test_transforms_leave_their_inputs_alone(rows):
     assert dft_fast(ro_a).values.tobytes() == ahat_bits
     assert idft(ro_ahat).values.tobytes() == back.values.tobytes()
 
-
-@pytest.mark.parametrize("cls, variant", [(PatternVector, "X"), (SpectrumVector, "s")])
-def test_vectors_reject_unknown_variant(cls, variant):
-    with pytest.raises(ValueError, match="variant"):
-        cls(matrix=IntMat.diagonal([2, 2]), values=np.ones(4), variant=variant)

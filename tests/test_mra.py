@@ -12,7 +12,7 @@ from vpwave.dlvp import (
     two_scale,
     wavelet_two_scale,
 )
-from vpwave.errors import ConditionViolated, DimensionMismatch, UnsupportedDimension
+from vpwave.errors import ConditionViolated, DimensionMismatch, InvalidParameter, UnsupportedDimension
 from vpwave.intlat import (
     J_D,
     J_X,
@@ -169,29 +169,34 @@ def test_audit_dirichlet_raw_exact():
 
 
 def test_reduction_single_threshold():
-    assert check_reduction(square_window(6), J_X, "single")
-    assert check_reduction(square_window(6), J_Y, "single")
-    ok, dev = check_reduction(square_window(5), J_X, "single", return_deviation=True)
+    assert check_reduction(square_window(6), J_X, "single")[0]
+    assert check_reduction(square_window(6), J_Y, "single")[0]
+    ok, dev = check_reduction(square_window(5), J_X, "single")
     assert not ok and dev > 1e-4
 
 
 def test_reduction_double_thresholds():
-    assert check_reduction(square_window(14), J_X, "double")
-    assert not check_reduction(square_window(12), J_X, "double")
-    assert check_reduction(square_window(10), J_D, "double")
-    assert not check_reduction(square_window(8), J_D, "double")
+    assert check_reduction(square_window(14), J_X, "double")[0]
+    assert not check_reduction(square_window(12), J_X, "double")[0]
+    assert check_reduction(square_window(10), J_D, "double")[0]
+    assert not check_reduction(square_window(8), J_D, "double")[0]
 
 
 def test_reduction_dirichlet_exact():
     g = AdmissibleFn.characteristic(2)
     for J in (J_X, J_Y, J_D):
-        ok, dev = check_reduction(g, J, "single", return_deviation=True)
+        ok, dev = check_reduction(g, J, "single")
         assert ok and dev == 0.0
 
 
 def test_reduction_rejects_other_dimensions():
     with pytest.raises(UnsupportedDimension):
         check_reduction(AdmissibleFn.tensor_linear([F(1, 10)]), IntMat.from_rows([[2]]), "single")
+
+
+def test_reduction_rejects_unknown_mode():
+    with pytest.raises(InvalidParameter):
+        check_reduction(square_window(6), J_X, "triple")
 
 
 def test_reduction_highdim_flags():

@@ -35,6 +35,20 @@ def test_no_unused_imports():
     assert not unused, f"unused imports in src/vpwave: {unused}"
 
 
+def test_every_raise_uses_a_package_error():
+    # bad input raises a typed VpwaveError subclass, never a bare built-in
+    errors = {node.name for node in ast.parse((SRC / "errors.py").read_text()).body
+              if isinstance(node, ast.ClassDef)}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", None) not in errors:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"raises of classes not defined in errors.py: {found}"
+
+
 def test_no_scalar_class_lookup_in_spectral_layer():
     # spectra apply class vectors by one gather over GeneratingSet.class_index
     found = [f"{name}:{node.lineno}"
