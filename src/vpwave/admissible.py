@@ -57,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InexactInput, InvalidParameter, MalformedDescriptor
-from .intlat import _INT64_SAFE, IntMat, _absmax
+from .intlat import _INT64_SAFE, ENUMERATION_GUARD, IntMat, _absmax, apply_rows
 
 HALF = Fraction(1, 2)
 
@@ -199,6 +199,20 @@ class AdmissibleFn:
             num = num * f
         return num, den
 
+    def support_reach(self, q: int) -> list[int]:
+        """Per axis ``floor(hw q)``: an integer ``n`` has ``n / q`` inside
+        ``[-hw, hw]`` exactly when ``|n| <= floor(hw q)``."""
+        return [math.floor(h * q) for h in self.support_halfwidths]
+
+    def in_support(self, columns, q: int) -> np.ndarray:
+        """Whether the points ``n / q`` lie in the closed support box, for the
+        integer coordinate arrays ``columns`` (one per axis, all of one
+        shape); the window is 0 at every other point."""
+        near = True
+        for n, r in zip(columns, self.support_reach(q)):
+            near = near & (np.abs(n) <= r)
+        return near
+
     def _axis_exact(self, axis: int, n: np.ndarray, q: int) -> tuple[np.ndarray, int]:
         """One axis factor at ``n / q``: numerators and denominator."""
         a, r = self.alpha[axis], self.order
@@ -272,11 +286,12 @@ def _bspline_cdf(y: np.ndarray, r: int) -> np.ndarray:
 # -- periodization ----------------------------------------------------------
 
 
-def _shift_ranges(J: IntMat, halfwidths, lo, hi) -> list[range]:
+def _shift_ranges(J: IntMat, halfwidths, lo, hi, scale: int = 1) -> list[range]:
     """Per-axis integer ranges holding every ``z`` with ``x + J^T z`` in the
     support box ``[-hw, hw]`` for some ``x`` in the box ``[lo, hi]``
     (``lo = hi`` for one point): ``z = J^{-T} t`` with each ``t_j`` in
-    ``[-hw_j - hi_j, hw_j - lo_j]``, and ``J^{-T} = A^T / q``."""
+    ``[-hw_j - hi_j, hw_j - lo_j]``, and ``J^{-T} = A^T / q``.  The bounds
+    may be given times ``scale``; integers then keep it free of Fractions."""
     if not len(halfwidths) == len(lo) == len(hi) == J.dim:
         raise DimensionMismatch("point, window and factor dimensions differ")
     A, q = J.scaled_adjugate()
@@ -290,7 +305,7 @@ def _shift_ranges(J: IntMat, halfwidths, lo, hi) -> list[range]:
                 a, b = a + c * tl, b + c * th
             elif c < 0:
                 a, b = a + c * th, b + c * tl
-        ranges.append(range(-(-a // q), b // q + 1))
+        ranges.append(range(-(-a // (q * scale)), b // (q * scale) + 1))
     return ranges
 
 
@@ -309,9 +324,12 @@ def periodized_sum_exact(g: AdmissibleFn, J: IntMat, N: np.ndarray,
     """Exact ``sum_z g(N_i / q + J^T z)`` for every row ``N_i`` of an
     ``(n, d)`` integer array, as numerators over one denominator (that of
     :meth:`AdmissibleFn.eval_exact` for ``q``).  The shifts come from one
-    box around all rows; each is added as ``q J^T z`` in integers and
-    evaluated only on the rows it moves into the support box
-    ``|Y| <= floor(hw q)``, outside of which every window is 0."""
+    box around all rows and are taken together, in blocks of at most
+    ``ENUMERATION_GUARD`` (shift, row) pairs: per axis, the coordinates of
+    ``N_i + q J^T z`` for every pair give the pairs inside the support box,
+    outside of which every window is 0; those points are evaluated in one
+    call per block, and each value is added to its row ``i`` with
+    ``np.add.at``."""
     N = _numerator_rows(N, g.dim)
     if J.dim != g.dim:
         raise DimensionMismatch("factor and window dimensions differ")
@@ -320,18 +338,19 @@ def periodized_sum_exact(g: AdmissibleFn, J: IntMat, N: np.ndarray,
     total = np.zeros(len(N), dtype=np.int64 if den < _INT64_SAFE else object)
     if not len(N):
         return total, den
-    hw = g.support_halfwidths
-    lo = [Fraction(int(c.min()), q) for c in N.T]
-    hi = [Fraction(int(c.max()), q) for c in N.T]
-    reach = [math.floor(h * q) for h in hw]
-    size = _absmax(N)
-    for z in product(*_shift_ranges(J, hw, lo, hi)):
-        shift = [q * v for v in J.apply_T(z)]
-        dtype = np.int64 if size + max(map(abs, shift)) < _INT64_SAFE else object
-        Y = N.astype(dtype, copy=False) + np.array(shift, dtype=dtype)
-        near = np.all(np.abs(Y) <= reach, axis=1)
-        if near.any():
-            total[near] += g.eval_exact(Y[near], q)[0].astype(total.dtype, copy=False)
+    # a shift in use moves some row into |Y| <= floor(hw q), all in units of 1 / q
+    ranges = _shift_ranges(J, g.support_reach(q), N.min(axis=0).tolist(), N.max(axis=0).tolist(), q)
+    Z = (np.indices([len(r) for r in ranges]).reshape(g.dim, -1).T.astype(object)
+         + np.array([r.start for r in ranges], dtype=object))
+    # the shifts q J^T z, in int64 when they and their sums with N fit
+    shifts = apply_rows(IntMat(tuple(tuple(q * v for v in row) for row in J.T.entries)), Z,
+                        addend=_absmax(N))
+    N = N.astype(shifts.dtype, copy=False)
+    block = max(1, ENUMERATION_GUARD // len(N))
+    for start in range(0, len(shifts), block):
+        S = shifts[start:start + block]
+        z, i = np.nonzero(g.in_support([n + s[:, None] for n, s in zip(N.T, S.T)], q))
+        np.add.at(total, i, g.eval_exact(N[i] + S[z], q)[0].astype(total.dtype, copy=False))
     return total, den
 
 
@@ -454,7 +473,7 @@ def _literal(cast, text: str):
 def _rational_list(text: str, dim: int) -> list[Fraction]:
     text = text.strip()
     if text.startswith("[") and text.endswith("]"):
-        items = [_literal(Fraction, tok.strip()) for tok in text[1:-1].split(",") if tok.strip()]
+        items = [_literal(Fraction, tok.strip()) for tok in text[1:-1].split(",")]
     else:
         items = [_literal(Fraction, text)]
     if len(items) == 1:

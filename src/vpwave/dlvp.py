@@ -15,7 +15,8 @@ periodic, the value ``g^J(M_l^{-T} k)`` depends only on the class of
 built from it:
 
 * the top level samples ``g`` once, at ``M_n^{-T} k`` for every ``k`` in
-  the bounding box of ``M_n^T [-hw, hw]`` (``hw`` the support halfwidths);
+  the bounding box of ``M_n^T [-hw, hw]`` (``hw`` the support halfwidths)
+  whose ``M_n^{-T} k`` lies in the support box;
 * each lower level multiplies the level above by ``g^J`` evaluated once
   per class of ``G(M_{l+1}^T)``;
 * for a dyadic factor (``|det J| = 2``) the wavelet, whose translates
@@ -53,7 +54,8 @@ from .admissible import (AdmissibleFn, exact_floats, exact_product, periodized_s
                          periodized_sum_exact)
 from .errors import (ConditionViolated, DegenerateClass, DimensionMismatch, LevelOutOfRange,
                      NotDyadic, TooLarge)
-from .intlat import ENUMERATION_GUARD, ChainSpec, IntMat, generating_set, pattern
+from .intlat import (_INT64_SAFE, ENUMERATION_GUARD, ChainSpec, IntMat, _absmax, generating_set,
+                     pattern)
 from .latfft import SpectrumVector
 
 Vec = tuple[int, ...]
@@ -270,11 +272,13 @@ def complement_phases(chain: ChainSpec, level: int) -> np.ndarray:
     """Unit phases ``exp(-2 pi i h . M_l^{-1} w)`` over ``G(M_{l+1}^T)``, read-only;
     they flip sign between the two classes a dyadic factor pairs.  With
     ``M_l^{-T} h = N / q`` and ``2 w`` integral, the turns ``N . (2 w) / (2 q)``
-    are reduced mod 1 exactly in integers."""
+    are reduced mod 1 exactly in integers: int64 while ``max|N| max|2 w| d``
+    stays below ``2^62``, Python integers beyond."""
     _, w = wavelet_shift_vectors(chain.factors[level])
     N, q = chain.matrix(level).inv_T_rows(generating_set(chain.matrix(level + 1).T).rep_array)
-    two_w = np.array([int(2 * c) for c in w], dtype=object)
-    turns = (N.astype(object) @ two_w % (2 * q)).astype(float) / (2 * q)
+    two_w = [int(2 * c) for c in w]
+    dtype = np.int64 if _absmax(N) * max(map(abs, two_w)) * len(w) < _INT64_SAFE else object
+    turns = (N.astype(dtype) @ np.array(two_w, dtype=dtype) % (2 * q)).astype(float) / (2 * q)
     phases = np.exp(-2j * math.pi * turns)
     phases.flags.writeable = False
     return phases
@@ -284,14 +288,17 @@ def complement_phases(chain: ChainSpec, level: int) -> np.ndarray:
 def _exact_samples(chain: ChainSpec, level: int, g: AdmissibleFn) -> tuple:
     """The nonzero exact samples ``P_l(M_l^{-T} k)``: read-only arrays of the
     keys ``k`` in lexicographic order and of the numerators, and their
-    denominator.  ``g`` is sampled once at the top level; each level down is
+    denominator.  ``g`` is sampled once at the top level, on the candidates
+    inside its support box; each level down is
     the level above times the two-scale value of each key's class."""
     if level == chain.n_levels:
         if g.dim != chain.dim:
             raise DimensionMismatch(f"window of dimension {g.dim} on a chain of dimension {chain.dim}")
         M = chain.matrix(level)
         K = _frequency_candidates(M, g.support_halfwidths)
-        P, den = g.eval_exact(*M.inv_T_rows(K))
+        N, q = M.inv_T_rows(K)
+        near = g.in_support(N.T, q)
+        K, (P, den) = K[near], g.eval_exact(N[near], q)
     else:
         K, P, den = _exact_samples(chain, level + 1, g)
         a, a_den = _class_sums(chain, level, g)
@@ -389,7 +396,8 @@ def fiber_partner(chain: ChainSpec, level: int) -> np.ndarray:
     J = _require_dyadic_factor(chain.factors[level])
     shift = chain.matrix(level).apply_T(_wavelet_frequency_shift(J))
     gs = generating_set(chain.matrix(level + 1).T)
-    partner = gs.class_index(gs.rep_array + np.array(shift, dtype=object))
+    dtype = np.int64 if _absmax(gs.rep_array) + max(map(abs, shift)) < _INT64_SAFE else object
+    partner = gs.class_index(gs.rep_array.astype(dtype) + np.array(shift, dtype=dtype))
     own = np.arange(len(gs))
     if np.any(partner[partner] != own) or np.any(partner == own):
         raise ConditionViolated(f"factor {J} does not pair the classes of level {level + 1}")

@@ -204,22 +204,17 @@ def _det(M: IntMat) -> int:
 
 @lru_cache(maxsize=None)
 def _scaled_adjugate(M: IntMat) -> tuple[IntMat, int]:
-    """``M^{-1} = A / q`` with ``q = |det M|``, by Gauss-Jordan elimination
-    on Fractions."""
-    q = M.require_regular().absdet
-    d = M.dim
-    a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(d)]
-         for i, row in enumerate(M.entries)]
-    for col in range(d):
-        piv = next(r for r in range(col, d) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(d):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return IntMat(tuple(tuple(int(x * q) for x in row[d:]) for row in a)), q
+    """``M^{-1} = A / q`` with ``q = |det M|`` and ``A = sign(det M) adj(M)``,
+    from the exact integer cofactors (Bareiss determinants of the minors)."""
+    sign = 1 if M.require_regular().det > 0 else -1
+    rows = M.to_lists()
+
+    def cofactor(i: int, j: int) -> int:
+        minor = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
+        return (-1) ** (i + j) * _bareiss_det(minor) if minor else 1
+
+    return IntMat(tuple(tuple(sign * cofactor(j, i) for j in range(M.dim))
+                        for i in range(M.dim))), M.absdet
 
 
 def determinant(M: IntMat) -> int:

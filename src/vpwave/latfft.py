@@ -124,14 +124,17 @@ def _dense_factors(s: int) -> tuple[np.ndarray, np.ndarray]:
 def _fast_plan(M: IntMat) -> tuple[tuple, np.ndarray, np.ndarray]:
     """Steps over the non-unit Smith axes, the position of each canonical
     frequency inside the digit cube, and the inverse permutation.  With
-    ``M = U S V`` the digits of a frequency ``h`` are ``V^{-T} h mod diag(S)``.
+    ``M = U S V`` the digits of a frequency ``h`` are ``V^{-T} h mod diag(S)``,
+    constant on its class as ``V^{-T} M^T Z^d = S Z^d``; canonical frequency
+    ``i`` is the class of ``U' D_i`` (``M^T = U' S V'``, ``D_i`` of value ``i``).
     A step is ``(view, factors)``: the view of the cube that puts the axis
     in the middle, ``(lead, s, trail)``, or ``(lead, s)`` for the last axis,
     and for ``s <= _DENSE_AXIS`` the pair from :func:`_dense_factors` (a
     dense step), else ``None`` (an FFT step along axis 1)."""
     dec = smith_normal_form(M)
-    H = generating_set(M.T).rep_array
-    flat = digit_index(apply_rows(unimodular_inverse(dec.V).T, H), dec.diagonal)
+    digits = np.indices(dec.diagonal).reshape(M.dim, -1).T
+    flat = digit_index(apply_rows(unimodular_inverse(dec.V).T @ smith_normal_form(M.T).U, digits),
+                       dec.diagonal)
     inv = np.empty_like(flat)
     inv[flat] = np.arange(len(flat))
     flat.flags.writeable = inv.flags.writeable = False

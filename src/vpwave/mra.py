@@ -31,6 +31,7 @@ from .dlvp import (
 )
 from .errors import ConditionViolated, InvalidParameter, LevelOutOfRange, UnsupportedDimension
 from .intlat import (
+    _INT64_SAFE,
     ChainSpec,
     IntMat,
     J_D,
@@ -91,8 +92,17 @@ def independent_nesting_residual(coarse: ScalingFunction, fine: ScalingFunction)
 
 def _on_union(s: SparseSpectrum, t: SparseSpectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sorted union of the supports of ``s`` and ``t``, with the values of
-    each spectrum on it (0 off its own support)."""
-    keys, inv = np.unique(np.concatenate([s.keys, t.keys]), axis=0, return_inverse=True)
+    each spectrum on it (0 off its own support).  Key rows are sorted by their
+    C-order codes over the keys' bounding box (as rows if it has ``2^62`` points)."""
+    K = np.concatenate([s.keys, t.keys])
+    lo, hi = (K.min(axis=0), K.max(axis=0)) if len(K) else (np.zeros(K.shape[1], np.int64),) * 2
+    spans = [int(b) - int(a) + 1 for a, b in zip(lo, hi)]
+    if math.prod(spans) < _INT64_SAFE:
+        _, first, inv = np.unique(np.ravel_multi_index(tuple((K - lo).T), spans),
+                                  return_index=True, return_inverse=True)
+        keys = K[first]
+    else:
+        keys, inv = np.unique(K, axis=0, return_inverse=True)
     a = np.zeros(len(keys), s.values.dtype)
     b = np.zeros(len(keys), t.values.dtype)
     a[inv[:len(s)]] = s.values

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from vpwave import tol
+from vpwave import admissible, tol
 from vpwave.admissible import (
     AdmissibleFn,
     _shift_ranges,
@@ -208,6 +208,10 @@ def test_parse_admissible():
     "tensor_smoothed(p = 1/10, ordr = 4)",
     "tensor_linear(alpha = 1/10, alpha = 1/8)",
     "tensor_linear(1/10)",
+    # an empty item must not be dropped (and the rest broadcast)
+    "tensor_linear(alpha = [1/10, ])",
+    "tensor_linear(alpha = [, 1/10])",
+    "tensor_linear(alpha = [1/10,,1/10])",
 ])
 def test_parse_admissible_rejects_malformed_descriptors(text):
     with pytest.raises(ValueError):
@@ -329,6 +333,10 @@ def test_shift_ranges_match_the_former_bound(J, data):
         hi = [v + w for v, w in zip(lo, data.draw(st.lists(
             st.fractions(min_value=0, max_value=2, max_denominator=60), min_size=d, max_size=d)))]
     assert _shift_ranges(J, hw, lo, hi) == shift_range_oracle(J, hw, lo, hi)
+    # the same bounds as integers times a common denominator
+    s = math.lcm(*(v.denominator for v in hw + lo + hi))
+    assert _shift_ranges(J, *([int(v * s) for v in vs] for vs in (hw, lo, hi)), s) == \
+        _shift_ranges(J, hw, lo, hi)
 
 
 # -- exact batched periodization ----------------------------------------------
@@ -401,3 +409,39 @@ def test_partition_of_unity_exact_on_python_integers():
         num, den = periodized_sum_exact(g, IntMat.identity(2), N, 997)
         assert den >= 2 ** 62 and num.dtype == object
         assert all(n == den for n in num.tolist())
+
+
+def test_periodized_sum_exact_on_an_empty_shift_box():
+    # no shift J^T z moves x = N / 2 into the support box: the shift box is empty
+    for g, J, N in ((AdmissibleFn.characteristic(1), IntMat.diagonal([4]), [[2]]),
+                    (AdmissibleFn.tensor_linear([F(1, 10)]), IntMat.diagonal([4]), [[6]]),
+                    (AdmissibleFn.tensor_linear([F(0)] * 2), IntMat.diagonal([4, 4]), [[4, 5]])):
+        N = np.array(N, dtype=np.int64)
+        lo = hi = [F(v, 2) for v in N[0].tolist()]
+        assert any(len(r) == 0 for r in _shift_ranges(J, g.support_halfwidths, lo, hi))
+        num, den = periodized_sum_exact(g, J, N, 2)
+        assert num.tolist() == [0] and den == g.eval_exact(N, 2)[1]
+        assert periodized_sum(g, J, lo) == 0
+
+
+def test_periodized_sum_exact_in_blocks(monkeypatch):
+    # a small stacking bound splits the shifts into blocks of one or more
+    # shifts; every block gives the same exact sums
+    g = AdmissibleFn.tensor_linear([F(3, 10), F(1, 7)])
+    N = np.array([[v, 3 * v - 11] for v in range(-40, 41, 3)], dtype=np.int64)
+    J = IntMat.from_rows([[2, 1], [-1, 3]])
+    expected = periodized_sum_exact(g, J, N, 9)
+    seen = []
+    evaluate = AdmissibleFn.eval_exact
+
+    def counted(self, Y, q):
+        seen.append(len(Y))
+        return evaluate(self, Y, q)
+
+    monkeypatch.setattr(AdmissibleFn, "eval_exact", counted)
+    for guard in (1, 2 * len(N), 7 * len(N) + 1):  # 80 shifts: blocks of 1, 2 and 7
+        monkeypatch.setattr(admissible, "ENUMERATION_GUARD", guard)
+        seen.clear()
+        num, den = periodized_sum_exact(g, J, N, 9)
+        assert den == expected[1] and num.tolist() == expected[0].tolist()
+        assert len(seen) > 2 and max(seen) <= max(guard, len(N))

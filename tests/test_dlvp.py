@@ -34,6 +34,7 @@ from vpwave.intlat import (
     J_D,
     J_X,
     J_Y,
+    GeneratingSet,
     IntMat,
     axis_doubling,
     chain,
@@ -689,3 +690,61 @@ def test_write_spectrum_csv(tmp_path):
     path2 = tmp_path / "again.csv"
     write_spectrum_csv(spec, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+# -- integer fast paths against their unpruned or Python-integer forms ---------
+
+
+PRUNING_CASES = {**ORACLE_CASES,
+                 "sheared": lambda: (chain(IntMat.from_rows([[1, 0], [3, 64]]), [J_D]),
+                                     AdmissibleFn.tensor_linear([F(1, 10), F(1, 10)]))}
+
+
+@pytest.mark.parametrize("case", PRUNING_CASES)
+def test_top_level_samples_only_inside_the_support_box(case, monkeypatch):
+    # the window is evaluated only on candidates inside its support box, and
+    # the samples equal those of every candidate with the zeros dropped
+    c, g = PRUNING_CASES[case]()
+    M = c.matrix(c.n_levels)
+    K = dlvp._frequency_candidates(M, g.support_halfwidths)
+    P, den = g.eval_exact(*M.inv_T_rows(K))
+    seen = []
+    evaluate = AdmissibleFn.eval_exact
+
+    def spy(self, N, q):
+        seen.append((N, q))
+        return evaluate(self, N, q)
+
+    monkeypatch.setattr(AdmissibleFn, "eval_exact", spy)
+    keys, samples, sample_den = dlvp._exact_samples.__wrapped__(c, c.n_levels, g)
+    assert np.array_equal(keys, K[P != 0])
+    assert samples.dtype == P.dtype and samples.tolist() == P[P != 0].tolist()
+    assert sample_den == den
+    N, q = seen[0]
+    assert len(seen) == 1 and len(N) <= len(K)
+    if case == "sheared":
+        assert (len(N), len(K)) == (189, 1071)
+    reach = [math.floor(h * q) for h in g.support_halfwidths]
+    assert np.all(np.abs(N) <= reach)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_partner_and_phases_on_python_integers(case, monkeypatch):
+    # a zero int64 bound forces the Python-integer path; it must agree exactly
+    c, _ = ORACLE_CASES[case]()
+    levels = range(c.n_levels)
+    fast = [(fiber_partner.__wrapped__(c, l), complement_phases.__wrapped__(c, l)) for l in levels]
+    dtypes = []
+    class_index = GeneratingSet.class_index
+
+    def spy(self, K):
+        dtypes.append(K.dtype)
+        return class_index(self, K)
+
+    monkeypatch.setattr(GeneratingSet, "class_index", spy)
+    monkeypatch.setattr(dlvp, "_INT64_SAFE", 0)
+    for level, (partner, phases) in zip(levels, fast):
+        assert np.array_equal(fiber_partner.__wrapped__(c, level), partner)
+        slow = complement_phases.__wrapped__(c, level)
+        assert np.array_equal(slow.view(np.float64), phases.view(np.float64))
+    assert dtypes and all(dt == object for dt in dtypes)

@@ -394,3 +394,43 @@ def test_unimodular_inverse():
     assert unimodular_inverse(U) @ U == IntMat.identity(2)
     with pytest.raises(ConditionViolated):
         unimodular_inverse(IntMat.diagonal([1, 2]))
+
+
+def gauss_jordan_adjugate(M):
+    """``q M^{-1}`` with ``q = |det M|`` by Gauss-Jordan elimination on Fractions."""
+    d = M.dim
+    a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(d)]
+         for i, row in enumerate(M.entries)]
+    for col in range(d):
+        piv = next(r for r in range(col, d) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(d):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    q = M.absdet
+    return [[x * q for x in row[d:]] for row in a]
+
+
+@settings(max_examples=120, deadline=None)
+@given(d=st.integers(1, 4), bound=st.sampled_from([3, 1000, 2 ** 40]), data=st.data())
+def test_scaled_adjugate_matches_fraction_oracle(d, bound, data):
+    # entries up to 2^40 give cofactors past 2^62 (d >= 3) and determinants of
+    # either sign
+    rows = data.draw(st.lists(st.lists(st.integers(-bound, bound), min_size=d, max_size=d),
+                              min_size=d, max_size=d))
+    M = IntMat.from_rows(rows)
+    assume(M.det != 0)
+    A, q = M.scaled_adjugate()
+    assert q == M.absdet
+    assert [list(r) for r in A.entries] == gauss_jordan_adjugate(M)
+    assert M @ A == IntMat.diagonal([q] * d)
+
+
+def test_scaled_adjugate_of_negative_determinants():
+    for rows in ([[-3]], [[0, 1], [1, 0]], [[2, 2 ** 33], [3, -5]], [[1, 2, 3], [0, 4, 5], [7, 0, 1]]):
+        M = IntMat.from_rows(rows)
+        A, q = M.scaled_adjugate()
+        assert M.det < 0 and q == -M.det
+        assert M @ A == IntMat.diagonal([q] * M.dim) == A @ M

@@ -11,6 +11,7 @@ from vpwave.intlat import (IntMat, apply_rows, digit_index, generating_set, patt
                            smith_normal_form, unimodular_inverse)
 from vpwave.latfft import (
     _DENSE_AXIS,
+    _fast_plan,
     FOURIER_MATRIX_GUARD,
     PatternVector,
     SpectrumVector,
@@ -293,3 +294,20 @@ def test_transforms_leave_their_inputs_alone(rows):
     assert dft_fast(ro_a).values.tobytes() == ahat_bits
     assert idft(ro_ahat).values.tobytes() == back.values.tobytes()
 
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 3), data=st.data())
+def test_plan_positions_match_the_enumerated_frequencies(d, data):
+    # the plan's positions come from the two Smith forms alone; they equal the
+    # Smith digits V^{-T} h of the enumerated canonical frequencies h of G(M^T)
+    r = {2: 40, 3: 8}[d]
+    rows = data.draw(st.lists(st.lists(st.integers(-r, r), min_size=d, max_size=d),
+                              min_size=d, max_size=d))
+    M = IntMat.from_rows(rows)
+    assume(0 < M.absdet <= 4096)
+    dec = smith_normal_form(M)
+    H = generating_set(M.T).rep_array
+    expected = digit_index(apply_rows(unimodular_inverse(dec.V).T, H), dec.diagonal)
+    _, flat, inv = _fast_plan.__wrapped__(M)
+    assert np.array_equal(flat, expected)
+    assert np.array_equal(inv[flat], np.arange(M.absdet))

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vpwave.admissible import AdmissibleFn
 from vpwave.dlvp import (
@@ -23,6 +24,7 @@ from vpwave.intlat import (
     plane_rotation,
 )
 from vpwave.mra import (
+    _on_union,
     audit_orthonormality,
     basis_check,
     build_report,
@@ -249,3 +251,42 @@ def test_window_dimension_must_match_chain(window_dim):
                  lambda: two_scale(c, 0, g), lambda: nesting_residual(c, 0, g)):
         with pytest.raises(DimensionMismatch):
             call()
+
+
+def on_union_oracle(s, t):
+    keys, inv = np.unique(np.concatenate([s.keys, t.keys]), axis=0, return_inverse=True)
+    a, b = np.zeros(len(keys), s.values.dtype), np.zeros(len(keys), t.values.dtype)
+    a[inv[:len(s)]], b[inv[len(s):]] = s.values, t.values
+    return keys, a, b
+
+
+@st.composite
+def spectra(draw, d, bound):
+    rows = draw(st.lists(st.lists(st.integers(-bound, bound), min_size=d, max_size=d),
+                         min_size=0, max_size=30, unique_by=tuple))
+    vals = np.arange(1, len(rows) + 1) * (1 + 0.5j)
+    return SparseSpectrum(dim=d, keys=np.array(rows, dtype=np.int64).reshape(-1, d), values=vals)
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 3), bound=st.sampled_from([1, 40, 2 ** 40, 2 ** 62]), data=st.data())
+def test_on_union_matches_row_unique(d, bound, data):
+    # small boxes take the 1-D codes, 2^40 and 2^62 (d >= 2) the row sort
+    s, t = data.draw(spectra(d, bound)), data.draw(spectra(d, bound))
+    for u, v in ((s, t), (t, s), (s, s)):
+        got, want = _on_union(u, v), on_union_oracle(u, v)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+
+
+def test_on_union_one_row_and_disjoint_inputs():
+    one = SparseSpectrum(dim=2, keys=np.array([[3, -7]]), values=np.array([2.0]))
+    far = SparseSpectrum(dim=2, keys=np.array([[-9, 4], [100, 0], [100, 1]]),
+                         values=np.array([1.0, 2.0, 3.0]))
+    empty = SparseSpectrum(dim=2, keys=np.zeros((0, 2)), values=np.zeros(0))
+    for u, v in ((one, one), (one, far), (far, one), (one, empty), (empty, far), (empty, empty)):
+        for x, y in zip(_on_union(u, v), on_union_oracle(u, v)):
+            assert x.shape == y.shape and np.array_equal(x, y)
+    keys, a, b = _on_union(one, far)
+    assert keys.tolist() == [[-9, 4], [3, -7], [100, 0], [100, 1]]
+    assert a.tolist() == [0.0, 2.0, 0.0, 0.0] and b.tolist() == [1.0, 0.0, 2.0, 3.0]
