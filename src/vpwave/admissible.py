@@ -19,7 +19,7 @@ Three tensor-product families are implemented, per axis:
   continuous derivatives, reduces to ``tensor_linear`` at ``r = 1``.
 
 All parameters are exact rationals.  Windows and their periodizations
-``g^J(x) = sum_z g(x + J^T z)`` are evaluated on three paths:
+``g^J(x) = sum_z g(x + J^T z)`` are evaluated on two paths:
 
 * the scalar oracle -- ``g(x)`` and :func:`periodized_sum` at one point,
   exact on Fraction or int input (float input is converted exactly with
@@ -27,22 +27,21 @@ All parameters are exact rationals.  Windows and their periodizations
 * the exact batched path -- :meth:`AdmissibleFn.eval_exact` and
   :func:`periodized_sum_exact` at the rows of ``N / q`` for an ``(n, d)``
   integer array ``N``, as integer numerators over one denominator that
-  depends on ``q`` only; every spectrum is built from it, so half-open
-  support boundaries and zero tests are decided exactly.  Per axis, with
-  ``alpha = p / s``, the numerators are ``[-q <= 2 N < q]`` over 1
-  (characteristic), ``2, 1, 0`` for ``2 |N|`` below, at or above ``q``
-  over 2 (``alpha = 0``), ``(s + 2 p) q - 2 s |N|`` clipped to
-  ``[0, 4 p q]`` over ``4 p q`` (linear ramp), and the B-spline sum
+  depends on ``q`` only; every spectrum and every identity check is built
+  from it, so half-open support boundaries, zero tests and equalities are
+  decided exactly.  Per axis, with ``alpha = p / s``, the numerators are
+  ``[-q <= 2 N < q]`` over 1 (characteristic), ``2, 1, 0`` for ``2 |N|``
+  below, at or above ``q`` over 2 (``alpha = 0``), ``(s + 2 p) q - 2 s |N|``
+  clipped to ``[0, 4 p q]`` over ``4 p q`` (linear ramp), and the B-spline sum
   ``sum_j (-1)^j C(r, j) [max(U+_j, 0)^r - max(U-_j, 0)^r]`` with
   ``U+-_j = r s (2 N +- q) + 2 (r - 2 j) p q`` over ``r! (4 p q)^r``
   (smoothed); the axes multiply.  As in ``intlat.apply_rows``, an array
   whose entries could pass ``2^62`` is computed on Python integers
-  (``dtype=object``) instead of int64;
-* the float grid -- :meth:`AdmissibleFn.eval_many` and
-  :func:`periodized_sum_many` on float arrays, for the grid checks.
+  (``dtype=object``) instead of int64.
 
 :func:`exact_floats` turns exact numerators into float64, each correctly
-rounded, as ``float(Fraction(n, q))`` is.
+rounded, as ``float(Fraction(n, q))`` is; :func:`exact_gap` gives the
+largest difference of two such arrays, decided exactly, rounded once.
 """
 
 from __future__ import annotations
@@ -168,23 +167,6 @@ class AdmissibleFn:
             out = out * f
         return out
 
-    def eval_axis_many(self, axis: int, t: np.ndarray) -> np.ndarray:
-        """Vectorized float evaluation of one axis factor."""
-        t = np.asarray(t, dtype=float)
-        a = self.alpha[axis]
-        if self.kind == KIND_CHARACTERISTIC:
-            return ((t >= -0.5) & (t < 0.5)).astype(float)
-        at = np.abs(t)
-        if a == 0:
-            out = (at < 0.5).astype(float)
-            out[at == 0.5] = 0.5
-            return out
-        if self.kind == KIND_LINEAR:
-            return np.clip((float(HALF + a) - at) / float(2 * a), 0.0, 1.0)
-        r = self.order
-        s = float(Fraction(r) / (2 * a))
-        return _bspline_cdf(s * (t + 0.5), r) - _bspline_cdf(s * (t - 0.5), r)
-
     def eval_exact(self, N: np.ndarray, q: int) -> tuple[np.ndarray, int]:
         """Exact values at the rows of ``N / q`` for an ``(n, d)`` integer
         array ``N`` and an integer ``q >= 1``: the numerators, and their
@@ -237,16 +219,6 @@ class AdmissibleFn:
                                                        - np.maximum(minus + t, 0) ** r)
         return acc, math.factorial(r) * den ** r
 
-    def eval_many(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate on an (n, d) float array of points."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
-        out = self.eval_axis_many(0, X[:, 0])
-        for i in range(1, self.dim):
-            out = out * self.eval_axis_many(i, X[:, i])
-        return out
-
 
 def _smoothed_axis(p: Fraction, r: int, t):
     """chi_[-1/2,1/2] convolved with the B-spline kernel on [-p, p]."""
@@ -269,18 +241,6 @@ def _bspline_cdf_scalar(y, r: int):
             acc = acc + sign * math.comb(r, j) * u ** r
         sign = -sign
     return acc / math.factorial(r)
-
-
-def _bspline_cdf(y: np.ndarray, r: int) -> np.ndarray:
-    # evaluate the alternating sum only inside the kernel support; the
-    # tails are exactly 0 and 1 and the sum cancels badly for large y
-    inner = np.clip(y, -r / 2.0, r / 2.0)
-    acc = np.zeros_like(inner)
-    sign = 1.0
-    for j in range(r + 1):
-        acc += sign * math.comb(r, j) * np.maximum(inner + r / 2.0 - j, 0.0) ** r
-        sign = -sign
-    return np.clip(acc / math.factorial(r), 0.0, 1.0)
 
 
 # -- periodization ----------------------------------------------------------
@@ -370,6 +330,16 @@ def exact_product(x: np.ndarray, x_den: int, y: np.ndarray, y_den: int) -> tuple
     return (x if den < _INT64_SAFE else x.astype(object)) * y, den
 
 
+def exact_gap(x: np.ndarray, x_den: int, y: np.ndarray, y_den: int) -> float:
+    """``max |x / x_den - y / y_den|`` over two arrays of values in ``[0, 1]``,
+    decided on the numerators over ``lcm(x_den, y_den)`` (Python integers
+    once that reaches ``2^62``) and returned correctly rounded."""
+    den = math.lcm(x_den, y_den)
+    if den >= _INT64_SAFE:
+        x, y = x.astype(object), y.astype(object)
+    return int(np.max(np.abs(x * (den // x_den) - y * (den // y_den)), initial=0)) / den
+
+
 def _numerator_rows(N: np.ndarray, dim: int) -> np.ndarray:
     if N.ndim != 2 or N.shape[1] != dim:
         raise DimensionMismatch("numerator rows and window dimension differ")
@@ -378,34 +348,15 @@ def _numerator_rows(N: np.ndarray, dim: int) -> np.ndarray:
     return N
 
 
-def periodized_sum_many(g: AdmissibleFn, J: IntMat, X: np.ndarray) -> np.ndarray:
-    """Vectorized ``sum_z g(X + J^T z)`` over an (n, d) float array.  A shift
-    is evaluated only on the rows it moves into the support box widened by
-    ``2^-20``, far above rounding: every window is exactly 0.0 on the rest."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    # cover every point of X: the shifts of its bounding box, rounded outward to 2^-20
-    lo = [Fraction(math.floor(X[:, j].min() * 2 ** 20), 2 ** 20) for j in range(g.dim)]
-    hi = [Fraction(math.ceil(X[:, j].max() * 2 ** 20), 2 ** 20) for j in range(g.dim)]
-    reach = [float(h) + 2.0 ** -20 for h in g.support_halfwidths]
-    out = np.zeros(X.shape[0])
-    for z in product(*_shift_ranges(J, g.support_halfwidths, lo, hi)):
-        shift = np.array([float(v) for v in J.apply_T(z)])
-        near = np.ones(X.shape[0], dtype=bool)
-        for x, s, r in zip(X.T, shift, reach):
-            near &= np.abs(x + s) <= r
-        out[near] += g.eval_many(X[near] + shift)
-    return out
-
-
 def check_partition_of_unity(g: AdmissibleFn, n_samples: int = 10_000,
                              seed: int = 0) -> float:
-    """Max deviation of ``sum_z g(x + z)`` from 1 at random points of [-1,1]^d."""
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-1.0, 1.0, size=(n_samples, g.dim))
-    total = periodized_sum_many(g, IntMat.identity(g.dim), X)
-    return float(np.max(np.abs(total - 1.0)))
+    """Max deviation of ``sum_z g(x + z)`` from 1 at random points of
+    ``[-1, 1]^d`` on the grid ``2^-20 Z^d``, decided exactly and returned
+    correctly rounded: 0.0 exactly when the identity holds at every point."""
+    q = 2 ** 20
+    N = np.random.default_rng(seed).integers(-q, q, size=(n_samples, g.dim), endpoint=True)
+    total, den = periodized_sum_exact(g, IntMat.identity(g.dim), N, q)
+    return int(np.max(np.abs(total - den), initial=0)) / den
 
 
 # -- config grammar ----------------------------------------------------------

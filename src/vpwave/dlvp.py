@@ -55,7 +55,7 @@ from .admissible import (AdmissibleFn, exact_floats, exact_product, periodized_s
 from .errors import (ConditionViolated, DegenerateClass, DimensionMismatch, LevelOutOfRange,
                      NotDyadic, TooLarge)
 from .intlat import (_INT64_SAFE, ENUMERATION_GUARD, ChainSpec, IntMat, _absmax, generating_set,
-                     pattern)
+                     smith_normal_form, unimodular_inverse)
 from .latfft import SpectrumVector
 
 Vec = tuple[int, ...]
@@ -200,13 +200,13 @@ def scaling_profile(chain: ChainSpec, level: int, g: AdmissibleFn, x: Sequence):
 
 def wavelet_shift_vectors(J: IntMat) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """The unique nonzero points of ``P(J^T)`` and ``P(J)`` of a
-    determinant-2 factor, reduced mod 1 into ``[0, 1)^d``."""
+    determinant-2 factor, reduced mod 1 into ``[0, 1)^d``.  For ``M = U S V``
+    with ``S = diag(1, .., 1, 2)``, ``M^{-1} Z^d = V^{-1} S^{-1} Z^d``, so the
+    point is the last column of ``V^{-1}``, halved, mod 1."""
     _require_dyadic_factor(J)
-    v, w = (next((tuple(c % 1 for c in p) for p in pattern(M).points if any(p)), None)
-            for M in (J.T, J))
-    if v is None or w is None:
-        raise NotDyadic(f"a pattern of factor {J} has no nonzero point")
-    return v, w
+    return tuple(tuple(Fraction(row[-1], 2) % 1
+                       for row in unimodular_inverse(smith_normal_form(M).V).entries)
+                 for M in (J.T, J))
 
 
 def _wavelet_frequency_shift(J: IntMat) -> Vec:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tol
-from .admissible import AdmissibleFn, exact_floats, periodized_sum_exact, periodized_sum_many
+from .admissible import AdmissibleFn, exact_floats, exact_gap, exact_product, periodized_sum_exact
 from .dlvp import (
     ScalingFunction,
     SparseSpectrum,
@@ -29,12 +29,15 @@ from .dlvp import (
     normalized_filters,
     scaling_spectrum,
 )
-from .errors import ConditionViolated, InvalidParameter, LevelOutOfRange, UnsupportedDimension
+from .errors import (ConditionViolated, DimensionMismatch, InvalidParameter, LevelOutOfRange,
+                     TooLarge, UnsupportedDimension)
 from .intlat import (
     _INT64_SAFE,
+    ENUMERATION_GUARD,
     ChainSpec,
     IntMat,
     J_D,
+    _reduce_box,
     axis_doubling,
     generating_set,
     plane_rotation,
@@ -160,33 +163,53 @@ def audit_orthonormality(ts: TwoScaleCoeffs) -> float:
 # -- reduction checks (tail independence of the chain) -----------------------------
 
 
-def _axis_samples(lo: float, hi: float, breakpoints: Sequence[Fraction]) -> np.ndarray:
-    """Dyadic uniform grid over [lo, hi] joined with the breakpoint lattice."""
-    width = hi - lo
-    step = 2.0 ** -math.ceil(math.log2(GRID_POINTS_PER_AXIS / width))
-    base = np.arange(math.ceil(lo / step), math.floor(hi / step) + 1) * step
-    extra = [float(b) for b in breakpoints if lo <= float(b) <= hi]
-    return np.unique(np.concatenate([base, np.array(extra)]))
+def _grid_numerators(g: AdmissibleFn, halfwidths: Sequence[Fraction]) -> tuple[np.ndarray, int]:
+    """The mesh of per-axis grids over the box ``[-hw, hw]`` as the rows of
+    ``N / q``: per axis the multiples of the dyadic step ``2^-e``, with
+    ``2^e`` the least power of two at or above ``GRID_POINTS_PER_AXIS / (2 hw)``,
+    joined with the window's breakpoints inside the box (a symmetric set);
+    ``q`` is the lcm of the steps' and the breakpoints' denominators."""
+    steps = [Fraction(2) ** -math.ceil(math.log2(GRID_POINTS_PER_AXIS / (2 * hw)))
+             for hw in halfwidths]
+    knots = [[b for b in g.breakpoints_1d(i) if abs(b) <= hw] for i, hw in enumerate(halfwidths)]
+    q = math.lcm(*(v.denominator for v in steps), *(b.denominator for k in knots for b in k))
+    axes = [np.union1d(np.arange(math.ceil(-hw / h), math.floor(hw / h) + 1) * int(h * q),
+                       np.array([int(b * q) for b in k], dtype=np.int64))
+            for hw, h, k in zip(halfwidths, steps, knots)]
+    # an axis has at most 2 GRID_POINTS_PER_AXIS uniform points: a 2-D grid
+    # stays near 2^20 rows, a 3-D one passes 2^27
+    n = math.prod(map(len, axes))
+    if n > 4 * ENUMERATION_GUARD:
+        raise TooLarge(f"refusing a {len(axes)}-D reduction grid of {n} points")
+    return np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1), q
 
 
-def _grid(g: AdmissibleFn, halfwidths: Sequence[Fraction]) -> np.ndarray:
-    axes = []
-    for i, hw in enumerate(halfwidths):
-        bps = set(g.breakpoints_1d(i))
-        bps |= {-b for b in bps}
-        axes.append(_axis_samples(-float(hw), float(hw), sorted(bps)))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=1)
+def _reduction_sides(g: AdmissibleFn, J: IntMat, mode: str):
+    """The grid ``(N, q)`` of :func:`check_reduction` and the two sides of its
+    identity there, each as numerators over one denominator."""
 
+    def box_through(*mats):
+        b = list(g.support_halfwidths)
+        for A in mats:
+            b = [sum(abs(a) * v for a, v in zip(row, b)) for row in A.entries]
+        return b
 
-def _apply_points(M_inv_T: np.ndarray, X: np.ndarray) -> np.ndarray:
-    return X @ M_inv_T.T
+    def periodized(M, X, q):
+        # g^M is M^T Z^d-periodic, so the rows are first reduced into
+        # q M^T [-1/2, 1/2)^d: few shifts reach that box, many the whole grid
+        qMT = IntMat(tuple(tuple(q * v for v in row) for row in M.T.entries))
+        return periodized_sum_exact(g, M, _reduce_box(qMT, X), q)
 
-
-def _inv_T_float(M: IntMat) -> np.ndarray:
-    """``M^{-T} = A^T / q`` in float, correctly rounded entry by entry."""
-    A, q = M.scaled_adjugate()
-    return np.array(A.entries, dtype=float).T / q
+    N, q = _grid_numerators(g, box_through(J.T) if mode == "single" else box_through(J_D.T, J.T))
+    Y, qy = J.inv_T_rows(N)
+    qy *= q
+    outer = periodized(J, N, q)
+    if mode == "single":
+        return N, q, exact_product(*outer, *g.eval_exact(Y, qy)), g.eval_exact(N, q)
+    Z, qz = J_D.inv_T_rows(Y)
+    qz *= qy
+    inner = exact_product(*periodized(J_D, Y, qy), *g.eval_exact(Z, qz))
+    return N, q, exact_product(*outer, *inner), exact_product(*outer, *g.eval_exact(Y, qy))
 
 
 def check_reduction(g: AdmissibleFn, J: IntMat, mode: str) -> tuple[bool, float]:
@@ -194,41 +217,28 @@ def check_reduction(g: AdmissibleFn, J: IntMat, mode: str) -> tuple[bool, float]
     determines the scaling function regardless of later chain entries.
 
     ``single``: the refinement step with ``J`` applied to the window
-    reproduces the window itself (axis-doubling factors).
+    reproduces the window itself (axis-doubling factors),
+    ``g^J(x) g(J^{-T} x) == g(x)``, in any dimension whose grid fits
+    (``d <= 2``; a 3-D grid raises ``TooLarge``).
     ``double``: prepending a quincunx step changes nothing,
-    ``refine_J(g, refine_D(g, g)) == refine_J(g, g)``.
+    ``refine_J(g, refine_D(g, g)) == refine_J(g, g)``; ``d = 2`` only.
 
-    Returns whether the grid deviation stays below the grid-equality
-    tolerance, and the deviation.
+    Both sides are compared exactly at every point of a rational grid over
+    the box that the support reaches through the transposed factors: a
+    dyadic grid of ``GRID_POINTS_PER_AXIS`` points per axis joined with the
+    window's breakpoints.  Returns whether the identity holds at every grid
+    point, and the largest deviation, correctly rounded (0.0 exactly when
+    it holds).
     """
-    if g.dim != 2:
-        raise UnsupportedDimension("reduction checks are specialized to d = 2")
     if mode not in ("single", "double"):
         raise InvalidParameter(f"unknown reduction mode {mode!r}")
-    hw = g.support_halfwidths
-    JT = J.T
-
-    def box_through(*mats):
-        b = list(hw)
-        for A in mats:
-            b = [sum(abs(A.entries[i][k]) * b[k] for k in range(2)) for i in range(2)]
-        return b
-
-    if mode == "single":
-        box = box_through(JT)
-        X = _grid(g, box)
-        lhs = periodized_sum_many(g, J, X) * g.eval_many(_apply_points(_inv_T_float(J), X))
-        rhs = g.eval_many(X)
-    else:
-        box = box_through(J_D.T, JT)
-        X = _grid(g, box)
-        Y = _apply_points(_inv_T_float(J), X)
-        inner = periodized_sum_many(g, J_D, Y) * g.eval_many(_apply_points(_inv_T_float(J_D), Y))
-        outer = periodized_sum_many(g, J, X)
-        lhs = outer * inner
-        rhs = outer * g.eval_many(Y)
-    deviation = float(np.max(np.abs(lhs - rhs)))
-    return deviation < tol.GRID_EQUALITY, deviation
+    if J.dim != g.dim:
+        raise DimensionMismatch("factor and window dimensions differ")
+    if mode == "double" and g.dim != 2:
+        raise UnsupportedDimension("the double reduction prepends the 2-D quincunx factor")
+    _, _, lhs, rhs = _reduction_sides(g, J, mode)
+    deviation = exact_gap(*lhs, *rhs)
+    return deviation == 0, deviation
 
 
 def _classify_factor(J: IntMat) -> tuple:

@@ -1,7 +1,8 @@
 """Numerical tolerance constants, kept in one place.
 
-Lattice arithmetic is exact; these only govern floating-point checks on
-transforms, spectra and grid comparisons.
+Lattice arithmetic, window values and the window identity checks are
+exact; these only govern floating-point checks on transforms, spectra and
+filters.
 """
 
 # Coefficients with |c| below this are dropped from sparse spectra.
@@ -19,8 +20,5 @@ TWO_SCALE = 1e-12
 # Orthonormality defects after normalization; decomposition roundtrips.
 ORTHO = 1e-10
 
-# Pointwise equality of window functions on sampling grids.
+# Equality of two float spectra (the chain-tail test of check_reduction_highdim).
 GRID_EQUALITY = 1e-12
-
-# Partition-of-unity deviation for admissible windows.
-PARTITION_OF_UNITY = 1e-10

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from vpwave import admissible, tol
+from vpwave import admissible
 from vpwave.admissible import (
     AdmissibleFn,
     _shift_ranges,
@@ -14,12 +14,24 @@ from vpwave.admissible import (
     parse_admissible,
     periodized_sum,
     periodized_sum_exact,
-    periodized_sum_many,
 )
 from vpwave.errors import DimensionMismatch, VpwaveError
 from vpwave.intlat import J_D, J_X, J_Y, IntMat, determinant
 
 F = Fraction
+
+
+def exact_values(g, points):
+    """``g`` at rational points by the exact batched path, as Fractions."""
+    q = math.lcm(*(F(v).denominator for x in points for v in x))
+    num, den = g.eval_exact(np.array([[int(v * q) for v in x] for x in points], dtype=np.int64), q)
+    return [F(n, den) for n in num.tolist()]
+
+
+def random_points(rng, q, box, n):
+    """``n`` random points of ``(Z / q)^d`` in the half-open box ``[-b, b)`` (per-axis ``b``)."""
+    return [tuple(F(int(rng.integers(-math.floor(b * q), math.ceil(b * q))), q) for b in box)
+            for _ in range(n)]
 
 
 def test_linear_ramp_values():
@@ -29,16 +41,6 @@ def test_linear_ramp_values():
     assert g((F(1, 2),)) == F(1, 2)
     assert g((F(3, 5),)) == 0  # 0.6, ramp end
     assert g((F(9, 20),)) == F(3, 4)  # 0.45 -> (0.6 - 0.45)/0.2
-
-
-def test_linear_float_path_matches_exact():
-    g = AdmissibleFn.tensor_linear([F(1, 8), F(1, 20)])
-    rng = np.random.default_rng(1)
-    X = rng.uniform(-0.8, 0.8, size=(200, 2))
-    vec = g.eval_many(X)
-    for row, v in zip(X, vec):
-        exact = g((F(row[0]).limit_denominator(1 << 40), F(row[1]).limit_denominator(1 << 40)))
-        assert abs(float(exact) - v) < 1e-9
 
 
 def test_characteristic_half_open():
@@ -76,7 +78,7 @@ def test_smoothed_plateau_and_support():
 
 def test_partition_of_unity_linear():
     g = AdmissibleFn.tensor_linear([F(1, 10), F(1, 10)])
-    assert check_partition_of_unity(g, 10_000, seed=3) < 1e-12
+    assert check_partition_of_unity(g, 10_000, seed=3) == 0.0
 
 
 def test_partition_of_unity_characteristic():
@@ -86,7 +88,7 @@ def test_partition_of_unity_characteristic():
 
 def test_partition_of_unity_smoothed():
     g = AdmissibleFn.tensor_smoothed([F(1, 20), F(1, 20)], order=3)
-    assert check_partition_of_unity(g, 10_000, seed=5) < tol.PARTITION_OF_UNITY
+    assert check_partition_of_unity(g, 10_000, seed=5) == 0.0
 
 
 def test_partition_of_unity_exact_rationals():
@@ -98,9 +100,9 @@ def test_partition_of_unity_exact_rationals():
 
 def test_periodized_sum_identity_is_f2():
     g = AdmissibleFn.tensor_linear([F(1, 6), F(1, 8)])
-    rng = np.random.default_rng(6)
-    X = rng.uniform(-2, 2, size=(500, 2))
-    assert np.max(np.abs(periodized_sum_many(g, IntMat.identity(2), X) - 1)) < 1e-12
+    N = np.random.default_rng(6).integers(-2 * 2 ** 20, 2 * 2 ** 20, size=(500, 2), endpoint=True)
+    num, den = periodized_sum_exact(g, IntMat.identity(2), N, 2 ** 20)
+    assert np.all(num == den)
 
 
 def test_periodized_sum_shear_plateau():
@@ -140,17 +142,15 @@ def test_plateau_property():
         AdmissibleFn.tensor_smoothed([F(1, 20), F(1, 14)], order=3),
         AdmissibleFn.characteristic(2),
     ):
-        hw = [float(v) for v in g.plateau_halfwidths()]
-        X = rng.uniform(-1, 1, size=(1000, 2)) * hw
-        assert np.max(np.abs(g.eval_many(X) - 1.0)) < 1e-12
+        assert set(exact_values(g, random_points(rng, 2 ** 20, g.plateau_halfwidths(), 1000))) == {1}
 
 
 def test_tensor_factorization():
     g = AdmissibleFn.tensor_smoothed([F(1, 20), F(1, 10)], order=2)
-    rng = np.random.default_rng(9)
-    X = rng.uniform(-0.7, 0.7, size=(300, 2))
-    prod = g.eval_axis_many(0, X[:, 0]) * g.eval_axis_many(1, X[:, 1])
-    assert np.max(np.abs(g.eval_many(X) - prod)) < 1e-14
+    X = random_points(np.random.default_rng(9), 2 ** 20, [F(7, 10)] * 2, 300)
+    factors = [AdmissibleFn.tensor_smoothed([p], order=2) for p in g.alpha]
+    first, second = (exact_values(f, [(x[i],) for x in X]) for i, f in enumerate(factors))
+    assert exact_values(g, X) == [a * b for a, b in zip(first, second)]
 
 
 def test_smoothness_order_finite_differences():
@@ -160,28 +160,26 @@ def test_smoothness_order_finite_differences():
     r = 3
     p = F(1, 10)
     g = AdmissibleFn.tensor_smoothed([p], order=r)
-    s = float(F(r) / (2 * p))
-    for h in (1e-3, 5e-4):
+    s = F(r) / (2 * p)
+    for h in (F(1, 1000), F(1, 2000)):
         for knot in g.breakpoints_1d(0):
-            x0 = float(knot)
             for k in range(1, r):
                 def dd(x, k=k, h=h):
-                    pts = x + h * np.arange(k + 1)
-                    vals = g.eval_axis_many(0, pts)
-                    for _ in range(k):
-                        vals = np.diff(vals) / h
-                    return vals[0]
+                    # k-th forward divided difference at x, exactly
+                    vals = exact_values(g, [(x + j * h,) for j in range(k + 1)])
+                    return sum((-1) ** (k - j) * math.comb(k, j) * v
+                               for j, v in enumerate(vals)) / h ** k
 
-                jump = abs(dd(x0 + 1e-12) - dd(x0 - (k + 1) * h - 1e-12))
+                jump = abs(dd(knot) - dd(knot - (k + 1) * h))
                 assert jump < 10 * h * s ** (k + 1), (knot, k, jump)
 
 
 def test_linear_has_kink():
     # sanity for the test above: order 1 ramp has a first-derivative jump
     g = AdmissibleFn.tensor_linear([F(1, 10)])
-    h = 1e-4
-    left = (g.eval_axis_many(0, np.array([0.4 - h]))[0] - g.eval_axis_many(0, np.array([0.4 - 2 * h]))[0]) / h
-    right = (g.eval_axis_many(0, np.array([0.4 + 2 * h]))[0] - g.eval_axis_many(0, np.array([0.4 + h]))[0]) / h
+    h, knot = F(1, 10_000), F(2, 5)
+    a, b, c, d = exact_values(g, [(knot + j * h,) for j in (-2, -1, 1, 2)])
+    left, right = (b - a) / h, (d - c) / h
     assert abs(left - right) > 1.0
 
 

@@ -3,7 +3,6 @@ import random
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,6 +38,7 @@ from vpwave.intlat import (
     axis_doubling,
     chain,
     generating_set,
+    pattern,
     plane_rotation,
 )
 from vpwave.dlvp import SparseSpectrum, ScalingFunction
@@ -421,8 +421,51 @@ SHIFT_VECTORS = [
 def test_wavelet_shift_vectors():
     for J, v, w in SHIFT_VECTORS:
         assert wavelet_shift_vectors(J) == (tuple(map(F, v.split())), tuple(map(F, w.split()))), J
-    with pytest.raises(NotDyadic):
-        wavelet_shift_vectors(IntMat.diagonal([2, 2]))
+    for J in (IntMat.diagonal([2, 2]), IntMat.from_rows([[3]]), IntMat.from_rows([[1, 2], [1, 2]])):
+        with pytest.raises(NotDyadic):
+            wavelet_shift_vectors(J)
+
+
+def enumerated_shift_vectors(J):
+    """The oracle: the nonzero points of the enumerated ``P(J^T)`` and ``P(J)``, mod 1."""
+    return tuple(next(tuple(c % 1 for c in p) for p in pattern(M).points if any(p))
+                 for M in (J.T, J))
+
+
+SHIFT_FACTORS = [J_D, J_X, J_Y, E48, IntMat.from_rows([[2]]), IntMat.from_rows([[1, 0], [3, 2]]),
+                 IntMat.from_rows([[1, 1], [1, -1]])] + [axis_doubling(3, i) for i in range(3)] + [
+                 plane_rotation(3, i, j) for i in range(3) for j in range(3) if i != j]
+
+
+@pytest.mark.parametrize("J", SHIFT_FACTORS + [J.T for J in SHIFT_FACTORS], ids=str)
+def test_wavelet_shift_vectors_match_the_pattern_enumeration(J):
+    assert wavelet_shift_vectors(J) == enumerated_shift_vectors(J)
+
+
+@st.composite
+def dyadic_factors(draw):
+    # U diag(1, .., 1, +-2) V with U, V products of random elementary operations
+    d = draw(st.integers(1, 3))
+    rows = [[2 * draw(st.sampled_from([1, -1])) if i == j == d - 1 else int(i == j)
+             for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        c = draw(st.integers(-3, 3))
+        if i == j:
+            continue
+        if draw(st.booleans()):
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        else:
+            for r in rows:
+                r[i] += c * r[j]
+    return IntMat.from_rows(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(J=dyadic_factors())
+def test_wavelet_shift_vectors_match_the_pattern_enumeration_on_random_factors(J):
+    assert J.absdet == 2
+    assert wavelet_shift_vectors(J) == enumerated_shift_vectors(J)
 
 
 def test_wavelet_profile_vanishes_with_inner_factor():
@@ -489,10 +532,6 @@ def test_wavelet_invariants_raise_typed_errors(monkeypatch):
     monkeypatch.setattr(dlvp, "_wavelet_frequency_shift", lambda J: (0, 0))
     with pytest.raises(ConditionViolated):
         fiber_partner.__wrapped__(c, 0)  # uncached: a zero shift pairs each class with itself
-    monkeypatch.undo()
-    monkeypatch.setattr(dlvp, "pattern", lambda M: SimpleNamespace(points=((F(0), F(0)),)))
-    with pytest.raises(NotDyadic):
-        wavelet_shift_vectors(J)
 
 
 def test_wavelet_requires_dyadic_chain():
@@ -540,8 +579,6 @@ def test_orthonormalize_dirichlet_identity():
 
 
 def test_orthonormalize_gram_matrix():
-    from vpwave.intlat import pattern
-
     c, g = example_48()
     sf = orthonormalize(scaling_spectrum(c, 0, g))
     N = c.M0

@@ -9,11 +9,13 @@ from vpwave.dlvp import (
     ScalingFunction,
     SparseSpectrum,
     normalized_filters,
+    periodized_product,
     scaling_spectrum,
     two_scale,
     wavelet_two_scale,
 )
-from vpwave.errors import ConditionViolated, DimensionMismatch, InvalidParameter, UnsupportedDimension
+from vpwave.errors import (ConditionViolated, DimensionMismatch, InvalidParameter, TooLarge,
+                           UnsupportedDimension)
 from vpwave.intlat import (
     J_D,
     J_X,
@@ -24,7 +26,10 @@ from vpwave.intlat import (
     plane_rotation,
 )
 from vpwave.mra import (
+    GRID_POINTS_PER_AXIS,
+    _grid_numerators,
     _on_union,
+    _reduction_sides,
     audit_orthonormality,
     basis_check,
     build_report,
@@ -171,17 +176,69 @@ def test_audit_dirichlet_raw_exact():
 
 
 def test_reduction_single_threshold():
-    assert check_reduction(square_window(6), J_X, "single")[0]
-    assert check_reduction(square_window(6), J_Y, "single")[0]
+    assert check_reduction(square_window(6), J_X, "single") == (True, 0.0)
+    assert check_reduction(square_window(6), J_Y, "single") == (True, 0.0)
     ok, dev = check_reduction(square_window(5), J_X, "single")
     assert not ok and dev > 1e-4
 
 
 def test_reduction_double_thresholds():
-    assert check_reduction(square_window(14), J_X, "double")[0]
+    assert check_reduction(square_window(14), J_X, "double") == (True, 0.0)
     assert not check_reduction(square_window(12), J_X, "double")[0]
-    assert check_reduction(square_window(10), J_D, "double")[0]
+    assert check_reduction(square_window(10), J_D, "double") == (True, 0.0)
     assert not check_reduction(square_window(8), J_D, "double")[0]
+
+
+def test_reduction_single_in_one_dimension():
+    # the second axis of square_window(5) under J_X contributes a factor 1,
+    # so the 1-D check sees the same worst point
+    one = check_reduction(AdmissibleFn.tensor_linear([F(1, 5)]), IntMat.from_rows([[2]]), "single")
+    assert one == check_reduction(square_window(5), J_X, "single")
+    assert check_reduction(AdmissibleFn.tensor_linear([F(1, 6)]), IntMat.from_rows([[2]]),
+                           "single") == (True, 0.0)
+
+
+def test_reduction_grid_holds_the_breakpoints():
+    # per axis: the knots, all inside this box, and evenly spaced dyadic
+    # points, GRID_POINTS_PER_AXIS to twice as many; the full mesh
+    g = AdmissibleFn.tensor_linear([F(1, 3), F(1, 7)])
+    box = [F(1), F(7, 10)]
+    N, q = _grid_numerators(g, box)
+    sizes = []
+    for i, hw in enumerate(box):
+        axis = np.unique(N[:, i])
+        knots = [int(b * q) for b in g.breakpoints_1d(i)]
+        assert np.isin(knots, axis).all() and -hw * q <= axis[0] and axis[-1] <= hw * q
+        gaps = np.unique(np.diff(np.setdiff1d(axis, knots)))
+        assert len(gaps) == 1 and F(int(gaps[0]), q).numerator == 1
+        assert GRID_POINTS_PER_AXIS <= len(axis) - len(knots) <= 2 * GRID_POINTS_PER_AXIS + 1
+        sizes.append(len(axis))
+    assert len(np.unique(N, axis=0)) == len(N) == sizes[0] * sizes[1]
+
+
+@pytest.mark.parametrize("g, J, mode", [
+    (square_window(5), J_X, "single"),
+    (AdmissibleFn.characteristic(2), J_D, "single"),
+    (square_window(14), J_X, "double"),
+    (square_window(8), J_D, "double"),
+    (square_window(10), IntMat.from_rows([[1, 1], [0, 2]]), "single"),
+], ids=["linear5-J_X-single", "characteristic-J_D-single", "linear14-J_X-double",
+        "linear8-J_D-double", "linear10-shear-single"])
+def test_reduction_sides_match_scalar_oracle(g, J, mode):
+    # the exact batched sides against refine_J(g, g) and
+    # refine_J(g, refine_D(g, g)) by the scalar periodized_sum and g(...)
+    N, q, (lhs, lhs_den), (rhs, rhs_den) = _reduction_sides(g, J, mode)
+    rows = np.flatnonzero((lhs != 0) | (rhs != 0))
+    gap = np.abs(lhs.astype(object) * rhs_den - rhs.astype(object) * lhs_den)
+    pick = np.append(np.random.default_rng(11).choice(rows, 49, replace=False), np.argmax(gap))
+    for i in pick.tolist():
+        x = tuple(F(v, q) for v in N[i].tolist())
+        if mode == "single":
+            expected = periodized_product(g, J, g, x), g(x)
+        else:
+            expected = (periodized_product(g, J, lambda y: periodized_product(g, J_D, g, y), x),
+                        periodized_product(g, J, g, x))
+        assert (F(int(lhs[i]), lhs_den), F(int(rhs[i]), rhs_den)) == expected, x
 
 
 def test_reduction_dirichlet_exact():
@@ -192,8 +249,14 @@ def test_reduction_dirichlet_exact():
 
 
 def test_reduction_rejects_other_dimensions():
+    g1 = AdmissibleFn.tensor_linear([F(1, 10)])
     with pytest.raises(UnsupportedDimension):
-        check_reduction(AdmissibleFn.tensor_linear([F(1, 10)]), IntMat.from_rows([[2]]), "single")
+        check_reduction(g1, IntMat.from_rows([[2]]), "double")
+    with pytest.raises(DimensionMismatch):
+        check_reduction(g1, J_X, "single")
+    # 512 points per axis: the 3-D grid is refused before it is built
+    with pytest.raises(TooLarge):
+        check_reduction(AdmissibleFn.tensor_linear([F(1, 20)] * 3), axis_doubling(3, 0), "single")
 
 
 def test_reduction_rejects_unknown_mode():
