@@ -129,6 +129,14 @@ class ScalingFunction:
     def size(self) -> int:
         return self.chain.size(self.level)
 
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """:func:`class_powers` of this function, computed on first use and
+        kept read-only, so a cached spectrum is summed once."""
+        powers = class_powers(self)
+        powers.flags.writeable = False
+        return powers
+
 
 @dataclass(frozen=True)
 class Wavelet:
@@ -422,8 +430,8 @@ def normalized_filters(chain: ChainSpec, level: int,
     a_raw = two_scale(chain, level, g)
     fine = scaling_spectrum(chain, level + 1, g)
     coarse_phi = scaling_spectrum(chain, level, g)
-    p_fine = class_powers(fine)
-    q_phi = class_powers(coarse_phi)
+    p_fine = fine.powers
+    q_phi = coarse_phi.powers
     for arr, who in ((p_fine, "fine scaling"), (q_phi, "coarse scaling")):
         if _degenerate(arr):
             raise DegenerateClass(f"{who} spectrum has an empty frequency class")

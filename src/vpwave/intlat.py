@@ -75,7 +75,8 @@ _INT64_SAFE = 2 ** 62
 
 @dataclass(frozen=True)
 class IntMat:
-    """Immutable square integer matrix with an exact cached determinant."""
+    """Immutable square integer matrix with an exact determinant, cached on
+    the instance."""
 
     entries: tuple[tuple[int, ...], ...]
 
@@ -107,16 +108,16 @@ class IntMat:
     def dim(self) -> int:
         return len(self.entries)
 
-    @property
+    @cached_property
     def det(self) -> int:
         return _det(self)
 
-    @property
+    @cached_property
     def absdet(self) -> int:
-        return abs(_det(self))
+        return abs(self.det)
 
     def require_regular(self) -> "IntMat":
-        if _det(self) == 0:
+        if self.det == 0:
             raise SingularMatrix(f"matrix {self.entries} is singular")
         return self
 

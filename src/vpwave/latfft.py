@@ -9,16 +9,21 @@ of :mod:`vpwave.intlat`.  The forward transform is
 the unitary Fourier matrix carries an extra ``1/sqrt(m)``.
 
 Two implementations are provided: a naive summation with exact integer
-phase arithmetic (the oracle) and an O(m log m) route that reduces the
-pattern group to ``Z_{s_1} x ... x Z_{s_d}`` via the Smith normal form
-and transforms the digit cube one cyclic axis at a time, leaving out the
-unit Smith axes.  An axis of length ``s <= _DENSE_AXIS`` is one BLAS
-product with a dense ``s x s`` DFT factor, cheaper at these lengths than
-a pocketfft call; a longer axis is a pocketfft ``fft``/``ifft``, run in
-place once the transform owns the array, so the caller's values are
-never written.  The plan holds the position of every canonical frequency
-in the digit cube and the inverse permutation, so :func:`idft` gathers
-the spectrum into a fresh array first.
+phase arithmetic (the oracle) and a fast route that reduces the pattern
+group to ``Z_{s_1} x ... x Z_{s_d}`` via the Smith normal form.  For
+``m <= _DENSE_PATTERN`` the whole transform is one product with a cached
+``m x m`` matrix (and the inverse one with its inverse) whose rows and
+columns are already in canonical order, so no gather runs and
+``numpy.fft`` is not imported.  A larger pattern takes the O(m log m)
+route: its digit cube is transformed one cyclic axis at a time, leaving
+out the unit Smith axes.  An axis of length ``s <= _DENSE_AXIS`` is one
+BLAS product with a dense ``s x s`` DFT factor, cheaper at these lengths
+than a pocketfft call; a longer axis is a pocketfft ``fft``/``ifft``, run
+in place once the transform owns the array, so the caller's values are
+never written.  Both plans take the position of every canonical
+frequency in the digit cube and the inverse permutation from
+:func:`_positions`; the per-axis :func:`idft` gathers the spectrum into a
+fresh array first.
 """
 
 from __future__ import annotations
@@ -37,9 +42,14 @@ from .intlat import (IntMat, apply_rows, digit_index, generating_set, pattern,
 # is built; it holds m^2 Python integers, about 72 MB at m = 1024.
 FOURIER_MATRIX_GUARD = 2 ** 10
 _NAIVE_BLOCK = 256
-# Longest Smith axis done as one BLAS product with a dense DFT factor instead
-# of a pocketfft call.  Timed per axis with single-threaded BLAS, the product
-# is faster up to s = 16 at every m up to 2^14, pocketfft from s = 32 at 2^14.
+# Largest m whose transform is one product with a dense m x m matrix.  Timed
+# warm with single-threaded BLAS, the product beats the per-axis steps plus
+# the gather up to m = 128 on every Smith shape tried and loses from m = 256.
+_DENSE_PATTERN = 128
+# Longest Smith axis of a larger pattern done as one BLAS product with a dense
+# DFT factor instead of a pocketfft call.  Timed per axis with single-threaded
+# BLAS, the product is faster up to s = 16 at every m up to 2^14, pocketfft
+# from s = 32 at 2^14; at m = 1024 the product still wins at s = 32.
 _DENSE_AXIS = 16
 
 
@@ -121,16 +131,12 @@ def _dense_factors(s: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _fast_plan(M: IntMat) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """Steps over the non-unit Smith axes, the position of each canonical
-    frequency inside the digit cube, and the inverse permutation.  With
-    ``M = U S V`` the digits of a frequency ``h`` are ``V^{-T} h mod diag(S)``,
-    constant on its class as ``V^{-T} M^T Z^d = S Z^d``; canonical frequency
-    ``i`` is the class of ``U' D_i`` (``M^T = U' S V'``, ``D_i`` of value ``i``).
-    A step is ``(view, factors)``: the view of the cube that puts the axis
-    in the middle, ``(lead, s, trail)``, or ``(lead, s)`` for the last axis,
-    and for ``s <= _DENSE_AXIS`` the pair from :func:`_dense_factors` (a
-    dense step), else ``None`` (an FFT step along axis 1)."""
+def _positions(M: IntMat) -> tuple[np.ndarray, np.ndarray]:
+    """The position of each canonical frequency inside the digit cube, and
+    the inverse permutation.  With ``M = U S V`` the digits of a frequency
+    ``h`` are ``V^{-T} h mod diag(S)``, constant on its class as
+    ``V^{-T} M^T Z^d = S Z^d``; canonical frequency ``i`` is the class of
+    ``U' D_i`` (``M^T = U' S V'``, ``D_i`` of value ``i``)."""
     dec = smith_normal_form(M)
     digits = np.indices(dec.diagonal).reshape(M.dim, -1).T
     flat = digit_index(apply_rows(unimodular_inverse(dec.V).T @ smith_normal_form(M.T).U, digits),
@@ -138,23 +144,57 @@ def _fast_plan(M: IntMat) -> tuple[tuple, np.ndarray, np.ndarray]:
     inv = np.empty_like(flat)
     inv[flat] = np.arange(len(flat))
     flat.flags.writeable = inv.flags.writeable = False
-    shape = [s for s in dec.diagonal if s > 1]
+    return flat, inv
+
+
+@lru_cache(maxsize=None)
+def _dense_plan(M: IntMat) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix ``F`` of :func:`dft_fast` for ``m <= _DENSE_PATTERN``,
+    rows over ``G(M^T)`` and columns over ``P(M)`` in canonical order, and
+    the matrix ``conj(F)^T / m`` of :func:`idft`; both read-only.  Pattern
+    point ``j`` has the Smith digits ``c`` of value ``j`` and canonical
+    frequency ``i`` the digits ``r`` of value ``flat[i]``; as every ``s_k``
+    divides the last invariant ``s_d``, the phase ``sum_k r_k c_k / s_k``
+    is ``sum_k (r_k c_k mod s_k) (s_d / s_k) mod s_d`` over ``s_d``, exactly."""
+    diag = smith_normal_form(M).diagonal
+    flat, _ = _positions(M)
+    digits = np.indices(diag).reshape(M.dim, -1)
+    phase = np.zeros((len(flat), len(flat)), dtype=np.int64)
+    for r, c, s in zip(digits[:, flat], digits, diag):
+        if s > 1:
+            phase += np.outer(r, c) % s * (diag[-1] // s)
+    F = np.exp((-2j * np.pi / diag[-1]) * (phase % diag[-1]))
+    F_inv = np.ascontiguousarray(F.conj().T) / len(flat)
+    F.flags.writeable = F_inv.flags.writeable = False
+    return F, F_inv
+
+
+@lru_cache(maxsize=None)
+def _axis_plan(M: IntMat) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Steps over the non-unit Smith axes of a pattern with
+    ``m > _DENSE_PATTERN``, and the positions from :func:`_positions`.
+    A step is ``(view, factors)``: the view of the cube that puts the axis
+    in the middle, ``(lead, s, trail)``, or ``(lead, s)`` for the last axis,
+    and for ``s <= _DENSE_AXIS`` the pair from :func:`_dense_factors` (a
+    dense step), else ``None`` (an FFT step along axis 1)."""
+    shape = [s for s in smith_normal_form(M).diagonal if s > 1]
     steps, lead = [], 1
     for i, s in enumerate(shape):
         trail = math.prod(shape[i + 1:])
         view = (lead, s, trail) if trail > 1 else (lead, s)
         steps.append((view, _dense_factors(s) if s <= _DENSE_AXIS else None))
         lead *= s
-    return tuple(steps), flat, inv
+    return (tuple(steps), *_positions(M))
 
 
 def _transform(steps: tuple, x: np.ndarray, owned: bool, inverse: bool) -> np.ndarray:
     """Run the plan's steps on the flat cube ``x``; ``owned`` says whether
-    ``x`` may be written.  Each step leaves an array the transform owns."""
-    fft = np.fft.ifft if inverse else np.fft.fft
+    ``x`` may be written.  Each step leaves an array the transform owns.
+    Only an FFT step touches ``np.fft``, whose first use imports it."""
     for view, factors in steps:
         cube = x.reshape(view)
         if factors is None:
+            fft = np.fft.ifft if inverse else np.fft.fft
             x = fft(cube, axis=1, out=cube if owned else None)
         elif len(view) == 2:
             x = cube @ factors[inverse]
@@ -165,9 +205,12 @@ def _transform(steps: tuple, x: np.ndarray, owned: bool, inverse: bool) -> np.nd
 
 
 def dft_fast(a: PatternVector) -> SpectrumVector:
-    """Fast transform: one dense or FFT step per Smith axis of the digit cube."""
+    """Fast transform: one dense product for ``m <= _DENSE_PATTERN``, else
+    one dense or FFT step per Smith axis of the digit cube and a gather."""
     M = a.matrix
-    steps, flat, _ = _fast_plan(M)
+    if M.absdet <= _DENSE_PATTERN:
+        return SpectrumVector(matrix=M, values=_dense_plan(M)[0] @ a.values)
+    steps, flat, _ = _axis_plan(M)
     cube = _transform(steps, a.values, owned=False, inverse=False)
     return SpectrumVector(matrix=M, values=cube[flat])
 
@@ -175,7 +218,9 @@ def dft_fast(a: PatternVector) -> SpectrumVector:
 def idft(ahat: SpectrumVector) -> PatternVector:
     """Inverse transform, ``a[y] = (1/m) sum_h ahat[h] exp(2 pi i h.y)``."""
     M = ahat.matrix
-    steps, _, inv = _fast_plan(M)
+    if M.absdet <= _DENSE_PATTERN:
+        return PatternVector(matrix=M, values=_dense_plan(M)[1] @ ahat.values)
+    steps, _, inv = _axis_plan(M)
     vals = _transform(steps, ahat.values[inv], owned=True, inverse=True)
     return PatternVector(matrix=M, values=vals)
 

@@ -24,7 +24,6 @@ from .dlvp import (
     SparseSpectrum,
     TwoScaleCoeffs,
     _degenerate,
-    class_powers,
     fiber_partner,
     normalized_filters,
     scaling_spectrum,
@@ -53,7 +52,7 @@ def basis_check(chn: ChainSpec, level: int, g: AdmissibleFn) -> tuple[bool, floa
     """Whether the translates span a space of full dimension ``m_l``:
     every frequency class must carry positive coefficient power.
     Returns the flag and the minimal class power."""
-    powers = class_powers(scaling_spectrum(chn, level, g))
+    powers = scaling_spectrum(chn, level, g).powers
     return not _degenerate(powers), float(np.min(powers))
 
 

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,9 @@ from vpwave.intlat import (IntMat, apply_rows, digit_index, generating_set, patt
                            smith_normal_form, unimodular_inverse)
 from vpwave.latfft import (
     _DENSE_AXIS,
-    _fast_plan,
+    _DENSE_PATTERN,
+    _dense_plan,
+    _positions,
     FOURIER_MATRIX_GUARD,
     PatternVector,
     SpectrumVector,
@@ -247,8 +253,11 @@ def test_fast_transforms_random_matrices(d, data, seed):
 
 
 B = _DENSE_AXIS
-# (non-unit Smith axes, matrix): every axis dense, dense and FFT mixed, every
-# axis FFT, axes at the dense bound and one above it, axes not powers of two
+C = _DENSE_PATTERN
+# (non-unit Smith axes, matrix): one dense product at m <= C, from a single
+# point up to the bound in one or several axes; above it every axis dense,
+# dense and FFT mixed, every axis FFT, axes at the dense bound and one above
+# it, axes not powers of two
 AXIS_KIND_CASES = [
     ((8, 8), [[0, 8], [-8, 0]]),
     ((2, 4, 8), [[2, 0, 0], [0, 4, 0], [0, 0, 8]]),
@@ -265,10 +274,22 @@ AXIS_KIND_CASES = [
     ((3, 6, 12), [[3, 0, 0], [0, 6, 0], [0, 0, 12]]),
     ((5, 15), [[5, 0], [0, 15]]),
     ((6, 60), [[6, 0], [0, 60]]),
+    ((), [[1]]),
+    ((64,), [[64]]),
+    ((64,), [[1, 0], [3, 64]]),
+    ((2, 2, 16), [[2, 0, 0], [0, 2, 0], [0, 0, 16]]),
+    ((8, 16), [[8, 0], [0, 16]]),
+    ((C,), [[1, 0], [3, C]]),
+    ((C + 1,), [[1, 0], [3, C + 1]]),
 ]
 
 
-@pytest.mark.parametrize("axes, rows", AXIS_KIND_CASES, ids=[str(c[0]) for c in AXIS_KIND_CASES])
+# the axes name a case, and the matrix too where two cases share their axes
+AXIS_KIND_IDS = [f"{axes}" if [a for a, _ in AXIS_KIND_CASES].count(axes) == 1 else f"{axes} {rows}"
+                 for axes, rows in AXIS_KIND_CASES]
+
+
+@pytest.mark.parametrize("axes, rows", AXIS_KIND_CASES, ids=AXIS_KIND_IDS)
 def test_fast_transforms_every_axis_kind(axes, rows):
     rng_np = np.random.default_rng(sum(axes))
     for M in (IntMat.from_rows(rows), IntMat.from_rows(rows).T):
@@ -276,9 +297,11 @@ def test_fast_transforms_every_axis_kind(axes, rows):
         assert_fast_transforms(M, rng_np)
 
 
-# first step dense, first step FFT, one dense axis, one FFT axis
+# one dense product: at m = 64 with two axes and with one, at m = 16 and at
+# the bound m = 128; per-axis steps: first step FFT, first step dense, one FFT axis
 @pytest.mark.parametrize("rows", [[[0, 8], [-8, 0]], [[32, 0], [0, 32]],
-                                  [[1, 0], [3, 16]], [[1, 0], [3, 64]]])
+                                  [[1, 0], [3, 16]], [[1, 0], [3, 64]], [[1, 0], [3, 128]],
+                                  [[16, 0], [0, 16]], [[1, 0], [3, 256]]])
 def test_transforms_leave_their_inputs_alone(rows):
     M = IntMat.from_rows(rows)
     a = random_pattern_vector(np.random.default_rng(2), M)
@@ -298,7 +321,7 @@ def test_transforms_leave_their_inputs_alone(rows):
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(2, 3), data=st.data())
 def test_plan_positions_match_the_enumerated_frequencies(d, data):
-    # the plan's positions come from the two Smith forms alone; they equal the
+    # the plans' positions come from the two Smith forms alone; they equal the
     # Smith digits V^{-T} h of the enumerated canonical frequencies h of G(M^T)
     r = {2: 40, 3: 8}[d]
     rows = data.draw(st.lists(st.lists(st.integers(-r, r), min_size=d, max_size=d),
@@ -308,6 +331,31 @@ def test_plan_positions_match_the_enumerated_frequencies(d, data):
     dec = smith_normal_form(M)
     H = generating_set(M.T).rep_array
     expected = digit_index(apply_rows(unimodular_inverse(dec.V).T, H), dec.diagonal)
-    _, flat, inv = _fast_plan.__wrapped__(M)
+    flat, inv = _positions.__wrapped__(M)
     assert np.array_equal(flat, expected)
     assert np.array_equal(inv[flat], np.arange(M.absdet))
+
+
+@pytest.mark.parametrize("rows", [[[1]], [[0, 8], [-8, 0]], [[1, 0], [3, 128]]])
+def test_dense_plan_matrices_are_read_only_and_never_returned(rows):
+    M = IntMat.from_rows(rows)
+    F, F_inv = _dense_plan(M)
+    assert F.shape == F_inv.shape == (M.absdet, M.absdet)
+    assert not F.flags.writeable and not F_inv.flags.writeable
+    ahat = dft_fast(random_pattern_vector(np.random.default_rng(4), M))
+    for out in (ahat.values, idft(ahat).values):
+        assert not np.shares_memory(out, F) and not np.shares_memory(out, F_inv)
+
+
+def test_small_transforms_leave_numpy_fft_unimported():
+    code = ("import sys; import numpy as np; from vpwave.intlat import IntMat; "
+            "from vpwave.latfft import PatternVector, dft_fast, idft; "
+            "a = PatternVector(matrix=IntMat.from_rows([[0, 8], [-8, 0]]), values=np.arange(64.0)); "
+            "back = idft(dft_fast(a)).values; "
+            "assert np.max(np.abs(back - a.values)) < 1e-12; "
+            "print('numpy.fft' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -76,7 +76,8 @@ def test_no_scalar_periodization_in_spectral_layer():
 
 
 def test_fast_transform_runs_axis_by_axis():
-    # dft_fast/idft have one path: a dense or 1-D FFT step per Smith axis
+    # dft_fast/idft are one dense product for m <= _DENSE_PATTERN, and above it
+    # a dense or 1-D FFT step per Smith axis; neither calls an n-dimensional FFT
     name = "latfft.py"
     found = [f"{name}:{node.lineno}"
              for node in ast.walk(ast.parse((SRC / name).read_text(), filename=name))
