@@ -79,12 +79,24 @@ def _as_fraction(v) -> Fraction:
 
 @dataclass(frozen=True)
 class AdmissibleFn:
-    """Tensor-product admissible window on R^d."""
+    """Tensor-product admissible window on R^d; its hash is cached on the
+    instance."""
 
     kind: str
     dim: int
     alpha: tuple[Fraction, ...]  # per-axis ramp halfwidth (0 for characteristic)
     order: int = 1
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.kind, self.dim, self.alpha, self.order)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__: a str hashes differently in each process,
+        # so the stored hash must not travel with a pickle
+        return AdmissibleFn, (self.kind, self.dim, self.alpha, self.order)
 
     @classmethod
     def characteristic(cls, dim: int) -> "AdmissibleFn":

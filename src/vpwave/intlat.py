@@ -75,8 +75,10 @@ _INT64_SAFE = 2 ** 62
 
 @dataclass(frozen=True)
 class IntMat:
-    """Immutable square integer matrix with an exact determinant, cached on
-    the instance."""
+    """Immutable square integer matrix.  The hash, the exact determinant and
+    the transpose are cached on the instance, so a cache keyed by matrices
+    hashes the entries once per matrix, and ``M.T is M.T``; equality
+    compares the entries."""
 
     entries: tuple[tuple[int, ...], ...]
 
@@ -90,6 +92,10 @@ class IntMat:
                 raise DimensionMismatch("matrix must be square")
             rows.append(tuple(int(v) for v in row))
         object.__setattr__(self, "entries", tuple(rows))
+        object.__setattr__(self, "_hash", hash(self.entries))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMat":
@@ -121,14 +127,14 @@ class IntMat:
             raise SingularMatrix(f"matrix {self.entries} is singular")
         return self
 
-    @property
+    @cached_property
     def T(self) -> "IntMat":
         return IntMat(tuple(zip(*self.entries)))
 
     def __matmul__(self, other: "IntMat") -> "IntMat":
         if self.dim != other.dim:
             raise DimensionMismatch("matrix dimensions differ")
-        cols = other.T.entries
+        cols = tuple(zip(*other.entries))
         return IntMat(
             tuple(
                 tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
@@ -518,6 +524,7 @@ class ChainSpec:
 
     ``products[l] = J_l ... J_1 M_0`` and ``sizes[l] = |det products[l]|``
     for ``l = 0..n``; ``dyadic`` is set when every factor has ``|det| = 2``.
+    The hash, of ``(M0, factors)``, is cached on the instance.
     """
 
     M0: IntMat
@@ -525,6 +532,12 @@ class ChainSpec:
     products: tuple[IntMat, ...]
     sizes: tuple[int, ...]
     dyadic: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.M0, self.factors)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n_levels(self) -> int:

@@ -24,6 +24,12 @@ never written.  Both plans take the position of every canonical
 frequency in the digit cube and the inverse permutation from
 :func:`_positions`; the per-axis :func:`idft` gathers the spectrum into a
 fresh array first.
+
+The public ``PatternVector``/``SpectrumVector`` constructors convert their
+values to complex and check the length.  :func:`dft_fast` and :func:`idft`
+wrap the fresh ``complex128`` arrays they have just built without that
+re-validation (``_IndexedValues._own``), which at small ``m`` costs as
+much as the product itself.
 """
 
 from __future__ import annotations
@@ -45,6 +51,9 @@ _NAIVE_BLOCK = 256
 # Largest m whose transform is one product with a dense m x m matrix.  Timed
 # warm with single-threaded BLAS, the product beats the per-axis steps plus
 # the gather up to m = 128 on every Smith shape tried and loses from m = 256.
+# Unpinned OpenBLAS splits this product over two threads from 64 x 64 on, and
+# on a shared host the hand-off can stall it to milliseconds per call;
+# OPENBLAS_NUM_THREADS=1 avoids that.
 _DENSE_PATTERN = 128
 # Longest Smith axis of a larger pattern done as one BLAS product with a dense
 # DFT factor instead of a pocketfft call.  Timed per axis with single-threaded
@@ -65,6 +74,17 @@ class _IndexedValues:
         if vals.shape != (self.matrix.absdet,):
             raise IndexMismatch(f"expected {self.matrix.absdet} values, got shape {vals.shape}")
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _own(cls, matrix: IntMat, values: np.ndarray) -> "_IndexedValues":
+        """Wrap a fresh ``complex128`` array of shape ``(|det M|,)`` that a
+        transform has just built, without the checks and conversion of the
+        public constructor."""
+        out = object.__new__(cls)
+        state = out.__dict__
+        state["matrix"] = matrix
+        state["values"] = values
+        return out
 
     def __len__(self) -> int:
         return len(self.values)
@@ -209,20 +229,19 @@ def dft_fast(a: PatternVector) -> SpectrumVector:
     one dense or FFT step per Smith axis of the digit cube and a gather."""
     M = a.matrix
     if M.absdet <= _DENSE_PATTERN:
-        return SpectrumVector(matrix=M, values=_dense_plan(M)[0] @ a.values)
+        return SpectrumVector._own(M, _dense_plan(M)[0] @ a.values)
     steps, flat, _ = _axis_plan(M)
     cube = _transform(steps, a.values, owned=False, inverse=False)
-    return SpectrumVector(matrix=M, values=cube[flat])
+    return SpectrumVector._own(M, cube[flat])
 
 
 def idft(ahat: SpectrumVector) -> PatternVector:
     """Inverse transform, ``a[y] = (1/m) sum_h ahat[h] exp(2 pi i h.y)``."""
     M = ahat.matrix
     if M.absdet <= _DENSE_PATTERN:
-        return PatternVector(matrix=M, values=_dense_plan(M)[1] @ ahat.values)
+        return PatternVector._own(M, _dense_plan(M)[1] @ ahat.values)
     steps, _, inv = _axis_plan(M)
-    vals = _transform(steps, ahat.values[inv], owned=True, inverse=True)
-    return PatternVector(matrix=M, values=vals)
+    return PatternVector._own(M, _transform(steps, ahat.values[inv], owned=True, inverse=True))
 
 
 def idft_naive(ahat: SpectrumVector) -> PatternVector:

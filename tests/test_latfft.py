@@ -16,6 +16,7 @@ from vpwave.intlat import (IntMat, apply_rows, digit_index, generating_set, patt
 from vpwave.latfft import (
     _DENSE_AXIS,
     _DENSE_PATTERN,
+    _axis_plan,
     _dense_plan,
     _positions,
     FOURIER_MATRIX_GUARD,
@@ -201,6 +202,46 @@ def test_vector_length_checks():
         PatternVector(matrix=M, values=np.ones(3))
     with pytest.raises(IndexMismatch):
         SpectrumVector(matrix=M, values=np.ones(5))
+    with pytest.raises(IndexMismatch):
+        PatternVector(matrix=M, values=np.ones((2, 2)))
+
+
+def test_public_constructors_convert_to_complex():
+    M = IntMat.diagonal([2, 2])
+    for cls in (PatternVector, SpectrumVector):
+        for vals in (np.arange(4), np.arange(4.0), [0, 1, 2, 3]):
+            v = cls(matrix=M, values=vals)
+            assert v.values.dtype == np.complex128 and v.values.shape == (4,)
+            assert np.array_equal(v.values, np.arange(4.0))
+
+
+def _plan_arrays(M):
+    if M.absdet <= _DENSE_PATTERN:
+        return list(_dense_plan(M))
+    steps, flat, inv = _axis_plan(M)
+    return [flat, inv] + [F for _, factors in steps if factors is not None for F in factors]
+
+
+# one dense product at m = 1, 64 and the bound 128; per-axis steps above it
+@pytest.mark.parametrize("rows", [[[1]], [[0, 8], [-8, 0]], [[1, 0], [3, 128]],
+                                  [[1, 0], [3, 129]], [[8, -24], [48, -16]]],
+                         ids=["m1", "m64", "m128", "m129", "m1024"])
+def test_transform_results_are_fresh_vectors(rows):
+    # dft_fast/idft wrap their own arrays without the public constructor's
+    # checks; the results must still be what that constructor would give
+    M = IntMat.from_rows(rows)
+    a = random_pattern_vector(np.random.default_rng(5), M)
+    ahat = dft_fast(a)
+    back = idft(ahat)
+    for out, cls, source in ((ahat, SpectrumVector, a), (back, PatternVector, ahat)):
+        assert type(out) is cls and out.matrix is M and len(out) == M.absdet
+        v = out.values
+        assert v.dtype == np.complex128 and v.shape == (M.absdet,) and v.flags.writeable
+        assert not np.shares_memory(v, source.values)
+        assert not any(np.shares_memory(v, p) for p in _plan_arrays(M))
+    assert not np.shares_memory(ahat.values, back.values)
+    assert np.array_equal(SpectrumVector(matrix=M, values=ahat.values).values, ahat.values)
+    assert np.max(np.abs(back.values - a.values)) <= tol.FAST_VS_NAIVE
 
 
 def fftn_oracle(a):

@@ -1,10 +1,11 @@
+import time
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vpwave.admissible import AdmissibleFn
+from vpwave.admissible import AdmissibleFn, exact_gap
 from vpwave.dlvp import (
     ScalingFunction,
     SparseSpectrum,
@@ -254,9 +255,41 @@ def test_reduction_rejects_other_dimensions():
         check_reduction(g1, IntMat.from_rows([[2]]), "double")
     with pytest.raises(DimensionMismatch):
         check_reduction(g1, J_X, "single")
-    # 512 points per axis: the 3-D grid is refused before it is built
+    # 512 points per axis: a 3-D grid is refused before it is built; only an
+    # axis doubling is decided on one axis
     with pytest.raises(TooLarge):
-        check_reduction(AdmissibleFn.tensor_linear([F(1, 20)] * 3), axis_doubling(3, 0), "single")
+        check_reduction(AdmissibleFn.tensor_linear([F(1, 20)] * 3), plane_rotation(3, 0, 1), "single")
+
+
+@pytest.mark.parametrize("g, J", [
+    (square_window(6), J_X),
+    (square_window(6), J_Y),
+    (square_window(5), J_X),
+    (square_window(5), J_Y),
+    (AdmissibleFn.characteristic(2), J_X),
+    (AdmissibleFn.characteristic(2), J_Y),
+    (AdmissibleFn.tensor_linear([F(1, 5), F(1, 6)]), J_Y),
+    (AdmissibleFn.tensor_smoothed([F(1, 5), F(1, 20)], order=2), J_X),
+], ids=["linear6-J_X", "linear6-J_Y", "linear5-J_X", "linear5-J_Y", "characteristic-J_X",
+        "characteristic-J_Y", "linear5,6-J_Y", "smoothed5,20-J_X"])
+def test_reduction_single_axis_route_matches_the_full_grid(g, J):
+    # an axis doubling is decided on the 1-D factor of its axis; the full 2-D
+    # grid gives the same flag and the same correctly rounded deviation
+    _, _, lhs, rhs = _reduction_sides(g, J, "single")
+    full = exact_gap(*lhs, *rhs)
+    assert check_reduction(g, J, "single") == (full == 0, full)
+
+
+def test_reduction_single_in_three_dimensions():
+    t = time.perf_counter()
+    assert check_reduction(AdmissibleFn.tensor_linear([F(1, 20)] * 3), axis_doubling(3, 0),
+                           "single") == (True, 0.0)
+    assert time.perf_counter() - t < 1.0
+    # only the doubled axis decides: its 1/5 ramp fails as on the 2-D grid
+    g3 = AdmissibleFn.tensor_linear([F(1, 20), F(1, 5), F(1, 20)])
+    _, _, lhs, rhs = _reduction_sides(AdmissibleFn.tensor_linear([F(1, 5), F(1, 20)]), J_X, "single")
+    assert check_reduction(g3, axis_doubling(3, 1), "single") == (False, exact_gap(*lhs, *rhs))
+    assert check_reduction(g3, axis_doubling(3, 2), "single") == (True, 0.0)
 
 
 def test_reduction_rejects_unknown_mode():

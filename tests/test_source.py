@@ -83,3 +83,13 @@ def test_fast_transform_runs_axis_by_axis():
              for node in ast.walk(ast.parse((SRC / name).read_text(), filename=name))
              if isinstance(node, ast.Attribute) and node.attr in ("fftn", "ifftn")]
     assert not found, f"n-dimensional FFT calls in latfft: {found}"
+
+
+def test_transform_results_alone_skip_validation():
+    # _IndexedValues._own wraps arrays without checks; only the fast
+    # transforms of latfft, which build those arrays themselves, may call it
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "latfft.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "_own"]
+    assert not found, f"the unchecked vector constructor used outside latfft: {found}"
