@@ -114,8 +114,8 @@ class AdmissibleFn:
         a = tuple(_as_fraction(v) for v in p)
         if any(v < 0 or v >= HALF for v in a):
             raise InvalidParameter("smoothing halfwidths must lie in [0, 1/2)")
-        if order < 1:
-            raise InvalidParameter("smoothing order must be >= 1")
+        if order < 1 or order != int(order):
+            raise InvalidParameter("smoothing order must be an integer >= 1")
         return cls(kind=KIND_SMOOTHED, dim=len(a), alpha=a, order=int(order))
 
     # -- support geometry ------------------------------------------------
@@ -287,7 +287,7 @@ def periodized_sum(g: AdmissibleFn, J: IntMat, x: Sequence):
     xv = tuple(Fraction(v) for v in x)
     total = 0
     for z in product(*_shift_ranges(J, g.support_halfwidths, xv, xv)):
-        total = total + g(tuple(a + b for a, b in zip(xv, J.apply_T(z))))
+        total = total + g(tuple(a + b for a, b in zip(xv, J.T.apply(z))))
     return total
 
 

@@ -221,7 +221,7 @@ def _wavelet_frequency_shift(J: IntMat) -> Vec:
     """Integer congruence representative ``J^T v`` pairing the two
     frequency classes that a dyadic factor splits."""
     v, _ = wavelet_shift_vectors(J)
-    gt = J.apply_T(v)
+    gt = J.T.apply(v)
     if any(Fraction(c).denominator != 1 for c in gt):
         raise ConditionViolated(f"J^T v = {gt} is not an integer vector for factor {J}")
     return tuple(int(c) for c in gt)
@@ -402,7 +402,7 @@ def fiber_partner(chain: ChainSpec, level: int) -> np.ndarray:
     """For each class of ``G(M_{l+1}^T)``, the index of the second class a
     dyadic factor merges with it over ``G(M_l^T)``; an involution."""
     J = _require_dyadic_factor(chain.factors[level])
-    shift = chain.matrix(level).apply_T(_wavelet_frequency_shift(J))
+    shift = chain.matrix(level).T.apply(_wavelet_frequency_shift(J))
     gs = generating_set(chain.matrix(level + 1).T)
     dtype = np.int64 if _absmax(gs.rep_array) + max(map(abs, shift)) < _INT64_SAFE else object
     partner = gs.class_index(gs.rep_array.astype(dtype) + np.array(shift, dtype=dtype))

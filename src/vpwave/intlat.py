@@ -23,7 +23,10 @@ with class lattice ``M^T Z^d``; :func:`reduce_mod` reduces into that set.
 
 Both sets carry one canonical order: the lexicographic order of the
 digit tuples in the Smith-diagonal coordinates, so every module and
-file format of this package agrees on element positions.
+file format of this package agrees on element positions.  The digits
+are taken through the ``U`` of ``M = U S V`` that the elimination in
+:func:`smith_normal_form` produces; ``U`` is not unique, so a change to
+its pivot choice or its divisor step may move the canonical order.
 
 Integer arrays
 --------------
@@ -61,8 +64,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (ConditionViolated, DimensionMismatch, IndexMismatch, InvalidParameter,
-                     SingularMatrix, TooLarge)
+from .errors import (ConditionViolated, DimensionMismatch, IndexMismatch, InexactInput,
+                     InvalidParameter, SingularMatrix, TooLarge)
 
 Vec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
@@ -116,7 +119,7 @@ class IntMat:
 
     @cached_property
     def det(self) -> int:
-        return _det(self)
+        return _bareiss_det(self.to_lists())
 
     @cached_property
     def absdet(self) -> int:
@@ -132,28 +135,14 @@ class IntMat:
         return IntMat(tuple(zip(*self.entries)))
 
     def __matmul__(self, other: "IntMat") -> "IntMat":
-        if self.dim != other.dim:
-            raise DimensionMismatch("matrix dimensions differ")
-        cols = tuple(zip(*other.entries))
-        return IntMat(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.entries
-            )
-        )
+        """The product, column by column through :meth:`apply`."""
+        return IntMat(tuple(zip(*map(self.apply, zip(*other.entries)))))
 
     def apply(self, v: Sequence) -> tuple:
         """Matrix-vector product; works for int and Fraction entries."""
         if len(v) != self.dim:
             raise DimensionMismatch("vector length differs from matrix dimension")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
-
-    def apply_T(self, v: Sequence) -> tuple:
-        """Product with the transpose, without materializing it."""
-        if len(v) != self.dim:
-            raise DimensionMismatch("vector length differs from matrix dimension")
-        d = self.dim
-        return tuple(sum(self.entries[i][j] * v[i] for i in range(d)) for j in range(d))
 
     def inv_apply(self, v: Sequence) -> FracVec:
         """``M^{-1} v`` exactly (entries of ``v``: ints, Fractions or floats)."""
@@ -163,7 +152,7 @@ class IntMat:
     def inv_T_apply(self, v: Sequence) -> FracVec:
         """``M^{-T} v`` exactly."""
         A, q = _scaled_adjugate(self)
-        return _divide_rows(tuple(zip(*A.entries)), q, v)
+        return _divide_rows(A.T.entries, q, v)
 
     def inv_T_rows(self, K: np.ndarray) -> tuple[np.ndarray, int]:
         """``M^{-T} k`` for every row ``k`` of the integer array ``K``, exactly:
@@ -205,11 +194,6 @@ def _bareiss_det(rows: list[list[int]]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _det(M: IntMat) -> int:
-    return _bareiss_det(M.to_lists())
-
-
-@lru_cache(maxsize=None)
 def _scaled_adjugate(M: IntMat) -> tuple[IntMat, int]:
     """``M^{-1} = A / q`` with ``q = |det M|`` and ``A = sign(det M) adj(M)``,
     from the exact integer cofactors (Bareiss determinants of the minors)."""
@@ -222,11 +206,6 @@ def _scaled_adjugate(M: IntMat) -> tuple[IntMat, int]:
 
     return IntMat(tuple(tuple(sign * cofactor(j, i) for j in range(M.dim))
                         for i in range(M.dim))), M.absdet
-
-
-def determinant(M: IntMat) -> int:
-    """Exact determinant (zero is a valid value; callers enforce regularity)."""
-    return _det(M)
 
 
 @dataclass(frozen=True)
@@ -243,28 +222,22 @@ class SmithDecomposition:
         return tuple(self.S.entries[i][i] for i in range(self.S.dim))
 
 
-def smith_normal_form(M: IntMat) -> SmithDecomposition:
-    """Smith normal form of a regular integer matrix."""
-    return _snf(M.require_regular())
-
-
 @lru_cache(maxsize=None)
-def _snf(M: IntMat) -> SmithDecomposition:
-    d = M.dim
+def smith_normal_form(M: IntMat) -> SmithDecomposition:
+    """Smith normal form of a regular integer matrix.
+
+    Each step moves the row-major first nonzero entry of least magnitude of
+    the trailing block to the pivot and clears the pivot row and column.
+    The divisor condition is met inside this elimination: while the pivot
+    fails to divide an entry of the trailing block, that entry's row is
+    added to the pivot row and the step repeats, with a pivot of strictly
+    smaller magnitude.
+    """
+    d = M.require_regular().dim
     A = M.to_lists()
     # Maintain M = U @ A @ V throughout; U, V collect inverse elementary ops.
-    U = IntMat.identity(d).to_lists()
-    V = IntMat.identity(d).to_lists()
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        for r in U:
-            r[i], r[j] = r[j], r[i]
-
-    def col_swap(i, j):
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-        V[i], V[j] = V[j], V[i]
+    U = [[int(i == j) for j in range(d)] for i in range(d)]
+    V = [row[:] for row in U]
 
     def row_add(i, j, c):
         # A <- L A with L adding c*row j to row i; U <- U L^{-1}
@@ -278,68 +251,32 @@ def _snf(M: IntMat) -> SmithDecomposition:
             r[i] += c * r[j]
         V[j] = [x - c * y for x, y in zip(V[j], V[i])]
 
-    def row_negate(i):
-        A[i] = [-x for x in A[i]]
-        for r in U:
-            r[i] = -r[i]
-
     for t in range(d):
         while True:
-            # move a minimal-magnitude nonzero entry of the trailing block to (t,t)
-            best = None
-            for i in range(t, d):
-                for j in range(t, d):
-                    if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                raise SingularMatrix("singular matrix in Smith reduction")
-            bi, bj = best
-            if bi != t:
-                row_swap(t, bi)
-            if bj != t:
-                col_swap(t, bj)
-            dirty = False
+            _, bi, bj = min((abs(A[i][j]), i, j)
+                            for i in range(t, d) for j in range(t, d) if A[i][j])
+            A[t], A[bi] = A[bi], A[t]
+            for r in U:
+                r[t], r[bi] = r[bi], r[t]
+            for r in A:
+                r[t], r[bj] = r[bj], r[t]
+            V[t], V[bj] = V[bj], V[t]
+            p = A[t][t]
             for i in range(t + 1, d):
-                if A[i][t] != 0:
-                    q = A[i][t] // A[t][t]
-                    row_add(i, t, -q)
-                    if A[i][t] != 0:
-                        dirty = True
+                row_add(i, t, -(A[i][t] // p))
             for j in range(t + 1, d):
-                if A[t][j] != 0:
-                    q = A[t][j] // A[t][t]
-                    col_add(j, t, -q)
-                    if A[t][j] != 0:
-                        dirty = True
-            if not dirty:
+                col_add(j, t, -(A[t][j] // p))
+            if any(A[i][t] or A[t][i] for i in range(t + 1, d)):
+                continue  # a nonzero remainder: it is the next, smaller pivot
+            # divisor step: a row with an entry the pivot does not divide
+            k = next((i for i in range(t + 1, d) if any(v % p for v in A[i][t + 1:])), None)
+            if k is None:
                 break
+            row_add(t, k, 1)
         if A[t][t] < 0:
-            row_negate(t)
-
-    # enforce the divisibility chain s_i | s_{i+1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(d - 1):
-            if A[i + 1][i + 1] % A[i][i] != 0:
-                changed = True
-                col_add(i, i + 1, 1)
-                # re-diagonalize the 2x2 block (i, i+1)
-                while A[i + 1][i] != 0 or A[i][i + 1] != 0:
-                    if A[i + 1][i] != 0:
-                        if abs(A[i + 1][i]) < abs(A[i][i]):
-                            row_swap(i, i + 1)
-                        q = A[i + 1][i] // A[i][i]
-                        row_add(i + 1, i, -q)
-                    if A[i][i + 1] != 0:
-                        if abs(A[i][i + 1]) < abs(A[i][i]):
-                            col_swap(i, i + 1)
-                        q = A[i][i + 1] // A[i][i]
-                        col_add(i + 1, i, -q)
-                if A[i][i] < 0:
-                    row_negate(i)
-                if A[i + 1][i + 1] < 0:
-                    row_negate(i + 1)
+            A[t] = [-x for x in A[t]]
+            for r in U:
+                r[t] = -r[t]
 
     dec = SmithDecomposition(U=IntMat.from_rows(U), S=IntMat.from_rows(A), V=IntMat.from_rows(V))
     if dec.U @ dec.S @ dec.V != M or abs(dec.U.det) != 1 or abs(dec.V.det) != 1:
@@ -392,6 +329,20 @@ def digit_index(D: np.ndarray, diag: Sequence[int]) -> np.ndarray:
     return index
 
 
+def _integer_row(k: Sequence) -> np.ndarray:
+    """``k`` as a one-row ``dtype=object`` array of Python integers; integral
+    Fractions and floats are accepted, anything else raises ``InexactInput``."""
+    k = tuple(k)
+    try:
+        row = [int(v) for v in k]
+        exact = row == list(k)
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        raise InexactInput(f"{k} is not an integer vector")
+    return np.array([row], dtype=object)
+
+
 def _reduce_box(M: IntMat, K: np.ndarray) -> np.ndarray:
     """Representatives in ``M [-1/2,1/2)^d`` of the rows of ``K`` modulo
     ``M Z^d``: ``K - M floor(M^{-1} K + 1/2)``, where
@@ -426,22 +377,26 @@ class GeneratingSet:
         return tuple(map(tuple, self.rep_array.tolist()))
 
     def reduce(self, k: Sequence[int]) -> Vec:
-        """Unique representative of ``k`` modulo ``M Z^d``."""
+        """Unique representative of ``k`` modulo ``M Z^d``; a non-integral
+        entry raises ``InexactInput``."""
         if len(k) != self.matrix.dim:
             raise DimensionMismatch("vector length differs from matrix dimension")
-        K = np.array([[int(v) for v in k]], dtype=object)
-        return tuple(_reduce_box(self.matrix, K)[0].tolist())
+        return tuple(_reduce_box(self.matrix, _integer_row(k))[0].tolist())
 
     def class_index(self, K: np.ndarray) -> np.ndarray:
         """Positions in ``reps`` of the classes of the rows of the ``(n, d)``
-        integer array ``K`` (int64, or ``dtype=object`` for larger entries)."""
+        integer array ``K`` (int64, or ``dtype=object`` for larger entries);
+        any other dtype raises ``InexactInput``."""
         if K.ndim != 2 or K.shape[1] != len(self.diagonal):
             raise DimensionMismatch("vector length differs from matrix dimension")
+        if K.dtype.kind not in "iO":
+            raise InexactInput(f"frequencies must be integers, not {K.dtype}")
         return digit_index(apply_rows(self.digit_map, K), self.diagonal)
 
     def index_of(self, k: Sequence[int]) -> int:
-        """Position of the class of ``k`` in ``reps``."""
-        return int(self.class_index(np.array([[int(v) for v in k]], dtype=object))[0])
+        """Position of the class of ``k`` in ``reps``; a non-integral entry
+        raises ``InexactInput``."""
+        return int(self.class_index(_integer_row(k))[0])
 
 
 @dataclass(frozen=True)
@@ -489,7 +444,7 @@ def generating_set(M: IntMat) -> GeneratingSet:
     m = M.require_regular().absdet
     if m > ENUMERATION_GUARD:
         raise TooLarge(f"refusing to enumerate {m} > {ENUMERATION_GUARD} lattice points")
-    snf = _snf(M)
+    snf = smith_normal_form(M)
     diag = snf.diagonal
     # Smith digit vectors, one per row, in lexicographic order
     digits = np.indices(diag).reshape(M.dim, -1).T

@@ -217,13 +217,15 @@ def check_reduction(g: AdmissibleFn, J: IntMat, mode: str) -> tuple[bool, float]
 
     ``single``: the refinement step with ``J`` applied to the window
     reproduces the window itself (axis-doubling factors),
-    ``g^J(x) g(J^{-T} x) == g(x)``.  For ``J = axis_doubling(d, i)``,
-    ``d > 1``, it is decided on the 1-D factor of axis ``i``: the window is
-    a tensor product whose other axes periodize to 1, so both sides carry
-    the common factor ``prod_{k != i} g_k(x_k)``, at most 1 and equal to 1
-    at ``x_k = 0``, and the full grid would give the same result.  Any other
-    factor is checked on the full grid where it fits (``d <= 2``; a 3-D
-    grid raises ``TooLarge``).
+    ``g^J(x) g(J^{-T} x) == g(x)``.  Let ``S`` be the axes whose row or
+    column of ``J`` differs from the identity.  When ``0 < |S| < d`` it is
+    decided on the factor of the window over ``S`` with the block
+    ``J[S, S]``: the window is a tensor product whose other axes periodize
+    to 1, so both sides carry the common factor ``prod_{k not in S}
+    g_k(x_k)``, at most 1 and equal to 1 at ``x_k = 0``, and the full grid
+    would give the same result.  A factor that moves every axis is checked
+    on the full grid where it fits (``d <= 2``; a 3-D grid raises
+    ``TooLarge``).
     ``double``: prepending a quincunx step changes nothing,
     ``refine_J(g, refine_D(g, g)) == refine_J(g, g)``; ``d = 2`` only.
 
@@ -240,11 +242,14 @@ def check_reduction(g: AdmissibleFn, J: IntMat, mode: str) -> tuple[bool, float]
         raise DimensionMismatch("factor and window dimensions differ")
     if mode == "double" and g.dim != 2:
         raise UnsupportedDimension("the double reduction prepends the 2-D quincunx factor")
-    if mode == "single" and g.dim > 1:
-        for i in range(g.dim):
-            if J == axis_doubling(g.dim, i):
-                return check_reduction(replace(g, dim=1, alpha=g.alpha[i:i + 1]),
-                                       IntMat.from_rows([[2]]), mode)
+    if mode == "single":
+        identity = IntMat.identity(g.dim).entries
+        moved = [i for i in range(g.dim)
+                 if J.entries[i] != identity[i] or J.T.entries[i] != identity[i]]
+        if 0 < len(moved) < g.dim:
+            block = IntMat(tuple(tuple(J.entries[i][k] for k in moved) for i in moved))
+            sub = replace(g, dim=len(moved), alpha=tuple(g.alpha[i] for i in moved))
+            return check_reduction(sub, block, mode)
     _, _, lhs, rhs = _reduction_sides(g, J, mode)
     deviation = exact_gap(*lhs, *rhs)
     return deviation == 0, deviation

@@ -15,8 +15,8 @@ from vpwave.admissible import (
     periodized_sum,
     periodized_sum_exact,
 )
-from vpwave.errors import DimensionMismatch, VpwaveError
-from vpwave.intlat import J_D, J_X, J_Y, IntMat, determinant
+from vpwave.errors import DimensionMismatch, InvalidParameter, VpwaveError
+from vpwave.intlat import J_D, J_X, J_Y, IntMat
 
 F = Fraction
 
@@ -255,6 +255,11 @@ def test_rejects_out_of_range_parameters():
         AdmissibleFn.tensor_smoothed([F(1, 2)], order=2)
     with pytest.raises(ValueError):
         AdmissibleFn.tensor_smoothed([F(1, 8)], order=0)
+    # a non-integral order is refused, not truncated; an integral float is read
+    for order in (2.5, F(5, 2)):
+        with pytest.raises(InvalidParameter):
+            AdmissibleFn.tensor_smoothed([F(1, 8)], order=order)
+    assert AdmissibleFn.tensor_smoothed([F(1, 8)], order=2.0).order == 2
 
 
 def test_periodized_sum_converts_float_input_exactly():
@@ -294,7 +299,7 @@ def inverse_T_by_cofactors(J):
     def minor(i, j):
         return IntMat.from_rows([[J.entries[r][c] for c in range(d) if c != j]
                                  for r in range(d) if r != i])
-    return tuple(tuple(F((-1) ** (i + j) * determinant(minor(i, j)), J.det)
+    return tuple(tuple(F((-1) ** (i + j) * minor(i, j).det, J.det)
                        for j in range(d)) for i in range(d))
 
 
@@ -377,7 +382,7 @@ def test_periodized_sum_exact_matches_scalar_oracle(data):
     # a common offset by q J^T w keeps the box of rows small; a huge one
     # makes every shifted row exceed int64
     w = data.draw(st.sampled_from([0, 2 ** 61]))
-    N = np.array(rows, dtype=object) + np.array([q * v for v in J.apply_T((w,) * d)], dtype=object)
+    N = np.array(rows, dtype=object) + np.array([q * v for v in J.T.apply((w,) * d)], dtype=object)
     if not w:
         N = N.astype(np.int64)
     num, den = periodized_sum_exact(g, J, N, q)

@@ -295,7 +295,7 @@ def oracle_orthonormalize(fn):
 
 
 def oracle_fiber_partner(c, level):
-    shift = c.matrix(level).apply_T(dlvp._wavelet_frequency_shift(c.factors[level]))
+    shift = c.matrix(level).T.apply(dlvp._wavelet_frequency_shift(c.factors[level]))
     gs = generating_set(c.matrix(level + 1).T)
     return np.array([gs.index_of(tuple(a + b for a, b in zip(h, shift))) for h in gs.reps])
 

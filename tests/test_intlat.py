@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from vpwave.errors import (ConditionViolated, DimensionMismatch, IndexMismatch, InvalidParameter,
-                           SingularMatrix, TooLarge)
+from vpwave.errors import (ConditionViolated, DimensionMismatch, IndexMismatch, InexactInput,
+                           InvalidParameter, SingularMatrix, TooLarge)
 from vpwave.intlat import (
     ENUMERATION_GUARD,
     J_D,
@@ -18,7 +18,6 @@ from vpwave.intlat import (
     IntMat,
     axis_doubling,
     chain,
-    determinant,
     generating_set,
     pattern,
     plane_rotation,
@@ -36,29 +35,31 @@ def random_regular(rng, d, lo=-8, hi=8):
 
 
 def test_determinant_values():
-    assert determinant(IntMat.from_rows([[16, 0], [12, 8]])) == 128
-    assert determinant(IntMat.identity(3)) == 1
-    assert determinant(IntMat.from_rows([[10, -4], [6, 4]])) == 64
-    assert determinant(IntMat.from_rows([[1, 2], [2, 4]])) == 0
+    assert IntMat.from_rows([[16, 0], [12, 8]]).det == 128
+    assert IntMat.identity(3).det == 1
+    assert IntMat.from_rows([[10, -4], [6, 4]]).det == 64
+    assert IntMat.from_rows([[1, 2], [2, 4]]).det == 0
+
+
+def laplace(rows):
+    """Determinant by Laplace expansion along the first row; an oracle
+    independent of the Bareiss elimination."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for j in range(n):
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        total += (-1) ** j * rows[0][j] * laplace(minor)
+    return total
 
 
 def test_determinant_matches_cofactor_expansion():
-    # independent oracle: Laplace expansion over Fractions
-    def laplace(rows):
-        n = len(rows)
-        if n == 1:
-            return rows[0][0]
-        total = 0
-        for j in range(n):
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            total += (-1) ** j * rows[0][j] * laplace(minor)
-        return total
-
     rng = random.Random(7)
     for _ in range(50):
         d = rng.choice([1, 2, 3, 4])
         rows = [[rng.randint(-6, 6) for _ in range(d)] for _ in range(d)]
-        assert determinant(IntMat.from_rows(rows)) == laplace(rows)
+        assert IntMat.from_rows(rows).det == laplace(rows)
 
 
 def test_smith_trivial_diagonal():
@@ -92,6 +93,75 @@ def test_smith_random_reconstruction():
         diag = dec.diagonal
         assert all(s > 0 for s in diag)
         assert all(diag[i + 1] % diag[i] == 0 for i in range(d - 1))
+
+
+def determinantal_diagonal(M):
+    """Smith diagonal from the determinantal divisors: ``s_k = D_k / D_{k-1}``
+    with ``D_k`` the gcd of the ``k x k`` minors, independent of any
+    elimination."""
+    d, rows = M.dim, M.entries
+    D = [1]
+    for k in range(1, d + 1):
+        D.append(math.gcd(*(laplace([[rows[i][j] for j in cols] for i in rows_k])
+                            for rows_k in itertools.combinations(range(d), k)
+                            for cols in itertools.combinations(range(d), k))))
+    return tuple(D[k] // D[k - 1] for k in range(1, d + 1))
+
+
+def assert_smith(M, dec):
+    d = M.dim
+    assert dec.U @ dec.S @ dec.V == M
+    assert abs(dec.U.det) == 1 and abs(dec.V.det) == 1
+    assert dec.S == IntMat.diagonal(dec.diagonal)
+    assert all(s > 0 for s in dec.diagonal)
+    assert all(dec.diagonal[i + 1] % dec.diagonal[i] == 0 for i in range(d - 1))
+    assert dec.diagonal == determinantal_diagonal(M)
+
+
+@pytest.mark.parametrize("diag, smith", [
+    ((2, 3), (1, 6)),
+    ((4, 6), (2, 12)),
+    ((6, 10, 15), (1, 30, 30)),
+    ((3, 2), (1, 6)),
+    ((12, 8, 2, 9), (1, 2, 12, 72)),
+])
+def test_smith_divisor_step_on_diagonals(diag, smith):
+    M = IntMat.diagonal(diag)
+    dec = smith_normal_form(M)
+    assert dec.diagonal == smith
+    assert_smith(M, dec)
+
+
+@st.composite
+def unimodular_matrices(draw, d):
+    """Products of elementary operations: row swaps, row negations and
+    additions of a multiple of one row to another."""
+    rows = IntMat.identity(d).to_lists()
+    for _ in range(draw(st.integers(0, 3 * d))):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        op = draw(st.sampled_from(["swap", "negate", "add"]))
+        if op == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == "negate":
+            rows[i] = [-v for v in rows[i]]
+        elif i != j:
+            c = draw(st.integers(-5, 5))
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return IntMat.from_rows(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), d=st.integers(2, 4))
+def test_smith_of_scrambled_diagonals(data, d):
+    # M = U diag(s) V with a diagonal that breaks the divisor chain, so the
+    # divisor step has to run; entries up to 2^40 (past 2^62 in the minors)
+    s = data.draw(st.lists(st.one_of(st.integers(1, 60), st.integers(1, 2 ** 40)),
+                           min_size=d, max_size=d))
+    assume(any(s[i + 1] % s[i] for i in range(d - 1)))
+    M = data.draw(unimodular_matrices(d)) @ IntMat.diagonal(s) @ data.draw(unimodular_matrices(d))
+    dec = smith_normal_form(M)
+    assert_smith(M, dec)
+    assert math.prod(dec.diagonal) == math.prod(s)
 
 
 def test_smith_rejects_singular():
@@ -240,6 +310,8 @@ def test_chain_rejects_bad_factors():
         chain(IntMat.identity(2), [IntMat.identity(2)])  # |det| = 1
     with pytest.raises(DimensionMismatch):
         chain(IntMat.identity(2), [IntMat.from_rows([[2]])])
+    with pytest.raises(DimensionMismatch):
+        J_X @ IntMat.identity(3)
 
 
 def test_highdim_factor_constructors():
@@ -387,6 +459,27 @@ def test_class_index_and_reduce_check_dimension():
         gs.class_index(np.zeros((4, 3), dtype=np.int64))
     with pytest.raises(DimensionMismatch):
         gs.reduce((1,))
+
+
+def test_lookups_reject_non_integral_frequencies():
+    M = IntMat.from_rows([[3, 1], [0, 2]])
+    gs = generating_set(M)
+    i = gs.index_of((1, 2))
+    assert gs.index_of((Fraction(2, 2), 2)) == gs.index_of((1.0, 2.0)) == i
+    assert gs.reduce((Fraction(4, 4), 2.0)) == gs.reduce((1, 2))
+    for bad in ((1.5, 2), (Fraction(3, 2), 2), (float("nan"), 0), (float("inf"), 0), ("1", 2)):
+        with pytest.raises(InexactInput):
+            gs.index_of(bad)
+        with pytest.raises(InexactInput):
+            gs.reduce(bad)
+    with pytest.raises(InexactInput):
+        reduce_mod(M, (0.9, 0))
+    assert reduce_mod(M, (1.0, 0)) == reduce_mod(M, (1, 0))
+    with pytest.raises(InexactInput):
+        gs.class_index(np.array([[1.5, 2.0]]))
+    with pytest.raises(InexactInput):
+        gs.class_index(np.zeros((3, 2)))
+    assert gs.class_index(np.array([[1, 2]], dtype=np.int32)).tolist() == [i]
 
 
 def test_unimodular_inverse():

@@ -255,10 +255,11 @@ def test_reduction_rejects_other_dimensions():
         check_reduction(g1, IntMat.from_rows([[2]]), "double")
     with pytest.raises(DimensionMismatch):
         check_reduction(g1, J_X, "single")
-    # 512 points per axis: a 3-D grid is refused before it is built; only an
-    # axis doubling is decided on one axis
+    # 512 points per axis: a 3-D grid is refused before it is built; only a
+    # factor that leaves some axis alone is decided on the axes it moves
     with pytest.raises(TooLarge):
-        check_reduction(AdmissibleFn.tensor_linear([F(1, 20)] * 3), plane_rotation(3, 0, 1), "single")
+        check_reduction(AdmissibleFn.tensor_linear([F(1, 20)] * 3),
+                        IntMat.from_rows([[1, 0, 1], [1, 1, 0], [0, 1, 1]]), "single")
 
 
 @pytest.mark.parametrize("g, J", [
@@ -290,6 +291,25 @@ def test_reduction_single_in_three_dimensions():
     _, _, lhs, rhs = _reduction_sides(AdmissibleFn.tensor_linear([F(1, 5), F(1, 20)]), J_X, "single")
     assert check_reduction(g3, axis_doubling(3, 1), "single") == (False, exact_gap(*lhs, *rhs))
     assert check_reduction(g3, axis_doubling(3, 2), "single") == (True, 0.0)
+    # axes 0 and 2 moved: the block [[1, 1], [-1, 1]] on the window over them
+    assert (check_reduction(g3, plane_rotation(3, 2, 0), "single")
+            == check_reduction(AdmissibleFn.tensor_linear([F(1, 20)] * 2),
+                               IntMat.from_rows([[1, 1], [-1, 1]]), "single"))
+
+
+@pytest.mark.parametrize("g3, g2", [
+    (AdmissibleFn.tensor_linear([F(1, 20)] * 3), AdmissibleFn.tensor_linear([F(1, 20)] * 2)),
+    (AdmissibleFn.tensor_smoothed([F(1, 20)] * 3, order=2),
+     AdmissibleFn.tensor_smoothed([F(1, 20)] * 2, order=2)),
+    (AdmissibleFn.characteristic(3), AdmissibleFn.characteristic(2)),
+], ids=["linear", "smoothed", "characteristic"])
+def test_reduction_single_plane_rotation_in_three_dimensions(g3, g2):
+    # the rotation of the (0, 1) plane is J_D on those axes and leaves axis 2
+    # alone, so the 3-D check is the 2-D one
+    t = time.perf_counter()
+    rotated = check_reduction(g3, plane_rotation(3, 0, 1), "single")
+    assert time.perf_counter() - t < 2.0
+    assert rotated == check_reduction(g2, J_D, "single")
 
 
 def test_reduction_rejects_unknown_mode():
