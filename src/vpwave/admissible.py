@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -56,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InexactInput, InvalidParameter, MalformedDescriptor
-from .intlat import _INT64_SAFE, ENUMERATION_GUARD, IntMat, _absmax, apply_rows
+from .intlat import _INT64_SAFE, ENUMERATION_GUARD, IntMat, _absmax, _Value, apply_rows
 
 HALF = Fraction(1, 2)
 
@@ -77,21 +76,16 @@ def _as_fraction(v) -> Fraction:
     raise InexactInput(f"cannot interpret {v!r} as an exact rational")
 
 
-@dataclass(frozen=True)
-class AdmissibleFn:
-    """Tensor-product admissible window on R^d; its hash is cached on the
-    instance."""
+class AdmissibleFn(_Value):
+    """Tensor-product admissible window on R^d: ``alpha`` holds the per-axis
+    ramp halfwidths (0 for the characteristic window).  Equality compares
+    every field; the hash is cached on the instance."""
 
-    kind: str
-    dim: int
-    alpha: tuple[Fraction, ...]  # per-axis ramp halfwidth (0 for characteristic)
-    order: int = 1
+    _fields = ("kind", "dim", "alpha", "order")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.kind, self.dim, self.alpha, self.order)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __init__(self, kind: str, dim: int, alpha: tuple[Fraction, ...], order: int = 1):
+        self._set(kind=kind, dim=dim, alpha=alpha, order=order,
+                  _hash=hash((kind, dim, alpha, order)))
 
     def __reduce__(self):
         # rebuilt through __init__: a str hashes differently in each process,

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -54,8 +53,8 @@ from .admissible import (AdmissibleFn, exact_floats, exact_product, periodized_s
                          periodized_sum_exact)
 from .errors import (ConditionViolated, DegenerateClass, DimensionMismatch, LevelOutOfRange,
                      NotDyadic, TooLarge)
-from .intlat import (_INT64_SAFE, ENUMERATION_GUARD, ChainSpec, IntMat, _absmax, generating_set,
-                     smith_normal_form, unimodular_inverse)
+from .intlat import (_INT64_SAFE, ENUMERATION_GUARD, ChainSpec, IntMat, _absmax, _Frozen,
+                     generating_set, smith_normal_form, unimodular_inverse)
 from .latfft import SpectrumVector
 
 Vec = tuple[int, ...]
@@ -69,8 +68,7 @@ def _degenerate(powers: np.ndarray) -> bool:
     return float(np.min(powers)) <= DEGENERATE_REL * float(np.max(powers))
 
 
-@dataclass(frozen=True, eq=False)
-class SparseSpectrum:
+class SparseSpectrum(_Frozen):
     """Finite map from integer frequencies to Fourier coefficients: the
     distinct ``keys`` as an ``(n, d)`` int64 array and the matching
     ``values``, sorted lexicographically by the constructor and read-only.
@@ -78,19 +76,15 @@ class SparseSpectrum:
     ``a[generating_set(M^T).class_index(keys)]``.  ``coeffs`` is a dict
     view ``{k: c}`` of the same data, built on first use."""
 
-    dim: int
-    keys: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        keys = np.asarray(self.keys, dtype=np.int64).reshape(-1, self.dim)
-        values = np.asarray(self.values)
+    def __init__(self, dim: int, keys: np.ndarray, values: np.ndarray):
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1, dim)
+        values = np.asarray(values)
         if values.shape != (len(keys),):
             raise DimensionMismatch("a spectrum needs one coefficient per frequency")
         order = np.lexsort(keys.T[::-1])
-        for name, arr in (("keys", keys[order]), ("values", values[order])):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        keys, values = keys[order], values[order]
+        keys.flags.writeable = values.flags.writeable = False
+        self._set(dim=dim, keys=keys, values=values)
 
     @cached_property
     def coeffs(self) -> dict[Vec, complex]:
@@ -106,20 +100,17 @@ class SparseSpectrum:
         return self.coeffs.get(tuple(int(v) for v in k), 0.0)
 
 
-@dataclass(frozen=True)
-class ScalingFunction:
+class ScalingFunction(_Frozen):
     """``samples`` holds the unscaled profile value ``P(M_l^{-T} k)`` of each
     stored frequency, on the keys of ``spectrum``, so that
     ``spectrum[k] == samples[k] / sqrt(m_l)``; it is ``None`` when the
     coefficients are not plain profile samples (after
     :func:`orthonormalize`, or for a hand-built spectrum)."""
 
-    chain: ChainSpec
-    level: int
-    g: AdmissibleFn
-    spectrum: SparseSpectrum
-    normalized: bool = False
-    samples: SparseSpectrum | None = None
+    def __init__(self, chain: ChainSpec, level: int, g: AdmissibleFn, spectrum: SparseSpectrum,
+                 normalized: bool = False, samples: SparseSpectrum | None = None):
+        self._set(chain=chain, level=level, g=g, spectrum=spectrum, normalized=normalized,
+                  samples=samples)
 
     @property
     def matrix(self) -> IntMat:
@@ -138,15 +129,11 @@ class ScalingFunction:
         return powers
 
 
-@dataclass(frozen=True)
-class Wavelet:
-    chain: ChainSpec
-    level: int
-    g: AdmissibleFn
-    spectrum: SparseSpectrum
-    v: tuple[Fraction, ...]
-    w: tuple[Fraction, ...]
-    normalized: bool = False
+class Wavelet(_Frozen):
+    def __init__(self, chain: ChainSpec, level: int, g: AdmissibleFn, spectrum: SparseSpectrum,
+                 v: tuple[Fraction, ...], w: tuple[Fraction, ...], normalized: bool = False):
+        self._set(chain=chain, level=level, g=g, spectrum=spectrum, v=v, w=w,
+                  normalized=normalized)
 
     @property
     def matrix(self) -> IntMat:
@@ -157,19 +144,17 @@ class Wavelet:
         return self.chain.size(self.level)
 
 
-@dataclass(frozen=True)
-class TwoScaleCoeffs:
+class TwoScaleCoeffs(_Frozen):
     """Coefficients linking a level-l function to the level-(l+1) scaling
-    basis, one value per frequency class of ``G(M_{l+1}^T)``."""
+    basis, one value per frequency class of ``G(M_{l+1}^T)``.  ``kind`` is
+    ``"scaling"`` or ``"wavelet"``.  Raw vectors only keep ``samples``: the
+    real periodization samples behind ``values``, which are
+    ``sqrt(|det J|) * samples`` times unit phases."""
 
-    chain: ChainSpec
-    level: int
-    kind: str  # "scaling" or "wavelet"
-    values: SpectrumVector
-    normalized: bool = False
-    # raw vectors only: the real periodization samples behind ``values``,
-    # which are ``sqrt(|det J|) * samples`` times unit phases
-    samples: np.ndarray | None = field(default=None, compare=False)
+    def __init__(self, chain: ChainSpec, level: int, kind: str, values: SpectrumVector,
+                 normalized: bool = False, samples: np.ndarray | None = None):
+        self._set(chain=chain, level=level, kind=kind, values=values, normalized=normalized,
+                  samples=samples)
 
 
 def _check_level(chain: ChainSpec, level: int, *, top: int) -> None:
@@ -393,8 +378,8 @@ def orthonormalize(fn: ScalingFunction | Wavelet):
     spec = SparseSpectrum(dim=s.dim, keys=s.keys,
                           values=s.values * scale[generating_set(fn.matrix.T).class_index(s.keys)])
     if isinstance(fn, ScalingFunction):
-        return replace(fn, spectrum=spec, normalized=True, samples=None)
-    return replace(fn, spectrum=spec, normalized=True)
+        return ScalingFunction(fn.chain, fn.level, fn.g, spec, normalized=True)
+    return Wavelet(fn.chain, fn.level, fn.g, spec, fn.v, fn.w, normalized=True)
 
 
 @lru_cache(maxsize=None)

@@ -51,3 +51,7 @@ class MalformedDescriptor(VpwaveError, ValueError):
 
 class InexactInput(VpwaveError, TypeError):
     """A value cannot be read as an exact integer or rational."""
+
+
+class FrozenValue(VpwaveError, AttributeError):
+    """An attribute of an immutable package object was assigned or deleted."""

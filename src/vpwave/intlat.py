@@ -57,15 +57,14 @@ so int64 never wraps silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (ConditionViolated, DimensionMismatch, IndexMismatch, InexactInput,
-                     InvalidParameter, SingularMatrix, TooLarge)
+from .errors import (ConditionViolated, DimensionMismatch, FrozenValue, IndexMismatch,
+                     InexactInput, InvalidParameter, SingularMatrix, TooLarge)
 
 Vec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
@@ -76,33 +75,78 @@ ENUMERATION_GUARD = 2 ** 20
 _INT64_SAFE = 2 ** 62
 
 
-@dataclass(frozen=True)
-class IntMat:
-    """Immutable square integer matrix.  The hash, the exact determinant and
-    the transpose are cached on the instance, so a cache keyed by matrices
-    hashes the entries once per matrix, and ``M.T is M.T``; equality
-    compares the entries."""
+class _Frozen:
+    """Base of the package's immutable objects: ``__init__`` writes the
+    fields once with :meth:`_set`, and assignment or deletion raises
+    :class:`~vpwave.errors.FrozenValue`.  ``cached_property`` and unpickling
+    write the instance ``__dict__`` directly, so both keep working.  Equality
+    and hashing are by identity."""
 
-    entries: tuple[tuple[int, ...], ...]
+    def _set(self, **fields) -> None:
+        vars(self).update(fields)
 
-    def __post_init__(self):
-        d = len(self.entries)
-        if d < 1:
-            raise DimensionMismatch("matrix must be at least 1x1")
-        rows = []
-        for row in self.entries:
-            if len(row) != d:
-                raise DimensionMismatch("matrix must be square")
-            rows.append(tuple(int(v) for v in row))
-        object.__setattr__(self, "entries", tuple(rows))
-        object.__setattr__(self, "_hash", hash(self.entries))
+    def __setattr__(self, name, value):
+        raise FrozenValue(f"cannot assign {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise FrozenValue(f"cannot delete {name!r} of an immutable {type(self).__name__}")
+
+
+class _Value(_Frozen):
+    """An immutable object that compares, and prints, by the fields named in
+    ``_fields``; ``__init__`` stores the hash as ``_hash``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        state = vars(self)
+        return tuple(state[f] for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
         return self._hash
 
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key()))
+        return f"{type(self).__qualname__}({args})"
+
+
+def _exact_ints(k: Sequence) -> Vec:
+    """``k`` as a tuple of Python integers; integral Fractions, floats and
+    numpy integers are accepted, anything else raises ``InexactInput``."""
+    k = tuple(k)
+    try:
+        row = tuple(map(int, k))
+    except (TypeError, ValueError, OverflowError):
+        row = None
+    if row != k:
+        raise InexactInput(f"{k} is not an integer vector")
+    return row
+
+
+class IntMat(_Value):
+    """Immutable square integer matrix.  The hash, the exact determinant and
+    the transpose are cached on the instance, so a cache keyed by matrices
+    hashes the entries once per matrix, and ``M.T is M.T``; equality
+    compares the entries.  A non-integral entry raises ``InexactInput``."""
+
+    _fields = ("entries",)
+
+    def __init__(self, entries: Iterable[Iterable[int]]):
+        rows = tuple(map(_exact_ints, entries))
+        if not rows:
+            raise DimensionMismatch("matrix must be at least 1x1")
+        if any(len(row) != len(rows) for row in rows):
+            raise DimensionMismatch("matrix must be square")
+        self._set(entries=rows, _hash=hash(rows))
+
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMat":
-        return cls(tuple(tuple(int(v) for v in r) for r in rows))
+        return cls(rows)
 
     @classmethod
     def identity(cls, d: int) -> "IntMat":
@@ -208,14 +252,12 @@ def _scaled_adjugate(M: IntMat) -> tuple[IntMat, int]:
                         for i in range(M.dim))), M.absdet
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(_Frozen):
     """``M = U S V`` with unimodular ``U, V`` and ``S = diag(s_1..s_d)``,
     ``s_i > 0`` and ``s_i | s_{i+1}``."""
 
-    U: IntMat
-    S: IntMat
-    V: IntMat
+    def __init__(self, U: IntMat, S: IntMat, V: IntMat):
+        self._set(U=U, S=S, V=V)
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -330,17 +372,9 @@ def digit_index(D: np.ndarray, diag: Sequence[int]) -> np.ndarray:
 
 
 def _integer_row(k: Sequence) -> np.ndarray:
-    """``k`` as a one-row ``dtype=object`` array of Python integers; integral
-    Fractions and floats are accepted, anything else raises ``InexactInput``."""
-    k = tuple(k)
-    try:
-        row = [int(v) for v in k]
-        exact = row == list(k)
-    except (TypeError, ValueError, OverflowError):
-        exact = False
-    if not exact:
-        raise InexactInput(f"{k} is not an integer vector")
-    return np.array([row], dtype=object)
+    """``k`` as a one-row ``dtype=object`` array of Python integers, by the
+    rule of :func:`_exact_ints`."""
+    return np.array([_exact_ints(k)], dtype=object)
 
 
 def _reduce_box(M: IntMat, K: np.ndarray) -> np.ndarray:
@@ -353,8 +387,7 @@ def _reduce_box(M: IntMat, K: np.ndarray) -> np.ndarray:
     return K - apply_rows(M, F, addend=_absmax(K))
 
 
-@dataclass(frozen=True)
-class GeneratingSet:
+class GeneratingSet(_Frozen):
     """Integer representatives of ``Z^d / M Z^d`` in canonical order.
 
     ``rep_array`` holds them as a read-only ``(m, d)`` integer array;
@@ -364,10 +397,9 @@ class GeneratingSet:
     of mixed-radix value ``i``.
     """
 
-    matrix: IntMat
-    rep_array: np.ndarray = field(repr=False, compare=False)
-    diagonal: tuple[int, ...] = field(repr=False, compare=False)
-    digit_map: IntMat = field(repr=False, compare=False)
+    def __init__(self, matrix: IntMat, rep_array: np.ndarray, diagonal: tuple[int, ...],
+                 digit_map: IntMat):
+        self._set(matrix=matrix, rep_array=rep_array, diagonal=diagonal, digit_map=digit_map)
 
     def __len__(self) -> int:
         return len(self.rep_array)
@@ -399,17 +431,15 @@ class GeneratingSet:
         return int(self.class_index(_integer_row(k))[0])
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(_Frozen):
     """Rational representatives of ``M^{-1} Z^d / Z^d``, paired with the
     generating set of the same matrix: point ``i`` is
     ``numerators[i] / denominator = M^{-1} reps[i]``, with
     ``denominator = |det M|``.  A point ``y`` of ``M^{-1} Z^d`` has the
     position of the class of ``M y`` in ``G(M)``."""
 
-    matrix: IntMat
-    numerators: np.ndarray = field(repr=False, compare=False)
-    denominator: int
+    def __init__(self, matrix: IntMat, numerators: np.ndarray, denominator: int):
+        self._set(matrix=matrix, numerators=numerators, denominator=denominator)
 
     def __len__(self) -> int:
         return len(self.numerators)
@@ -473,26 +503,21 @@ def reduce_mod(M: IntMat, k: Sequence[int]) -> Vec:
     return generating_set(M.T).reduce(k)
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(_Value):
     """Initial matrix plus dilation factors and their running products.
 
     ``products[l] = J_l ... J_1 M_0`` and ``sizes[l] = |det products[l]|``
     for ``l = 0..n``; ``dyadic`` is set when every factor has ``|det| = 2``.
-    The hash, of ``(M0, factors)``, is cached on the instance.
+    Equality compares every field; the hash, of ``(M0, factors)``, is cached
+    on the instance.
     """
 
-    M0: IntMat
-    factors: tuple[IntMat, ...]
-    products: tuple[IntMat, ...]
-    sizes: tuple[int, ...]
-    dyadic: bool
+    _fields = ("M0", "factors", "products", "sizes", "dyadic")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.M0, self.factors)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __init__(self, M0: IntMat, factors: tuple[IntMat, ...], products: tuple[IntMat, ...],
+                 sizes: tuple[int, ...], dyadic: bool):
+        self._set(M0=M0, factors=factors, products=products, sizes=sizes, dyadic=dyadic,
+                  _hash=hash((M0, factors)))
 
     @property
     def n_levels(self) -> int:

@@ -35,13 +35,12 @@ much as the product itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import IndexMismatch, TooLarge
-from .intlat import (IntMat, apply_rows, digit_index, generating_set, pattern,
+from .intlat import (IntMat, _Frozen, apply_rows, digit_index, generating_set, pattern,
                      smith_normal_form, unimodular_inverse)
 
 # Largest m for which the naive m x m phase table (naive DFT, Fourier matrix)
@@ -62,18 +61,14 @@ _DENSE_PATTERN = 128
 _DENSE_AXIS = 16
 
 
-@dataclass(frozen=True)
-class _IndexedValues:
+class _IndexedValues(_Frozen):
     """Complex values, one per element of an index set of size ``|det M|``."""
 
-    matrix: IntMat
-    values: np.ndarray = field(compare=False)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (self.matrix.absdet,):
-            raise IndexMismatch(f"expected {self.matrix.absdet} values, got shape {vals.shape}")
-        object.__setattr__(self, "values", vals)
+    def __init__(self, matrix: IntMat, values: np.ndarray):
+        vals = np.asarray(values, dtype=complex)
+        if vals.shape != (matrix.absdet,):
+            raise IndexMismatch(f"expected {matrix.absdet} values, got shape {vals.shape}")
+        self._set(matrix=matrix, values=vals)
 
     @classmethod
     def _own(cls, matrix: IntMat, values: np.ndarray) -> "_IndexedValues":
@@ -175,7 +170,8 @@ def _dense_plan(M: IntMat) -> tuple[np.ndarray, np.ndarray]:
     point ``j`` has the Smith digits ``c`` of value ``j`` and canonical
     frequency ``i`` the digits ``r`` of value ``flat[i]``; as every ``s_k``
     divides the last invariant ``s_d``, the phase ``sum_k r_k c_k / s_k``
-    is ``sum_k (r_k c_k mod s_k) (s_d / s_k) mod s_d`` over ``s_d``, exactly."""
+    is ``sum_k (r_k c_k mod s_k) (s_d / s_k) mod s_d`` over ``s_d``, exactly.
+    Both matrices gather from one table of the ``s_d`` roots of unity."""
     diag = smith_normal_form(M).diagonal
     flat, _ = _positions(M)
     digits = np.indices(diag).reshape(M.dim, -1)
@@ -183,8 +179,11 @@ def _dense_plan(M: IntMat) -> tuple[np.ndarray, np.ndarray]:
     for r, c, s in zip(digits[:, flat], digits, diag):
         if s > 1:
             phase += np.outer(r, c) % s * (diag[-1] // s)
-    F = np.exp((-2j * np.pi / diag[-1]) * (phase % diag[-1]))
-    F_inv = np.ascontiguousarray(F.conj().T) / len(flat)
+    phase %= diag[-1]
+    roots = np.exp((-2j * np.pi / diag[-1]) * np.arange(diag[-1]))
+    F = roots[phase]
+    # a gather takes the layout of its index array, so index by a C-ordered copy
+    F_inv = (roots.conj() / len(flat))[np.ascontiguousarray(phase.T)]
     F.flags.writeable = F_inv.flags.writeable = False
     return F, F_inv
 

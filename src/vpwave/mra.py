@@ -10,7 +10,6 @@ Density of the union of spaces is asymptotic; only the finite surrogate
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from typing import Sequence
@@ -36,6 +35,7 @@ from .intlat import (
     ChainSpec,
     IntMat,
     J_D,
+    _Frozen,
     _reduce_box,
     axis_doubling,
     generating_set,
@@ -248,7 +248,7 @@ def check_reduction(g: AdmissibleFn, J: IntMat, mode: str) -> tuple[bool, float]
                  if J.entries[i] != identity[i] or J.T.entries[i] != identity[i]]
         if 0 < len(moved) < g.dim:
             block = IntMat(tuple(tuple(J.entries[i][k] for k in moved) for i in moved))
-            sub = replace(g, dim=len(moved), alpha=tuple(g.alpha[i] for i in moved))
+            sub = AdmissibleFn(g.kind, len(moved), tuple(g.alpha[i] for i in moved), g.order)
             return check_reduction(sub, block, mode)
     _, _, lhs, rhs = _reduction_sides(g, J, mode)
     deviation = exact_gap(*lhs, *rhs)
@@ -310,23 +310,19 @@ def trailing_axis_collapse(chn: ChainSpec, g: AdmissibleFn) -> float:
 # -- report -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LevelReport:
-    level: int
-    size: int
-    dim_ok: bool
-    min_class_power: float
-    nesting_residual: float | None
-    support_radius: int
-    scaling_filter_defect: float | None
-    wavelet_filter_defect: float | None
+class LevelReport(_Frozen):
+    def __init__(self, level: int, size: int, dim_ok: bool, min_class_power: float,
+                 nesting_residual: float | None, support_radius: int,
+                 scaling_filter_defect: float | None, wavelet_filter_defect: float | None):
+        self._set(level=level, size=size, dim_ok=dim_ok, min_class_power=min_class_power,
+                  nesting_residual=nesting_residual, support_radius=support_radius,
+                  scaling_filter_defect=scaling_filter_defect,
+                  wavelet_filter_defect=wavelet_filter_defect)
 
 
-@dataclass(frozen=True)
-class MraReport:
-    levels: tuple[LevelReport, ...]
-    dyadic: bool
-    ok: bool
+class MraReport(_Frozen):
+    def __init__(self, levels: tuple[LevelReport, ...], dyadic: bool, ok: bool):
+        self._set(levels=levels, dyadic=dyadic, ok=ok)
 
     def render(self) -> str:
         lines = [f"levels: {len(self.levels)}", f"dyadic: {self.dyadic}"]

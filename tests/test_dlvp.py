@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 
@@ -608,7 +607,8 @@ def test_orthonormalize_degenerate_class():
     with pytest.raises(DegenerateClass):
         orthonormalize(broken)
     # every class empty: all powers are 0, the largest too
-    empty = replace(broken, spectrum=SparseSpectrum(dim=2, keys=np.zeros((0, 2)), values=np.zeros(0)))
+    empty = ScalingFunction(chain=c, level=0, g=g, spectrum=SparseSpectrum(
+        dim=2, keys=np.zeros((0, 2)), values=np.zeros(0)))
     with pytest.raises(DegenerateClass):
         orthonormalize(empty)
 

@@ -482,6 +482,24 @@ def test_lookups_reject_non_integral_frequencies():
     assert gs.class_index(np.array([[1, 2]], dtype=np.int32)).tolist() == [i]
 
 
+
+@pytest.mark.parametrize("entry, value", [
+    (Fraction(4, 2), 2), (2.0, 2), (np.int64(2), 2), (np.float64(-3.0), -3),
+    (1.5, None), (Fraction(7, 2), None), (0.9, None), (float("nan"), None),
+    (float("inf"), None), ("3", None)])
+def test_matrix_entries_must_be_integers(entry, value):
+    rows = [[entry, 0], [1, 2]]
+    if value is None:
+        with pytest.raises(InexactInput):
+            IntMat.from_rows(rows)
+        with pytest.raises(InexactInput):
+            IntMat(((entry, 0), (1, 2)))
+        return
+    M = IntMat.from_rows(rows)
+    assert M.entries == ((value, 0), (1, 2)) and type(M.entries[0][0]) is int
+    assert M == IntMat(((value, 0), (1, 2))) and M.det == 2 * value
+
+
 def test_unimodular_inverse():
     U = IntMat.from_rows([[2, 1], [1, 1]])
     assert unimodular_inverse(U) @ U == IntMat.identity(2)

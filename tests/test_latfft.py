@@ -18,6 +18,7 @@ from vpwave.latfft import (
     _DENSE_PATTERN,
     _axis_plan,
     _dense_plan,
+    _phase_table,
     _positions,
     FOURIER_MATRIX_GUARD,
     PatternVector,
@@ -377,12 +378,20 @@ def test_plan_positions_match_the_enumerated_frequencies(d, data):
     assert np.array_equal(inv[flat], np.arange(M.absdet))
 
 
-@pytest.mark.parametrize("rows", [[[1]], [[0, 8], [-8, 0]], [[1, 0], [3, 128]]])
+@pytest.mark.parametrize("rows", [[[1]], [[0, 8], [-8, 0]], [[1, 0], [3, 128]], [[1, -1], [1, 1]],
+                                  [[11, 3], [-2, 11]]])
 def test_dense_plan_matrices_are_read_only_and_never_returned(rows):
     M = IntMat.from_rows(rows)
     F, F_inv = _dense_plan(M)
     assert F.shape == F_inv.shape == (M.absdet, M.absdet)
     assert not F.flags.writeable and not F_inv.flags.writeable
+    assert F.flags.c_contiguous and F_inv.flags.c_contiguous
+    # bit for bit the entrywise exp of the exact phases k / s_d, k = s_d h.y
+    s = smith_normal_form(M).diagonal[-1]
+    R, q = _phase_table(M)
+    expected = np.exp((-2j * np.pi / s) * (R * s // q))
+    assert F.tobytes() == expected.tobytes()
+    assert F_inv.tobytes() == np.ascontiguousarray(expected.conj().T / M.absdet).tobytes()
     ahat = dft_fast(random_pattern_vector(np.random.default_rng(4), M))
     for out in (ahat.values, idft(ahat).values):
         assert not np.shares_memory(out, F) and not np.shares_memory(out, F_inv)

@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vpwave"
@@ -93,3 +96,27 @@ def test_transform_results_alone_skip_validation():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Attribute) and node.attr == "_own"]
     assert not found, f"the unchecked vector constructor used outside latfft: {found}"
+
+
+def test_no_exec_or_eval():
+    # the package defines its classes as written; no code is generated and
+    # compiled at import or at run time
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("exec", "eval")]
+    assert not found, f"exec or eval calls in src/vpwave: {found}"
+
+
+def test_package_import_leaves_dataclasses_unloaded():
+    # the value classes are plain classes: importing every module loads no
+    # dataclasses, whose class set-up would dominate a cold import
+    modules = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+    code = (f"import sys; import vpwave.{', vpwave.'.join(modules)}; "
+            "print('dataclasses' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent),
+                                                                     os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -4,6 +4,8 @@
 keep it on the instance; ``IntMat`` keeps its transpose too.  Equal values
 built different ways must hash equal and hit the same cache entries, in
 this process and after a pickle round trip, also from another process.
+Every object of the package's immutable classes refuses assignment and
+deletion, while its cached properties still fill in on first use.
 """
 
 import os
@@ -13,11 +15,18 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from vpwave import dlvp
 from vpwave.admissible import AdmissibleFn, parse_admissible
-from vpwave.dlvp import scaling_spectrum
-from vpwave.intlat import J_D, J_X, J_Y, IntMat, chain, generating_set
+from vpwave.dlvp import ScalingFunction, scaling_spectrum, two_scale, wavelet_spectrum
+from vpwave.errors import FrozenValue
+from vpwave.intlat import (J_D, J_X, J_Y, IntMat, _Frozen, chain, generating_set, pattern,
+                           smith_normal_form)
+from vpwave.latfft import PatternVector, dft_fast
+from vpwave.mra import build_report
 
 ENTRY_RANGE = {1: 512, 2: 20, 3: 6}
 
@@ -115,3 +124,60 @@ def test_pickles_from_another_process_hash_anew():
     for loaded, built in zip((g, c, M), here):
         assert loaded == built and hash(loaded) == hash(built)
     assert scaling_spectrum(c, 1, g) is scaling_spectrum(here[1], 1, here[0])
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_immutable_class_refuses_assignment_and_deletion():
+    g = AdmissibleFn.tensor_linear([F(1, 10)] * 2)
+    c = chain(IntMat.diagonal([4, 4]), [J_D, J_X])
+    M = c.matrix(2)
+    sf = scaling_spectrum(c, 1, g)
+    a = PatternVector(matrix=M, values=np.ones(M.absdet))
+    report = build_report(c, g)
+    objects = [M, c, g, smith_normal_form(M), generating_set(M), pattern(M), sf, sf.spectrum,
+               wavelet_spectrum(c, 0, g), two_scale(c, 0, g), a, dft_fast(a), report,
+               report.levels[0]]
+    classes = {type(obj) for obj in objects}
+    # a new immutable class must be listed here too
+    assert classes >= {cls for cls in _subclasses(_Frozen) if not cls.__name__.startswith("_")}
+    for obj in objects:
+        name = next(iter(vars(obj)))
+        for attempt in (lambda: setattr(obj, name, None), lambda: setattr(obj, "extra", 1),
+                        lambda: delattr(obj, name)):
+            with pytest.raises(FrozenValue):
+                attempt()
+            with pytest.raises(AttributeError):
+                attempt()
+        assert name in vars(obj) and "extra" not in vars(obj)
+
+
+def test_cached_properties_fill_in_once_on_frozen_objects(monkeypatch):
+    M = IntMat.from_rows([[3, 1], [-1, 2]])
+    assert M.T is M.T and M.det == 7 and vars(M)["det"] == 7
+    calls = []
+    sums = dlvp.class_powers
+    monkeypatch.setattr(dlvp, "class_powers", lambda fn: calls.append(fn) or sums(fn))
+    c, g = chain(IntMat.diagonal([4, 4]), [J_D]), AdmissibleFn.characteristic(2)
+    fresh = ScalingFunction(c, 1, g, scaling_spectrum(c, 1, g).spectrum)
+    assert fresh.powers is fresh.powers and calls == [fresh]
+    assert not fresh.powers.flags.writeable
+
+
+def test_value_reprs_are_constructor_calls():
+    M = IntMat.from_rows([[1, 0], [0, 2]])
+    assert repr(M) == "IntMat(entries=((1, 0), (0, 2)))"
+    assert eval(repr(M)) == M
+    assert repr(chain(IntMat.diagonal([2, 2]), [J_D])) == (
+        "ChainSpec(M0=IntMat(entries=((2, 0), (0, 2))), factors=(IntMat(entries=((1, -1), "
+        "(1, 1))),), products=(IntMat(entries=((2, 0), (0, 2))), IntMat(entries=((2, -2), "
+        "(2, 2)))), sizes=(4, 8), dyadic=True)")
+    assert repr(parse_admissible("tensor_smoothed(p = [1/20, 1/8], order = 3)", 2)) == (
+        "AdmissibleFn(kind='tensor_smoothed', dim=2, alpha=(Fraction(1, 20), Fraction(1, 8)), "
+        "order=3)")
+    # a value of another class is never equal, and the comparison is left to it
+    assert M.__eq__(M.entries) is NotImplemented and M != M.entries
