@@ -23,7 +23,8 @@ All parameters are exact rationals.  Windows and their periodizations
 
 * the scalar oracle -- ``g(x)`` and :func:`periodized_sum` at one point,
   exact on Fraction or int input (float input is converted exactly with
-  ``Fraction(v)``); the tests and the direct profiles of ``dlvp`` use it;
+  ``Fraction(v)``; NaN and infinities raise ``InexactInput``); the tests
+  and the direct profiles of ``dlvp`` use it;
 * the exact batched path -- :meth:`AdmissibleFn.eval_exact` and
   :func:`periodized_sum_exact` at the rows of ``N / q`` for an ``(n, d)``
   integer array ``N``, as integer numerators over one denominator that
@@ -55,25 +56,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InexactInput, InvalidParameter, MalformedDescriptor
-from .intlat import _INT64_SAFE, ENUMERATION_GUARD, IntMat, _absmax, _Value, apply_rows
+from .intlat import (_INT64_SAFE, ENUMERATION_GUARD, IntMat, _absmax, _exact_fraction, _Value,
+                     apply_rows)
 
 HALF = Fraction(1, 2)
 
 KIND_CHARACTERISTIC = "characteristic"
 KIND_LINEAR = "tensor_linear"
 KIND_SMOOTHED = "tensor_smoothed"
-
-
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(v)
-    raise InexactInput(f"cannot interpret {v!r} as an exact rational")
 
 
 class AdmissibleFn(_Value):
@@ -98,14 +88,14 @@ class AdmissibleFn(_Value):
 
     @classmethod
     def tensor_linear(cls, alpha: Sequence) -> "AdmissibleFn":
-        a = tuple(_as_fraction(v) for v in alpha)
+        a = tuple(_exact_fraction(v) for v in alpha)
         if any(v < 0 or v > HALF for v in a):
             raise InvalidParameter("linear ramp halfwidths must lie in [0, 1/2]")
         return cls(kind=KIND_LINEAR, dim=len(a), alpha=a)
 
     @classmethod
     def tensor_smoothed(cls, p: Sequence, order: int = 2) -> "AdmissibleFn":
-        a = tuple(_as_fraction(v) for v in p)
+        a = tuple(_exact_fraction(v) for v in p)
         if any(v < 0 or v >= HALF for v in a):
             raise InvalidParameter("smoothing halfwidths must lie in [0, 1/2)")
         if order < 1 or order != int(order):
@@ -118,14 +108,6 @@ class AdmissibleFn(_Value):
     def support_halfwidths(self) -> tuple[Fraction, ...]:
         """Per-axis halfwidth of the closed support box."""
         return tuple(HALF + a for a in self.alpha)
-
-    def support_box(self) -> tuple[Fraction, ...]:
-        """The per-axis ``p`` with ``supp g`` inside ``[-1/2-p, 1/2+p]``."""
-        return tuple(self.alpha)
-
-    def plateau_halfwidths(self) -> tuple[Fraction, ...]:
-        """Per-axis halfwidth of the box where the window equals one."""
-        return tuple(HALF - a for a in self.alpha)
 
     def breakpoints_1d(self, axis: int) -> tuple[Fraction, ...]:
         """Knots of the per-axis piecewise-polynomial structure."""
@@ -278,7 +260,7 @@ def _shift_ranges(J: IntMat, halfwidths, lo, hi, scale: int = 1) -> list[range]:
 def periodized_sum(g: AdmissibleFn, J: IntMat, x: Sequence):
     """``sum_z g(x + J^T z)``, finite because the support box is compact;
     exact, float input is converted with ``Fraction(v)``."""
-    xv = tuple(Fraction(v) for v in x)
+    xv = tuple(map(_exact_fraction, x))
     total = 0
     for z in product(*_shift_ranges(J, g.support_halfwidths, xv, xv)):
         total = total + g(tuple(a + b for a, b in zip(xv, J.T.apply(z))))

@@ -35,13 +35,16 @@ a sorted key array with a value array; a class vector acts on it by one
 gather over ``class_index(keys)``, and per-class sums are one ``np.bincount``.
 :func:`scaling_profile` and :func:`wavelet_profile` evaluate the product
 directly at one point, exactly (float input is converted with
-``Fraction(v)``); they are the reference the spectra are tested against.
+``Fraction(v)``; NaN and infinities raise ``InexactInput``); they are the
+reference the spectra are tested against.  A level outside the chain, or
+not an integer, raises ``LevelOutOfRange``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -53,8 +56,9 @@ from .admissible import (AdmissibleFn, exact_floats, exact_product, periodized_s
                          periodized_sum_exact)
 from .errors import (ConditionViolated, DegenerateClass, DimensionMismatch, LevelOutOfRange,
                      NotDyadic, TooLarge)
-from .intlat import (_INT64_SAFE, ENUMERATION_GUARD, ChainSpec, IntMat, _absmax, _Frozen,
-                     generating_set, smith_normal_form, unimodular_inverse)
+from .intlat import (_INT64_SAFE, ENUMERATION_GUARD, ChainSpec, IntMat, _absmax,
+                     _exact_fraction, _exact_ints, _Frozen, generating_set, smith_normal_form,
+                     unimodular_inverse)
 from .latfft import SpectrumVector
 
 Vec = tuple[int, ...]
@@ -71,12 +75,16 @@ def _degenerate(powers: np.ndarray) -> bool:
 class SparseSpectrum(_Frozen):
     """Finite map from integer frequencies to Fourier coefficients: the
     distinct ``keys`` as an ``(n, d)`` int64 array and the matching
-    ``values``, sorted lexicographically by the constructor and read-only.
+    ``values``, sorted lexicographically by the constructor and read-only;
+    a non-integral key raises ``InexactInput``.
     A class vector ``a`` over ``G(M^T)`` acts by the gather
     ``a[generating_set(M^T).class_index(keys)]``.  ``coeffs`` is a dict
     view ``{k: c}`` of the same data, built on first use."""
 
     def __init__(self, dim: int, keys: np.ndarray, values: np.ndarray):
+        keys = np.asarray(keys)
+        if keys.size and keys.dtype.kind not in "iu":
+            keys = [_exact_ints(k) for k in keys.reshape(-1, dim).tolist()]
         keys = np.asarray(keys, dtype=np.int64).reshape(-1, dim)
         values = np.asarray(values)
         if values.shape != (len(keys),):
@@ -93,11 +101,8 @@ class SparseSpectrum(_Frozen):
     def __len__(self) -> int:
         return len(self.keys)
 
-    def support(self) -> set[Vec]:
-        return set(map(tuple, self.keys.tolist()))
-
     def __getitem__(self, k: Sequence[int]) -> complex:
-        return self.coeffs.get(tuple(int(v) for v in k), 0.0)
+        return self.coeffs.get(_exact_ints(k), 0.0)
 
 
 class ScalingFunction(_Frozen):
@@ -157,9 +162,14 @@ class TwoScaleCoeffs(_Frozen):
                   samples=samples)
 
 
-def _check_level(chain: ChainSpec, level: int, *, top: int) -> None:
-    if not 0 <= level <= top:
-        raise LevelOutOfRange(f"level {level} outside 0..{top}")
+def _check_level(level: int, top: int) -> None:
+    """Raise ``LevelOutOfRange`` unless ``level`` is an integer in ``0..top``."""
+    try:
+        inside = 0 <= operator.index(level) <= top
+    except TypeError:
+        inside = False
+    if not inside:
+        raise LevelOutOfRange(f"level {level!r} outside 0..{top}")
 
 
 def _require_dyadic_factor(J: IntMat) -> IntMat:
@@ -179,8 +189,8 @@ def periodized_product(g: AdmissibleFn, J: IntMat, f2, x: Sequence):
 def scaling_profile(chain: ChainSpec, level: int, g: AdmissibleFn, x: Sequence):
     """The window product whose samples are the level-``level`` scaling
     coefficients; exact, float input is converted with ``Fraction(v)``."""
-    _check_level(chain, level, top=chain.n_levels)
-    cur = tuple(Fraction(v) for v in x)
+    _check_level(level, chain.n_levels)
+    cur = tuple(map(_exact_fraction, x))
     val = 1
     for J in chain.factors[level:]:
         first = periodized_sum(g, J, cur)
@@ -218,11 +228,11 @@ def wavelet_profile(chain: ChainSpec, level: int, g: AdmissibleFn, x: Sequence) 
     translated by the integer class representative ``J^T v`` (the pattern
     point ``v`` itself would pair wrong frequency classes and break
     orthogonality of the complement)."""
-    _check_level(chain, level, top=chain.n_levels - 1)
+    _check_level(level, chain.n_levels - 1)
     J = _require_dyadic_factor(chain.factors[level])
     _, w = wavelet_shift_vectors(J)
     gt = _wavelet_frequency_shift(J)
-    xv = tuple(Fraction(v) for v in x)
+    xv = tuple(map(_exact_fraction, x))
     first = periodized_sum(g, J, tuple(a - b for a, b in zip(xv, gt)))
     if first == 0:
         return 0j
@@ -267,6 +277,7 @@ def complement_phases(chain: ChainSpec, level: int) -> np.ndarray:
     ``M_l^{-T} h = N / q`` and ``2 w`` integral, the turns ``N . (2 w) / (2 q)``
     are reduced mod 1 exactly in integers: int64 while ``max|N| max|2 w| d``
     stays below ``2^62``, Python integers beyond."""
+    _check_level(level, chain.n_levels - 1)
     _, w = wavelet_shift_vectors(chain.factors[level])
     N, q = chain.matrix(level).inv_T_rows(generating_set(chain.matrix(level + 1).T).rep_array)
     two_w = [int(2 * c) for c in w]
@@ -306,7 +317,7 @@ def _exact_samples(chain: ChainSpec, level: int, g: AdmissibleFn) -> tuple:
 @lru_cache(maxsize=None)
 def scaling_spectrum(chain: ChainSpec, level: int, g: AdmissibleFn) -> ScalingFunction:
     """Fourier coefficients of the level-``level`` scaling function."""
-    _check_level(chain, level, top=chain.n_levels)
+    _check_level(level, chain.n_levels)
     K, P, den = _exact_samples(chain, level, g)
     p = exact_floats(P, den)
     c = p / math.sqrt(chain.size(level))
@@ -322,7 +333,7 @@ def wavelet_spectrum(chain: ChainSpec, level: int, g: AdmissibleFn) -> Wavelet:
     """Fourier coefficients of the level-``level`` wavelet (dyadic factor):
     per frequency the wavelet class value times ``P_{l+1}`` times the
     class phase."""
-    _check_level(chain, level, top=chain.n_levels - 1)
+    _check_level(level, chain.n_levels - 1)
     v, w = wavelet_shift_vectors(chain.factors[level])
     K, P, den = _exact_samples(chain, level + 1, g)
     idx = generating_set(chain.matrix(level + 1).T).class_index(K)
@@ -338,7 +349,7 @@ def wavelet_spectrum(chain: ChainSpec, level: int, g: AdmissibleFn) -> Wavelet:
 def two_scale(chain: ChainSpec, level: int, g: AdmissibleFn) -> TwoScaleCoeffs:
     """Raw two-scale vector: ``sqrt(|det J|) * g^J`` sampled on
     ``M_l^{-T} G(M_{l+1}^T)``; the unscaled samples ``g^J`` are kept too."""
-    _check_level(chain, level, top=chain.n_levels - 1)
+    _check_level(level, chain.n_levels - 1)
     samples = exact_floats(*_class_sums(chain, level, g))
     vals = (math.sqrt(chain.factors[level].absdet) * samples).astype(complex)
     return TwoScaleCoeffs(chain=chain, level=level, kind="scaling", samples=samples,
@@ -386,6 +397,7 @@ def orthonormalize(fn: ScalingFunction | Wavelet):
 def fiber_partner(chain: ChainSpec, level: int) -> np.ndarray:
     """For each class of ``G(M_{l+1}^T)``, the index of the second class a
     dyadic factor merges with it over ``G(M_l^T)``; an involution."""
+    _check_level(level, chain.n_levels - 1)
     J = _require_dyadic_factor(chain.factors[level])
     shift = chain.matrix(level).T.apply(_wavelet_frequency_shift(J))
     gs = generating_set(chain.matrix(level + 1).T)
@@ -453,7 +465,7 @@ def orthonormal_wavelet(chain: ChainSpec, level: int, g: AdmissibleFn) -> Wavele
                    spectrum=SparseSpectrum(dim=chain.dim, keys=fine.keys[keep], values=vals[keep]))
 
 
-# -- series evaluation and export ---------------------------------------------
+# -- series evaluation ----------------------------------------------------------
 
 
 def evaluate_series(s: SparseSpectrum, x: Sequence[float]) -> complex:
@@ -461,14 +473,3 @@ def evaluate_series(s: SparseSpectrum, x: Sequence[float]) -> complex:
     if len(s) == 0:
         return 0j
     return complex(np.sum(s.values * np.exp(1j * (s.keys @ np.asarray(x, dtype=float)))))
-
-
-def write_spectrum_csv(s: SparseSpectrum, path) -> None:
-    """CSV export: ``k1,..,kd,re,im``, rows lexicographic in k, 17
-    significant digits."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        cols = ",".join(f"k{i + 1}" for i in range(s.dim))
-        fh.write(f"{cols},re,im\n")
-        for k, c in zip(s.keys.tolist(), s.values.tolist()):
-            kpart = ",".join(str(v) for v in k)
-            fh.write(f"{kpart},{c.real:.17g},{c.imag:.17g}\n")

@@ -19,7 +19,8 @@ Any other box of representatives gives the same spaces and transforms up
 to a fixed permutation, so this symmetric box is the only one built.
 
 Frequency classes of the DFT with respect to ``M`` live on ``G(M^T)``
-with class lattice ``M^T Z^d``; :func:`reduce_mod` reduces into that set.
+with class lattice ``M^T Z^d``; ``generating_set(M.T).reduce`` reduces
+into that set.
 
 Both sets carry one canonical order: the lexicographic order of the
 digit tuples in the Smith-diagonal coordinates, so every module and
@@ -128,6 +129,15 @@ def _exact_ints(k: Sequence) -> Vec:
     return row
 
 
+def _exact_fraction(v) -> Fraction:
+    """``v`` as an exact ``Fraction`` (a float converts exactly, as in
+    ``Fraction(v)``); NaN, an infinity or a non-number raises ``InexactInput``."""
+    try:
+        return Fraction(v)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise InexactInput(f"cannot read {v!r} as an exact rational") from None
+
+
 class IntMat(_Value):
     """Immutable square integer matrix.  The hash, the exact determinant and
     the transpose are cached on the instance, so a cache keyed by matrices
@@ -190,23 +200,34 @@ class IntMat(_Value):
 
     def inv_apply(self, v: Sequence) -> FracVec:
         """``M^{-1} v`` exactly (entries of ``v``: ints, Fractions or floats)."""
-        A, q = _scaled_adjugate(self)
+        A, q = self.scaled_adjugate()
         return _divide_rows(A.entries, q, v)
 
     def inv_T_apply(self, v: Sequence) -> FracVec:
         """``M^{-T} v`` exactly."""
-        A, q = _scaled_adjugate(self)
+        A, q = self.scaled_adjugate()
         return _divide_rows(A.T.entries, q, v)
 
     def inv_T_rows(self, K: np.ndarray) -> tuple[np.ndarray, int]:
         """``M^{-T} k`` for every row ``k`` of the integer array ``K``, exactly:
         the numerators ``A^T k`` over the denominator ``q`` (``M^{-1} = A / q``)."""
-        A, q = _scaled_adjugate(self)
+        A, q = self.scaled_adjugate()
         return apply_rows(A.T, K), q
 
+    @lru_cache(maxsize=None)
     def scaled_adjugate(self) -> tuple["IntMat", int]:
-        """Integer matrix ``A`` and ``q = |det M|`` with ``M^{-1} = A / q``."""
-        return _scaled_adjugate(self)
+        """``M^{-1} = A / q`` with ``q = |det M|`` and ``A = sign(det M) adj(M)``,
+        from the exact integer cofactors (Bareiss determinants of the minors);
+        cached by matrix value."""
+        sign = 1 if self.require_regular().det > 0 else -1
+        rows = self.to_lists()
+
+        def cofactor(i: int, j: int) -> int:
+            minor = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
+            return (-1) ** (i + j) * _bareiss_det(minor) if minor else 1
+
+        return IntMat(tuple(tuple(sign * cofactor(j, i) for j in range(self.dim))
+                            for i in range(self.dim))), self.absdet
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
@@ -235,21 +256,6 @@ def _bareiss_det(rows: list[list[int]]) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-@lru_cache(maxsize=None)
-def _scaled_adjugate(M: IntMat) -> tuple[IntMat, int]:
-    """``M^{-1} = A / q`` with ``q = |det M|`` and ``A = sign(det M) adj(M)``,
-    from the exact integer cofactors (Bareiss determinants of the minors)."""
-    sign = 1 if M.require_regular().det > 0 else -1
-    rows = M.to_lists()
-
-    def cofactor(i: int, j: int) -> int:
-        minor = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
-        return (-1) ** (i + j) * _bareiss_det(minor) if minor else 1
-
-    return IntMat(tuple(tuple(sign * cofactor(j, i) for j in range(M.dim))
-                        for i in range(M.dim))), M.absdet
 
 
 class SmithDecomposition(_Frozen):
@@ -331,7 +337,7 @@ def smith_normal_form(M: IntMat) -> SmithDecomposition:
 
 def unimodular_inverse(U: IntMat) -> IntMat:
     """Exact integer inverse of a matrix with ``|det| = 1``."""
-    A, q = _scaled_adjugate(U)
+    A, q = U.scaled_adjugate()
     if q != 1:
         raise ConditionViolated(f"matrix {U} is not unimodular")
     return A
@@ -341,7 +347,7 @@ def _divide_rows(rows: tuple[Vec, ...], q: int, v: Sequence) -> FracVec:
     """``rows v / q`` as exact Fractions."""
     if len(v) != len(rows):
         raise DimensionMismatch("vector length differs from matrix dimension")
-    x = tuple(b if type(b) in (int, Fraction) else Fraction(b) for b in v)
+    x = tuple(b if type(b) in (int, Fraction) else _exact_fraction(b) for b in v)
     return tuple(Fraction(sum(a * b for a, b in zip(row, x)), q) for row in rows)
 
 
@@ -382,7 +388,7 @@ def _reduce_box(M: IntMat, K: np.ndarray) -> np.ndarray:
     ``M Z^d``: ``K - M floor(M^{-1} K + 1/2)``, where
     ``floor((2 A k + q) / (2 q))`` equals ``floor((A k + floor(q/2)) / q)``,
     which is what is computed."""
-    A, q = _scaled_adjugate(M)
+    A, q = M.scaled_adjugate()
     F = (apply_rows(A, K, addend=q) + q // 2) // q
     return K - apply_rows(M, F, addend=_absmax(K))
 
@@ -451,8 +457,8 @@ class Pattern(_Frozen):
 
     def index_of(self, y: Sequence) -> int:
         """Position of the point congruent to ``y`` mod ``Z^d``; ``y`` must
-        lie on ``M^{-1} Z^d`` (entries: ints, Fractions or floats)."""
-        k = self.matrix.apply(tuple(Fraction(v) for v in y))
+        lie on ``M^{-1} Z^d`` (entries: ints, Fractions or finite floats)."""
+        k = self.matrix.apply(tuple(map(_exact_fraction, y)))
         if any(v.denominator != 1 for v in k):
             raise IndexMismatch(f"point {tuple(y)} is not on the lattice of {self.matrix}")
         return generating_set(self.matrix).index_of(k)
@@ -460,12 +466,6 @@ class Pattern(_Frozen):
     def reduce(self, y: Sequence) -> FracVec:
         """The point of the pattern congruent to ``y`` mod ``Z^d``."""
         return self.points[self.index_of(y)]
-
-    def add(self, i: int, j: int) -> int:
-        """Index of ``points[i] + points[j]`` mod 1 (the pattern group law):
-        the class of ``reps[i] + reps[j]``."""
-        gs = generating_set(self.matrix)
-        return gs.index_of(tuple(a + b for a, b in zip(gs.reps[i], gs.reps[j])))
 
 
 @lru_cache(maxsize=None)
@@ -489,18 +489,10 @@ def generating_set(M: IntMat) -> GeneratingSet:
 @lru_cache(maxsize=None)
 def pattern(M: IntMat) -> Pattern:
     """Canonically ordered pattern ``P(M) = M^{-1} G(M)``."""
-    A, q = _scaled_adjugate(M)
+    A, q = M.scaled_adjugate()
     N = apply_rows(A, generating_set(M).rep_array)
     N.flags.writeable = False
     return Pattern(matrix=M, numerators=N, denominator=q)
-
-
-def reduce_mod(M: IntMat, k: Sequence[int]) -> Vec:
-    """Reduce an integer frequency ``k`` into ``G(M^T)`` modulo ``M^T Z^d``.
-
-    These are the congruence classes indexing the DFT with respect to ``M``.
-    """
-    return generating_set(M.T).reduce(k)
 
 
 class ChainSpec(_Value):

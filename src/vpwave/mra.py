@@ -1,7 +1,8 @@
 """Multiresolution verification: finite, checkable forms of the basis,
-nesting and density properties, orthonormality audits, and the support
-conditions under which a scaling function stops depending on the tail of
-the factor chain.
+nesting and density properties, orthonormality audits, and whether a
+scaling function depends on the tail of the factor chain, decided for one
+factor on an exact grid (:func:`check_reduction`) or measured per level of
+a chain against the plain window (:func:`tail_distance`).
 
 Density of the union of spaces is asymptotic; only the finite surrogate
 (monotone growth of fully covered frequency balls) is reported.
@@ -22,13 +23,13 @@ from .dlvp import (
     ScalingFunction,
     SparseSpectrum,
     TwoScaleCoeffs,
+    _check_level,
     _degenerate,
     fiber_partner,
     normalized_filters,
     scaling_spectrum,
 )
-from .errors import (ConditionViolated, DimensionMismatch, InvalidParameter, LevelOutOfRange,
-                     TooLarge, UnsupportedDimension)
+from .errors import DimensionMismatch, InvalidParameter, TooLarge, UnsupportedDimension
 from .intlat import (
     _INT64_SAFE,
     ENUMERATION_GUARD,
@@ -37,9 +38,7 @@ from .intlat import (
     J_D,
     _Frozen,
     _reduce_box,
-    axis_doubling,
     generating_set,
-    plane_rotation,
 )
 
 GRID_POINTS_PER_AXIS = 512
@@ -69,8 +68,7 @@ def nesting_residual(chn: ChainSpec, level: int, g: AdmissibleFn) -> float:
     rounding of them enters and the Dirichlet window gives exactly 0.0.
     The maximum is divided by ``sqrt(m_l)`` once, so it is reported in
     units of the coefficients ``c_k(phi_l)``."""
-    if not 0 <= level < chn.n_levels:
-        raise LevelOutOfRange(f"level {level} has no next level")
+    _check_level(level, chn.n_levels - 1)
     keys, coarse, fine = _on_union(scaling_spectrum(chn, level, g).samples,
                                    scaling_spectrum(chn, level + 1, g).samples)
     N, q = chn.matrix(level).inv_T_rows(keys)
@@ -255,55 +253,13 @@ def check_reduction(g: AdmissibleFn, J: IntMat, mode: str) -> tuple[bool, float]
     return deviation == 0, deviation
 
 
-def _classify_factor(J: IntMat) -> tuple:
-    """('axis', i) or ('rot', i, j) for the standard d-dimensional factors."""
-    d = J.dim
-    for i in range(d):
-        if J == axis_doubling(d, i):
-            return ("axis", i)
-    for i in range(d):
-        for j in range(d):
-            if i != j and J == plane_rotation(d, i, j):
-                return ("rot", i, j)
-    raise ConditionViolated(f"factor {J} is not an axis doubling or plane rotation")
-
-
-def check_reduction_highdim(g: AdmissibleFn, chn: ChainSpec) -> list[bool]:
-    """Tail-independence flags per level for d > 2 chains of axis doublings
-    and plane rotations.  Requires each rotation to be preceded by a factor
-    acting in its plane; raises ``ConditionViolated`` at the first offense."""
-    if g.dim <= 2:
-        raise UnsupportedDimension("use check_reduction for d = 2")
-    kinds = [_classify_factor(J) for J in chn.factors]
-    for idx in range(1, len(kinds)):
-        kind = kinds[idx]
-        if kind[0] == "rot":
-            prev = kinds[idx - 1]
-            allowed = prev == kind or (prev[0] == "axis" and prev[1] in kind[1:])
-            if not allowed:
-                raise ConditionViolated(
-                    f"factor {idx + 1} rotates plane {kind[1:]} but factor "
-                    f"{idx} acts elsewhere"
-                )
-    flags = []
-    for level in range(chn.n_levels):
-        full = scaling_spectrum(chn, level, g).spectrum
-        head = scaling_spectrum(chn.subchain(level + 1), level, g).spectrum
-        _, a, b = _on_union(full, head)
-        flags.append(np.max(np.abs(a - b), initial=0.0) < tol.GRID_EQUALITY)
-    return flags
-
-
-def trailing_axis_collapse(chn: ChainSpec, g: AdmissibleFn) -> float:
-    """Spectrum distance between the last-but-one scaling function and the
-    plain window spectrum at the same matrix (zero when a trailing axis
-    doubling changes nothing)."""
-    n = chn.n_levels
-    if n < 1:
-        raise LevelOutOfRange("need at least one factor")
-    with_tail = scaling_spectrum(chn.subchain(n), n - 1, g).spectrum
-    plain = scaling_spectrum(chn.subchain(n - 1), n - 1, g).spectrum
-    _, a, b = _on_union(with_tail, plain)
+def tail_distance(chn: ChainSpec, g: AdmissibleFn, level: int) -> float:
+    """Largest coefficient distance between the level-``level`` scaling
+    function of ``chn`` and that of ``chn.subchain(level)``, the plain window
+    sampled at ``M_level``: 0.0 exactly when the factors after the level
+    change none of its coefficients."""
+    _, a, b = _on_union(scaling_spectrum(chn, level, g).spectrum,
+                        scaling_spectrum(chn.subchain(level), level, g).spectrum)
     return float(np.max(np.abs(a - b), initial=0.0))
 
 

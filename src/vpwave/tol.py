@@ -19,6 +19,3 @@ TWO_SCALE = 1e-12
 
 # Orthonormality defects after normalization; decomposition roundtrips.
 ORTHO = 1e-10
-
-# Equality of two float spectra (the chain-tail test of check_reduction_highdim).
-GRID_EQUALITY = 1e-12

@@ -127,9 +127,9 @@ def test_periodized_sum_characteristic_indicator():
             assert v * g(y) == g(x)
 
 
-def test_support_box():
-    assert AdmissibleFn.tensor_linear([F(1, 10)]).support_box() == (F(1, 10),)
-    assert AdmissibleFn.characteristic(3).support_box() == (0, 0, 0)
+def test_support_halfwidths():
+    assert AdmissibleFn.tensor_linear([F(1, 10)]).support_halfwidths == (F(3, 5),)
+    assert AdmissibleFn.characteristic(3).support_halfwidths == (F(1, 2),) * 3
     g = AdmissibleFn.tensor_smoothed([F(1, 14)], order=2)
     assert g.support_halfwidths == (F(1, 2) + F(1, 14),)
 
@@ -142,7 +142,8 @@ def test_plateau_property():
         AdmissibleFn.tensor_smoothed([F(1, 20), F(1, 14)], order=3),
         AdmissibleFn.characteristic(2),
     ):
-        assert set(exact_values(g, random_points(rng, 2 ** 20, g.plateau_halfwidths(), 1000))) == {1}
+        plateau = [F(1, 2) - a for a in g.alpha]
+        assert set(exact_values(g, random_points(rng, 2 ** 20, plateau, 1000))) == {1}
 
 
 def test_tensor_factorization():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vpwave import dlvp, mra, tol
-from vpwave.admissible import AdmissibleFn, periodized_sum_exact
+from vpwave.admissible import AdmissibleFn, periodized_sum, periodized_sum_exact
 from vpwave.dlvp import (
     class_powers,
     complement_phases,
@@ -25,9 +25,9 @@ from vpwave.dlvp import (
     wavelet_shift_vectors,
     wavelet_spectrum,
     wavelet_two_scale,
-    write_spectrum_csv,
 )
-from vpwave.errors import ConditionViolated, DegenerateClass, LevelOutOfRange, NotDyadic, TooLarge
+from vpwave.errors import (ConditionViolated, DegenerateClass, InexactInput, LevelOutOfRange,
+                           NotDyadic, TooLarge)
 from vpwave.intlat import (
     J_D,
     J_X,
@@ -227,8 +227,8 @@ def test_dirichlet_degeneration_exact():
 
 def test_support_nesting_across_levels():
     c, g = example_48()
-    assert scaling_spectrum(c, 0, g).spectrum.support() <= \
-        scaling_spectrum(c, 1, g).spectrum.support()
+    assert scaling_spectrum(c, 0, g).spectrum.coeffs.keys() <= \
+        scaling_spectrum(c, 1, g).spectrum.coeffs.keys()
 
 
 # -- spectra against direct profile evaluation -----------------------------------
@@ -307,7 +307,7 @@ def oracle_coarse_of_fine(c, level):
 def oracle_support_radii(c, g):
     out = []
     for level in range(c.n_levels + 1):
-        supp = scaling_spectrum(c, level, g).spectrum.support()
+        supp = scaling_spectrum(c, level, g).spectrum.coeffs.keys()
         r = 0
         while all(p in supp for p in product(range(-r - 1, r + 2), repeat=c.dim)):
             r += 1
@@ -363,7 +363,7 @@ def test_two_scale_identity():
     a = two_scale(c, 0, g)
     gs1 = generating_set(c.matrix(1).T)
     phi0, phi1 = scaling_spectrum(c, 0, g), scaling_spectrum(c, 1, g)
-    for k in phi0.spectrum.support() | phi1.spectrum.support():
+    for k in phi0.spectrum.coeffs.keys() | phi1.spectrum.coeffs.keys():
         lhs = phi0.spectrum[k]
         rhs = a.values.values[gs1.index_of(k)] * phi1.spectrum[k]
         assert abs(lhs - rhs) < 1e-12
@@ -492,7 +492,7 @@ def test_wavelet_two_scale_identity():
     b = wavelet_two_scale(c, 0, g)
     gs1 = generating_set(c.matrix(1).T)
     psi0, phi1 = wavelet_spectrum(c, 0, g), scaling_spectrum(c, 1, g)
-    for k in psi0.spectrum.support() | phi1.spectrum.support():
+    for k in psi0.spectrum.coeffs.keys() | phi1.spectrum.coeffs.keys():
         lhs = psi0.spectrum[k]
         rhs = b.values.values[gs1.index_of(k)] * phi1.spectrum[k]
         assert abs(lhs - rhs) < 1e-12
@@ -500,8 +500,8 @@ def test_wavelet_two_scale_identity():
 
 def test_wavelet_support_inside_next_scaling_support():
     c, g = example_48()
-    assert wavelet_spectrum(c, 0, g).spectrum.support() <= \
-        scaling_spectrum(c, 1, g).spectrum.support()
+    assert wavelet_spectrum(c, 0, g).spectrum.coeffs.keys() <= \
+        scaling_spectrum(c, 1, g).spectrum.coeffs.keys()
 
 
 def test_wavelet_dirichlet_binary_filters():
@@ -652,7 +652,7 @@ def test_orthonormal_wavelet_complements_scaling_space():
     assert np.max(np.abs(class_powers(psi) * 64 - 1)) < 1e-12
     gs = generating_set(c.M0.T)
     cross = np.zeros(64, dtype=complex)
-    for k in phi.spectrum.support() | psi.spectrum.support():
+    for k in phi.spectrum.coeffs.keys() | psi.spectrum.coeffs.keys():
         cross[gs.index_of(k)] += phi.spectrum[k] * np.conj(psi.spectrum[k])
     assert np.max(np.abs(cross)) < 1e-12
 
@@ -672,12 +672,43 @@ def test_orthonormal_wavelet_random_dyadic_chains():
             psi = orthonormal_wavelet(c, level, g)
             gs = generating_set(c.matrix(level).T)
             cross = np.zeros(c.size(level), dtype=complex)
-            for k in phi.spectrum.support() | psi.spectrum.support():
+            for k in phi.spectrum.coeffs.keys() | psi.spectrum.coeffs.keys():
                 cross[gs.index_of(k)] += phi.spectrum[k] * np.conj(psi.spectrum[k])
             assert np.max(np.abs(cross)) < 1e-10, (str(M0), level)
 
 
-# -- series evaluation and export ------------------------------------------------
+# -- series evaluation -------------------------------------------------------
+
+
+def test_spectrum_keys_must_be_integers():
+    s = SparseSpectrum(dim=2, keys=np.array([[1.0, -2.0], [0.0, 0.0]]), values=[1.0, 2.0])
+    assert s.keys.dtype == np.int64 and s.keys.tolist() == [[0, 0], [1, -2]]
+    assert s[(1, -2)] == s.coeffs.get((1, -2), 0.0) == 1.0
+    # an empty key array of any dtype holds no key to misread
+    assert len(SparseSpectrum(dim=2, keys=np.zeros((0, 2)), values=np.zeros(0))) == 0
+    for bad in ([[0.5, 0]], np.array([[F(1, 2), 0]], dtype=object), [[float("nan"), 0]]):
+        with pytest.raises(InexactInput):
+            SparseSpectrum(dim=2, keys=bad, values=[1.0])
+    with pytest.raises(InexactInput):
+        s[(0.5, 0)]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=str)
+@pytest.mark.parametrize("call", [
+    lambda v: AdmissibleFn.tensor_linear([v]),
+    lambda v: AdmissibleFn.tensor_smoothed([v, 0]),
+    lambda v: periodized_sum(AdmissibleFn.characteristic(2), J_D, (v, 0)),
+    lambda v: scaling_profile(chain(IntMat.identity(2), [J_D]), 0,
+                              AdmissibleFn.characteristic(2), (v, 0)),
+    lambda v: wavelet_profile(chain(IntMat.identity(2), [J_D]), 0,
+                              AdmissibleFn.characteristic(2), (0, v)),
+    lambda v: pattern(J_D).index_of((v, 0)),
+    lambda v: J_D.inv_apply((0, v)),
+], ids=["tensor_linear", "tensor_smoothed", "periodized_sum", "scaling_profile",
+        "wavelet_profile", "pattern_index_of", "inv_apply"])
+def test_non_finite_floats_raise_inexact_input(call, bad):
+    with pytest.raises(InexactInput):
+        call(bad)
 
 
 def test_evaluate_series_constant():
@@ -711,22 +742,6 @@ def test_localization_better_than_dirichlet():
     ratio_vp = peak_to_tail(scaling_spectrum(c, 0, g).spectrum)
     ratio_dir = peak_to_tail(scaling_spectrum(c, 0, gd).spectrum)
     assert ratio_vp > ratio_dir
-
-
-def test_write_spectrum_csv(tmp_path):
-    c, g = example_48()
-    spec = scaling_spectrum(c, 0, g).spectrum
-    path = tmp_path / "phi0.csv"
-    write_spectrum_csv(spec, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k1,k2,re,im"
-    assert len(lines) == len(spec) + 1
-    ks = [tuple(int(v) for v in ln.split(",")[:2]) for ln in lines[1:]]
-    assert ks == sorted(ks)
-    # deterministic byte-for-byte
-    path2 = tmp_path / "again.csv"
-    write_spectrum_csv(spec, path2)
-    assert path.read_bytes() == path2.read_bytes()
 
 
 # -- integer fast paths against their unpruned or Python-integer forms ---------

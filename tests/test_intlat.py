@@ -21,7 +21,6 @@ from vpwave.intlat import (
     generating_set,
     pattern,
     plane_rotation,
-    reduce_mod,
     smith_normal_form,
     unimodular_inverse,
 )
@@ -204,18 +203,22 @@ def test_generating_set_boxes():
             assert all(Fraction(-1, 2) <= v < Fraction(1, 2) for v in x)
 
 
+# the frequency classes of the DFT with respect to M: G(M^T) modulo M^T Z^d
+
+
 def test_reduce_mod_componentwise():
-    assert reduce_mod(IntMat.diagonal([2, 2]), (3, -1)) == (-1, -1)
+    assert generating_set(IntMat.diagonal([2, 2]).T).reduce((3, -1)) == (-1, -1)
 
 
 def test_reduce_mod_idempotent_and_class_invariant():
     rng = random.Random(99)
     M = IntMat.from_rows([[16, 0], [12, 8]])
     MT = M.T
+    reduce_mod = generating_set(MT).reduce
     for _ in range(100):
         k = (rng.randint(-40, 40), rng.randint(-40, 40))
-        h = reduce_mod(M, k)
-        assert reduce_mod(M, h) == h
+        h = reduce_mod(k)
+        assert reduce_mod(h) == h
         # k - h in M^T Z^2, exactly
         diff = tuple(a - b for a, b in zip(k, h))
         z = MT.inv_apply(diff)
@@ -223,13 +226,13 @@ def test_reduce_mod_idempotent_and_class_invariant():
         # class invariance under M^T shifts
         z0 = (rng.randint(-3, 3), rng.randint(-3, 3))
         shifted = tuple(a + b for a, b in zip(k, MT.apply(z0)))
-        assert reduce_mod(M, shifted) == h
+        assert reduce_mod(shifted) == h
 
 
 def test_reduce_mod_fixes_representatives():
-    M = IntMat.from_rows([[3, 1], [0, 2]])
-    for h in generating_set(M.T).reps:
-        assert reduce_mod(M, h) == h
+    gs = generating_set(IntMat.from_rows([[3, 1], [0, 2]]).T)
+    for h in gs.reps:
+        assert gs.reduce(h) == h
 
 
 def test_pattern_halving_1d():
@@ -383,7 +386,8 @@ def test_lattice_core_matches_fraction_oracle(M, data):
 @settings(max_examples=40, deadline=None)
 @given(M=regular_matrices(), data=st.data())
 def test_pattern_lookups_match_fraction_oracle(M, data):
-    # index_of, reduce and add go through the integer class index of M y;
+    # index_of and reduce go through the integer class index of M y, and the
+    # group law adds representatives and looks the sum up with class_index;
     # the oracle reduces each coordinate mod 1 into [-1/2, 1/2) in Fractions
     pat = pattern(M)
     d, q = M.dim, M.absdet
@@ -395,7 +399,9 @@ def test_pattern_lookups_match_fraction_oracle(M, data):
         assert pat.index_of(y) == i
         assert pat.reduce(y) == frac_box(y) == pat.points[i]
         total = tuple(a + b for a, b in zip(pat.points[i], pat.points[j]))
-        assert pat.points[pat.add(i, j)] == frac_box(total)
+        gs = generating_set(M)
+        ij = gs.class_index(gs.rep_array[[i]] + gs.rep_array[[j]])[0]
+        assert pat.points[ij] == frac_box(total)
         # 1/(q+1) times a column of M is never integral, as q+1 does not divide det M
         off = (y[0] + Fraction(1, q + 1),) + y[1:]
         with pytest.raises(IndexMismatch):
@@ -472,9 +478,6 @@ def test_lookups_reject_non_integral_frequencies():
             gs.index_of(bad)
         with pytest.raises(InexactInput):
             gs.reduce(bad)
-    with pytest.raises(InexactInput):
-        reduce_mod(M, (0.9, 0))
-    assert reduce_mod(M, (1.0, 0)) == reduce_mod(M, (1, 0))
     with pytest.raises(InexactInput):
         gs.class_index(np.array([[1.5, 2.0]]))
     with pytest.raises(InexactInput):

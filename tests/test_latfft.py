@@ -184,12 +184,12 @@ def test_parseval():
 def test_shift_modulation_duality():
     rng_np = np.random.default_rng(33)
     M = IntMat.from_rows([[4, 1], [2, 6]])
-    pat = pattern(M)
+    pat, gs = pattern(M), generating_set(M)
     a = random_pattern_vector(rng_np, M)
     for tau_idx in (1, len(pat) // 2):
+        # translation by points[tau_idx]: point i moves to the class of reps[i] + reps[tau_idx]
         shifted = np.empty_like(a.values)
-        for i in range(len(pat)):
-            shifted[pat.add(i, tau_idx)] = a.values[i]
+        shifted[gs.class_index(gs.rep_array + gs.rep_array[tau_idx])] = a.values
         lhs = dft_fast(PatternVector(matrix=M, values=shifted)).values
         tau = np.array([float(v) for v in pat.points[tau_idx]])
         H = np.array(generating_set(M.T).reps, dtype=float)

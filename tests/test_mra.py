@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction as F
 
@@ -9,13 +10,19 @@ from vpwave.admissible import AdmissibleFn, exact_gap
 from vpwave.dlvp import (
     ScalingFunction,
     SparseSpectrum,
+    complement_phases,
+    fiber_partner,
     normalized_filters,
+    orthonormal_wavelet,
     periodized_product,
+    scaling_profile,
     scaling_spectrum,
     two_scale,
+    wavelet_profile,
+    wavelet_spectrum,
     wavelet_two_scale,
 )
-from vpwave.errors import (ConditionViolated, DimensionMismatch, InvalidParameter, TooLarge,
+from vpwave.errors import (DimensionMismatch, InvalidParameter, LevelOutOfRange, TooLarge,
                            UnsupportedDimension)
 from vpwave.intlat import (
     J_D,
@@ -35,11 +42,10 @@ from vpwave.mra import (
     basis_check,
     build_report,
     check_reduction,
-    check_reduction_highdim,
     independent_nesting_residual,
     nesting_residual,
     support_radii,
-    trailing_axis_collapse,
+    tail_distance,
 )
 
 
@@ -317,23 +323,73 @@ def test_reduction_rejects_unknown_mode():
         check_reduction(square_window(6), J_X, "triple")
 
 
-def test_reduction_highdim_flags():
+def tail_distance_oracle(chn, g, level):
+    """``tail_distance`` from the direct profiles: at every frequency of
+    either support, the level's profile against the plain window, both
+    exact, over ``sqrt(m_level)``."""
+    M, root = chn.matrix(level), math.sqrt(chn.size(level))
+    keys = (scaling_spectrum(chn, level, g).spectrum.coeffs.keys()
+            | scaling_spectrum(chn.subchain(level), level, g).spectrum.coeffs.keys())
+    return max(abs(float(scaling_profile(chn, level, g, M.inv_T_apply(k)) - g(M.inv_T_apply(k))))
+               for k in keys) / root
+
+
+def test_tail_distance_of_3d_chains_is_exactly_zero():
     g3 = AdmissibleFn.tensor_linear([F(1, 20)] * 3)
-    c3 = chain(IntMat.identity(3), [axis_doubling(3, 0), plane_rotation(3, 0, 1)])
-    assert check_reduction_highdim(g3, c3) == [True, True]
+    for factors in ([axis_doubling(3, 0), plane_rotation(3, 0, 1)],
+                    # the doubled axis lies outside the rotated plane: the tail
+                    # still changes nothing
+                    [axis_doubling(3, 2), plane_rotation(3, 0, 1)]):
+        c3 = chain(IntMat.identity(3), factors)
+        assert [tail_distance(c3, g3, level) for level in range(3)] == [0.0] * 3
+        assert [tail_distance_oracle(c3, g3, level) for level in range(3)] == [0.0] * 3
 
 
 def test_reduction_highdim_trailing_axis():
     g3 = AdmissibleFn.tensor_linear([F(1, 20)] * 3)
     c3 = chain(IntMat.identity(3), [axis_doubling(3, 2)])
-    assert trailing_axis_collapse(c3, g3) == 0.0
+    assert [tail_distance(c3, g3, level) for level in range(2)] == [0.0, 0.0]
 
 
-def test_reduction_highdim_condition_violation():
-    g3 = AdmissibleFn.tensor_linear([F(1, 20)] * 3)
-    bad = chain(IntMat.identity(3), [axis_doubling(3, 2), plane_rotation(3, 0, 1)])
-    with pytest.raises(ConditionViolated):
-        check_reduction_highdim(g3, bad)
+def test_tail_distance_sees_a_quincunx_tail():
+    # the axis doublings reproduce the window, the quincunx step does not
+    g = square_window(10)
+    c = chain(IntMat.diagonal([4, 4]), [J_X, J_Y, J_D])
+    dist = [tail_distance(c, g, level) for level in range(4)]
+    assert dist[:2] == [0.0, 0.0] and dist[2] > 0 and dist[3] == 0.0
+    assert dist[2] == pytest.approx(tail_distance_oracle(c, g, 2), rel=1e-12, abs=0)
+
+
+# -- level arguments ----------------------------------------------------------------
+
+
+LEVEL_TAKERS = {
+    "scaling_profile": lambda c, g, level: scaling_profile(c, level, g, (0, 0)),
+    "wavelet_profile": lambda c, g, level: wavelet_profile(c, level, g, (0, 0)),
+    "scaling_spectrum": lambda c, g, level: scaling_spectrum(c, level, g),
+    "wavelet_spectrum": lambda c, g, level: wavelet_spectrum(c, level, g),
+    "two_scale": lambda c, g, level: two_scale(c, level, g),
+    "wavelet_two_scale": lambda c, g, level: wavelet_two_scale(c, level, g),
+    "complement_phases": lambda c, g, level: complement_phases(c, level),
+    "fiber_partner": lambda c, g, level: fiber_partner(c, level),
+    "normalized_filters": lambda c, g, level: normalized_filters(c, level, g),
+    "orthonormal_wavelet": lambda c, g, level: orthonormal_wavelet(c, level, g),
+    "basis_check": lambda c, g, level: basis_check(c, level, g),
+    "nesting_residual": lambda c, g, level: nesting_residual(c, level, g),
+    "tail_distance": lambda c, g, level: tail_distance(c, g, level),
+}
+
+
+@pytest.mark.parametrize("level", ["below", "past_top", "fractional"])
+@pytest.mark.parametrize("name", LEVEL_TAKERS)
+def test_levels_outside_the_chain_raise_level_out_of_range(name, level):
+    # each raises at once: no indexing from the end, no unbounded recursion
+    # on a fractional level, no IndexError past the last factor
+    c, g = chain(IntMat.diagonal([2, 2]), [J_D, J_X]), square_window(10)
+    value = {"below": -1, "past_top": c.n_levels + 1, "fractional": 1.5}[level]
+    with pytest.raises(LevelOutOfRange):
+        LEVEL_TAKERS[name](c, g, value)
+    LEVEL_TAKERS[name](c, g, np.int64(1))
 
 
 # -- report -------------------------------------------------------------------------------

@@ -38,6 +38,24 @@ def test_no_unused_imports():
     assert not unused, f"unused imports in src/vpwave: {unused}"
 
 
+def test_every_tolerance_is_read():
+    # a tolerance that no check compares against is dead configuration.  The
+    # checks live in the package, in its tests and in the benchmark: two
+    # constants, FAST_VS_NAIVE and UNITARITY, are read only by the latter two
+    constants = {target.id for node in ast.parse((SRC / "tol.py").read_text()).body
+                 if isinstance(node, ast.Assign) for target in node.targets}
+    root = SRC.parent.parent
+    read = set()
+    for path in [*SRC.glob("*.py"), *(root / "tests").glob("*.py"), *(root / "vpbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "tol":
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("tol"):
+                read.update(alias.name for alias in node.names)
+    assert constants, "no constants found in tol.py"
+    assert not constants - read, f"unread tolerances in tol.py: {sorted(constants - read)}"
+
+
 def test_every_raise_uses_a_package_error():
     # bad input raises a typed VpwaveError subclass, never a bare built-in
     errors = {node.name for node in ast.parse((SRC / "errors.py").read_text()).body
