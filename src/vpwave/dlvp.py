@@ -24,13 +24,18 @@ built from it:
   the level-``(l+1)`` samples by ``g^J`` shifted by ``J^T v`` and by one
   unit phase per class.
 
+:func:`coarse_of_fine` maps each class of ``G(M_{l+1}^T)`` to its class in
+``G(M_l^T)``; a dyadic factor makes each fiber of that map a pair, and the
+shift by ``J^T v`` moves a class onto the other member, its :func:`fiber_partner`.
+
 Frequency arguments ``M_l^{-T} k`` are integer numerators over
 ``q = |det M_l|``; windows are evaluated on them in exact batches, and
 samples stay integer numerators over one denominator until each float is
 one correctly rounded division, so half-open support boundaries (the
 Dirichlet window) and zero tests are decided exactly.  Every class vector
-(two-scale values, phases, class powers, filters) is indexed by ``G(M^T)``
-in the canonical order of :mod:`vpwave.intlat`.  A spectrum is
+(two-scale values, phases, class powers, filters) is a plain array indexed
+by ``G(M^T)`` in the canonical order of :mod:`vpwave.intlat`; the filters
+of step ``l`` are complex arrays over ``G(M_{l+1}^T)``.  A spectrum is
 a sorted key array with a value array; a class vector acts on it by one
 gather over ``class_index(keys)``, and per-class sums are one ``np.bincount``.
 :func:`scaling_profile` and :func:`wavelet_profile` evaluate the product
@@ -44,7 +49,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -54,12 +58,10 @@ import numpy as np
 from . import tol
 from .admissible import (AdmissibleFn, exact_floats, exact_product, periodized_sum,
                          periodized_sum_exact)
-from .errors import (ConditionViolated, DegenerateClass, DimensionMismatch, LevelOutOfRange,
-                     NotDyadic, TooLarge)
-from .intlat import (_INT64_SAFE, ENUMERATION_GUARD, ChainSpec, IntMat, _absmax,
+from .errors import DegenerateClass, DimensionMismatch, NotDyadic, TooLarge
+from .intlat import (_INT64_SAFE, ENUMERATION_GUARD, ChainSpec, IntMat, _absmax, _check_level,
                      _exact_fraction, _exact_ints, _Frozen, generating_set, smith_normal_form,
                      unimodular_inverse)
-from .latfft import SpectrumVector
 
 Vec = tuple[int, ...]
 
@@ -113,9 +115,8 @@ class ScalingFunction(_Frozen):
     :func:`orthonormalize`, or for a hand-built spectrum)."""
 
     def __init__(self, chain: ChainSpec, level: int, g: AdmissibleFn, spectrum: SparseSpectrum,
-                 normalized: bool = False, samples: SparseSpectrum | None = None):
-        self._set(chain=chain, level=level, g=g, spectrum=spectrum, normalized=normalized,
-                  samples=samples)
+                 samples: SparseSpectrum | None = None):
+        self._set(chain=chain, level=level, g=g, spectrum=spectrum, samples=samples)
 
     @property
     def matrix(self) -> IntMat:
@@ -134,48 +135,25 @@ class ScalingFunction(_Frozen):
         return powers
 
 
-class Wavelet(_Frozen):
-    def __init__(self, chain: ChainSpec, level: int, g: AdmissibleFn, spectrum: SparseSpectrum,
-                 v: tuple[Fraction, ...], w: tuple[Fraction, ...], normalized: bool = False):
-        self._set(chain=chain, level=level, g=g, spectrum=spectrum, v=v, w=w,
-                  normalized=normalized)
-
-    @property
-    def matrix(self) -> IntMat:
-        return self.chain.matrix(self.level)
-
-    @property
-    def size(self) -> int:
-        return self.chain.size(self.level)
+class Wavelet(ScalingFunction):
+    """A level-``level`` wavelet; its ``samples`` are ``None``."""
 
 
 class TwoScaleCoeffs(_Frozen):
     """Coefficients linking a level-l function to the level-(l+1) scaling
-    basis, one value per frequency class of ``G(M_{l+1}^T)``.  ``kind`` is
-    ``"scaling"`` or ``"wavelet"``.  Raw vectors only keep ``samples``: the
-    real periodization samples behind ``values``, which are
-    ``sqrt(|det J|) * samples`` times unit phases."""
+    basis: ``values`` is a read-only complex array over ``G(M_{l+1}^T)``.
+    Raw vectors also keep ``samples``: the real periodization samples behind
+    ``values``, which are ``sqrt(|det J|) * samples`` times unit phases."""
 
-    def __init__(self, chain: ChainSpec, level: int, kind: str, values: SpectrumVector,
-                 normalized: bool = False, samples: np.ndarray | None = None):
-        self._set(chain=chain, level=level, kind=kind, values=values, normalized=normalized,
-                  samples=samples)
-
-
-def _check_level(level: int, top: int) -> None:
-    """Raise ``LevelOutOfRange`` unless ``level`` is an integer in ``0..top``."""
-    try:
-        inside = 0 <= operator.index(level) <= top
-    except TypeError:
-        inside = False
-    if not inside:
-        raise LevelOutOfRange(f"level {level!r} outside 0..{top}")
+    def __init__(self, chain: ChainSpec, level: int, values: np.ndarray,
+                 samples: np.ndarray | None = None):
+        values.flags.writeable = False
+        self._set(chain=chain, level=level, values=values, samples=samples)
 
 
-def _require_dyadic_factor(J: IntMat) -> IntMat:
+def _require_dyadic_factor(J: IntMat) -> None:
     if J.absdet != 2:
         raise NotDyadic(f"factor {J} has |det| = {J.absdet}, need 2")
-    return J
 
 
 def periodized_product(g: AdmissibleFn, J: IntMat, f2, x: Sequence):
@@ -212,26 +190,17 @@ def wavelet_shift_vectors(J: IntMat) -> tuple[tuple[Fraction, ...], tuple[Fracti
                  for M in (J.T, J))
 
 
-def _wavelet_frequency_shift(J: IntMat) -> Vec:
-    """Integer congruence representative ``J^T v`` pairing the two
-    frequency classes that a dyadic factor splits."""
-    v, _ = wavelet_shift_vectors(J)
-    gt = J.T.apply(v)
-    if any(Fraction(c).denominator != 1 for c in gt):
-        raise ConditionViolated(f"J^T v = {gt} is not an integer vector for factor {J}")
-    return tuple(int(c) for c in gt)
-
-
 def wavelet_profile(chain: ChainSpec, level: int, g: AdmissibleFn, x: Sequence) -> complex:
     """Shifted and modulated window product sampled by the wavelet
     coefficients, evaluated directly at one point.  The window is
-    translated by the integer class representative ``J^T v`` (the pattern
-    point ``v`` itself would pair wrong frequency classes and break
+    translated by an integer representative of ``J^T v``, the nonzero class
+    of ``G(J^T)``; any one serves, as ``g^J`` is ``J^T Z^d`` periodic (the
+    pattern point ``v`` itself would pair wrong frequency classes and break
     orthogonality of the complement)."""
     _check_level(level, chain.n_levels - 1)
-    J = _require_dyadic_factor(chain.factors[level])
+    J = chain.factors[level]
     _, w = wavelet_shift_vectors(J)
-    gt = _wavelet_frequency_shift(J)
+    gt = generating_set(J.T).rep_array[1].tolist()
     xv = tuple(map(_exact_fraction, x))
     first = periodized_sum(g, J, tuple(a - b for a, b in zip(xv, gt)))
     if first == 0:
@@ -258,7 +227,7 @@ def _frequency_candidates(M: IntMat, hw: Sequence[Fraction]) -> np.ndarray:
     return np.indices([2 * b + 1 for b in bounds]).reshape(d, -1).T - np.array(bounds)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _class_sums(chain: ChainSpec, level: int, g: AdmissibleFn) -> tuple:
     """Exact ``g^J(M_l^{-T} h)`` over the classes ``h`` of ``G(M_{l+1}^T)``, as
     read-only numerators and their denominator; the value of every frequency
@@ -270,7 +239,7 @@ def _class_sums(chain: ChainSpec, level: int, g: AdmissibleFn) -> tuple:
     return sums, den
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def complement_phases(chain: ChainSpec, level: int) -> np.ndarray:
     """Unit phases ``exp(-2 pi i h . M_l^{-1} w)`` over ``G(M_{l+1}^T)``, read-only;
     they flip sign between the two classes a dyadic factor pairs.  With
@@ -288,7 +257,38 @@ def complement_phases(chain: ChainSpec, level: int) -> np.ndarray:
     return phases
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
+def coarse_of_fine(chain: ChainSpec, level: int) -> np.ndarray:
+    """For each class of ``G(M_{l+1}^T)``, the position of its class in
+    ``G(M_l^T)``, as a read-only intp array."""
+    _check_level(level, chain.n_levels - 1)
+    index = generating_set(chain.matrix(level).T).class_index(
+        generating_set(chain.matrix(level + 1).T).rep_array)
+    index.flags.writeable = False
+    return index
+
+
+@lru_cache(maxsize=None, typed=True)
+def fiber_partner(chain: ChainSpec, level: int) -> np.ndarray:
+    """For each class of ``G(M_{l+1}^T)``, the index of the other class of
+    its :func:`coarse_of_fine` fiber, which a dyadic factor makes a pair; a
+    read-only involution."""
+    _check_level(level, chain.n_levels - 1)
+    _require_dyadic_factor(chain.factors[level])
+    pairs = np.argsort(coarse_of_fine(chain, level), kind="stable").reshape(-1, 2)
+    partner = np.empty(pairs.size, dtype=np.intp)
+    partner[pairs] = pairs[:, ::-1]
+    partner.flags.writeable = False
+    return partner
+
+
+def _complement(chain: ChainSpec, level: int, a: np.ndarray) -> np.ndarray:
+    """The complement of a class vector ``a`` over ``G(M_{l+1}^T)``: the
+    conjugated partner-class value times the sign-flipping unit phase."""
+    return complement_phases(chain, level) * np.conj(a[fiber_partner(chain, level)])
+
+
+@lru_cache(maxsize=None, typed=True)
 def _exact_samples(chain: ChainSpec, level: int, g: AdmissibleFn) -> tuple:
     """The nonzero exact samples ``P_l(M_l^{-T} k)``: read-only arrays of the
     keys ``k`` in lexicographic order and of the numerators, and their
@@ -314,7 +314,7 @@ def _exact_samples(chain: ChainSpec, level: int, g: AdmissibleFn) -> tuple:
     return K, P, den
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def scaling_spectrum(chain: ChainSpec, level: int, g: AdmissibleFn) -> ScalingFunction:
     """Fourier coefficients of the level-``level`` scaling function."""
     _check_level(level, chain.n_levels)
@@ -328,13 +328,12 @@ def scaling_spectrum(chain: ChainSpec, level: int, g: AdmissibleFn) -> ScalingFu
         spectrum=SparseSpectrum(dim=chain.dim, keys=K[keep], values=c[keep]))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def wavelet_spectrum(chain: ChainSpec, level: int, g: AdmissibleFn) -> Wavelet:
     """Fourier coefficients of the level-``level`` wavelet (dyadic factor):
     per frequency the wavelet class value times ``P_{l+1}`` times the
     class phase."""
     _check_level(level, chain.n_levels - 1)
-    v, w = wavelet_shift_vectors(chain.factors[level])
     K, P, den = _exact_samples(chain, level + 1, g)
     idx = generating_set(chain.matrix(level + 1).T).class_index(K)
     a, a_den = _class_sums(chain, level, g)
@@ -342,7 +341,7 @@ def wavelet_spectrum(chain: ChainSpec, level: int, g: AdmissibleFn) -> Wavelet:
                / math.sqrt(chain.size(level)))
     keep = np.abs(modulus) > tol.ZERO_TRIM
     values = modulus[keep] * complement_phases(chain, level)[idx[keep]]
-    return Wavelet(chain=chain, level=level, g=g, v=v, w=w,
+    return Wavelet(chain=chain, level=level, g=g,
                    spectrum=SparseSpectrum(dim=chain.dim, keys=K[keep], values=values))
 
 
@@ -352,24 +351,23 @@ def two_scale(chain: ChainSpec, level: int, g: AdmissibleFn) -> TwoScaleCoeffs:
     _check_level(level, chain.n_levels - 1)
     samples = exact_floats(*_class_sums(chain, level, g))
     vals = (math.sqrt(chain.factors[level].absdet) * samples).astype(complex)
-    return TwoScaleCoeffs(chain=chain, level=level, kind="scaling", samples=samples,
-                          values=SpectrumVector(matrix=chain.matrix(level + 1), values=vals))
+    return TwoScaleCoeffs(chain=chain, level=level, samples=samples, values=vals)
 
 
 def wavelet_two_scale(chain: ChainSpec, level: int, g: AdmissibleFn) -> TwoScaleCoeffs:
     """Raw wavelet two-scale vector over ``G(M_{l+1}^T)``; its real moduli
     before the ``sqrt(2)`` factor and the unit phases are kept as
     ``samples``."""
-    moduli = two_scale(chain, level, g).samples[fiber_partner(chain, level)]
-    vals = math.sqrt(2.0) * moduli * complement_phases(chain, level)
-    return TwoScaleCoeffs(chain=chain, level=level, kind="wavelet", samples=moduli,
-                          values=SpectrumVector(matrix=chain.matrix(level + 1), values=vals))
+    a = two_scale(chain, level, g)
+    # real, as conj(+0j) = -0j would flip the sign of zeros among the products
+    return TwoScaleCoeffs(chain=chain, level=level, values=_complement(chain, level, a.values.real),
+                          samples=a.samples[fiber_partner(chain, level)])
 
 
 # -- orthonormalization ------------------------------------------------------
 
 
-def class_powers(fn: ScalingFunction | Wavelet) -> np.ndarray:
+def class_powers(fn: ScalingFunction) -> np.ndarray:
     """Per-class sums ``sum_z |c_{h + M_l^T z}|^2`` over ``G(M_l^T)``, in key
     order, with the C library's ``hypot`` and ``pow`` as in ``abs(c) ** 2``."""
     gs = generating_set(fn.matrix.T)
@@ -378,7 +376,7 @@ def class_powers(fn: ScalingFunction | Wavelet) -> np.ndarray:
                        weights=np.float_power(np.hypot(c.real, c.imag), 2.0))
 
 
-def orthonormalize(fn: ScalingFunction | Wavelet):
+def orthonormalize(fn: ScalingFunction):
     """Scale each frequency class so the translates over ``P(M_l)`` become
     orthonormal: ``m_l * sum_z |c|^2 = 1`` per class afterwards."""
     powers = class_powers(fn)
@@ -388,28 +386,10 @@ def orthonormalize(fn: ScalingFunction | Wavelet):
     s = fn.spectrum
     spec = SparseSpectrum(dim=s.dim, keys=s.keys,
                           values=s.values * scale[generating_set(fn.matrix.T).class_index(s.keys)])
-    if isinstance(fn, ScalingFunction):
-        return ScalingFunction(fn.chain, fn.level, fn.g, spec, normalized=True)
-    return Wavelet(fn.chain, fn.level, fn.g, spec, fn.v, fn.w, normalized=True)
+    return type(fn)(fn.chain, fn.level, fn.g, spec)
 
 
-@lru_cache(maxsize=None)
-def fiber_partner(chain: ChainSpec, level: int) -> np.ndarray:
-    """For each class of ``G(M_{l+1}^T)``, the index of the second class a
-    dyadic factor merges with it over ``G(M_l^T)``; an involution."""
-    _check_level(level, chain.n_levels - 1)
-    J = _require_dyadic_factor(chain.factors[level])
-    shift = chain.matrix(level).T.apply(_wavelet_frequency_shift(J))
-    gs = generating_set(chain.matrix(level + 1).T)
-    dtype = np.int64 if _absmax(gs.rep_array) + max(map(abs, shift)) < _INT64_SAFE else object
-    partner = gs.class_index(gs.rep_array.astype(dtype) + np.array(shift, dtype=dtype))
-    own = np.arange(len(gs))
-    if np.any(partner[partner] != own) or np.any(partner == own):
-        raise ConditionViolated(f"factor {J} does not pair the classes of level {level + 1}")
-    return partner
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def normalized_filters(chain: ChainSpec, level: int,
                        g: AdmissibleFn) -> tuple[TwoScaleCoeffs, TwoScaleCoeffs]:
     """Orthonormal two-scale filter pair of one dyadic refinement step.
@@ -425,32 +405,18 @@ def normalized_filters(chain: ChainSpec, level: int,
     were orthonormal, as in the Dirichlet case.)
     """
     a_raw = two_scale(chain, level, g)
-    fine = scaling_spectrum(chain, level + 1, g)
-    coarse_phi = scaling_spectrum(chain, level, g)
-    p_fine = fine.powers
-    q_phi = coarse_phi.powers
+    p_fine = scaling_spectrum(chain, level + 1, g).powers
+    q_phi = scaling_spectrum(chain, level, g).powers
     for arr, who in ((p_fine, "fine scaling"), (q_phi, "coarse scaling")):
         if _degenerate(arr):
             raise DegenerateClass(f"{who} spectrum has an empty frequency class")
-    m_fine = chain.size(level + 1)
-    m_coarse = chain.size(level)
-    coarse_of_fine = generating_set(chain.matrix(level).T).class_index(
-        generating_set(chain.matrix(level + 1).T).rep_array)
-    a_vals = (a_raw.values.values * np.sqrt(m_fine * p_fine)
-              / np.sqrt(m_coarse * q_phi[coarse_of_fine]))
-    partner = fiber_partner(chain, level)
-    sigma = complement_phases(chain, level)
-    b_vals = sigma * np.conj(a_vals[partner])
-    mk = chain.matrix(level + 1)
-    return (
-        TwoScaleCoeffs(chain=chain, level=level, kind="scaling", normalized=True,
-                       values=SpectrumVector(matrix=mk, values=a_vals)),
-        TwoScaleCoeffs(chain=chain, level=level, kind="wavelet", normalized=True,
-                       values=SpectrumVector(matrix=mk, values=b_vals)),
-    )
+    a_vals = (a_raw.values * np.sqrt(chain.size(level + 1) * p_fine)
+              / np.sqrt(chain.size(level) * q_phi[coarse_of_fine(chain, level)]))
+    return (TwoScaleCoeffs(chain=chain, level=level, values=a_vals),
+            TwoScaleCoeffs(chain=chain, level=level, values=_complement(chain, level, a_vals)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def orthonormal_wavelet(chain: ChainSpec, level: int, g: AdmissibleFn) -> Wavelet:
     """The wavelet spanning the orthogonal complement of the level space
     inside the next one, with orthonormal translates: the complement
@@ -458,10 +424,9 @@ def orthonormal_wavelet(chain: ChainSpec, level: int, g: AdmissibleFn) -> Wavele
     _, b2 = normalized_filters(chain, level, g)
     fine = orthonormalize(scaling_spectrum(chain, level + 1, g)).spectrum
     gs = generating_set(chain.matrix(level + 1).T)
-    vals = b2.values.values[gs.class_index(fine.keys)] * fine.values
+    vals = b2.values[gs.class_index(fine.keys)] * fine.values
     keep = np.abs(vals) > tol.ZERO_TRIM
-    v, w = wavelet_shift_vectors(chain.factors[level])
-    return Wavelet(chain=chain, level=level, g=g, v=v, w=w, normalized=True,
+    return Wavelet(chain=chain, level=level, g=g,
                    spectrum=SparseSpectrum(dim=chain.dim, keys=fine.keys[keep], values=vals[keep]))
 
 

@@ -58,6 +58,7 @@ so int64 never wraps silently.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -65,7 +66,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (ConditionViolated, DimensionMismatch, FrozenValue, IndexMismatch,
-                     InexactInput, InvalidParameter, SingularMatrix, TooLarge)
+                     InexactInput, InvalidParameter, LevelOutOfRange, SingularMatrix, TooLarge)
 
 Vec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
@@ -495,11 +496,23 @@ def pattern(M: IntMat) -> Pattern:
     return Pattern(matrix=M, numerators=N, denominator=q)
 
 
+def _check_level(level: int, top: int) -> None:
+    """Raise ``LevelOutOfRange`` unless ``level`` is an integer in ``0..top``."""
+    try:
+        inside = 0 <= operator.index(level) <= top
+    except TypeError:
+        inside = False
+    if not inside:
+        raise LevelOutOfRange(f"level {level!r} outside 0..{top}")
+
+
 class ChainSpec(_Value):
     """Initial matrix plus dilation factors and their running products.
 
     ``products[l] = J_l ... J_1 M_0`` and ``sizes[l] = |det products[l]|``
-    for ``l = 0..n``; ``dyadic`` is set when every factor has ``|det| = 2``.
+    for ``l = 0..n``, read through :meth:`matrix` and :meth:`size`, which
+    raise ``LevelOutOfRange`` for any other ``l``; ``dyadic`` is set when
+    every factor has ``|det| = 2``.
     Equality compares every field; the hash, of ``(M0, factors)``, is cached
     on the instance.
     """
@@ -520,9 +533,11 @@ class ChainSpec(_Value):
         return self.M0.dim
 
     def matrix(self, level: int) -> IntMat:
+        _check_level(level, self.n_levels)
         return self.products[level]
 
     def size(self, level: int) -> int:
+        _check_level(level, self.n_levels)
         return self.sizes[level]
 
     def subchain(self, n: int) -> "ChainSpec":

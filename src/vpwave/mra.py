@@ -23,7 +23,6 @@ from .dlvp import (
     ScalingFunction,
     SparseSpectrum,
     TwoScaleCoeffs,
-    _check_level,
     _degenerate,
     fiber_partner,
     normalized_filters,
@@ -36,6 +35,7 @@ from .intlat import (
     ChainSpec,
     IntMat,
     J_D,
+    _check_level,
     _Frozen,
     _reduce_box,
     generating_set,
@@ -152,7 +152,7 @@ def audit_orthonormality(ts: TwoScaleCoeffs) -> float:
     if ts.samples is not None:
         mu = ts.samples
         return detj * float(np.max(np.abs(mu ** 2 + mu[partner] ** 2 - 1.0)))
-    v = ts.values.values
+    v = ts.values
     sums = np.abs(v) ** 2 + np.abs(v[partner]) ** 2
     return float(np.max(np.abs(sums - detj)))
 

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vpwave import dlvp, mra, tol
+from vpwave import dlvp, intlat, mra, tol
 from vpwave.admissible import AdmissibleFn, periodized_sum, periodized_sum_exact
 from vpwave.dlvp import (
     class_powers,
+    coarse_of_fine,
     complement_phases,
     evaluate_series,
     fiber_partner,
@@ -26,13 +27,11 @@ from vpwave.dlvp import (
     wavelet_spectrum,
     wavelet_two_scale,
 )
-from vpwave.errors import (ConditionViolated, DegenerateClass, InexactInput, LevelOutOfRange,
-                           NotDyadic, TooLarge)
+from vpwave.errors import DegenerateClass, InexactInput, LevelOutOfRange, NotDyadic, TooLarge
 from vpwave.intlat import (
     J_D,
     J_X,
     J_Y,
-    GeneratingSet,
     IntMat,
     axis_doubling,
     chain,
@@ -294,7 +293,12 @@ def oracle_orthonormalize(fn):
 
 
 def oracle_fiber_partner(c, level):
-    shift = c.matrix(level).T.apply(dlvp._wavelet_frequency_shift(c.factors[level]))
+    # the partner of h is the class of h + M_l^T J^T v, with v from the Smith form of J^T
+    J = c.factors[level]
+    v, _ = wavelet_shift_vectors(J)
+    Jv = J.T.apply(v)
+    assert all(F(x).denominator == 1 for x in Jv)
+    shift = c.matrix(level).T.apply([int(x) for x in Jv])
     gs = generating_set(c.matrix(level + 1).T)
     return np.array([gs.index_of(tuple(a + b for a, b in zip(h, shift))) for h in gs.reps])
 
@@ -328,13 +332,14 @@ def assert_class_lookups_match_oracles(c, g):
             assert orthonormalize(fn).spectrum.coeffs == oracle_orthonormalize(fn)
         if level == c.n_levels:
             continue
+        assert np.array_equal(coarse_of_fine(c, level), oracle_coarse_of_fine(c, level))
         assert np.array_equal(fiber_partner(c, level), oracle_fiber_partner(c, level))
         # the normalized scaling filter, rebuilt with the per-key coarse class map
         fine, coarse = scaling_spectrum(c, level + 1, g), scaling_spectrum(c, level, g)
         q_phi = class_powers(coarse)[oracle_coarse_of_fine(c, level)]
-        a_vals = (two_scale(c, level, g).values.values * np.sqrt(c.size(level + 1) * class_powers(fine))
+        a_vals = (two_scale(c, level, g).values * np.sqrt(c.size(level + 1) * class_powers(fine))
                   / np.sqrt(c.size(level) * q_phi))
-        assert np.array_equal(normalized_filters(c, level, g)[0].values.values, a_vals)
+        assert np.array_equal(normalized_filters(c, level, g)[0].values, a_vals)
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
@@ -365,7 +370,7 @@ def test_two_scale_identity():
     phi0, phi1 = scaling_spectrum(c, 0, g), scaling_spectrum(c, 1, g)
     for k in phi0.spectrum.coeffs.keys() | phi1.spectrum.coeffs.keys():
         lhs = phi0.spectrum[k]
-        rhs = a.values.values[gs1.index_of(k)] * phi1.spectrum[k]
+        rhs = a.values[gs1.index_of(k)] * phi1.spectrum[k]
         assert abs(lhs - rhs) < 1e-12
 
 
@@ -373,7 +378,7 @@ def test_two_scale_at_zero_frequency():
     c, g = example_48()
     a = two_scale(c, 0, g)
     gs1 = generating_set(c.matrix(1).T)
-    assert a.values.values[gs1.index_of((0, 0))] == pytest.approx(math.sqrt(2), abs=1e-14)
+    assert a.values[gs1.index_of((0, 0))] == pytest.approx(math.sqrt(2), abs=1e-14)
 
 
 def test_two_scale_dirichlet_binary():
@@ -381,7 +386,7 @@ def test_two_scale_dirichlet_binary():
     c = chain(IntMat.diagonal([3, 2]), [J_X])
     a = two_scale(c, 0, g)
     root = math.sqrt(2)
-    for v in a.values.values:
+    for v in a.values:
         assert v == 0 or v == root
 
 
@@ -494,7 +499,7 @@ def test_wavelet_two_scale_identity():
     psi0, phi1 = wavelet_spectrum(c, 0, g), scaling_spectrum(c, 1, g)
     for k in psi0.spectrum.coeffs.keys() | phi1.spectrum.coeffs.keys():
         lhs = psi0.spectrum[k]
-        rhs = b.values.values[gs1.index_of(k)] * phi1.spectrum[k]
+        rhs = b.values[gs1.index_of(k)] * phi1.spectrum[k]
         assert abs(lhs - rhs) < 1e-12
 
 
@@ -509,28 +514,15 @@ def test_wavelet_dirichlet_binary_filters():
     c = chain(IntMat.diagonal([2, 3]), [J_X])
     b = wavelet_two_scale(c, 0, g)
     root = math.sqrt(2)
-    for v in b.values.values:
+    for v in b.values:
         assert abs(v) == 0 or abs(abs(v) - root) < 1e-15
 
 
 def test_fine_classes_covered_by_filter_pair():
     c, g = example_48()
-    a = two_scale(c, 0, g).values.values
-    b = wavelet_two_scale(c, 0, g).values.values
+    a = two_scale(c, 0, g).values
+    b = wavelet_two_scale(c, 0, g).values
     assert np.all((np.abs(a) > 0) | (np.abs(b) > 0))
-
-
-def test_wavelet_invariants_raise_typed_errors(monkeypatch):
-    # plain raises, not asserts: these checks also run under python -O
-    c, _ = example_48()
-    J = c.factors[0]
-    monkeypatch.setattr(dlvp, "wavelet_shift_vectors",
-                        lambda J: ((F(1, 3), F(0)), (F(1, 2), F(0))))
-    with pytest.raises(ConditionViolated):
-        dlvp._wavelet_frequency_shift(J)
-    monkeypatch.setattr(dlvp, "_wavelet_frequency_shift", lambda J: (0, 0))
-    with pytest.raises(ConditionViolated):
-        fiber_partner.__wrapped__(c, 0)  # uncached: a zero shift pairs each class with itself
 
 
 def test_wavelet_requires_dyadic_chain():
@@ -638,11 +630,31 @@ def test_normalized_filters_fiber_structure():
     for (c, g) in (example_48(), chain_1d_fig1()):
         a2, b2 = normalized_filters(c, 0, g)
         partner = fiber_partner(c, 0)
-        A, B = a2.values.values, b2.values.values
+        A, B = a2.values, b2.values
         assert np.max(np.abs(np.abs(A) ** 2 + np.abs(A[partner]) ** 2 - 2)) < 1e-10
         assert np.max(np.abs(np.abs(B) ** 2 + np.abs(B[partner]) ** 2 - 2)) < 1e-10
         cross = A * np.conj(B) + A[partner] * np.conj(B[partner])
         assert np.max(np.abs(cross)) < 1e-10
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_class_maps_and_filters_are_read_only(case):
+    # cached arrays are handed out as they are: a caller's write must raise
+    c, g = ORACLE_CASES[case]()
+    for level in range(c.n_levels):
+        a2, b2 = normalized_filters(c, level, g)
+        arrays = [coarse_of_fine(c, level), fiber_partner(c, level), complement_phases(c, level),
+                  a2.values, b2.values, two_scale(c, level, g).values,
+                  wavelet_two_scale(c, level, g).values]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        partner, coarse = fiber_partner(c, level), coarse_of_fine(c, level)
+        assert partner.dtype == coarse.dtype == np.intp
+        # an involution without fixed points that stays inside each fiber
+        assert np.array_equal(partner[partner], np.arange(len(partner)))
+        assert not np.any(partner == np.arange(len(partner)))
+        assert np.array_equal(coarse[partner], coarse)
 
 
 def test_orthonormal_wavelet_complements_scaling_space():
@@ -782,21 +794,24 @@ def test_top_level_samples_only_inside_the_support_box(case, monkeypatch):
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_partner_and_phases_on_python_integers(case, monkeypatch):
-    # a zero int64 bound forces the Python-integer path; it must agree exactly
+    # zero int64 bounds force the Python-integer paths of the class map that
+    # the partner is derived from and of the phases; they must agree exactly
     c, _ = ORACLE_CASES[case]()
     levels = range(c.n_levels)
-    fast = [(fiber_partner.__wrapped__(c, l), complement_phases.__wrapped__(c, l)) for l in levels]
-    dtypes = []
-    class_index = GeneratingSet.class_index
+    fast = [(coarse_of_fine.__wrapped__(c, l), complement_phases.__wrapped__(c, l)) for l in levels]
+    applied = []
+    apply_rows = intlat.apply_rows
 
-    def spy(self, K):
-        dtypes.append(K.dtype)
-        return class_index(self, K)
+    def spy(B, X, addend=0):
+        out = apply_rows(B, X, addend)
+        applied.append(out.dtype)
+        return out
 
-    monkeypatch.setattr(GeneratingSet, "class_index", spy)
+    monkeypatch.setattr(intlat, "apply_rows", spy)
+    monkeypatch.setattr(intlat, "_INT64_SAFE", 0)
     monkeypatch.setattr(dlvp, "_INT64_SAFE", 0)
-    for level, (partner, phases) in zip(levels, fast):
-        assert np.array_equal(fiber_partner.__wrapped__(c, level), partner)
+    for level, (coarse, phases) in zip(levels, fast):
+        assert np.array_equal(coarse_of_fine.__wrapped__(c, level), coarse)
         slow = complement_phases.__wrapped__(c, level)
         assert np.array_equal(slow.view(np.float64), phases.view(np.float64))
-    assert dtypes and all(dt == object for dt in dtypes)
+    assert applied and all(dt == object for dt in applied)

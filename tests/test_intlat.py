@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from vpwave.errors import (ConditionViolated, DimensionMismatch, IndexMismatch, InexactInput,
-                           InvalidParameter, SingularMatrix, TooLarge)
+                           InvalidParameter, LevelOutOfRange, SingularMatrix, TooLarge)
 from vpwave.intlat import (
     ENUMERATION_GUARD,
     J_D,
@@ -293,6 +293,17 @@ def test_chain_products_and_sizes():
     assert c.products[2] == J_D @ J_X
     assert c.sizes == (1, 2, 4)
     assert c.dyadic
+
+
+@pytest.mark.parametrize("level", [-1, 3, 1.5, 1.0, "1"])
+def test_chain_accessors_reject_levels_outside_the_chain(level):
+    # no indexing from the end, no bare IndexError past the top level
+    c = chain(IntMat.identity(2), [J_X, J_D])
+    for accessor in (c.matrix, c.size):
+        with pytest.raises(LevelOutOfRange):
+            accessor(level)
+    assert c.matrix(np.int64(2)) == c.matrix(2) == J_D @ J_X
+    assert c.size(np.int64(0)) == c.size(0) == 1
 
 
 def test_chain_worked_factorization():

@@ -10,6 +10,7 @@ from vpwave.admissible import AdmissibleFn, exact_gap
 from vpwave.dlvp import (
     ScalingFunction,
     SparseSpectrum,
+    coarse_of_fine,
     complement_phases,
     fiber_partner,
     normalized_filters,
@@ -371,6 +372,7 @@ LEVEL_TAKERS = {
     "two_scale": lambda c, g, level: two_scale(c, level, g),
     "wavelet_two_scale": lambda c, g, level: wavelet_two_scale(c, level, g),
     "complement_phases": lambda c, g, level: complement_phases(c, level),
+    "coarse_of_fine": lambda c, g, level: coarse_of_fine(c, level),
     "fiber_partner": lambda c, g, level: fiber_partner(c, level),
     "normalized_filters": lambda c, g, level: normalized_filters(c, level, g),
     "orthonormal_wavelet": lambda c, g, level: orthonormal_wavelet(c, level, g),
@@ -389,6 +391,19 @@ def test_levels_outside_the_chain_raise_level_out_of_range(name, level):
     value = {"below": -1, "past_top": c.n_levels + 1, "fractional": 1.5}[level]
     with pytest.raises(LevelOutOfRange):
         LEVEL_TAKERS[name](c, g, value)
+    LEVEL_TAKERS[name](c, g, np.int64(1))
+
+
+@pytest.mark.parametrize("index, name", enumerate(LEVEL_TAKERS))
+def test_float_level_raises_after_the_int_level_is_cached(index, name):
+    # the caches key a level by its type too: an integral float raises on a
+    # cold cache and still raises once the int level has been computed
+    c, g = chain(IntMat.diagonal([2, 3 + index]), [J_D, J_X]), square_window(10)
+    with pytest.raises(LevelOutOfRange):
+        LEVEL_TAKERS[name](c, g, 1.0)
+    LEVEL_TAKERS[name](c, g, 1)
+    with pytest.raises(LevelOutOfRange):
+        LEVEL_TAKERS[name](c, g, 1.0)
     LEVEL_TAKERS[name](c, g, np.int64(1))
 
 

@@ -96,6 +96,17 @@ def test_no_scalar_periodization_in_spectral_layer():
     assert not found, f"scalar periodized_sum calls in the spectral layer: {found}"
 
 
+def test_filter_layer_does_not_import_the_transforms():
+    # dlvp keeps class vectors and filters as plain arrays over G(M^T); the
+    # pattern transforms of latfft act on them, not the other way round
+    name = "dlvp.py"
+    found = [f"{name}:{node.lineno}"
+             for node in ast.walk(ast.parse((SRC / name).read_text(), filename=name))
+             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("latfft")
+             or isinstance(node, ast.Import) and any(a.name.endswith("latfft") for a in node.names)]
+    assert not found, f"latfft imports in dlvp: {found}"
+
+
 def test_fast_transform_runs_axis_by_axis():
     # dft_fast/idft are one dense product for m <= _DENSE_PATTERN, and above it
     # a dense or 1-D FFT step per Smith axis; neither calls an n-dimensional FFT
