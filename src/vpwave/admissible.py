@@ -40,6 +40,13 @@ All parameters are exact rationals.  Windows and their periodizations
   whose entries could pass ``2^62`` is computed on Python integers
   (``dtype=object``) instead of int64.
 
+A window keeps its ramps once more as the integer pairs ``(p, s)``, so
+the batched path runs on integers alone: the support reach
+``floor(hw q)`` is ``(s + 2 p) q // (2 s)`` per axis, and the denominator
+for ``q`` is the product of one per-axis formula (1, 2, ``4 p q`` or
+``r! (4 p q)^r``, as above), which the axis numerators and
+:func:`periodized_sum_exact` read as well, without evaluating anything.
+
 :func:`exact_floats` turns exact numerators into float64, each correctly
 rounded, as ``float(Fraction(n, q))`` is; :func:`exact_gap` gives the
 largest difference of two such arrays, decided exactly, rounded once.
@@ -68,13 +75,15 @@ KIND_SMOOTHED = "tensor_smoothed"
 
 class AdmissibleFn(_Value):
     """Tensor-product admissible window on R^d: ``alpha`` holds the per-axis
-    ramp halfwidths (0 for the characteristic window).  Equality compares
-    every field; the hash is cached on the instance."""
+    ramp halfwidths (0 for the characteristic window), and ``_ramps`` the
+    same as integer pairs ``(p, s)`` with ``alpha = p / s`` in lowest terms.
+    Equality compares every field; the hash is cached on the instance."""
 
     _fields = ("kind", "dim", "alpha", "order")
 
     def __init__(self, kind: str, dim: int, alpha: tuple[Fraction, ...], order: int = 1):
         self._set(kind=kind, dim=dim, alpha=alpha, order=order,
+                  _ramps=tuple((a.numerator, a.denominator) for a in alpha),
                   _hash=hash((kind, dim, alpha, order)))
 
     def __reduce__(self):
@@ -160,19 +169,34 @@ class AdmissibleFn(_Value):
         array ``N`` and an integer ``q >= 1``: the numerators, and their
         common denominator, which depends on ``q`` only."""
         N = _numerator_rows(N, self.dim)
-        num, den = np.ones(len(N), dtype=np.int64), 1
+        den = self._denominator(q)
+        # every factor is at most 1, so |num| <= den
+        num = np.ones(len(N), dtype=np.int64 if den < _INT64_SAFE else object)
         for axis, n in enumerate(N.T):
-            f, f_den = self._axis_exact(axis, n, q)
-            den *= f_den
-            if den >= _INT64_SAFE:  # every factor is at most 1, so |num| <= den
-                num = num.astype(object)
-            num = num * f
+            num = num * self._axis_exact(axis, n, q)
         return num, den
+
+    def _denominator(self, q: int) -> int:
+        """The denominator of :meth:`eval_exact` for ``q``: the product of
+        the per-axis ones."""
+        return math.prod(self._axis_denominator(axis, q) for axis in range(self.dim))
+
+    def _axis_denominator(self, axis: int, q: int) -> int:
+        """The denominator of one axis factor at the points ``n / q``."""
+        p, r = self._ramps[axis][0], self.order
+        if self.kind == KIND_CHARACTERISTIC:
+            return 1
+        if p == 0:
+            return 2
+        if self.kind == KIND_LINEAR:
+            return 4 * p * q
+        return math.factorial(r) * (4 * p * q) ** r
 
     def support_reach(self, q: int) -> list[int]:
         """Per axis ``floor(hw q)``: an integer ``n`` has ``n / q`` inside
-        ``[-hw, hw]`` exactly when ``|n| <= floor(hw q)``."""
-        return [math.floor(h * q) for h in self.support_halfwidths]
+        ``[-hw, hw]`` exactly when ``|n| <= floor(hw q)``; with
+        ``hw = 1/2 + p/s`` that is ``(s + 2 p) q // (2 s)``."""
+        return [(s + 2 * p) * q // (2 * s) for p, s in self._ramps]
 
     def in_support(self, columns, q: int) -> np.ndarray:
         """Whether the points ``n / q`` lie in the closed support box, for the
@@ -183,29 +207,29 @@ class AdmissibleFn(_Value):
             near = near & (np.abs(n) <= r)
         return near
 
-    def _axis_exact(self, axis: int, n: np.ndarray, q: int) -> tuple[np.ndarray, int]:
-        """One axis factor at ``n / q``: numerators and denominator."""
-        a, r = self.alpha[axis], self.order
-        p, s = a.numerator, a.denominator
+    def _axis_exact(self, axis: int, n: np.ndarray, q: int) -> np.ndarray:
+        """One axis factor at ``n / q``: the numerators over
+        :meth:`_axis_denominator`."""
+        (p, s), r = self._ramps[axis], self.order
         # bounds 2|n| + q, the ramp numerator and each U of the B-spline sum
         bound = r * s * (2 * _absmax(n) + q) + 2 * r * p * q
         if 2 ** (r + 1) * bound ** r >= _INT64_SAFE:
             n = n.astype(object)
         if self.kind == KIND_CHARACTERISTIC:
-            return ((-q <= 2 * n) & (2 * n < q)).astype(np.int64), 1
-        if a == 0:
+            return ((-q <= 2 * n) & (2 * n < q)).astype(np.int64)
+        if p == 0:
             twice = 2 * np.abs(n)
-            return (twice < q).astype(np.int64) + (twice <= q), 2
-        den = 4 * p * q
+            return (twice < q).astype(np.int64) + (twice <= q)
         if self.kind == KIND_LINEAR:
-            return np.minimum(np.maximum((s + 2 * p) * q - 2 * s * np.abs(n), 0), den), den
+            return np.minimum(np.maximum((s + 2 * p) * q - 2 * s * np.abs(n), 0),
+                              self._axis_denominator(axis, q))
         plus, minus = r * s * (2 * n + q), r * s * (2 * n - q)
         acc = 0
         for j in range(r + 1):
             t = 2 * (r - 2 * j) * p * q
             acc = acc + (-1) ** j * math.comb(r, j) * (np.maximum(plus + t, 0) ** r
                                                        - np.maximum(minus + t, 0) ** r)
-        return acc, math.factorial(r) * den ** r
+        return acc
 
 
 def _smoothed_axis(p: Fraction, r: int, t):
@@ -281,18 +305,20 @@ def periodized_sum_exact(g: AdmissibleFn, J: IntMat, N: np.ndarray,
     N = _numerator_rows(N, g.dim)
     if J.dim != g.dim:
         raise DimensionMismatch("factor and window dimensions differ")
-    den = g.eval_exact(N[:0], q)[1]
+    den = g._denominator(q)
     # partition of unity: the sum is at most 1, so |total| <= den
     total = np.zeros(len(N), dtype=np.int64 if den < _INT64_SAFE else object)
     if not len(N):
         return total, den
     # a shift in use moves some row into |Y| <= floor(hw q), all in units of 1 / q
     ranges = _shift_ranges(J, g.support_reach(q), N.min(axis=0).tolist(), N.max(axis=0).tolist(), q)
-    Z = (np.indices([len(r) for r in ranges]).reshape(g.dim, -1).T.astype(object)
-         + np.array([r.start for r in ranges], dtype=object))
-    # the shifts q J^T z, in int64 when they and their sums with N fit
-    shifts = apply_rows(IntMat(tuple(tuple(q * v for v in row) for row in J.T.entries)), Z,
-                        addend=_absmax(N))
+    # the shifts q J^T z as the rows q z^T J; q z in int64 when it fits, and
+    # the product in int64 when the shifts and their sums with N fit
+    reach = q * max(1, *(abs(v) for r in ranges for v in (r.start, r.stop - 1)))
+    dtype = np.int64 if reach < _INT64_SAFE else object
+    Z = (np.indices([len(r) for r in ranges], dtype=dtype).reshape(g.dim, -1).T
+         + np.array([r.start for r in ranges], dtype=dtype))
+    shifts = apply_rows(J.T, q * Z, addend=_absmax(N))
     N = N.astype(shifts.dtype, copy=False)
     block = max(1, ENUMERATION_GUARD // len(N))
     for start in range(0, len(shifts), block):

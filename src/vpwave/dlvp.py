@@ -74,11 +74,25 @@ def _degenerate(powers: np.ndarray) -> bool:
     return float(np.min(powers)) <= DEGENERATE_REL * float(np.max(powers))
 
 
+def _lexicographic(K: np.ndarray) -> bool:
+    """Whether the rows of ``K`` are in lexicographic order, decided for
+    all pairs of neighbouring rows at once, from the last column to the
+    first: a row follows its predecessor in order when it is larger in a
+    column, or equal there and in order on the later columns."""
+    a, b = K[:-1].T, K[1:].T
+    ok = b[-1] >= a[-1]
+    for x, y in zip(a[-2::-1], b[-2::-1]):
+        ok &= y >= x
+        ok |= y > x
+    return bool(ok.all())
+
+
 class SparseSpectrum(_Frozen):
     """Finite map from integer frequencies to Fourier coefficients: the
     distinct ``keys`` as an ``(n, d)`` int64 array and the matching
-    ``values``, sorted lexicographically by the constructor and read-only;
-    a non-integral key raises ``InexactInput``.
+    ``values``, sorted lexicographically by the constructor (keys already
+    in that order, as the spectra of this module build them, are only
+    copied) and read-only; a non-integral key raises ``InexactInput``.
     A class vector ``a`` over ``G(M^T)`` acts by the gather
     ``a[generating_set(M^T).class_index(keys)]``.  ``coeffs`` is a dict
     view ``{k: c}`` of the same data, built on first use."""
@@ -91,8 +105,11 @@ class SparseSpectrum(_Frozen):
         values = np.asarray(values)
         if values.shape != (len(keys),):
             raise DimensionMismatch("a spectrum needs one coefficient per frequency")
-        order = np.lexsort(keys.T[::-1])
-        keys, values = keys[order], values[order]
+        if _lexicographic(keys):
+            keys, values = keys.copy(), values.copy()
+        else:
+            order = np.lexsort(keys.T[::-1])
+            keys, values = keys[order], values[order]
         keys.flags.writeable = values.flags.writeable = False
         self._set(dim=dim, keys=keys, values=values)
 

@@ -51,9 +51,17 @@ arrays, the pattern as the numerators ``A g`` over the single denominator
 demand.
 
 Overflow rule: before each array product the entries are bounded
-(``max|B| max|X| d`` plus any addend) against ``2^62``; if the bound
-fails, the product runs on ``dtype=object`` arrays of Python integers,
-so int64 never wraps silently.
+(``max|B| max(max|X|, 1) d`` plus any addend) against ``2^62``; if the
+bound fails, the product runs on ``dtype=object`` arrays of Python
+integers, so int64 never wraps silently.
+
+An ``IntMat`` computes what depends on its entries alone once and keeps
+it on the instance: the hash, the determinant, the transpose, the scaled
+adjugate, and for :func:`apply_rows` the largest ``|entry|`` and the
+transpose as a read-only int64 array.  Input is validated by the one
+constructor, at the public boundary: entries that already are a tuple of
+tuples of Python ints, the form of every matrix the package computes
+(Smith factors, adjugates, transposes, products), are taken as they are.
 """
 
 from __future__ import annotations
@@ -143,12 +151,17 @@ class IntMat(_Value):
     """Immutable square integer matrix.  The hash, the exact determinant and
     the transpose are cached on the instance, so a cache keyed by matrices
     hashes the entries once per matrix, and ``M.T is M.T``; equality
-    compares the entries.  A non-integral entry raises ``InexactInput``."""
+    compares the entries.  A non-integral entry raises ``InexactInput``;
+    entries that are already a tuple of tuples of Python ints, the form of
+    every matrix the package computes, are taken as they are."""
 
     _fields = ("entries",)
 
     def __init__(self, entries: Iterable[Iterable[int]]):
-        rows = tuple(map(_exact_ints, entries))
+        rows = entries
+        if not (type(rows) is tuple and all([type(row) is tuple for row in rows])
+                and {type(v) for row in rows for v in row} <= {int}):
+            rows = tuple(map(_exact_ints, rows))
         if not rows:
             raise DimensionMismatch("matrix must be at least 1x1")
         if any(len(row) != len(rows) for row in rows):
@@ -189,15 +202,32 @@ class IntMat(_Value):
     def T(self) -> "IntMat":
         return IntMat(tuple(zip(*self.entries)))
 
+    @cached_property
+    def _max_entry(self) -> int:
+        """The largest ``|entry|``, for the overflow bound of :func:`apply_rows`."""
+        return max(abs(v) for row in self.entries for v in row)
+
+    @cached_property
+    def _int64_T(self) -> np.ndarray:
+        """The transpose as a read-only int64 array; only read once
+        :func:`apply_rows` has bounded the entries below ``2^62``."""
+        T = np.array(self.entries, dtype=np.int64).T
+        T.flags.writeable = False
+        return T
+
     def __matmul__(self, other: "IntMat") -> "IntMat":
-        """The product, column by column through :meth:`apply`."""
-        return IntMat(tuple(zip(*map(self.apply, zip(*other.entries)))))
+        """The product, entry by entry as row-column dot products."""
+        if other.dim != self.dim:
+            raise DimensionMismatch("matrix dimensions differ")
+        cols = tuple(zip(*other.entries))
+        return IntMat(tuple(tuple(sum(map(operator.mul, row, col)) for col in cols)
+                            for row in self.entries))
 
     def apply(self, v: Sequence) -> tuple:
         """Matrix-vector product; works for int and Fraction entries."""
         if len(v) != self.dim:
             raise DimensionMismatch("vector length differs from matrix dimension")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        return tuple(sum(map(operator.mul, row, v)) for row in self.entries)
 
     def inv_apply(self, v: Sequence) -> FracVec:
         """``M^{-1} v`` exactly (entries of ``v``: ints, Fractions or floats)."""
@@ -327,7 +357,7 @@ def smith_normal_form(M: IntMat) -> SmithDecomposition:
             for r in U:
                 r[t] = -r[t]
 
-    dec = SmithDecomposition(U=IntMat.from_rows(U), S=IntMat.from_rows(A), V=IntMat.from_rows(V))
+    dec = SmithDecomposition(*(IntMat(tuple(map(tuple, X))) for X in (U, A, V)))
     if dec.U @ dec.S @ dec.V != M or abs(dec.U.det) != 1 or abs(dec.V.det) != 1:
         raise ConditionViolated(f"Smith reconstruction of {M} failed")
     diag = dec.diagonal
@@ -359,15 +389,14 @@ def _absmax(X: np.ndarray) -> int:
 def apply_rows(B: IntMat, X: np.ndarray, addend: int = 0) -> np.ndarray:
     """``B x`` for every row ``x`` of the integer array ``X``, exactly.
 
-    The product runs in int64 when ``max|B| max|X| d + addend`` stays below
-    ``2^62`` (``addend`` reserves room for a later sum), and on Python
-    integers (``dtype=object``) otherwise.
+    The product runs in int64 when ``max|B| max(max|X|, 1) d + addend``
+    stays below ``2^62`` (``addend`` reserves room for a later sum), and on
+    Python integers (``dtype=object``) otherwise.  ``max|B|`` and the int64
+    copy of ``B`` are cached on the matrix.
     """
-    rows = B.entries
-    bound = max(abs(v) for row in rows for v in row) * _absmax(X) * B.dim + addend
-    if bound < _INT64_SAFE:
-        return X.astype(np.int64, copy=False) @ np.array(rows, dtype=np.int64).T
-    return X.astype(object) @ np.array(rows, dtype=object).T
+    if B._max_entry * max(_absmax(X), 1) * B.dim + addend < _INT64_SAFE:
+        return X.astype(np.int64, copy=False) @ B._int64_T
+    return X.astype(object) @ np.array(B.entries, dtype=object).T
 
 
 def digit_index(D: np.ndarray, diag: Sequence[int]) -> np.ndarray:
@@ -541,7 +570,8 @@ class ChainSpec(_Value):
         return self.sizes[level]
 
     def subchain(self, n: int) -> "ChainSpec":
-        """Chain truncated to the first ``n`` factors."""
+        """Chain truncated to the first ``n`` factors, ``n`` in ``0..n_levels``."""
+        _check_level(n, self.n_levels)
         return chain(self.M0, self.factors[:n])
 
 

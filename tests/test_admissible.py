@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from vpwave import admissible
+from vpwave import admissible, intlat
 from vpwave.admissible import (
     AdmissibleFn,
     _shift_ranges,
@@ -16,7 +16,7 @@ from vpwave.admissible import (
     periodized_sum_exact,
 )
 from vpwave.errors import DimensionMismatch, InvalidParameter, VpwaveError
-from vpwave.intlat import J_D, J_X, J_Y, IntMat
+from vpwave.intlat import J_D, J_X, J_Y, IntMat, apply_rows
 
 F = Fraction
 
@@ -406,13 +406,26 @@ def test_partition_of_unity_exact_batched(data):
     assert all(n == den for n in num.tolist())
 
 
-def test_partition_of_unity_exact_on_python_integers():
+def test_partition_of_unity_exact_on_python_integers(monkeypatch):
     N = np.array([[7, -40], [48, 48], [-49, 0], [0, 1]], dtype=np.int64)
     for g in (AdmissibleFn.tensor_linear([F(0.1), F(0)]),
               AdmissibleFn.tensor_smoothed([F(0.1), F(1, 7)], order=3)):
         num, den = periodized_sum_exact(g, IntMat.identity(2), N, 997)
         assert den >= 2 ** 62 and num.dtype == object
         assert all(n == den for n in num.tolist())
+    # with a zero int64 bound every shift, window value and sum is a Python
+    # integer, the shift grid included: the same sums as on int64
+    windows_ = (AdmissibleFn.characteristic(2), AdmissibleFn.tensor_linear([F(0.1), F(0)]),
+                AdmissibleFn.tensor_smoothed([F(0.1), F(1, 7)], order=3))
+    expected = [periodized_sum_exact(g, J, N, 97) for g in windows_ for J in (J_D, J_X)]
+    for module in (intlat, admissible):
+        monkeypatch.setattr(module, "_INT64_SAFE", 0)
+    slow = [periodized_sum_exact(g, J, N, 97) for g in windows_ for J in (J_D, J_X)]
+    for (fast, den), (num, slow_den) in zip(expected, slow):
+        assert num.dtype == object and slow_den == den and num.tolist() == fast.tolist()
+    for g in windows_:
+        num, den = periodized_sum_exact(g, IntMat.identity(2), N, 97)
+        assert num.dtype == object and num.tolist() == [den] * len(N)
 
 
 def test_periodized_sum_exact_on_an_empty_shift_box():
@@ -430,11 +443,14 @@ def test_periodized_sum_exact_on_an_empty_shift_box():
 
 def test_periodized_sum_exact_in_blocks(monkeypatch):
     # a small stacking bound splits the shifts into blocks of one or more
-    # shifts; every block gives the same exact sums
+    # shifts; every block gives the same exact sums, and so do Python
+    # integers in place of int64 (a zero int64 bound)
     g = AdmissibleFn.tensor_linear([F(3, 10), F(1, 7)])
     N = np.array([[v, 3 * v - 11] for v in range(-40, 41, 3)], dtype=np.int64)
     J = IntMat.from_rows([[2, 1], [-1, 3]])
     expected = periodized_sum_exact(g, J, N, 9)
+    shifted = apply_rows(J.T, N, addend=5)
+    assert expected[0].dtype == shifted.dtype == np.int64
     seen = []
     evaluate = AdmissibleFn.eval_exact
 
@@ -449,3 +465,39 @@ def test_periodized_sum_exact_in_blocks(monkeypatch):
         num, den = periodized_sum_exact(g, J, N, 9)
         assert den == expected[1] and num.tolist() == expected[0].tolist()
         assert len(seen) > 2 and max(seen) <= max(guard, len(N))
+    for module in (intlat, admissible):
+        monkeypatch.setattr(module, "_INT64_SAFE", 0)
+    num, den = periodized_sum_exact(g, J, N, 9)
+    assert num.dtype == object and den == expected[1] and num.tolist() == expected[0].tolist()
+    slow = apply_rows(J.T, N, addend=5)
+    assert slow.dtype == object and slow.tolist() == shifted.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_support_reach_is_the_floor_of_the_halfwidth(data):
+    # the integer reach of the cached (p, s) pairs against Fraction arithmetic
+    d = data.draw(st.integers(1, 3))
+    g = data.draw(windows(d))
+    q = data.draw(st.one_of(st.integers(1, 500), st.integers(1, 2 ** 70)))
+    assert g.support_reach(q) == [math.floor(h * q) for h in g.support_halfwidths]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_axis_denominators_match_the_exact_values(data):
+    # each axis factor is its numerators over the per-axis denominator, and
+    # the window's denominator, read by eval_exact and by the periodization
+    # alike, is their product
+    d = data.draw(st.integers(1, 3))
+    g = data.draw(windows(d))
+    q = data.draw(st.integers(1, 200))
+    N = np.array(data.draw(st.lists(st.lists(st.integers(-q, q), min_size=d, max_size=d),
+                                    min_size=1, max_size=8)), dtype=np.int64)
+    num, den = g.eval_exact(N, q)
+    axis_dens = [g._axis_denominator(axis, q) for axis in range(d)]
+    assert den == math.prod(axis_dens) == periodized_sum_exact(g, IntMat.identity(d), N[:0], q)[1]
+    for axis, n in enumerate(N.T):
+        values = [F(v, axis_dens[axis]) for v in g._axis_exact(axis, n, q).tolist()]
+        assert values == [g.eval_axis(axis, F(v, q)) for v in n.tolist()]
+    assert [F(v, den) for v in num.tolist()] == [g(tuple(F(v, q) for v in x)) for x in N.tolist()]

@@ -265,6 +265,9 @@ ORACLE_CASES = {
                          AdmissibleFn.tensor_linear([F(1, 10), F(1, 10)])),
     "quincunx_dirichlet": lambda: (chain(IntMat.identity(2), [J_D] * 4),
                                    AdmissibleFn.characteristic(2)),
+    # the chain and window of the benchmark's report_dirichlet_deep workload
+    "dirichlet_deep": lambda: (chain(IntMat.identity(2), [J_D] * 6),
+                               AdmissibleFn.characteristic(2)),
     # sample denominators pass 2^62 below the top level: Python-int numerators
     "smoothed_deep": lambda: (chain(IntMat.diagonal([2, 2]), [J_D, J_X, J_D]),
                               AdmissibleFn.tensor_smoothed([F(1, 12), F(1, 9)], order=2)),

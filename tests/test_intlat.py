@@ -16,6 +16,7 @@ from vpwave.intlat import (
     J_X,
     J_Y,
     IntMat,
+    apply_rows,
     axis_doubling,
     chain,
     generating_set,
@@ -299,11 +300,13 @@ def test_chain_products_and_sizes():
 def test_chain_accessors_reject_levels_outside_the_chain(level):
     # no indexing from the end, no bare IndexError past the top level
     c = chain(IntMat.identity(2), [J_X, J_D])
-    for accessor in (c.matrix, c.size):
+    for accessor in (c.matrix, c.size, c.subchain):
         with pytest.raises(LevelOutOfRange):
             accessor(level)
     assert c.matrix(np.int64(2)) == c.matrix(2) == J_D @ J_X
     assert c.size(np.int64(0)) == c.size(0) == 1
+    assert c.subchain(np.int64(1)) == c.subchain(1) == chain(IntMat.identity(2), [J_X])
+    assert c.subchain(2) == c and c.subchain(0).n_levels == 0
 
 
 def test_chain_worked_factorization():
@@ -456,6 +459,8 @@ def test_int64_overflow_falls_back_to_python_ints():
     assert [gs.index_of(r) for r in gs.reps] == [0, 1, 2]
     assert list(pattern(M).points) == [M.inv_apply(r) for r in gs.reps]
     assert generating_set(M).reps[2] == (-1537228672809129301, -1)
+    # entries beyond int64 and no rows at all: Python integers, no OverflowError
+    assert apply_rows(IntMat.diagonal([2 ** 70, 1]), np.zeros((0, 2), dtype=np.int64)).shape == (0, 2)
 
 
 def test_enumeration_guard_raises_before_work():
@@ -500,7 +505,7 @@ def test_lookups_reject_non_integral_frequencies():
 @pytest.mark.parametrize("entry, value", [
     (Fraction(4, 2), 2), (2.0, 2), (np.int64(2), 2), (np.float64(-3.0), -3),
     (1.5, None), (Fraction(7, 2), None), (0.9, None), (float("nan"), None),
-    (float("inf"), None), ("3", None)])
+    (float("inf"), None), ("3", None), (True, 1)])
 def test_matrix_entries_must_be_integers(entry, value):
     rows = [[entry, 0], [1, 2]]
     if value is None:
@@ -512,6 +517,13 @@ def test_matrix_entries_must_be_integers(entry, value):
     M = IntMat.from_rows(rows)
     assert M.entries == ((value, 0), (1, 2)) and type(M.entries[0][0]) is int
     assert M == IntMat(((value, 0), (1, 2))) and M.det == 2 * value
+
+
+def test_integer_tuples_are_still_checked_for_shape():
+    # tuples of Python ints skip the entry conversion, not the shape checks
+    for rows in (((1, 2), (3,)), ((1, 2),), ((),), ()):
+        with pytest.raises(DimensionMismatch):
+            IntMat(rows)
 
 
 def test_unimodular_inverse():

@@ -149,3 +149,31 @@ def test_package_import_leaves_dataclasses_unloaded():
                          timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_window_and_lattice_kernels_build_no_matrices_or_fractions():
+    # the batched kernels read what a matrix or window caches (the int64
+    # transpose, the largest entry, the integer ramps) and build neither an
+    # IntMat nor a Fraction per call; nor do they read the Fraction fields
+    kernels = {"admissible.py": {"periodized_sum_exact", "eval_exact", "_axis_exact",
+                                 "in_support", "support_reach"},
+               "intlat.py": {"apply_rows"}}
+    builders = {"IntMat", "Fraction", "_exact_fraction", "_exact_ints"}
+    fraction_fields = {"HALF", "alpha", "support_halfwidths", "breakpoints_1d"}
+    found, seen = [], set()
+    for name, wanted in kernels.items():
+        for node in ast.walk(ast.parse((SRC / name).read_text(), filename=name)):
+            if not isinstance(node, ast.FunctionDef) or node.name not in wanted:
+                continue
+            seen.add(node.name)
+            for inner in ast.walk(node):
+                target = inner.func if isinstance(inner, ast.Call) else None
+                while isinstance(target, ast.Attribute):
+                    target = target.value  # IntMat.identity(...) and the like
+                if isinstance(target, ast.Name) and target.id in builders:
+                    found.append(f"{name}:{inner.lineno} {node.name} calls {target.id}")
+                if (getattr(inner, "id", None) in fraction_fields
+                        or getattr(inner, "attr", None) in fraction_fields):
+                    found.append(f"{name}:{inner.lineno} {node.name} reads a Fraction field")
+    assert seen == set().union(*kernels.values()), f"kernels not found: {seen}"
+    assert not found, f"per-call matrices or fractions in the batched kernels: {found}"
