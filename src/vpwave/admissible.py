@@ -55,6 +55,7 @@ largest difference of two such arrays, decided exactly, rounded once.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from fractions import Fraction
 from itertools import product
@@ -77,11 +78,15 @@ class AdmissibleFn(_Value):
     """Tensor-product admissible window on R^d: ``alpha`` holds the per-axis
     ramp halfwidths (0 for the characteristic window), and ``_ramps`` the
     same as integer pairs ``(p, s)`` with ``alpha = p / s`` in lowest terms.
+    A ``dim`` that is not an integer >= 1 raises ``InvalidParameter``.
     Equality compares every field; the hash is cached on the instance."""
 
     _fields = ("kind", "dim", "alpha", "order")
 
     def __init__(self, kind: str, dim: int, alpha: tuple[Fraction, ...], order: int = 1):
+        if not isinstance(dim, numbers.Integral) or isinstance(dim, bool) or dim < 1:
+            raise InvalidParameter(f"a window needs an integer dimension >= 1, got {dim!r}")
+        dim = int(dim)
         self._set(kind=kind, dim=dim, alpha=alpha, order=order,
                   _ramps=tuple((a.numerator, a.denominator) for a in alpha),
                   _hash=hash((kind, dim, alpha, order)))

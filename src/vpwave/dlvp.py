@@ -92,15 +92,18 @@ class SparseSpectrum(_Frozen):
     distinct ``keys`` as an ``(n, d)`` int64 array and the matching
     ``values``, sorted lexicographically by the constructor (keys already
     in that order, as the spectra of this module build them, are only
-    copied) and read-only; a non-integral key raises ``InexactInput``.
-    A class vector ``a`` over ``G(M^T)`` acts by the gather
-    ``a[generating_set(M^T).class_index(keys)]``.  ``coeffs`` is a dict
-    view ``{k: c}`` of the same data, built on first use."""
+    copied) and read-only.  A non-integral key raises ``InexactInput``, and
+    a key that is not a ``dim``-vector, here or in a lookup,
+    ``DimensionMismatch``.  A class vector ``a`` over ``G(M^T)`` acts by
+    the gather ``a[generating_set(M^T).class_index(keys)]``.  ``coeffs`` is
+    a dict view ``{k: c}`` of the same data, built on first use."""
 
     def __init__(self, dim: int, keys: np.ndarray, values: np.ndarray):
         keys = np.asarray(keys)
+        if keys.size and (keys.ndim != 2 or keys.shape[1] != dim):
+            raise DimensionMismatch(f"spectrum keys of shape {keys.shape} are not {dim}-vectors")
         if keys.size and keys.dtype.kind not in "iu":
-            keys = [_exact_ints(k) for k in keys.reshape(-1, dim).tolist()]
+            keys = [_exact_ints(k) for k in keys.tolist()]
         keys = np.asarray(keys, dtype=np.int64).reshape(-1, dim)
         values = np.asarray(values)
         if values.shape != (len(keys),):
@@ -121,7 +124,10 @@ class SparseSpectrum(_Frozen):
         return len(self.keys)
 
     def __getitem__(self, k: Sequence[int]) -> complex:
-        return self.coeffs.get(_exact_ints(k), 0.0)
+        k = _exact_ints(k)
+        if len(k) != self.dim:
+            raise DimensionMismatch(f"a {len(k)}-vector is not a key of a {self.dim}-d spectrum")
+        return self.coeffs.get(k, 0.0)
 
 
 class ScalingFunction(_Frozen):
@@ -452,6 +458,8 @@ def orthonormal_wavelet(chain: ChainSpec, level: int, g: AdmissibleFn) -> Wavele
 
 def evaluate_series(s: SparseSpectrum, x: Sequence[float]) -> complex:
     """``sum_k c_k exp(i k . x)`` at a point of the torus ``[0, 2pi)^d``."""
+    if len(x) != s.dim:
+        raise DimensionMismatch(f"a {len(x)}-vector is not a point of the {s.dim}-torus")
     if len(s) == 0:
         return 0j
     return complex(np.sum(s.values * np.exp(1j * (s.keys @ np.asarray(x, dtype=float)))))

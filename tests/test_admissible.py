@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from vpwave import admissible, intlat
 from vpwave.admissible import (
+    KIND_CHARACTERISTIC,
     AdmissibleFn,
     _shift_ranges,
     check_partition_of_unity,
@@ -240,6 +241,25 @@ def test_bad_window_input_raises_typed_errors():
         with pytest.raises(VpwaveError) as info:
             call()
         assert isinstance(info.value, TypeError)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AdmissibleFn.characteristic(-2),
+    lambda: AdmissibleFn.characteristic(0),
+    lambda: AdmissibleFn.tensor_linear([]),
+    lambda: AdmissibleFn.tensor_smoothed([]),
+    lambda: parse_admissible("characteristic", 0),
+    lambda: parse_admissible("tensor_linear(alpha = 1/10)", 0),
+    lambda: AdmissibleFn(KIND_CHARACTERISTIC, True, (F(0),)),
+    lambda: AdmissibleFn(KIND_CHARACTERISTIC, 1.0, (F(0),)),
+], ids=["characteristic(-2)", "characteristic(0)", "tensor_linear([])", "tensor_smoothed([])",
+        "parse(characteristic, 0)", "parse(tensor_linear, 0)", "dim=True", "dim=1.0"])
+def test_window_dimension_must_be_a_positive_integer(build):
+    with pytest.raises(InvalidParameter):
+        build()
+    # a numpy integer is an integer, stored as a Python int
+    g = AdmissibleFn.characteristic(np.int64(2))
+    assert type(g.dim) is int and g == AdmissibleFn.characteristic(2)
 
 
 def test_window_call_checks_dimension():

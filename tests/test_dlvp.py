@@ -27,7 +27,8 @@ from vpwave.dlvp import (
     wavelet_spectrum,
     wavelet_two_scale,
 )
-from vpwave.errors import DegenerateClass, InexactInput, LevelOutOfRange, NotDyadic, TooLarge
+from vpwave.errors import (DegenerateClass, DimensionMismatch, InexactInput, LevelOutOfRange,
+                           NotDyadic, TooLarge)
 from vpwave.intlat import (
     J_D,
     J_X,
@@ -706,6 +707,14 @@ def test_spectrum_keys_must_be_integers():
             SparseSpectrum(dim=2, keys=bad, values=[1.0])
     with pytest.raises(InexactInput):
         s[(0.5, 0)]
+    # keys of another width are neither re-chunked nor looked up
+    for bad in ([[1, 2, 3], [4, 5, 6]], [[1], [2]], [1, 2], np.zeros((2, 1, 2), dtype=int)):
+        with pytest.raises(DimensionMismatch):
+            SparseSpectrum(dim=2, keys=bad, values=np.zeros(len(bad)))
+    assert len(SparseSpectrum(dim=2, keys=np.zeros((0, 3)), values=np.zeros(0))) == 0
+    for key in ((0,), (0, 0, 0), ()):
+        with pytest.raises(DimensionMismatch):
+            s[key]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=str)
@@ -729,6 +738,12 @@ def test_non_finite_floats_raise_inexact_input(call, bad):
 def test_evaluate_series_constant():
     s = SparseSpectrum(dim=2, keys=[[0, 0]], values=[1.0])
     assert evaluate_series(s, (0.3, 1.1)) == pytest.approx(1.0)
+    empty = SparseSpectrum(dim=2, keys=np.zeros((0, 2), dtype=int), values=np.zeros(0))
+    assert evaluate_series(empty, (0.3, 1.1)) == 0j
+    for spec in (s, empty):
+        for x in ((0.3,), (0.3, 1.1, 0.0), ()):
+            with pytest.raises(DimensionMismatch):
+                evaluate_series(spec, x)
 
 
 def test_evaluate_series_real_for_symmetric_spectrum():

@@ -392,9 +392,18 @@ def test_dense_plan_matrices_are_read_only_and_never_returned(rows):
     expected = np.exp((-2j * np.pi / s) * (R * s // q))
     assert F.tobytes() == expected.tobytes()
     assert F_inv.tobytes() == np.ascontiguousarray(expected.conj().T / M.absdet).tobytes()
-    ahat = dft_fast(random_pattern_vector(np.random.default_rng(4), M))
+    rng = np.random.default_rng(4)
+    a = random_pattern_vector(rng, M)
+    ahat = dft_fast(a)
     for out in (ahat.values, idft(ahat).values):
         assert not np.shares_memory(out, F) and not np.shares_memory(out, F_inv)
+    # the transforms call ndarray.dot: bit for bit the product with @, also on
+    # a strided, read-only view
+    z = rng.standard_normal(4 * M.absdet).view(complex)[::2]
+    z.flags.writeable = False
+    for x in (a.values, z):
+        assert dft_fast(PatternVector(matrix=M, values=x)).values.tobytes() == (F @ x).tobytes()
+        assert idft(SpectrumVector(matrix=M, values=x)).values.tobytes() == (F_inv @ x).tobytes()
 
 
 def test_small_transforms_leave_numpy_fft_unimported():
