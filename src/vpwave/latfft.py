@@ -20,10 +20,10 @@ out the unit Smith axes.  An axis of length ``s <= _DENSE_AXIS`` is one
 BLAS product with a dense ``s x s`` DFT factor, cheaper at these lengths
 than a pocketfft call; a longer axis is a pocketfft ``fft``/``ifft``, run
 in place once the transform owns the array, so the caller's values are
-never written.  The dense products call ``ndarray.dot``, which goes to
-BLAS without the dispatch of the ``@`` (matmul) ufunc: at m = 64 that
-dispatch is about 0.5 us of a 2.5 us transform.  Only the dense step on a
-middle axis, a batch of ``lead`` products, keeps ``@``.  Both plans take
+never written.  The ``m <= _DENSE_PATTERN`` products and the last-axis
+dense step call ``ndarray.dot``, which goes to BLAS without the dispatch of
+the ``@`` (matmul) ufunc: at m = 64 that dispatch is about 0.5 us of a
+2.5 us transform.  Both plans take
 the position of every canonical frequency in the digit cube and the
 inverse permutation from :func:`_positions`; the per-axis :func:`idft`
 gathers the spectrum into a fresh array first.
@@ -213,10 +213,8 @@ def _transform(steps: tuple, x: np.ndarray, owned: bool, inverse: bool) -> np.nd
     """Run the plan's steps on the flat cube ``x``; ``owned`` says whether
     ``x`` may be written.  Each step leaves an array the transform owns.
     Only an FFT step touches ``np.fft``, whose first use imports it.  A
-    dense step on the last axis is ``cube.dot(F)`` and on the first axis
-    (``lead == 1``) ``F.dot`` of the ``(s, trail)`` view: ``ndarray.dot``
-    skips the matmul-ufunc dispatch of ``@``, about 0.5 us of a 2.5 us
-    64-point transform.  A middle axis keeps the batched ``F @ cube``."""
+    dense step on the last axis is ``cube.dot(F)``, without the matmul-ufunc
+    dispatch of ``@``; any other axis is the batched ``F @ cube``."""
     for view, factors in steps:
         cube = x.reshape(view)
         if factors is None:
@@ -224,8 +222,6 @@ def _transform(steps: tuple, x: np.ndarray, owned: bool, inverse: bool) -> np.nd
             x = fft(cube, axis=1, out=cube if owned else None)
         elif len(view) == 2:
             x = cube.dot(factors[inverse])
-        elif view[0] == 1:
-            x = factors[inverse].dot(cube.reshape(view[1:]))
         else:
             x = factors[inverse] @ cube
         owned = True

@@ -257,6 +257,9 @@ def test_bad_window_input_raises_typed_errors():
 def test_window_dimension_must_be_a_positive_integer(build):
     with pytest.raises(InvalidParameter):
         build()
+
+
+def test_window_dimension_may_be_a_numpy_integer():
     # a numpy integer is an integer, stored as a Python int
     g = AdmissibleFn.characteristic(np.int64(2))
     assert type(g.dim) is int and g == AdmissibleFn.characteristic(2)
