@@ -59,7 +59,7 @@ import numbers
 import re
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -74,6 +74,20 @@ KIND_LINEAR = "tensor_linear"
 KIND_SMOOTHED = "tensor_smoothed"
 
 
+def _window_dim(dim) -> int:
+    """``dim`` as an ``int``; anything but an integer >= 1 raises ``InvalidParameter``."""
+    if not isinstance(dim, numbers.Integral) or isinstance(dim, bool) or dim < 1:
+        raise InvalidParameter(f"a window needs an integer dimension >= 1, got {dim!r}")
+    return int(dim)
+
+
+def _halfwidths(values) -> tuple[Fraction, ...]:
+    """Per-axis halfwidths as exact Fractions; a scalar raises ``InvalidParameter``."""
+    if not isinstance(values, Iterable):
+        raise InvalidParameter(f"window halfwidths must be a sequence, got {values!r}")
+    return tuple(map(_exact_fraction, values))
+
+
 class AdmissibleFn(_Value):
     """Tensor-product admissible window on R^d: ``alpha`` holds the per-axis
     ramp halfwidths (0 for the characteristic window), and ``_ramps`` the
@@ -84,9 +98,7 @@ class AdmissibleFn(_Value):
     _fields = ("kind", "dim", "alpha", "order")
 
     def __init__(self, kind: str, dim: int, alpha: tuple[Fraction, ...], order: int = 1):
-        if not isinstance(dim, numbers.Integral) or isinstance(dim, bool) or dim < 1:
-            raise InvalidParameter(f"a window needs an integer dimension >= 1, got {dim!r}")
-        dim = int(dim)
+        dim = _window_dim(dim)
         self._set(kind=kind, dim=dim, alpha=alpha, order=order,
                   _ramps=tuple((a.numerator, a.denominator) for a in alpha),
                   _hash=hash((kind, dim, alpha, order)))
@@ -98,22 +110,22 @@ class AdmissibleFn(_Value):
 
     @classmethod
     def characteristic(cls, dim: int) -> "AdmissibleFn":
-        return cls(kind=KIND_CHARACTERISTIC, dim=dim, alpha=(Fraction(0),) * dim)
+        return cls(kind=KIND_CHARACTERISTIC, dim=dim, alpha=(Fraction(0),) * _window_dim(dim))
 
     @classmethod
     def tensor_linear(cls, alpha: Sequence) -> "AdmissibleFn":
-        a = tuple(_exact_fraction(v) for v in alpha)
+        a = _halfwidths(alpha)
         if any(v < 0 or v > HALF for v in a):
             raise InvalidParameter("linear ramp halfwidths must lie in [0, 1/2]")
         return cls(kind=KIND_LINEAR, dim=len(a), alpha=a)
 
     @classmethod
     def tensor_smoothed(cls, p: Sequence, order: int = 2) -> "AdmissibleFn":
-        a = tuple(_exact_fraction(v) for v in p)
+        a = _halfwidths(p)
         if any(v < 0 or v >= HALF for v in a):
             raise InvalidParameter("smoothing halfwidths must lie in [0, 1/2)")
-        if order < 1 or order != int(order):
-            raise InvalidParameter("smoothing order must be an integer >= 1")
+        if not (isinstance(order, numbers.Real) and order >= 1 and order % 1 == 0):
+            raise InvalidParameter(f"smoothing order must be an integer >= 1, got {order!r}")
         return cls(kind=KIND_SMOOTHED, dim=len(a), alpha=a, order=int(order))
 
     # -- support geometry ------------------------------------------------

@@ -13,7 +13,7 @@ For a regular ``M`` in Z^{dxd} with ``m = |det M|``:
   ``M^{-1} Z^d / Z^d``;
 * the *generating set* ``G(M)`` collects the ``m`` integer vectors in
   ``M [-1/2,1/2)^d``; they represent ``Z^d / M Z^d`` and satisfy
-  ``G(M) = M P(M)``.
+  ``G(M) = M P(M)`` as sets.
 
 Any other box of representatives gives the same spaces and transforms up
 to a fixed permutation, so this symmetric box is the only one built.
@@ -22,12 +22,14 @@ Frequency classes of the DFT with respect to ``M`` live on ``G(M^T)``
 with class lattice ``M^T Z^d``; ``generating_set(M.T).reduce`` reduces
 into that set.
 
-Both sets carry one canonical order: the lexicographic order of the
-digit tuples in the Smith-diagonal coordinates, so every module and
-file format of this package agrees on element positions.  The digits
-are taken through the ``U`` of ``M = U S V`` that the elimination in
-:func:`smith_normal_form` produces; ``U`` is not unique, so a change to
-its pivot choice or its divisor step may move the canonical order.
+Both sets are ordered lexicographically by their Smith digits, so every
+module and file format of this package agrees on element positions.
+``G(M)`` takes the digits ``U^{-1} k`` of ``M = U S V``.  ``P(M)`` is dual
+to ``G(M^T)``, with ``M^T = U' S V'``: point ``i`` is ``U'^{-T} S^{-1} c``
+mod ``Z^d`` and frequency ``h_j`` has the digits ``r = U'^{-1} h_j``, for
+``c``, ``r`` of values ``i``, ``j``, so ``h_j . y_i = sum_k r_k c_k / s_k``
+mod 1 and the DFT is the tensor DFT of the digit cube.  ``U`` and ``U'``
+are not unique: a change to :func:`smith_normal_form` may move both.
 
 Integer arrays
 --------------
@@ -44,11 +46,10 @@ by exact floor division.  ``G(M)`` is the Smith digit grid mapped by
 the canonical order; :meth:`GeneratingSet.class_index` computes it for a
 whole ``(n, d)`` batch (``index_of`` is its one-row form), so a class
 vector over ``G(M)`` acts on many frequencies by one gather.  A pattern
-point ``y`` has the class of the integer vector ``M y``, so the pattern
-lookups go through the same index.  Both sets are stored as integer
-arrays, the pattern as the numerators ``A g`` over the single denominator
-``q``; the tuples ``reps`` and the ``Fraction`` points are formed only on
-demand.
+point ``y`` has the digits ``V'^{-T} M y = S U'^T y mod diag(S)``.  Both
+sets are stored as integer arrays, the pattern as numerators over the
+single denominator ``q``; the tuples ``reps`` and the ``Fraction`` points
+are formed only on demand.
 
 Overflow rule: before each array product the entries are bounded
 (``max|B| max(max|X|, 1) d`` plus any addend) against ``2^62``; if the
@@ -468,11 +469,9 @@ class GeneratingSet(_Frozen):
 
 
 class Pattern(_Frozen):
-    """Rational representatives of ``M^{-1} Z^d / Z^d``, paired with the
-    generating set of the same matrix: point ``i`` is
-    ``numerators[i] / denominator = M^{-1} reps[i]``, with
-    ``denominator = |det M|``.  A point ``y`` of ``M^{-1} Z^d`` has the
-    position of the class of ``M y`` in ``G(M)``."""
+    """Rational representatives of ``M^{-1} Z^d / Z^d`` in the digit order
+    of ``G(M^T)``: point ``i`` is ``numerators[i] / denominator``, with
+    ``denominator = |det M|``."""
 
     def __init__(self, matrix: IntMat, numerators: np.ndarray, denominator: int):
         self._set(matrix=matrix, numerators=numerators, denominator=denominator)
@@ -491,7 +490,9 @@ class Pattern(_Frozen):
         k = self.matrix.apply(tuple(map(_exact_fraction, y)))
         if any(v.denominator != 1 for v in k):
             raise IndexMismatch(f"point {tuple(y)} is not on the lattice of {self.matrix}")
-        return generating_set(self.matrix).index_of(k)
+        snf = smith_normal_form(self.matrix.T)
+        return int(digit_index(apply_rows(unimodular_inverse(snf.V).T, _integer_row(k)),
+                               snf.diagonal)[0])
 
     def reduce(self, y: Sequence) -> FracVec:
         """The point of the pattern congruent to ``y`` mod ``Z^d``."""
@@ -518,20 +519,30 @@ def generating_set(M: IntMat) -> GeneratingSet:
 
 @lru_cache(maxsize=None)
 def pattern(M: IntMat) -> Pattern:
-    """Canonically ordered pattern ``P(M) = M^{-1} G(M)``."""
-    A, q = M.scaled_adjugate()
-    N = apply_rows(A, generating_set(M).rep_array)
+    """Pattern ``P(M)`` in the digit order of ``G(M^T)``, ``M^T = U' S V'``: over
+    ``q = |det M|``, ``U'^{-T} (q c_k / s_k)`` for each digit vector ``c``, mod ``q``."""
+    q = M.require_regular().absdet
+    if q > ENUMERATION_GUARD:
+        raise TooLarge(f"refusing to enumerate {q} > {ENUMERATION_GUARD} lattice points")
+    snf = smith_normal_form(M.T)
+    digits = np.indices(snf.diagonal).reshape(M.dim, -1).T * [q // s for s in snf.diagonal]
+    # centred into [-q/2, q/2), the numerators of points in [-1/2, 1/2)^d
+    N = (apply_rows(unimodular_inverse(snf.U).T, digits, addend=q // 2) + q // 2) % q - q // 2
     N.flags.writeable = False
     return Pattern(matrix=M, numerators=N, denominator=q)
 
 
+def _in_range(value, top: int) -> bool:
+    """Whether ``value`` is an integer in ``0..top``."""
+    try:
+        return 0 <= operator.index(value) <= top
+    except TypeError:
+        return False
+
+
 def _check_level(level: int, top: int) -> None:
     """Raise ``LevelOutOfRange`` unless ``level`` is an integer in ``0..top``."""
-    try:
-        inside = 0 <= operator.index(level) <= top
-    except TypeError:
-        inside = False
-    if not inside:
+    if not _in_range(level, top):
         raise LevelOutOfRange(f"level {level!r} outside 0..{top}")
 
 
@@ -606,6 +617,8 @@ J_Y = IntMat.from_rows([[1, 0], [0, 2]])
 
 def axis_doubling(d: int, i: int) -> IntMat:
     """d-dimensional factor scaling axis ``i`` by 2."""
+    if not _in_range(i, d - 1):
+        raise InvalidParameter(f"axis {i!r} outside 0..{d - 1}")
     rows = IntMat.identity(d).to_lists()
     rows[i][i] = 2
     return IntMat.from_rows(rows)
@@ -613,6 +626,8 @@ def axis_doubling(d: int, i: int) -> IntMat:
 
 def plane_rotation(d: int, i: int, j: int) -> IntMat:
     """d-dimensional factor rotating the (i,j) plane by pi/4 with sqrt(2) scale."""
+    if not (_in_range(i, d - 1) and _in_range(j, d - 1)):
+        raise InvalidParameter(f"plane axes {i!r}, {j!r} outside 0..{d - 1}")
     if i == j:
         raise InvalidParameter("plane axes must differ")
     rows = IntMat.identity(d).to_lists()

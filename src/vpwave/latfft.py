@@ -10,23 +10,21 @@ the unitary Fourier matrix carries an extra ``1/sqrt(m)``.
 
 Two implementations are provided: a naive summation with exact integer
 phase arithmetic (the oracle) and a fast route that reduces the pattern
-group to ``Z_{s_1} x ... x Z_{s_d}`` via the Smith normal form.  For
+group to ``Z_{s_1} x ... x Z_{s_d}`` via the Smith normal form.  Both
+sets are ordered by their Smith digits, so the canonical transform is the
+plain C-order tensor DFT of the digit cube and no route gathers.  For
 ``m <= _DENSE_PATTERN`` the whole transform is one product with a cached
-``m x m`` matrix (and the inverse one with its inverse) whose rows and
-columns are already in canonical order, so no gather runs and
-``numpy.fft`` is not imported.  A larger pattern takes the O(m log m)
-route: its digit cube is transformed one cyclic axis at a time, leaving
-out the unit Smith axes.  An axis of length ``s <= _DENSE_AXIS`` is one
-BLAS product with a dense ``s x s`` DFT factor, cheaper at these lengths
-than a pocketfft call; a longer axis is a pocketfft ``fft``/``ifft``, run
-in place once the transform owns the array, so the caller's values are
-never written.  The ``m <= _DENSE_PATTERN`` products and the last-axis
-dense step call ``ndarray.dot``, which goes to BLAS without the dispatch of
-the ``@`` (matmul) ufunc: at m = 64 that dispatch is about 0.5 us of a
-2.5 us transform.  Both plans take
-the position of every canonical frequency in the digit cube and the
-inverse permutation from :func:`_positions`; the per-axis :func:`idft`
-gathers the spectrum into a fresh array first.
+``m x m`` matrix (and the inverse one with its inverse), and ``numpy.fft``
+is not imported.  A larger pattern takes the O(m log m) route: its digit
+cube is transformed one cyclic axis at a time, leaving out the unit Smith
+axes.  An axis of length ``s <= _DENSE_AXIS`` is one BLAS product with a
+dense ``s x s`` DFT factor, cheaper at these lengths than a pocketfft
+call; a longer axis is a pocketfft ``fft``/``ifft``, run in place once the
+transform owns the array, so the caller's values are never written.  The
+``m <= _DENSE_PATTERN`` products and the last-axis dense step call
+``ndarray.dot``, which goes to BLAS without the dispatch of the ``@``
+(matmul) ufunc: at m = 64 that dispatch is about 0.5 us of a 2.5 us
+transform.
 
 The public ``PatternVector``/``SpectrumVector`` constructors convert their
 values to complex and check the length.  :func:`dft_fast` and :func:`idft`
@@ -43,16 +41,15 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IndexMismatch, TooLarge
-from .intlat import (IntMat, _Frozen, apply_rows, digit_index, generating_set, pattern,
-                     smith_normal_form, unimodular_inverse)
+from .intlat import IntMat, _Frozen, generating_set, pattern, smith_normal_form
 
 # Largest m for which the naive m x m phase table (naive DFT, Fourier matrix)
 # is built; it holds m^2 Python integers, about 72 MB at m = 1024.
 FOURIER_MATRIX_GUARD = 2 ** 10
 _NAIVE_BLOCK = 256
 # Largest m whose transform is one product with a dense m x m matrix.  Timed
-# warm with single-threaded BLAS, the product beats the per-axis steps plus
-# the gather up to m = 128 on every Smith shape tried and loses from m = 256.
+# warm with single-threaded BLAS, the product beats the per-axis steps up to
+# m = 128 on every Smith shape tried and loses from m = 256.
 # Unpinned OpenBLAS splits this product over two threads from 64 x 64 on, and
 # on a shared host the hand-off can stall it to milliseconds per call;
 # OPENBLAS_NUM_THREADS=1 avoids that.
@@ -110,12 +107,10 @@ def _phase_table(M: IntMat) -> tuple[np.ndarray, int]:
     m = M.require_regular().absdet
     if m > FOURIER_MATRIX_GUARD:
         raise TooLarge(f"refusing to build a {m}x{m} phase table")
-    adj, q = M.scaled_adjugate()
-    A = np.array(adj.entries, dtype=object)
+    pat = pattern(M)
     H = generating_set(M.T).rep_array.astype(object)
-    G = generating_set(M).rep_array.astype(object)
-    R = (H @ A @ G.T) % q
-    return R.astype(np.int64), q
+    R = (H @ pat.numerators.astype(object).T) % pat.denominator
+    return R.astype(np.int64), pat.denominator
 
 
 def fourier_matrix(M: IntMat) -> np.ndarray:
@@ -149,56 +144,36 @@ def _dense_factors(s: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _positions(M: IntMat) -> tuple[np.ndarray, np.ndarray]:
-    """The position of each canonical frequency inside the digit cube, and
-    the inverse permutation.  With ``M = U S V`` the digits of a frequency
-    ``h`` are ``V^{-T} h mod diag(S)``, constant on its class as
-    ``V^{-T} M^T Z^d = S Z^d``; canonical frequency ``i`` is the class of
-    ``U' D_i`` (``M^T = U' S V'``, ``D_i`` of value ``i``)."""
-    dec = smith_normal_form(M)
-    digits = np.indices(dec.diagonal).reshape(M.dim, -1).T
-    flat = digit_index(apply_rows(unimodular_inverse(dec.V).T @ smith_normal_form(M.T).U, digits),
-                       dec.diagonal)
-    inv = np.empty_like(flat)
-    inv[flat] = np.arange(len(flat))
-    flat.flags.writeable = inv.flags.writeable = False
-    return flat, inv
-
-
-@lru_cache(maxsize=None)
 def _dense_plan(M: IntMat) -> tuple[np.ndarray, np.ndarray]:
-    """The matrix ``F`` of :func:`dft_fast` for ``m <= _DENSE_PATTERN``,
-    rows over ``G(M^T)`` and columns over ``P(M)`` in canonical order, and
-    the matrix ``conj(F)^T / m`` of :func:`idft`; both read-only.  Pattern
-    point ``j`` has the Smith digits ``c`` of value ``j`` and canonical
-    frequency ``i`` the digits ``r`` of value ``flat[i]``; as every ``s_k``
-    divides the last invariant ``s_d``, the phase ``sum_k r_k c_k / s_k``
-    is ``sum_k (r_k c_k mod s_k) (s_d / s_k) mod s_d`` over ``s_d``, exactly.
-    Both matrices gather from one table of the ``s_d`` roots of unity."""
+    """The matrix ``F`` of :func:`dft_fast` for ``m <= _DENSE_PATTERN`` and
+    the matrix ``conj(F)^T / m`` of :func:`idft`, both read-only.  Frequency
+    ``i`` and point ``j`` have the Smith digits ``r`` and ``c`` of values
+    ``i`` and ``j``; as every ``s_k`` divides ``s_d``, the phase
+    ``sum_k r_k c_k / s_k`` is ``sum_k (r_k c_k mod s_k) (s_d / s_k)`` over
+    ``s_d``, exactly.  That table is symmetric, so both matrices index one
+    table of the ``s_d`` roots of unity by it."""
     diag = smith_normal_form(M).diagonal
-    flat, _ = _positions(M)
     digits = np.indices(diag).reshape(M.dim, -1)
-    phase = np.zeros((len(flat), len(flat)), dtype=np.int64)
-    for r, c, s in zip(digits[:, flat], digits, diag):
+    phase = np.zeros((M.absdet, M.absdet), dtype=np.int64)
+    for c, s in zip(digits, diag):
         if s > 1:
-            phase += np.outer(r, c) % s * (diag[-1] // s)
+            phase += np.outer(c, c) % s * (diag[-1] // s)
     phase %= diag[-1]
     roots = np.exp((-2j * np.pi / diag[-1]) * np.arange(diag[-1]))
     F = roots[phase]
-    # a gather takes the layout of its index array, so index by a C-ordered copy
-    F_inv = (roots.conj() / len(flat))[np.ascontiguousarray(phase.T)]
+    F_inv = (roots.conj() / M.absdet)[phase]
     F.flags.writeable = F_inv.flags.writeable = False
     return F, F_inv
 
 
 @lru_cache(maxsize=None)
-def _axis_plan(M: IntMat) -> tuple[tuple, np.ndarray, np.ndarray]:
+def _axis_plan(M: IntMat) -> tuple:
     """Steps over the non-unit Smith axes of a pattern with
-    ``m > _DENSE_PATTERN``, and the positions from :func:`_positions`.
-    A step is ``(view, factors)``: the view of the cube that puts the axis
-    in the middle, ``(lead, s, trail)``, or ``(lead, s)`` for the last axis,
-    and for ``s <= _DENSE_AXIS`` the pair from :func:`_dense_factors` (a
-    dense step), else ``None`` (an FFT step along axis 1)."""
+    ``m > _DENSE_PATTERN``.  A step is ``(view, factors)``: the view of the
+    cube that puts the axis in the middle, ``(lead, s, trail)``, or
+    ``(lead, s)`` for the last axis, and for ``s <= _DENSE_AXIS`` the pair
+    from :func:`_dense_factors` (a dense step), else ``None`` (an FFT step
+    along axis 1)."""
     shape = [s for s in smith_normal_form(M).diagonal if s > 1]
     steps, lead = [], 1
     for i, s in enumerate(shape):
@@ -206,37 +181,35 @@ def _axis_plan(M: IntMat) -> tuple[tuple, np.ndarray, np.ndarray]:
         view = (lead, s, trail) if trail > 1 else (lead, s)
         steps.append((view, _dense_factors(s) if s <= _DENSE_AXIS else None))
         lead *= s
-    return (tuple(steps), *_positions(M))
+    return tuple(steps)
 
 
-def _transform(steps: tuple, x: np.ndarray, owned: bool, inverse: bool) -> np.ndarray:
-    """Run the plan's steps on the flat cube ``x``; ``owned`` says whether
-    ``x`` may be written.  Each step leaves an array the transform owns.
-    Only an FFT step touches ``np.fft``, whose first use imports it.  A
-    dense step on the last axis is ``cube.dot(F)``, without the matmul-ufunc
-    dispatch of ``@``; any other axis is the batched ``F @ cube``."""
-    for view, factors in steps:
+def _transform(steps: tuple, x: np.ndarray, inverse: bool) -> np.ndarray:
+    """Run the plan's steps on the flat cube ``x``, which is never written:
+    each step leaves a fresh array, which the FFT step after it transforms
+    in place.  Only an FFT step touches ``np.fft``, whose first use imports
+    it.  A dense step on the last axis is ``cube.dot(F)``, without the
+    matmul-ufunc dispatch of ``@``; any other axis is the batched
+    ``F @ cube``."""
+    for n, (view, factors) in enumerate(steps):
         cube = x.reshape(view)
         if factors is None:
             fft = np.fft.ifft if inverse else np.fft.fft
-            x = fft(cube, axis=1, out=cube if owned else None)
+            x = fft(cube, axis=1, out=cube if n else None)
         elif len(view) == 2:
             x = cube.dot(factors[inverse])
         else:
             x = factors[inverse] @ cube
-        owned = True
     return x.reshape(-1)
 
 
 def dft_fast(a: PatternVector) -> SpectrumVector:
     """Fast transform: one dense product for ``m <= _DENSE_PATTERN``, else
-    one dense or FFT step per Smith axis of the digit cube and a gather."""
+    one dense or FFT step per Smith axis of the digit cube."""
     M = a.matrix
     if M.absdet <= _DENSE_PATTERN:
         return SpectrumVector._own(M, _dense_plan(M)[0].dot(a.values))
-    steps, flat, _ = _axis_plan(M)
-    cube = _transform(steps, a.values, owned=False, inverse=False)
-    return SpectrumVector._own(M, cube[flat])
+    return SpectrumVector._own(M, _transform(_axis_plan(M), a.values, inverse=False))
 
 
 def idft(ahat: SpectrumVector) -> PatternVector:
@@ -244,8 +217,7 @@ def idft(ahat: SpectrumVector) -> PatternVector:
     M = ahat.matrix
     if M.absdet <= _DENSE_PATTERN:
         return PatternVector._own(M, _dense_plan(M)[1].dot(ahat.values))
-    steps, _, inv = _axis_plan(M)
-    return PatternVector._own(M, _transform(steps, ahat.values[inv], owned=True, inverse=True))
+    return PatternVector._own(M, _transform(_axis_plan(M), ahat.values, inverse=True))
 
 
 def idft_naive(ahat: SpectrumVector) -> PatternVector:

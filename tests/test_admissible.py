@@ -259,6 +259,24 @@ def test_window_dimension_must_be_a_positive_integer(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: AdmissibleFn.characteristic(1.0),
+    lambda: AdmissibleFn.characteristic("2"),
+    lambda: AdmissibleFn.tensor_linear(0.1),
+    lambda: AdmissibleFn.tensor_smoothed(F(1, 10)),
+    lambda: AdmissibleFn.tensor_smoothed([0.1], order="2"),
+    lambda: AdmissibleFn.tensor_smoothed([0.1], order=float("nan")),
+    lambda: AdmissibleFn.tensor_smoothed([0.1], order=float("inf")),
+    lambda: AdmissibleFn.tensor_smoothed([0.1], order=2.5),
+], ids=["characteristic(1.0)", "characteristic('2')", "tensor_linear(0.1)", "tensor_smoothed(1/10)",
+        "order='2'", "order=nan", "order=inf", "order=2.5"])
+def test_window_classmethods_reject_bad_arguments_with_typed_errors(build):
+    # a wrong type is reported as a bad parameter, not as the TypeError or
+    # ValueError of whatever operation first trips on it
+    with pytest.raises(InvalidParameter):
+        build()
+
+
 def test_window_dimension_may_be_a_numpy_integer():
     # a numpy integer is an integer, stored as a Python int
     g = AdmissibleFn.characteristic(np.int64(2))

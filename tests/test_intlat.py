@@ -258,12 +258,20 @@ def test_pattern_distinct_mod_1():
         assert len(reduced) == len(pat)
 
 
-def test_pattern_matches_generating_set_order():
-    M = IntMat.from_rows([[4, 1], [2, 6]])
-    gs = generating_set(M)
-    pat = pattern(M)
-    for g, y in zip(gs.reps, pat.points):
-        assert M.inv_apply(g) == y
+def test_pattern_points_have_the_digits_of_their_position():
+    # point i is U'^{-T} S^{-1} c mod Z^d for the Smith digits c of value i of
+    # M^T = U' S V'; frequency j of G(M^T) has the digits r of value j, so
+    # h_j . y_i = sum_k r_k c_k / s_k mod 1
+    cases = ([[4, 1], [2, 6]], [[1, -1], [1, 1]], [[2, 0, 0], [0, 2, 1], [0, 0, 4]])
+    for M in map(IntMat.from_rows, cases):
+        pat = pattern(M)
+        assert pat.points == tuple(oracle_point(M, i) for i in range(len(pat)))
+        diag = smith_normal_form(M.T).diagonal
+        digits = list(itertools.product(*map(range, diag)))
+        for h, r in zip(generating_set(M.T).reps, digits):
+            for y, c in zip(pat.points, digits):
+                turns = sum(a * b for a, b in zip(h, y))
+                assert (turns - sum(Fraction(a * b, s) for a, b, s in zip(r, c, diag))).denominator == 1
 
 
 def test_subpattern_inclusion():
@@ -339,6 +347,13 @@ def test_highdim_factor_constructors():
     assert R.apply((1, 0, 0)) == (1, 0, 1)
     with pytest.raises(InvalidParameter):
         plane_rotation(3, 1, 1)
+    # axes are integers in 0..d-1: no IndexError, and no negative index that
+    # silently counts from the end
+    for build in (lambda: axis_doubling(2, 5), lambda: axis_doubling(2, -1),
+                  lambda: axis_doubling(2, 1.0), lambda: plane_rotation(2, 0, 5),
+                  lambda: plane_rotation(3, -1, 0), lambda: plane_rotation(3, 0, "1")):
+        with pytest.raises(InvalidParameter):
+            build()
 
 
 # -- integer-array core against the per-point Fraction enumeration -------------
@@ -347,6 +362,15 @@ def test_highdim_factor_constructors():
 def frac_box(x):
     """Each coordinate reduced mod 1 into [-1/2, 1/2), in Fractions."""
     return tuple(v - math.floor(v + Fraction(1, 2)) for v in x)
+
+
+def oracle_point(M, i):
+    """Pattern point ``i`` in Fraction arithmetic: the Smith digits ``c`` of
+    value ``i`` of ``M^T = U' S V'``, as ``U'^{-T} S^{-1} c`` reduced into
+    ``[-1/2, 1/2)^d``."""
+    dec = smith_normal_form(M.T)
+    c = np.unravel_index(i, dec.diagonal)
+    return frac_box(dec.U.T.inv_apply([Fraction(int(a), s) for a, s in zip(c, dec.diagonal)]))
 
 
 def oracle_reps(M):
@@ -384,7 +408,7 @@ def test_lattice_core_matches_fraction_oracle(M, data):
     d = M.dim
     for i in data.draw(st.lists(st.integers(0, len(gs) - 1), min_size=1, max_size=8)):
         assert gs.index_of(gs.reps[i]) == i
-        assert pat.points[i] == M.inv_apply(gs.reps[i])
+        assert pat.points[i] == oracle_point(M, i)
     vec = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=d, max_size=d)
     for _ in range(4):
         k = tuple(data.draw(vec))
@@ -400,10 +424,11 @@ def test_lattice_core_matches_fraction_oracle(M, data):
 @settings(max_examples=40, deadline=None)
 @given(M=regular_matrices(), data=st.data())
 def test_pattern_lookups_match_fraction_oracle(M, data):
-    # index_of and reduce go through the integer class index of M y, and the
-    # group law adds representatives and looks the sum up with class_index;
-    # the oracle reduces each coordinate mod 1 into [-1/2, 1/2) in Fractions
+    # index_of and reduce go through the Smith digits of M y, and the group
+    # law adds the digit vectors mod diag(S) of M^T = U' S V'; the oracle
+    # reduces each coordinate mod 1 into [-1/2, 1/2) in Fractions
     pat = pattern(M)
+    diag = smith_normal_form(M.T).diagonal
     d, q = M.dim, M.absdet
     index = st.integers(0, len(pat) - 1)
     for _ in range(4):
@@ -413,9 +438,8 @@ def test_pattern_lookups_match_fraction_oracle(M, data):
         assert pat.index_of(y) == i
         assert pat.reduce(y) == frac_box(y) == pat.points[i]
         total = tuple(a + b for a, b in zip(pat.points[i], pat.points[j]))
-        gs = generating_set(M)
-        ij = gs.class_index(gs.rep_array[[i]] + gs.rep_array[[j]])[0]
-        assert pat.points[ij] == frac_box(total)
+        digits = (np.array(np.unravel_index(i, diag)) + np.unravel_index(j, diag)) % diag
+        assert pat.points[np.ravel_multi_index(digits, diag)] == frac_box(total)
         # 1/(q+1) times a column of M is never integral, as q+1 does not divide det M
         off = (y[0] + Fraction(1, q + 1),) + y[1:]
         with pytest.raises(IndexMismatch):
@@ -457,7 +481,7 @@ def test_int64_overflow_falls_back_to_python_ints():
     gs = generating_set(M)
     assert gs.reps == oracle_reps(M)
     assert [gs.index_of(r) for r in gs.reps] == [0, 1, 2]
-    assert list(pattern(M).points) == [M.inv_apply(r) for r in gs.reps]
+    assert set(pattern(M).points) == {M.inv_apply(r) for r in gs.reps}
     assert generating_set(M).reps[2] == (-1537228672809129301, -1)
     # entries beyond int64 and no rows at all: Python integers, no OverflowError
     assert apply_rows(IntMat.diagonal([2 ** 70, 1]), np.zeros((0, 2), dtype=np.int64)).shape == (0, 2)
@@ -471,6 +495,21 @@ def test_enumeration_guard_raises_before_work():
         with pytest.raises(TooLarge):
             build(M)
         assert time.perf_counter() - t0 < 0.5
+
+
+def test_pattern_has_its_own_enumeration_guard():
+    # the pattern no longer goes through G(M), so it checks the guard itself,
+    # before any Smith form, and a pattern in range builds no G(M)
+    M = IntMat.diagonal([2 ** 10, 2 ** 11])
+    assert M.absdet == 2 ** 21
+    t0 = time.perf_counter()
+    with pytest.raises(TooLarge):
+        pattern(M)
+    assert time.perf_counter() - t0 < 0.5
+    N = IntMat.from_rows([[3, 1, 0], [0, 5, 2], [1, 0, 7]])
+    built = generating_set.cache_info().currsize
+    assert len(pattern(N)) == N.absdet
+    assert generating_set.cache_info().currsize == built
 
 
 def test_class_index_and_reduce_check_dimension():

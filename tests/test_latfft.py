@@ -11,15 +11,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from vpwave import tol
 from vpwave.errors import IndexMismatch, TooLarge
-from vpwave.intlat import (IntMat, apply_rows, digit_index, generating_set, pattern,
-                           smith_normal_form, unimodular_inverse)
+from vpwave.intlat import IntMat, apply_rows, generating_set, pattern, smith_normal_form
 from vpwave.latfft import (
     _DENSE_AXIS,
     _DENSE_PATTERN,
     _axis_plan,
     _dense_plan,
     _phase_table,
-    _positions,
     FOURIER_MATRIX_GUARD,
     PatternVector,
     SpectrumVector,
@@ -184,16 +182,16 @@ def test_parseval():
 def test_shift_modulation_duality():
     rng_np = np.random.default_rng(33)
     M = IntMat.from_rows([[4, 1], [2, 6]])
-    pat, gs = pattern(M), generating_set(M)
+    pat = pattern(M)
     a = random_pattern_vector(rng_np, M)
     for tau_idx in (1, len(pat) // 2):
-        # translation by points[tau_idx]: point i moves to the class of reps[i] + reps[tau_idx]
+        # translation by tau = points[tau_idx]: point i moves to points[i] + tau
+        tau = pat.points[tau_idx]
         shifted = np.empty_like(a.values)
-        shifted[gs.class_index(gs.rep_array + gs.rep_array[tau_idx])] = a.values
+        shifted[[pat.index_of([u + v for u, v in zip(y, tau)]) for y in pat.points]] = a.values
         lhs = dft_fast(PatternVector(matrix=M, values=shifted)).values
-        tau = np.array([float(v) for v in pat.points[tau_idx]])
         H = np.array(generating_set(M.T).reps, dtype=float)
-        rhs = np.exp(-2j * np.pi * (H @ tau)) * dft_fast(a).values
+        rhs = np.exp(-2j * np.pi * (H @ np.array(tau, dtype=float))) * dft_fast(a).values
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -219,8 +217,7 @@ def test_public_constructors_convert_to_complex():
 def _plan_arrays(M):
     if M.absdet <= _DENSE_PATTERN:
         return list(_dense_plan(M))
-    steps, flat, inv = _axis_plan(M)
-    return [flat, inv] + [F for _, factors in steps if factors is not None for F in factors]
+    return [F for _, factors in _axis_plan(M) if factors is not None for F in factors]
 
 
 # one dense product at m = 1, 64 and the bound 128; per-axis steps above it
@@ -246,14 +243,10 @@ def test_transform_results_are_fresh_vectors(rows):
 
 
 def fftn_oracle(a):
-    """The former fast transform: one ``np.fft.fftn`` over the Smith digit
-    cube without its unit axes, then the gather into canonical order."""
-    M = a.matrix
-    dec = smith_normal_form(M)
-    H = generating_set(M.T).rep_array
-    flat = digit_index(apply_rows(unimodular_inverse(dec.V).T, H), dec.diagonal)
-    shape = tuple(s for s in dec.diagonal if s > 1) or (1,)
-    return np.fft.fftn(a.values.reshape(shape)).reshape(-1)[flat]
+    """One ``np.fft.fftn`` over the Smith digit cube without its unit axes:
+    both sets are in digit order, so no permutation follows."""
+    shape = tuple(s for s in smith_normal_form(a.matrix).diagonal if s > 1) or (1,)
+    return np.fft.fftn(a.values.reshape(shape)).reshape(-1)
 
 
 def assert_fast_transforms(M, rng_np):
@@ -361,21 +354,31 @@ def test_transforms_leave_their_inputs_alone(rows):
 
 
 @settings(max_examples=60, deadline=None)
-@given(d=st.integers(2, 3), data=st.data())
-def test_plan_positions_match_the_enumerated_frequencies(d, data):
-    # the plans' positions come from the two Smith forms alone; they equal the
-    # Smith digits V^{-T} h of the enumerated canonical frequencies h of G(M^T)
-    r = {2: 40, 3: 8}[d]
+@given(d=st.integers(1, 3), data=st.data(), seed=st.integers(0, 2 ** 16))
+def test_digit_order_makes_the_transform_the_plain_tensor_dft(d, data, seed):
+    # the pattern is the whole of M^{-1} Z^d / Z^d in the box, over |det M|,
+    # and indexes its own points; its order and that of G(M^T) make dft_fast
+    # the fftn of the digit cube, with no permutation.  The set check keeps
+    # the naive oracle independent, as _phase_table reads these numerators.
+    r = {1: 4096, 2: 64, 3: 16}[d]
     rows = data.draw(st.lists(st.lists(st.integers(-r, r), min_size=d, max_size=d),
                               min_size=d, max_size=d))
     M = IntMat.from_rows(rows)
     assume(0 < M.absdet <= 4096)
-    dec = smith_normal_form(M)
-    H = generating_set(M.T).rep_array
-    expected = digit_index(apply_rows(unimodular_inverse(dec.V).T, H), dec.diagonal)
-    flat, inv = _positions.__wrapped__(M)
-    assert np.array_equal(flat, expected)
-    assert np.array_equal(inv[flat], np.arange(M.absdet))
+    pat, m = pattern(M), M.absdet
+    N, q = pat.numerators, pat.denominator
+    assert q == m and N.shape == (m, d)
+    assert np.all(2 * N >= -q) and np.all(2 * N < q)
+    # {M y} reduced into M [-1/2, 1/2)^d: M N / q is integral and in that box already
+    K = apply_rows(M, N)
+    assert np.all(K % q == 0)
+    assert set(map(tuple, (K // q).tolist())) == set(generating_set(M).reps)
+    for i in data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=8)):
+        assert pat.index_of(pat.points[i]) == i
+    a = random_pattern_vector(np.random.default_rng(seed), M)
+    fast = dft_fast(a).values
+    for ref in [fftn_oracle(a)] + ([dft(a).values] if m <= FOURIER_MATRIX_GUARD else []):
+        assert float(np.max(np.abs(fast - ref))) <= tol.FAST_VS_NAIVE * float(np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("rows", [[[1]], [[0, 8], [-8, 0]], [[1, 0], [3, 128]], [[1, -1], [1, 1]],

@@ -1,10 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vpwave"
 
@@ -177,3 +180,20 @@ def test_window_and_lattice_kernels_build_no_matrices_or_fractions():
                     found.append(f"{name}:{inner.lineno} {node.name} reads a Fraction field")
     assert seen == set().union(*kernels.values()), f"kernels not found: {seen}"
     assert not found, f"per-call matrices or fractions in the batched kernels: {found}"
+
+
+def test_declared_console_scripts_resolve():
+    # an installed console script imports its module and reads the attribute
+    # when it runs; a declaration whose target is missing fails at once
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())["project"]
+    missing = []
+    for name, target in project.get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        try:
+            obj = importlib.import_module(module)
+            for part in attr.split("."):
+                obj = getattr(obj, part)
+        except (ImportError, AttributeError) as exc:
+            missing.append(f"{name} = {target!r}: {exc!r}")
+    assert not missing, f"console scripts that do not resolve: {missing}"
