@@ -60,8 +60,7 @@ from .admissible import (AdmissibleFn, exact_floats, exact_product, periodized_s
                          periodized_sum_exact)
 from .errors import DegenerateClass, DimensionMismatch, NotDyadic, TooLarge
 from .intlat import (_INT64_SAFE, ENUMERATION_GUARD, ChainSpec, IntMat, _absmax, _check_level,
-                     _exact_fraction, _exact_ints, _Frozen, generating_set, smith_normal_form,
-                     unimodular_inverse)
+                     _exact_fraction, _exact_ints, _Frozen, generating_set, smith_normal_form)
 
 Vec = tuple[int, ...]
 
@@ -209,7 +208,7 @@ def wavelet_shift_vectors(J: IntMat) -> tuple[tuple[Fraction, ...], tuple[Fracti
     point is the last column of ``V^{-1}``, halved, mod 1."""
     _require_dyadic_factor(J)
     return tuple(tuple(Fraction(row[-1], 2) % 1
-                       for row in unimodular_inverse(smith_normal_form(M).V).entries)
+                       for row in smith_normal_form(M).V_inv.entries)
                  for M in (J.T, J))
 
 

@@ -40,8 +40,11 @@ adjugate, ``q = |det M|``) a batch ``K`` reduces into the box as
     K - M floor((2 A K + q) / (2 q))
 
 by exact floor division.  ``G(M)`` is the Smith digit grid mapped by
-``U`` and reduced in one such step.  Because ``M Z^d = U S Z^d`` for
-``M = U S V``, the class of ``k`` is the digit vector
+``U`` and reduced in one such step, with ``A U = V^{-1} diag(q/s_k)`` for
+``M = U S V`` (``P(M)`` takes ``U'^{-T} diag(q/s_k)``): each coordinate is
+one contiguous row, an outer sum of a short array per Smith axis, and the
+``d`` rows are stacked once into the ``(m, d)`` array.  As
+``M Z^d = U S Z^d``, the class of ``k`` is the digit vector
 ``U^{-1} k mod diag(S)``, and its mixed-radix value is its position in
 the canonical order; :meth:`GeneratingSet.class_index` computes it for a
 whole ``(n, d)`` batch (``index_of`` is its one-row form), so a class
@@ -54,7 +57,8 @@ are formed only on demand.
 Overflow rule: before each array product the entries are bounded
 (``max|B| max(max|X|, 1) d`` plus any addend) against ``2^62``; if the
 bound fails, the product runs on ``dtype=object`` arrays of Python
-integers, so int64 never wraps silently.
+integers, so int64 never wraps silently.  An enumeration bounds its rows
+from the coefficients and digit ranges the same way, before it allocates.
 
 An ``IntMat`` computes what depends on its entries alone once and keeps
 it on the instance: the hash, the determinant, the transpose, the scaled
@@ -69,7 +73,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -220,9 +224,7 @@ class IntMat(_Value):
         """The product, entry by entry as row-column dot products."""
         if other.dim != self.dim:
             raise DimensionMismatch("matrix dimensions differ")
-        cols = tuple(zip(*other.entries))
-        return IntMat(tuple(tuple(sum(map(operator.mul, row, col)) for col in cols)
-                            for row in self.entries))
+        return IntMat(_product(self.entries, other.entries))
 
     def apply(self, v: Sequence) -> tuple:
         """Matrix-vector product; works for int and Fraction entries."""
@@ -268,6 +270,12 @@ class IntMat(_Value):
         return "[" + "; ".join(" ".join(str(v) for v in row) for row in self.entries) + "]"
 
 
+def _product(X: Sequence[Sequence[int]], Y: Sequence[Sequence[int]]) -> tuple[Vec, ...]:
+    """The matrix product of two square integer matrices, as a tuple of row tuples."""
+    cols = tuple(zip(*Y))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in X)
+
+
 def _bareiss_det(rows: list[list[int]]) -> int:
     """Fraction-free Gaussian elimination; exact integer determinant."""
     n = len(rows)
@@ -292,10 +300,11 @@ def _bareiss_det(rows: list[list[int]]) -> int:
 
 class SmithDecomposition(_Frozen):
     """``M = U S V`` with unimodular ``U, V`` and ``S = diag(s_1..s_d)``,
-    ``s_i > 0`` and ``s_i | s_{i+1}``."""
+    ``s_i > 0`` and ``s_i | s_{i+1}``; ``U_inv`` and ``V_inv`` are the exact
+    inverses of ``U`` and ``V``."""
 
-    def __init__(self, U: IntMat, S: IntMat, V: IntMat):
-        self._set(U=U, S=S, V=V)
+    def __init__(self, U: IntMat, S: IntMat, V: IntMat, U_inv: IntMat, V_inv: IntMat):
+        self._set(U=U, S=S, V=V, U_inv=U_inv, V_inv=V_inv)
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -315,19 +324,20 @@ def smith_normal_form(M: IntMat) -> SmithDecomposition:
     """
     d = M.require_regular().dim
     A = M.to_lists()
-    # Maintain M = U @ A @ V throughout; U, V collect inverse elementary ops.
-    U = [[int(i == j) for j in range(d)] for i in range(d)]
-    V = [row[:] for row in U]
+    # Maintain M = U @ A @ V; U, V collect inverse elementary ops, U_inv, V_inv the ops.
+    eye = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    U, V, U_inv, V_inv = ([list(row) for row in eye] for _ in range(4))
 
     def row_add(i, j, c):
-        # A <- L A with L adding c*row j to row i; U <- U L^{-1}
+        # A <- L A with L adding c*row j to row i; U <- U L^{-1}, U_inv <- L U_inv
         A[i] = [x + c * y for x, y in zip(A[i], A[j])]
+        U_inv[i] = [x + c * y for x, y in zip(U_inv[i], U_inv[j])]
         for r in U:
             r[j] -= c * r[i]
 
     def col_add(i, j, c):
-        # col i += c * col j; V <- R^{-1} V with the matching inverse op
-        for r in A:
+        # col i += c * col j; V <- R^{-1} V, V_inv <- V_inv R with the matching op
+        for r in A + V_inv:
             r[i] += c * r[j]
         V[j] = [x - c * y for x, y in zip(V[j], V[i])]
 
@@ -336,9 +346,10 @@ def smith_normal_form(M: IntMat) -> SmithDecomposition:
             _, bi, bj = min((abs(A[i][j]), i, j)
                             for i in range(t, d) for j in range(t, d) if A[i][j])
             A[t], A[bi] = A[bi], A[t]
+            U_inv[t], U_inv[bi] = U_inv[bi], U_inv[t]
             for r in U:
                 r[t], r[bi] = r[bi], r[t]
-            for r in A:
+            for r in A + V_inv:
                 r[t], r[bj] = r[bj], r[t]
             V[t], V[bj] = V[bj], V[t]
             p = A[t][t]
@@ -355,24 +366,19 @@ def smith_normal_form(M: IntMat) -> SmithDecomposition:
             row_add(t, k, 1)
         if A[t][t] < 0:
             A[t] = [-x for x in A[t]]
+            U_inv[t] = [-x for x in U_inv[t]]
             for r in U:
                 r[t] = -r[t]
 
-    dec = SmithDecomposition(*(IntMat(tuple(map(tuple, X))) for X in (U, A, V)))
-    if dec.U @ dec.S @ dec.V != M or abs(dec.U.det) != 1 or abs(dec.V.det) != 1:
+    U, A, V, U_inv, V_inv = (tuple(map(tuple, X)) for X in (U, A, V, U_inv, V_inv))
+    if (_product(_product(U, A), V) != M.entries or _product(U, U_inv) != eye
+            or _product(V_inv, V) != eye):
         raise ConditionViolated(f"Smith reconstruction of {M} failed")
+    dec = SmithDecomposition(*map(IntMat, (U, A, V, U_inv, V_inv)))
     diag = dec.diagonal
     if any(s <= 0 for s in diag) or any(diag[i + 1] % diag[i] for i in range(d - 1)):
         raise ConditionViolated(f"Smith diagonal {diag} of {M} is not a divisor chain")
     return dec
-
-
-def unimodular_inverse(U: IntMat) -> IntMat:
-    """Exact integer inverse of a matrix with ``|det| = 1``."""
-    A, q = U.scaled_adjugate()
-    if q != 1:
-        raise ConditionViolated(f"matrix {U} is not unimodular")
-    return A
 
 
 def _divide_rows(rows: tuple[Vec, ...], q: int, v: Sequence) -> FracVec:
@@ -491,7 +497,7 @@ class Pattern(_Frozen):
         if any(v.denominator != 1 for v in k):
             raise IndexMismatch(f"point {tuple(y)} is not on the lattice of {self.matrix}")
         snf = smith_normal_form(self.matrix.T)
-        return int(digit_index(apply_rows(unimodular_inverse(snf.V).T, _integer_row(k)),
+        return int(digit_index(apply_rows(snf.V_inv.T, _integer_row(k)),
                                snf.diagonal)[0])
 
     def reduce(self, y: Sequence) -> FracVec:
@@ -499,35 +505,62 @@ class Pattern(_Frozen):
         return self.points[self.index_of(y)]
 
 
+def _row_bound(B: Sequence[Sequence[int]], x: Sequence[int]) -> int:
+    """``max_j sum_k |B[j][k]| x_k``, a bound on ``|(B y)_j|`` for ``|y_k| <= x_k``."""
+    return max(sum(abs(b) * v for b, v in zip(row, x)) for row in B)
+
+
+def _grid_rows(B: Sequence[Sequence[int]], diag: Vec, addend: int, bound: int) -> list:
+    """Row ``j`` is ``sum_k B[j][k] c_k + addend`` over the digit vectors ``c``
+    of ``diag`` in C order, one contiguous array: an outer sum of one short
+    array per axis with ``s_k > 1``; int64 if ``bound < 2^62``, else Python ints."""
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    axes = [(k, np.arange(s, dtype=dtype)) for k, s in enumerate(diag) if s > 1]
+    return [reduce(np.add.outer, [row[k] * c for k, c in axes], np.array([addend], dtype)).ravel()
+            for row in B]
+
+
 @lru_cache(maxsize=None)
 def generating_set(M: IntMat) -> GeneratingSet:
-    """Canonically ordered generating set ``G(M)`` (reps of ``Z^d / M Z^d``)."""
+    """Canonically ordered generating set ``G(M)`` (reps of ``Z^d / M Z^d``):
+    ``U c - M floor((V^{-1} diag(q/s_k) c + floor(q/2)) / q)`` per digit vector ``c``."""
     m = M.require_regular().absdet
     if m > ENUMERATION_GUARD:
         raise TooLarge(f"refusing to enumerate {m} > {ENUMERATION_GUARD} lattice points")
     snf = smith_normal_form(M)
-    diag = snf.diagonal
-    # Smith digit vectors, one per row, in lexicographic order
-    digits = np.indices(diag).reshape(M.dim, -1).T
-    R = _reduce_box(M, apply_rows(snf.U, digits))
+    diag, d = snf.diagonal, M.dim
+    A = [[v * (m // s) for v, s in zip(row, diag)] for row in snf.V_inv.entries]
+    top = [s - 1 for s in diag]
+    bound_F = (_row_bound(A, top) + m // 2) // m + 1
+    bound_R = _row_bound(snf.U.entries, top) + _row_bound(M.entries, [bound_F] * d)
+    bound = max(bound_F * m, _row_bound(snf.U_inv.entries, [bound_R] * d) + m)
+    F = [f // m for f in _grid_rows(A, diag, m // 2, bound)]
+    R = [r - sum(b * f for b, f in zip(row, F) if b)
+         for r, row in zip(_grid_rows(snf.U.entries, diag, 0, bound), M.entries)]
+    for j, (row, s) in enumerate(zip(snf.U_inv.entries, diag)):
+        if s > 1:
+            E = sum(b * r for b, r in zip(row, R) if b).reshape(diag)
+            E -= np.arange(s, dtype=E.dtype).reshape([-1 if k == j else 1 for k in range(d)])
+            if (E // s * s != E).any():
+                raise ConditionViolated(f"representatives of {M} leave the canonical class order")
+    R = np.stack(R, axis=1)
     R.flags.writeable = False
-    gs = GeneratingSet(matrix=M, rep_array=R, diagonal=diag, digit_map=unimodular_inverse(snf.U))
-    if np.any(gs.class_index(R) != np.arange(m)):
-        raise ConditionViolated(f"representatives of {M} leave the canonical class order")
-    return gs
+    return GeneratingSet(matrix=M, rep_array=R, diagonal=diag, digit_map=snf.U_inv)
 
 
 @lru_cache(maxsize=None)
 def pattern(M: IntMat) -> Pattern:
     """Pattern ``P(M)`` in the digit order of ``G(M^T)``, ``M^T = U' S V'``: over
-    ``q = |det M|``, ``U'^{-T} (q c_k / s_k)`` for each digit vector ``c``, mod ``q``."""
+    ``q = |det M|``, the numerators ``n = U'^{-T} diag(q/s_k) c`` of each digit
+    vector ``c``, centred into ``[-q/2, q/2)`` as ``n - q floor((n + floor(q/2)) / q)``."""
     q = M.require_regular().absdet
     if q > ENUMERATION_GUARD:
         raise TooLarge(f"refusing to enumerate {q} > {ENUMERATION_GUARD} lattice points")
     snf = smith_normal_form(M.T)
-    digits = np.indices(snf.diagonal).reshape(M.dim, -1).T * [q // s for s in snf.diagonal]
-    # centred into [-q/2, q/2), the numerators of points in [-1/2, 1/2)^d
-    N = (apply_rows(unimodular_inverse(snf.U).T, digits, addend=q // 2) + q // 2) % q - q // 2
+    diag = snf.diagonal
+    B = [[v * (q // s) for v, s in zip(col, diag)] for col in zip(*snf.U_inv.entries)]
+    bound = _row_bound(B, [s - 1 for s in diag]) + 2 * q
+    N = np.stack([n - (n // q * q + q // 2) for n in _grid_rows(B, diag, q // 2, bound)], axis=1)
     N.flags.writeable = False
     return Pattern(matrix=M, numerators=N, denominator=q)
 

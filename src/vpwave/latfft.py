@@ -88,17 +88,9 @@ class _IndexedValues(_Frozen):
 class PatternVector(_IndexedValues):
     """Complex values indexed by ``P(M)`` in canonical order."""
 
-    @property
-    def pattern(self):
-        return pattern(self.matrix)
-
 
 class SpectrumVector(_IndexedValues):
     """Complex values indexed by ``G(M^T)`` in canonical order."""
-
-    @property
-    def frequencies(self):
-        return generating_set(self.matrix.T)
 
 
 @lru_cache(maxsize=None)

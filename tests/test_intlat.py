@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from vpwave.errors import (ConditionViolated, DimensionMismatch, IndexMismatch, InexactInput,
-                           InvalidParameter, LevelOutOfRange, SingularMatrix, TooLarge)
+from vpwave.errors import (DimensionMismatch, IndexMismatch, InexactInput, InvalidParameter,
+                           LevelOutOfRange, SingularMatrix, TooLarge)
 from vpwave.intlat import (
     ENUMERATION_GUARD,
     J_D,
@@ -23,7 +23,6 @@ from vpwave.intlat import (
     pattern,
     plane_rotation,
     smith_normal_form,
-    unimodular_inverse,
 )
 
 
@@ -112,6 +111,7 @@ def assert_smith(M, dec):
     d = M.dim
     assert dec.U @ dec.S @ dec.V == M
     assert abs(dec.U.det) == 1 and abs(dec.V.det) == 1
+    assert dec.U @ dec.U_inv == IntMat.identity(d) == dec.V_inv @ dec.V
     assert dec.S == IntMat.diagonal(dec.diagonal)
     assert all(s > 0 for s in dec.diagonal)
     assert all(dec.diagonal[i + 1] % dec.diagonal[i] == 0 for i in range(d - 1))
@@ -385,18 +385,87 @@ def oracle_reps(M):
     return tuple(reps)
 
 
-ENTRY_RANGE = {1: 2048, 2: 40, 3: 10}
+ENTRY_RANGE = {1: 2048, 2: 40, 3: 10, 4: 3}
 
 
 @st.composite
-def regular_matrices(draw, max_det=2048):
-    d = draw(st.integers(1, 3))
+def regular_matrices(draw, max_det=2048, max_dim=3):
+    d = draw(st.integers(1, max_dim))
     r = ENTRY_RANGE[d]
     rows = draw(st.lists(st.lists(st.integers(-r, r), min_size=d, max_size=d),
                          min_size=d, max_size=d))
     M = IntMat.from_rows(rows)
     assume(0 < M.absdet <= max_det)
     return M
+
+
+@settings(max_examples=80, deadline=None)
+@given(M=regular_matrices(max_dim=4))
+def test_smith_inverses_come_from_the_elimination(M):
+    # U^{-1} and V^{-1} are carried through the elimination; the oracle is the
+    # cofactor adjugate, which for |det| = 1 is the inverse
+    dec = smith_normal_form(M)
+    assert dec.U @ dec.U_inv == IntMat.identity(M.dim) == dec.V_inv @ dec.V
+    assert dec.U.scaled_adjugate() == (dec.U_inv, 1)
+    assert dec.V.scaled_adjugate() == (dec.V_inv, 1)
+
+
+# The m = 256 naive-DFT matrices of the lattice_fft benchmark workload, one per
+# Smith shape family.
+LATTICE_FFT_SHAPES = {
+    "square": [[16, 0], [0, 16]],
+    "cyclic": [[1, 0], [3, 256]],
+    "dense-entries": [[48, 32], [16, 16]],
+    "3d": [[4, 0, 0], [0, 4, 1], [0, 0, 16]],
+}
+
+
+@pytest.mark.parametrize("rows", LATTICE_FFT_SHAPES.values(), ids=LATTICE_FFT_SHAPES)
+def test_enumeration_layout_contract(rows):
+    M = IntMat.from_rows(rows)
+    m, d = M.absdet, M.dim
+    gs, pat = generating_set(M), pattern(M)
+    for arr in (gs.rep_array, pat.numerators):
+        assert arr.shape == (m, d) and arr.dtype == np.int64
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+    assert gs.reps == oracle_reps(M)
+    assert pat.points == tuple(oracle_point(M, i) for i in range(m))
+
+
+@st.composite
+def huge_triangular_matrices(draw):
+    """Upper-triangular matrices in d = 2, 3 with |det| <= 64 and off-diagonal
+    entries up to 2^70, around the int64 limits too."""
+    d = draw(st.integers(2, 3))
+    diag = draw(st.lists(st.integers(1, 4).flatmap(lambda s: st.sampled_from([s, -s])),
+                         min_size=d, max_size=d))
+    big = st.one_of(st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70),
+                    st.integers(2 ** 58, 2 ** 63).flatmap(lambda v: st.sampled_from([v, -v])))
+    return IntMat.from_rows([[diag[i] if i == j else draw(big) if j > i else 0
+                              for j in range(d)] for i in range(d)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(M=huge_triangular_matrices())
+def test_enumerations_of_huge_entries_match_fraction_oracle(M):
+    reps = oracle_reps(M)
+    assert generating_set(M).reps == reps
+    assert set(pattern(M).points) == {M.inv_apply(r) for r in reps}
+
+
+def test_enumeration_bound_catches_a_wrapping_grid_product():
+    # the coefficient of the last Smith axis in the box offsets fits int64,
+    # but its product with the top digit wraps: only the bound keeps it exact
+    M = IntMat.from_rows([[4, 3 * 2 ** 59 + 1], [0, 4]])
+    snf = smith_normal_form(M)
+    s = snf.diagonal[-1]
+    coef = snf.V_inv.entries[0][-1] * (M.absdet // s)
+    assert abs(coef) < 2 ** 63
+    wrapped = int((np.arange(s, dtype=np.int64) * np.int64(coef))[-1])
+    assert wrapped != (s - 1) * coef
+    reps = oracle_reps(M)
+    assert generating_set(M).reps == reps
+    assert set(pattern(M).points) == {M.inv_apply(r) for r in reps}
 
 
 @settings(max_examples=40, deadline=None)
@@ -453,8 +522,9 @@ def oracle_class_index(M, k):
     """Mixed-radix value of the Smith digits ``U^{-1} k mod diag(S)``, in
     Python integers, one vector at a time."""
     snf = smith_normal_form(M)
+    U_inv, _ = snf.U.scaled_adjugate()
     i = 0
-    for row, s in zip(unimodular_inverse(snf.U).entries, snf.diagonal):
+    for row, s in zip(U_inv.entries, snf.diagonal):
         i = i * s + sum(a * b for a, b in zip(row, k)) % s
     return i
 
@@ -563,13 +633,6 @@ def test_integer_tuples_are_still_checked_for_shape():
     for rows in (((1, 2), (3,)), ((1, 2),), ((),), ()):
         with pytest.raises(DimensionMismatch):
             IntMat(rows)
-
-
-def test_unimodular_inverse():
-    U = IntMat.from_rows([[2, 1], [1, 1]])
-    assert unimodular_inverse(U) @ U == IntMat.identity(2)
-    with pytest.raises(ConditionViolated):
-        unimodular_inverse(IntMat.diagonal([1, 2]))
 
 
 def gauss_jordan_adjugate(M):

@@ -83,6 +83,29 @@ def test_no_scalar_class_lookup_in_spectral_layer():
     assert not found, f"scalar index_of calls in the spectral layer: {found}"
 
 
+def test_enumerations_invert_no_smith_factor():
+    # the Smith inverses come from the elimination: the enumerations and the
+    # wavelet shifts read U_inv/V_inv and run no cofactor adjugate, and the
+    # enumerations sum contiguous rows over the digit grid, with no (n, d)
+    # array product
+    banned = {"scaled_adjugate", "unimodular_inverse"}
+    wanted = {"intlat.py": {"generating_set": banned | {"apply_rows"},
+                            "pattern": banned | {"apply_rows"}},
+              "dlvp.py": {"wavelet_shift_vectors": banned}}
+    found, seen = [], set()
+    for name, functions in wanted.items():
+        for top in ast.parse((SRC / name).read_text(), filename=name).body:
+            if not isinstance(top, ast.FunctionDef) or top.name not in functions:
+                continue
+            seen.add(top.name)
+            found += [f"{name}:{node.lineno} {top.name} calls {called}"
+                      for node in ast.walk(top) if isinstance(node, ast.Call)
+                      for called in [getattr(node.func, "id", getattr(node.func, "attr", None))]
+                      if called in functions[top.name]]
+    assert seen == {"generating_set", "pattern", "wavelet_shift_vectors"}
+    assert not found, f"Smith factors inverted or rows multiplied in the enumerations: {found}"
+
+
 def test_no_scalar_periodization_in_spectral_layer():
     # spectra, two-scale vectors and the nesting check periodize whole arrays
     # exactly; the scalar periodized_sum serves only the direct profiles
