@@ -5,18 +5,16 @@ unit cube ``Q_d = [-1/2, 1/2)^d``, and its integer translates sum to one.
 Sampling such a window (and products built from it) yields the Fourier
 coefficients of all scaling functions and wavelets in this package.
 
-Three tensor-product families are implemented, per axis:
+Two tensor-product families are implemented, per axis:
 
 * ``characteristic`` -- the half-open indicator of ``[-1/2, 1/2)``; exact
   0/1 values, reproducing the Dirichlet kernels.
-* ``tensor_linear`` -- plateau 1 on ``|t| <= 1/2 - alpha`` with a linear
-  ramp of width ``2 alpha`` (the de la Vallee Poussin shape);
-  ``alpha = 0`` is the modified Dirichlet limit with value 1/2 at
-  ``|t| = 1/2``, ``alpha = 1/2`` the Fejer triangle.
 * ``tensor_smoothed`` -- the indicator of ``[-1/2, 1/2]`` convolved with
   an r-fold self-convolution of a unit-mass box of halfwidth ``p/r``
   (a centered B-spline kernel supported on ``[-p, p]``); ``r - 1``
-  continuous derivatives, reduces to ``tensor_linear`` at ``r = 1``.
+  continuous derivatives.  Order 1 is the de la Vallee Poussin linear ramp
+  (:meth:`AdmissibleFn.tensor_linear`, which alone admits the Fejer ``p = 1/2``);
+  ``p = 0`` is the modified Dirichlet limit, 1/2 at ``|t| = 1/2``.
 
 All parameters are exact rationals.  Windows and their periodizations
 ``g^J(x) = sum_z g(x + J^T z)`` are evaluated on two paths:
@@ -32,18 +30,16 @@ All parameters are exact rationals.  Windows and their periodizations
   from it, so half-open support boundaries, zero tests and equalities are
   decided exactly.  Per axis, with ``alpha = p / s``, the numerators are
   ``[-q <= 2 N < q]`` over 1 (characteristic), ``2, 1, 0`` for ``2 |N|``
-  below, at or above ``q`` over 2 (``alpha = 0``), ``(s + 2 p) q - 2 s |N|``
-  clipped to ``[0, 4 p q]`` over ``4 p q`` (linear ramp), and the B-spline sum
-  ``sum_j (-1)^j C(r, j) [max(U+_j, 0)^r - max(U-_j, 0)^r]`` with
-  ``U+-_j = r s (2 N +- q) + 2 (r - 2 j) p q`` over ``r! (4 p q)^r``
-  (smoothed); the axes multiply.  As in ``intlat.apply_rows``, an array
-  whose entries could pass ``2^62`` is computed on Python integers
+  below, at or above ``q`` over 2 (``alpha = 0``), and the one-sided B-spline
+  sum ``sum_j (-1)^j C(r, j) max(r s (q - 2 |N|) + 2 (r - 2 j) p q, 0)^r`` over
+  ``r! (4 p q)^r`` (smoothed); the axes multiply.  As in ``intlat.apply_rows``,
+  an array whose entries could pass ``2^62`` is computed on Python integers
   (``dtype=object``) instead of int64.
 
 A window keeps its ramps once more as the integer pairs ``(p, s)``, so
 the batched path runs on integers alone: the support reach
 ``floor(hw q)`` is ``(s + 2 p) q // (2 s)`` per axis, and the denominator
-for ``q`` is the product of one per-axis formula (1, 2, ``4 p q`` or
+for ``q`` is the product of one per-axis formula (1, 2 or
 ``r! (4 p q)^r``, as above), which the axis numerators and
 :func:`periodized_sum_exact` read as well, without evaluating anything.
 
@@ -70,8 +66,11 @@ from .intlat import (_INT64_SAFE, ENUMERATION_GUARD, IntMat, _absmax, _exact_fra
 HALF = Fraction(1, 2)
 
 KIND_CHARACTERISTIC = "characteristic"
-KIND_LINEAR = "tensor_linear"
 KIND_SMOOTHED = "tensor_smoothed"
+
+# Largest smoothing order: a report's cost grows faster than r^2; build_report on
+# diag(8, 8) with J_D, J_X, J_D, J_Y and p = 1/10 takes 2.1 s at order 100 (x86-64).
+MAX_ORDER = 100
 
 
 def _window_dim(dim) -> int:
@@ -92,13 +91,24 @@ class AdmissibleFn(_Value):
     """Tensor-product admissible window on R^d: ``alpha`` holds the per-axis
     ramp halfwidths (0 for the characteristic window), and ``_ramps`` the
     same as integer pairs ``(p, s)`` with ``alpha = p / s`` in lowest terms.
-    A ``dim`` that is not an integer >= 1 raises ``InvalidParameter``.
+    Another kind, a ``dim`` that is not an integer >= 1, a halfwidth outside
+    ``[0, 1/2]`` and an order that is not an integer in ``[1, MAX_ORDER]``
+    raise ``InvalidParameter``, ``len(alpha) != dim`` ``DimensionMismatch``.
     Equality compares every field; the hash is cached on the instance."""
 
     _fields = ("kind", "dim", "alpha", "order")
 
     def __init__(self, kind: str, dim: int, alpha: tuple[Fraction, ...], order: int = 1):
-        dim = _window_dim(dim)
+        if kind not in (KIND_CHARACTERISTIC, KIND_SMOOTHED):
+            raise InvalidParameter(f"unknown window kind {kind!r}")
+        if not (isinstance(order, numbers.Real) and 1 <= order <= MAX_ORDER and order % 1 == 0):
+            raise InvalidParameter(f"order must be an integer in [1, {MAX_ORDER}], got {order!r}")
+        dim, alpha, order = _window_dim(dim), _halfwidths(alpha), int(order)
+        if len(alpha) != dim:
+            raise DimensionMismatch(f"{len(alpha)} halfwidths for a {dim}-D window")
+        # the one-sided B-spline sum of _axis_exact needs ramps that do not overlap
+        if any(a < 0 or a > HALF for a in alpha):
+            raise InvalidParameter("ramp halfwidths must lie in [0, 1/2]")
         self._set(kind=kind, dim=dim, alpha=alpha, order=order,
                   _ramps=tuple((a.numerator, a.denominator) for a in alpha),
                   _hash=hash((kind, dim, alpha, order)))
@@ -114,19 +124,16 @@ class AdmissibleFn(_Value):
 
     @classmethod
     def tensor_linear(cls, alpha: Sequence) -> "AdmissibleFn":
+        """The linear ramp ``tensor_smoothed(alpha, order=1)``, with ``alpha`` in ``[0, 1/2]``."""
         a = _halfwidths(alpha)
-        if any(v < 0 or v > HALF for v in a):
-            raise InvalidParameter("linear ramp halfwidths must lie in [0, 1/2]")
-        return cls(kind=KIND_LINEAR, dim=len(a), alpha=a)
+        return cls(kind=KIND_SMOOTHED, dim=len(a), alpha=a, order=1)
 
     @classmethod
     def tensor_smoothed(cls, p: Sequence, order: int = 2) -> "AdmissibleFn":
         a = _halfwidths(p)
         if any(v < 0 or v >= HALF for v in a):
             raise InvalidParameter("smoothing halfwidths must lie in [0, 1/2)")
-        if not (isinstance(order, numbers.Real) and order >= 1 and order % 1 == 0):
-            raise InvalidParameter(f"smoothing order must be an integer >= 1, got {order!r}")
-        return cls(kind=KIND_SMOOTHED, dim=len(a), alpha=a, order=int(order))
+        return cls(kind=KIND_SMOOTHED, dim=len(a), alpha=a, order=order)
 
     # -- support geometry ------------------------------------------------
 
@@ -140,8 +147,6 @@ class AdmissibleFn(_Value):
         a = self.alpha[axis]
         if self.kind == KIND_CHARACTERISTIC or a == 0:
             return (-HALF, HALF)
-        if self.kind == KIND_LINEAR:
-            return tuple(sorted({-HALF - a, -HALF + a, HALF - a, HALF + a}))
         r = self.order
         step = 2 * a / r
         knots = {s * HALF + (Fraction(j) - Fraction(r, 2)) * step
@@ -155,19 +160,9 @@ class AdmissibleFn(_Value):
         a = self.alpha[axis]
         if self.kind == KIND_CHARACTERISTIC:
             return 1 if -HALF <= t < HALF else 0
-        at = -t if t < 0 else t
-        if a == 0:
-            if at < HALF:
-                return 1
-            if at == HALF:
-                return HALF
-            return 0
-        if self.kind == KIND_LINEAR:
-            if at <= HALF - a:
-                return 1
-            if at >= HALF + a:
-                return 0
-            return (HALF + a - at) / (2 * a)
+        if a == 0:  # the modified Dirichlet limit
+            at = abs(t)
+            return 1 if at < HALF else HALF if at == HALF else 0
         return _smoothed_axis(a, self.order, t)
 
     def __call__(self, x: Sequence):
@@ -205,8 +200,6 @@ class AdmissibleFn(_Value):
             return 1
         if p == 0:
             return 2
-        if self.kind == KIND_LINEAR:
-            return 4 * p * q
         return math.factorial(r) * (4 * p * q) ** r
 
     def support_reach(self, q: int) -> list[int]:
@@ -226,9 +219,10 @@ class AdmissibleFn(_Value):
 
     def _axis_exact(self, axis: int, n: np.ndarray, q: int) -> np.ndarray:
         """One axis factor at ``n / q``: the numerators over
-        :meth:`_axis_denominator`."""
+        :meth:`_axis_denominator`.  A smoothed window is even with ramps that do not
+        overlap (``p / s <= 1/2``): ``F(r s (1/2 - |t|) / (2 p))``, ``F`` the B-spline CDF."""
         (p, s), r = self._ramps[axis], self.order
-        # bounds 2|n| + q, the ramp numerator and each U of the B-spline sum
+        # bounds 2|n| + q and each term of the B-spline sum
         bound = r * s * (2 * _absmax(n) + q) + 2 * r * p * q
         if 2 ** (r + 1) * bound ** r >= _INT64_SAFE:
             n = n.astype(object)
@@ -237,15 +231,17 @@ class AdmissibleFn(_Value):
         if p == 0:
             twice = 2 * np.abs(n)
             return (twice < q).astype(np.int64) + (twice <= q)
-        if self.kind == KIND_LINEAR:
-            return np.minimum(np.maximum((s + 2 * p) * q - 2 * s * np.abs(n), 0),
-                              self._axis_denominator(axis, q))
-        plus, minus = r * s * (2 * n + q), r * s * (2 * n - q)
-        acc = 0
+        w = 2 * r * s * np.abs(n)
         for j in range(r + 1):
-            t = 2 * (r - 2 * j) * p * q
-            acc = acc + (-1) ** j * math.comb(r, j) * (np.maximum(plus + t, 0) ** r
-                                                       - np.maximum(minus + t, 0) ** r)
+            base = (r * s + 2 * (r - 2 * j) * p) * q - w
+            np.maximum(base, 0, out=base)
+            # base ** r by square-and-multiply: numpy's int64 power is slow even at r = 1
+            t = base
+            for bit in bin(r)[3:]:
+                t = t * t * base if bit == "1" else t * t
+            if 0 < j < r:
+                t *= math.comb(r, j)
+            acc = t if j == 0 else acc - t if j % 2 else acc + t
         return acc
 
 
@@ -393,8 +389,8 @@ def check_partition_of_unity(g: AdmissibleFn, n_samples: int = 10_000,
 # -- config grammar ----------------------------------------------------------
 
 _CALL_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(\s*(.*?)\s*\))?\s*$", re.S)
-# keywords each window kind takes
-_KEYWORDS = {KIND_CHARACTERISTIC: (), KIND_LINEAR: ("alpha",), KIND_SMOOTHED: ("p", "order")}
+# keywords each descriptor takes; tensor_linear builds an order-1 tensor_smoothed window
+_KEYWORDS = {KIND_CHARACTERISTIC: (), "tensor_linear": ("alpha",), KIND_SMOOTHED: ("p", "order")}
 
 
 def parse_admissible(text: str, dim: int) -> AdmissibleFn:
@@ -421,7 +417,7 @@ def parse_admissible(text: str, dim: int) -> AdmissibleFn:
             args[key] = val
     if kind == KIND_CHARACTERISTIC:
         return AdmissibleFn.characteristic(dim)
-    if kind == KIND_LINEAR:
+    if kind == "tensor_linear":
         return AdmissibleFn.tensor_linear(_rational_list(args.get("alpha", "0"), dim))
     return AdmissibleFn.tensor_smoothed(
         _rational_list(args.get("p", "0"), dim), order=_literal(int, args.get("order", "2")))

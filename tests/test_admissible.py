@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from vpwave import admissible, intlat
 from vpwave.admissible import (
     KIND_CHARACTERISTIC,
+    KIND_SMOOTHED,
+    MAX_ORDER,
     AdmissibleFn,
     _shift_ranges,
     check_partition_of_unity,
@@ -16,8 +18,9 @@ from vpwave.admissible import (
     periodized_sum,
     periodized_sum_exact,
 )
+from vpwave.dlvp import scaling_spectrum
 from vpwave.errors import DimensionMismatch, InvalidParameter, VpwaveError
-from vpwave.intlat import J_D, J_X, J_Y, IntMat, apply_rows
+from vpwave.intlat import J_D, J_X, J_Y, IntMat, apply_rows, chain
 
 F = Fraction
 
@@ -60,11 +63,21 @@ def test_modified_dirichlet_limit():
     assert g((F(3, 5),)) == 0
 
 
-def test_smoothed_reduces_to_linear_at_order_one():
-    lin = AdmissibleFn.tensor_linear([F(1, 12)])
-    smo = AdmissibleFn.tensor_smoothed([F(1, 12)], order=1)
-    for t in (F(0), F(2, 5), F(5, 12), F(1, 2), F(7, 12), F(3, 5), F(-13, 24)):
-        assert smo((t,)) == lin((t,))
+def assert_same_window(a, b):
+    """Equal windows, with one hash and one cached spectrum."""
+    c = chain(IntMat.diagonal([4] * a.dim), [IntMat.diagonal([2] + [1] * (a.dim - 1))])
+    assert a == b and hash(a) == hash(b)
+    assert scaling_spectrum(c, 1, a) is scaling_spectrum(c, 1, b)
+
+
+def test_linear_is_the_order_one_smoothed_window():
+    for a in ([F(1, 12)], [F(0), F(1, 10)]):
+        assert_same_window(AdmissibleFn.tensor_linear(a), AdmissibleFn.tensor_smoothed(a, order=1))
+    # only the linear constructor takes the Fejer halfwidth 1/2, where the ramps meet
+    fejer = AdmissibleFn.tensor_linear([F(1, 2)])
+    assert (fejer.kind, fejer.order) == (KIND_SMOOTHED, 1)
+    with pytest.raises(InvalidParameter):
+        AdmissibleFn.tensor_smoothed([F(1, 2)], order=2)
 
 
 def test_smoothed_plateau_and_support():
@@ -187,7 +200,7 @@ def test_linear_has_kink():
 
 def test_parse_admissible():
     g = parse_admissible("tensor_linear(alpha = [0.1, 0.1])", 2)
-    assert g.kind == "tensor_linear"
+    assert_same_window(g, AdmissibleFn.tensor_smoothed([F(1, 10)] * 2, order=1))
     assert g.alpha == (F(1, 10), F(1, 10))
     g = parse_admissible("tensor_linear(alpha = 1/8)", 3)
     assert g.alpha == (F(1, 8),) * 3
@@ -259,21 +272,30 @@ def test_window_dimension_must_be_a_positive_integer(build):
         build()
 
 
-@pytest.mark.parametrize("build", [
-    lambda: AdmissibleFn.characteristic(1.0),
-    lambda: AdmissibleFn.characteristic("2"),
-    lambda: AdmissibleFn.tensor_linear(0.1),
-    lambda: AdmissibleFn.tensor_smoothed(F(1, 10)),
-    lambda: AdmissibleFn.tensor_smoothed([0.1], order="2"),
-    lambda: AdmissibleFn.tensor_smoothed([0.1], order=float("nan")),
-    lambda: AdmissibleFn.tensor_smoothed([0.1], order=float("inf")),
-    lambda: AdmissibleFn.tensor_smoothed([0.1], order=2.5),
+@pytest.mark.parametrize("build, error", [
+    (lambda: AdmissibleFn.characteristic(1.0), InvalidParameter),
+    (lambda: AdmissibleFn.characteristic("2"), InvalidParameter),
+    (lambda: AdmissibleFn.tensor_linear(0.1), InvalidParameter),
+    (lambda: AdmissibleFn.tensor_smoothed(F(1, 10)), InvalidParameter),
+    (lambda: AdmissibleFn.tensor_smoothed([0.1], order="2"), InvalidParameter),
+    (lambda: AdmissibleFn.tensor_smoothed([0.1], order=float("nan")), InvalidParameter),
+    (lambda: AdmissibleFn.tensor_smoothed([0.1], order=float("inf")), InvalidParameter),
+    (lambda: AdmissibleFn.tensor_smoothed([0.1], order=2.5), InvalidParameter),
+    # the public constructor checks what the classmethods check
+    (lambda: AdmissibleFn("bogus", 1, (F(1, 10),)), InvalidParameter),
+    (lambda: AdmissibleFn("tensor_linear", 1, (F(1, 10),)), InvalidParameter),
+    (lambda: AdmissibleFn(KIND_SMOOTHED, 1, (F(3, 5),), 2), InvalidParameter),
+    (lambda: AdmissibleFn(KIND_SMOOTHED, 1, (F(-1, 10),), 2), InvalidParameter),
+    (lambda: AdmissibleFn(KIND_SMOOTHED, 1, (F(1, 10),), 0), InvalidParameter),
+    (lambda: AdmissibleFn(KIND_SMOOTHED, 2, (F(1, 10),), 2), DimensionMismatch),
+    (lambda: AdmissibleFn(KIND_SMOOTHED, 1, (F(1, 10),) * 2, 2), DimensionMismatch),
 ], ids=["characteristic(1.0)", "characteristic('2')", "tensor_linear(0.1)", "tensor_smoothed(1/10)",
-        "order='2'", "order=nan", "order=inf", "order=2.5"])
-def test_window_classmethods_reject_bad_arguments_with_typed_errors(build):
+        "order='2'", "order=nan", "order=inf", "order=2.5", "kind='bogus'", "kind='tensor_linear'",
+        "alpha=3/5", "alpha=-1/10", "order=0", "dim=2,one-alpha", "dim=1,two-alphas"])
+def test_window_classmethods_reject_bad_arguments_with_typed_errors(build, error):
     # a wrong type is reported as a bad parameter, not as the TypeError or
     # ValueError of whatever operation first trips on it
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(error):
         build()
 
 
@@ -302,6 +324,13 @@ def test_rejects_out_of_range_parameters():
         with pytest.raises(InvalidParameter):
             AdmissibleFn.tensor_smoothed([F(1, 8)], order=order)
     assert AdmissibleFn.tensor_smoothed([F(1, 8)], order=2.0).order == 2
+    # the order is bounded before anything is evaluated
+    assert AdmissibleFn.tensor_smoothed([F(1, 8)], order=MAX_ORDER).order == MAX_ORDER
+    first_refused = MAX_ORDER + 1
+    for build in (lambda: AdmissibleFn.tensor_smoothed([F(1, 8)], order=first_refused),
+                  lambda: parse_admissible(f"tensor_smoothed(p = 1/8, order = {first_refused})", 2)):
+        with pytest.raises(InvalidParameter):
+            build()
 
 
 def test_periodized_sum_converts_float_input_exactly():
@@ -397,9 +426,11 @@ def windows(draw, d):
     kind = draw(st.sampled_from(["characteristic", "tensor_linear", "tensor_smoothed"]))
     if kind == "characteristic":
         return AdmissibleFn.characteristic(d)
-    a = draw(st.lists(axis_params, min_size=d, max_size=d))
     if kind == "tensor_linear":
-        return AdmissibleFn.tensor_linear(a)
+        # the Fejer halfwidth 1/2, where the ramps at -1/2 and 1/2 meet
+        return AdmissibleFn.tensor_linear(draw(st.lists(st.one_of(axis_params, st.just(F(1, 2))),
+                                                        min_size=d, max_size=d)))
+    a = draw(st.lists(axis_params, min_size=d, max_size=d))
     return AdmissibleFn.tensor_smoothed(a, order=draw(st.integers(1, 4)))
 
 

@@ -179,5 +179,8 @@ def test_value_reprs_are_constructor_calls():
     assert repr(parse_admissible("tensor_smoothed(p = [1/20, 1/8], order = 3)", 2)) == (
         "AdmissibleFn(kind='tensor_smoothed', dim=2, alpha=(Fraction(1, 20), Fraction(1, 8)), "
         "order=3)")
+    # the linear ramp is the order-1 smoothed window
+    assert repr(AdmissibleFn.tensor_linear([F(1, 10)])) == (
+        "AdmissibleFn(kind='tensor_smoothed', dim=1, alpha=(Fraction(1, 10),), order=1)")
     # a value of another class is never equal, and the comparison is left to it
     assert M.__eq__(M.entries) is NotImplemented and M != M.entries
