@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InexactInput, InvalidParameter, MalformedDescriptor
 from .intlat import (_INT64_SAFE, ENUMERATION_GUARD, IntMat, _absmax, _exact_fraction, _Value,
-                     apply_rows)
+                     apply_rows, smith_normal_form)
 
 HALF = Fraction(1, 2)
 
@@ -92,8 +92,9 @@ class AdmissibleFn(_Value):
     ramp halfwidths (0 for the characteristic window), and ``_ramps`` the
     same as integer pairs ``(p, s)`` with ``alpha = p / s`` in lowest terms.
     Another kind, a ``dim`` that is not an integer >= 1, a halfwidth outside
-    ``[0, 1/2]`` and an order that is not an integer in ``[1, MAX_ORDER]``
-    raise ``InvalidParameter``, ``len(alpha) != dim`` ``DimensionMismatch``.
+    ``[0, 1/2]`` or nonzero for the characteristic kind, and an order that is
+    not an integer in ``[1, MAX_ORDER]`` raise ``InvalidParameter``,
+    ``len(alpha) != dim`` ``DimensionMismatch``.
     Equality compares every field; the hash is cached on the instance."""
 
     _fields = ("kind", "dim", "alpha", "order")
@@ -109,6 +110,8 @@ class AdmissibleFn(_Value):
         # the one-sided B-spline sum of _axis_exact needs ramps that do not overlap
         if any(a < 0 or a > HALF for a in alpha):
             raise InvalidParameter("ramp halfwidths must lie in [0, 1/2]")
+        if kind == KIND_CHARACTERISTIC and any(alpha):
+            raise InvalidParameter("a characteristic window has halfwidths 0")
         self._set(kind=kind, dim=dim, alpha=alpha, order=order,
                   _ramps=tuple((a.numerator, a.denominator) for a in alpha),
                   _hash=hash((kind, dim, alpha, order)))
@@ -145,7 +148,7 @@ class AdmissibleFn(_Value):
     def breakpoints_1d(self, axis: int) -> tuple[Fraction, ...]:
         """Knots of the per-axis piecewise-polynomial structure."""
         a = self.alpha[axis]
-        if self.kind == KIND_CHARACTERISTIC or a == 0:
+        if a == 0:
             return (-HALF, HALF)
         r = self.order
         step = 2 * a / r
@@ -275,17 +278,17 @@ def _shift_ranges(J: IntMat, halfwidths, lo, hi, scale: int = 1) -> list[range]:
     """Per-axis integer ranges holding every ``z`` with ``x + J^T z`` in the
     support box ``[-hw, hw]`` for some ``x`` in the box ``[lo, hi]``
     (``lo = hi`` for one point): ``z = J^{-T} t`` with each ``t_j`` in
-    ``[-hw_j - hi_j, hw_j - lo_j]``, and ``J^{-T} = A^T / q``.  The bounds
-    may be given times ``scale``; integers then keep it free of Fractions."""
+    ``[-hw_j - hi_j, hw_j - lo_j]``, and ``J^{-T} = B / q`` from the Smith form
+    of ``J^T``.  Bounds given times ``scale`` keep it free of Fractions."""
     if not len(halfwidths) == len(lo) == len(hi) == J.dim:
         raise DimensionMismatch("point, window and factor dimensions differ")
-    A, q = J.scaled_adjugate()
+    B, q = smith_normal_form(J.T).scaled_inverse
     t_lo = [-h - u for h, u in zip(halfwidths, hi)]
     t_hi = [h - l for h, l in zip(halfwidths, lo)]
     ranges = []
-    for col in zip(*A.entries):
+    for row in B.entries:
         a = b = 0
-        for c, tl, th in zip(col, t_lo, t_hi):
+        for c, tl, th in zip(row, t_lo, t_hi):
             if c > 0:
                 a, b = a + c * tl, b + c * th
             elif c < 0:

@@ -60,7 +60,8 @@ from .admissible import (AdmissibleFn, exact_floats, exact_product, periodized_s
                          periodized_sum_exact)
 from .errors import DegenerateClass, DimensionMismatch, NotDyadic, TooLarge
 from .intlat import (_INT64_SAFE, ENUMERATION_GUARD, ChainSpec, IntMat, _absmax, _check_level,
-                     _exact_fraction, _exact_ints, _Frozen, generating_set, smith_normal_form)
+                     _exact_fraction, _exact_ints, _Frozen, _image_bound, generating_set,
+                     smith_normal_form)
 
 Vec = tuple[int, ...]
 
@@ -239,10 +240,7 @@ def _frequency_candidates(M: IntMat, hw: Sequence[Fraction]) -> np.ndarray:
     """Integer points of the bounding box of ``M^T [-hw, hw]``, as an
     ``(n, d)`` array in lexicographic order."""
     d = M.dim
-    bounds = []
-    for i in range(d):
-        b = sum(abs(M.entries[j][i]) * hw[j] for j in range(d))
-        bounds.append(int(math.floor(b)))
+    bounds = [math.floor(b) for b in _image_bound(M.T.entries, hw)]
     count = math.prod(2 * b + 1 for b in bounds)
     if count > ENUMERATION_GUARD:
         raise TooLarge(f"refusing to sample the window at {count} > {ENUMERATION_GUARD} frequencies")

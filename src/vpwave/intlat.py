@@ -34,8 +34,9 @@ are not unique: a change to :func:`smith_normal_form` may move both.
 Integer arrays
 --------------
 Matrices hold Python integers; batches of lattice points are ``(n, d)``
-integer arrays, one point per row.  With ``M^{-1} = A / q`` (the scaled
-adjugate, ``q = |det M|``) a batch ``K`` reduces into the box as
+integer arrays, one point per row.  With ``M^{-1} = A / q``, ``q = |det M|``
+(:attr:`SmithDecomposition.scaled_inverse`, the one exact inverse; ``M^{-T}``
+is that of ``M^T``), a batch ``K`` reduces into the box as
 
     K - M floor((2 A K + q) / (2 q))
 
@@ -61,12 +62,12 @@ integers, so int64 never wraps silently.  An enumeration bounds its rows
 from the coefficients and digit ranges the same way, before it allocates.
 
 An ``IntMat`` computes what depends on its entries alone once and keeps
-it on the instance: the hash, the determinant, the transpose, the scaled
-adjugate, and for :func:`apply_rows` the largest ``|entry|`` and the
-transpose as a read-only int64 array.  Input is validated by the one
-constructor, at the public boundary: entries that already are a tuple of
-tuples of Python ints, the form of every matrix the package computes
-(Smith factors, adjugates, transposes, products), are taken as they are.
+it on the instance: the hash, the determinant, the transpose, and for
+:func:`apply_rows` the largest ``|entry|`` and the transpose as a read-only
+int64 array.  Input is validated by the one constructor, at the public
+boundary: entries that already are a tuple of tuples of Python ints, the
+form of every matrix the package computes (Smith factors, inverses,
+transposes, products), are taken as they are.
 """
 
 from __future__ import annotations
@@ -234,34 +235,19 @@ class IntMat(_Value):
 
     def inv_apply(self, v: Sequence) -> FracVec:
         """``M^{-1} v`` exactly (entries of ``v``: ints, Fractions or floats)."""
-        A, q = self.scaled_adjugate()
+        A, q = smith_normal_form(self).scaled_inverse
         return _divide_rows(A.entries, q, v)
 
     def inv_T_apply(self, v: Sequence) -> FracVec:
         """``M^{-T} v`` exactly."""
-        A, q = self.scaled_adjugate()
-        return _divide_rows(A.T.entries, q, v)
+        B, q = smith_normal_form(self.T).scaled_inverse
+        return _divide_rows(B.entries, q, v)
 
     def inv_T_rows(self, K: np.ndarray) -> tuple[np.ndarray, int]:
-        """``M^{-T} k`` for every row ``k`` of the integer array ``K``, exactly:
-        the numerators ``A^T k`` over the denominator ``q`` (``M^{-1} = A / q``)."""
-        A, q = self.scaled_adjugate()
-        return apply_rows(A.T, K), q
-
-    @lru_cache(maxsize=None)
-    def scaled_adjugate(self) -> tuple["IntMat", int]:
-        """``M^{-1} = A / q`` with ``q = |det M|`` and ``A = sign(det M) adj(M)``,
-        from the exact integer cofactors (Bareiss determinants of the minors);
-        cached by matrix value."""
-        sign = 1 if self.require_regular().det > 0 else -1
-        rows = self.to_lists()
-
-        def cofactor(i: int, j: int) -> int:
-            minor = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
-            return (-1) ** (i + j) * _bareiss_det(minor) if minor else 1
-
-        return IntMat(tuple(tuple(sign * cofactor(j, i) for j in range(self.dim))
-                            for i in range(self.dim))), self.absdet
+        """``M^{-T} k`` for every row ``k`` of the integer array ``K``, exactly: the
+        numerators ``B k`` over ``q``, ``(B, q)`` the scaled inverse of ``M^T``."""
+        B, q = smith_normal_form(self.T).scaled_inverse
+        return apply_rows(B, K), q
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
@@ -309,6 +295,16 @@ class SmithDecomposition(_Frozen):
     @property
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.S.entries[i][i] for i in range(self.S.dim))
+
+    @cached_property
+    def scaled_inverse(self) -> tuple[IntMat, int]:
+        """``(A, q)`` with ``q = s_1 ... s_d = |det M|`` and the integer matrix
+        ``A = V^{-1} diag(q / s_k) U^{-1} = q M^{-1}``; the one exact inverse
+        of this package, kept on the decomposition."""
+        diag = self.diagonal
+        q = reduce(operator.mul, diag)
+        scaled = [[v * (q // s) for v, s in zip(row, diag)] for row in self.V_inv.entries]
+        return IntMat(_product(scaled, self.U_inv.entries)), q
 
 
 @lru_cache(maxsize=None)
@@ -425,7 +421,7 @@ def _reduce_box(M: IntMat, K: np.ndarray) -> np.ndarray:
     ``M Z^d``: ``K - M floor(M^{-1} K + 1/2)``, where
     ``floor((2 A k + q) / (2 q))`` equals ``floor((A k + floor(q/2)) / q)``,
     which is what is computed."""
-    A, q = M.scaled_adjugate()
+    A, q = smith_normal_form(M).scaled_inverse
     F = (apply_rows(A, K, addend=q) + q // 2) // q
     return K - apply_rows(M, F, addend=_absmax(K))
 
@@ -505,9 +501,10 @@ class Pattern(_Frozen):
         return self.points[self.index_of(y)]
 
 
-def _row_bound(B: Sequence[Sequence[int]], x: Sequence[int]) -> int:
-    """``max_j sum_k |B[j][k]| x_k``, a bound on ``|(B y)_j|`` for ``|y_k| <= x_k``."""
-    return max(sum(abs(b) * v for b, v in zip(row, x)) for row in B)
+def _image_bound(B: Sequence[Sequence[int]], x: Sequence) -> list:
+    """Per row ``j``, ``sum_k |B[j][k]| x_k``: a bound on ``|(B y)_j|`` for
+    every ``y`` with ``|y_k| <= x_k`` (``x`` of ints or Fractions)."""
+    return [sum(abs(b) * v for b, v in zip(row, x)) for row in B]
 
 
 def _grid_rows(B: Sequence[Sequence[int]], diag: Vec, addend: int, bound: int) -> list:
@@ -531,9 +528,9 @@ def generating_set(M: IntMat) -> GeneratingSet:
     diag, d = snf.diagonal, M.dim
     A = [[v * (m // s) for v, s in zip(row, diag)] for row in snf.V_inv.entries]
     top = [s - 1 for s in diag]
-    bound_F = (_row_bound(A, top) + m // 2) // m + 1
-    bound_R = _row_bound(snf.U.entries, top) + _row_bound(M.entries, [bound_F] * d)
-    bound = max(bound_F * m, _row_bound(snf.U_inv.entries, [bound_R] * d) + m)
+    bound_F = (max(_image_bound(A, top)) + m // 2) // m + 1
+    bound_R = max(_image_bound(snf.U.entries, top)) + max(_image_bound(M.entries, [bound_F] * d))
+    bound = max(bound_F * m, max(_image_bound(snf.U_inv.entries, [bound_R] * d)) + m)
     F = [f // m for f in _grid_rows(A, diag, m // 2, bound)]
     R = [r - sum(b * f for b, f in zip(row, F) if b)
          for r, row in zip(_grid_rows(snf.U.entries, diag, 0, bound), M.entries)]
@@ -559,7 +556,7 @@ def pattern(M: IntMat) -> Pattern:
     snf = smith_normal_form(M.T)
     diag = snf.diagonal
     B = [[v * (q // s) for v, s in zip(col, diag)] for col in zip(*snf.U_inv.entries)]
-    bound = _row_bound(B, [s - 1 for s in diag]) + 2 * q
+    bound = max(_image_bound(B, [s - 1 for s in diag])) + 2 * q
     N = np.stack([n - (n // q * q + q // 2) for n in _grid_rows(B, diag, q // 2, bound)], axis=1)
     N.flags.writeable = False
     return Pattern(matrix=M, numerators=N, denominator=q)

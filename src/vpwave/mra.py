@@ -37,6 +37,7 @@ from .intlat import (
     J_D,
     _check_level,
     _Frozen,
+    _image_bound,
     _reduce_box,
     generating_set,
 )
@@ -188,7 +189,7 @@ def _reduction_sides(g: AdmissibleFn, J: IntMat, mode: str):
     def box_through(*mats):
         b = list(g.support_halfwidths)
         for A in mats:
-            b = [sum(abs(a) * v for a, v in zip(row, b)) for row in A.entries]
+            b = _image_bound(A.entries, b)
         return b
 
     def periodized(M, X, q):

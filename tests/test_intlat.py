@@ -402,12 +402,12 @@ def regular_matrices(draw, max_det=2048, max_dim=3):
 @settings(max_examples=80, deadline=None)
 @given(M=regular_matrices(max_dim=4))
 def test_smith_inverses_come_from_the_elimination(M):
-    # U^{-1} and V^{-1} are carried through the elimination; the oracle is the
-    # cofactor adjugate, which for |det| = 1 is the inverse
+    # U^{-1} and V^{-1} are carried through the elimination; the oracle is
+    # Gauss-Jordan elimination on Fractions, which for |det| = 1 gives the inverse
     dec = smith_normal_form(M)
     assert dec.U @ dec.U_inv == IntMat.identity(M.dim) == dec.V_inv @ dec.V
-    assert dec.U.scaled_adjugate() == (dec.U_inv, 1)
-    assert dec.V.scaled_adjugate() == (dec.V_inv, 1)
+    assert [list(r) for r in dec.U_inv.entries] == gauss_jordan_adjugate(dec.U)
+    assert [list(r) for r in dec.V_inv.entries] == gauss_jordan_adjugate(dec.V)
 
 
 # The m = 256 naive-DFT matrices of the lattice_fft benchmark workload, one per
@@ -520,11 +520,11 @@ def test_pattern_lookups_match_fraction_oracle(M, data):
 
 def oracle_class_index(M, k):
     """Mixed-radix value of the Smith digits ``U^{-1} k mod diag(S)``, in
-    Python integers, one vector at a time."""
+    Python integers, one vector at a time; ``U^{-1}`` by Gauss-Jordan
+    elimination, not from the ``U_inv`` that ``class_index`` reads."""
     snf = smith_normal_form(M)
-    U_inv, _ = snf.U.scaled_adjugate()
     i = 0
-    for row, s in zip(U_inv.entries, snf.diagonal):
+    for row, s in zip(gauss_jordan_adjugate(snf.U), snf.diagonal):
         i = i * s + sum(a * b for a, b in zip(row, k)) % s
     return i
 
@@ -654,22 +654,22 @@ def gauss_jordan_adjugate(M):
 
 @settings(max_examples=120, deadline=None)
 @given(d=st.integers(1, 4), bound=st.sampled_from([3, 1000, 2 ** 40]), data=st.data())
-def test_scaled_adjugate_matches_fraction_oracle(d, bound, data):
-    # entries up to 2^40 give cofactors past 2^62 (d >= 3) and determinants of
-    # either sign
+def test_scaled_inverse_matches_fraction_oracle(d, bound, data):
+    # entries up to 2^40 give inverse entries past 2^62 (d >= 3) and
+    # determinants of either sign
     rows = data.draw(st.lists(st.lists(st.integers(-bound, bound), min_size=d, max_size=d),
                               min_size=d, max_size=d))
     M = IntMat.from_rows(rows)
     assume(M.det != 0)
-    A, q = M.scaled_adjugate()
+    A, q = smith_normal_form(M).scaled_inverse
     assert q == M.absdet
     assert [list(r) for r in A.entries] == gauss_jordan_adjugate(M)
     assert M @ A == IntMat.diagonal([q] * d)
 
 
-def test_scaled_adjugate_of_negative_determinants():
+def test_scaled_inverse_of_negative_determinants():
     for rows in ([[-3]], [[0, 1], [1, 0]], [[2, 2 ** 33], [3, -5]], [[1, 2, 3], [0, 4, 5], [7, 0, 1]]):
         M = IntMat.from_rows(rows)
-        A, q = M.scaled_adjugate()
+        A, q = smith_normal_form(M).scaled_inverse
         assert M.det < 0 and q == -M.det
         assert M @ A == IntMat.diagonal([q] * M.dim) == A @ M

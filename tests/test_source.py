@@ -83,27 +83,59 @@ def test_no_scalar_class_lookup_in_spectral_layer():
     assert not found, f"scalar index_of calls in the spectral layer: {found}"
 
 
+def _functions(tree):
+    """``(qualified name, node)`` of each top-level function and method."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            yield top.name, top
+        elif isinstance(top, ast.ClassDef):
+            yield from ((f"{top.name}.{f.name}", f) for f in top.body
+                        if isinstance(f, ast.FunctionDef))
+
+
 def test_enumerations_invert_no_smith_factor():
-    # the Smith inverses come from the elimination: the enumerations and the
-    # wavelet shifts read U_inv/V_inv and run no cofactor adjugate, and the
-    # enumerations sum contiguous rows over the digit grid, with no (n, d)
-    # array product
-    banned = {"scaled_adjugate", "unimodular_inverse"}
-    wanted = {"intlat.py": {"generating_set": banned | {"apply_rows"},
-                            "pattern": banned | {"apply_rows"}},
-              "dlvp.py": {"wavelet_shift_vectors": banned}}
-    found, seen = [], set()
-    for name, functions in wanted.items():
-        for top in ast.parse((SRC / name).read_text(), filename=name).body:
-            if not isinstance(top, ast.FunctionDef) or top.name not in functions:
-                continue
-            seen.add(top.name)
-            found += [f"{name}:{node.lineno} {top.name} calls {called}"
-                      for node in ast.walk(top) if isinstance(node, ast.Call)
-                      for called in [getattr(node.func, "id", getattr(node.func, "attr", None))]
-                      if called in functions[top.name]]
+    # the one exact inverse is SmithDecomposition.scaled_inverse: no cofactor
+    # adjugate is left, and the one determinant, IntMat.det, never runs on
+    # minors.  The enumerations and the wavelet shifts read U_inv/V_inv and
+    # invert nothing, and the enumerations sum contiguous rows over the digit
+    # grid, with no (n, d) array product
+    inverses = {"scaled_inverse", "inv_apply", "inv_T_apply", "inv_T_rows"}
+    wanted = {"intlat.py": {"generating_set": inverses | {"apply_rows"},
+                            "pattern": inverses | {"apply_rows"}},
+              "dlvp.py": {"wavelet_shift_vectors": inverses}}
+    found, seen, det_callers = [], set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno} names {name}" for node in ast.walk(tree)
+                  for name in [getattr(node, "name", getattr(node, "id", getattr(node, "attr", "")))]
+                  if isinstance(name, str) and ("adjugate" in name or "cofactor" in name)]
+        for qualname, function in _functions(tree):
+            # every name read, called or not: scaled_inverse is a property
+            used = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(function)}
+            if "_bareiss_det" in used:
+                det_callers.append(qualname)
+            banned = wanted.get(path.name, {}).get(qualname)
+            if banned is not None:
+                seen.add(qualname)
+                found += [f"{path.name} {qualname} reads {name}" for name in sorted(used & banned)]
     assert seen == {"generating_set", "pattern", "wavelet_shift_vectors"}
-    assert not found, f"Smith factors inverted or rows multiplied in the enumerations: {found}"
+    assert det_callers == ["IntMat.det"], f"Bareiss determinants outside IntMat.det: {det_callers}"
+    assert not found, f"cofactors, inverses or row products where none belong: {found}"
+
+
+def test_no_method_caches():
+    # an lru_cache on a method is keyed by self and keeps every instance it
+    # has seen alive for the life of the process; a value that depends on one
+    # instance is a cached_property on it
+    found = [f"{path.name}:{node.lineno} {cls.name}.{node.name}"
+             for path in sorted(SRC.glob("*.py"))
+             for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(cls, ast.ClassDef)
+             for node in ast.walk(cls) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for dec in node.decorator_list
+             for target in [dec.func if isinstance(dec, ast.Call) else dec]
+             if getattr(target, "id", getattr(target, "attr", None)) in {"lru_cache", "cache"}]
+    assert not found, f"lru_cache on methods in src/vpwave: {found}"
 
 
 def test_no_scalar_periodization_in_spectral_layer():
