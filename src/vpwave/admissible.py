@@ -93,7 +93,8 @@ class AdmissibleFn(_Value):
     same as integer pairs ``(p, s)`` with ``alpha = p / s`` in lowest terms.
     Another kind, a ``dim`` that is not an integer >= 1, a halfwidth outside
     ``[0, 1/2]`` or nonzero for the characteristic kind, and an order that is
-    not an integer in ``[1, MAX_ORDER]`` raise ``InvalidParameter``,
+    not an integer in ``[1, MAX_ORDER]``, or not 1 for the characteristic
+    kind, raise ``InvalidParameter``,
     ``len(alpha) != dim`` ``DimensionMismatch``.
     Equality compares every field; the hash is cached on the instance."""
 
@@ -112,6 +113,8 @@ class AdmissibleFn(_Value):
             raise InvalidParameter("ramp halfwidths must lie in [0, 1/2]")
         if kind == KIND_CHARACTERISTIC and any(alpha):
             raise InvalidParameter("a characteristic window has halfwidths 0")
+        if kind == KIND_CHARACTERISTIC and order != 1:
+            raise InvalidParameter("a characteristic window has order 1")
         self._set(kind=kind, dim=dim, alpha=alpha, order=order,
                   _ramps=tuple((a.numerator, a.denominator) for a in alpha),
                   _hash=hash((kind, dim, alpha, order)))

@@ -416,14 +416,16 @@ def _integer_row(k: Sequence) -> np.ndarray:
     return np.array([_exact_ints(k)], dtype=object)
 
 
-def _reduce_box(M: IntMat, K: np.ndarray) -> np.ndarray:
-    """Representatives in ``M [-1/2,1/2)^d`` of the rows of ``K`` modulo
-    ``M Z^d``: ``K - M floor(M^{-1} K + 1/2)``, where
-    ``floor((2 A k + q) / (2 q))`` equals ``floor((A k + floor(q/2)) / q)``,
-    which is what is computed."""
-    A, q = smith_normal_form(M).scaled_inverse
-    F = (apply_rows(A, K, addend=q) + q // 2) // q
-    return K - apply_rows(M, F, addend=_absmax(K))
+def _reduce_box(M: IntMat, K: np.ndarray, q: int = 1) -> np.ndarray:
+    """Representatives in ``q M [-1/2,1/2)^d`` of the rows of ``K`` modulo
+    ``q M Z^d``: ``K - q M floor(M^{-1} K / q + 1/2)``.  With ``A = p M^{-1}``
+    from the Smith form of ``M``, ``floor((2 A k + pq) / (2 pq))`` equals
+    ``floor((A k + floor(pq/2)) / (pq))``, which is what is computed; ``q M``
+    itself is never formed or decomposed."""
+    A, p = smith_normal_form(M).scaled_inverse
+    pq = p * q
+    F = (apply_rows(A, K, addend=pq) + pq // 2) // pq
+    return K - apply_rows(M, q * F, addend=_absmax(K))
 
 
 class GeneratingSet(_Frozen):

@@ -21,10 +21,15 @@ axes.  An axis of length ``s <= _DENSE_AXIS`` is one BLAS product with a
 dense ``s x s`` DFT factor, cheaper at these lengths than a pocketfft
 call; a longer axis is a pocketfft ``fft``/``ifft``, run in place once the
 transform owns the array, so the caller's values are never written.  The
-``m <= _DENSE_PATTERN`` products and the last-axis dense step call
-``ndarray.dot``, which goes to BLAS without the dispatch of the ``@``
-(matmul) ufunc: at m = 64 that dispatch is about 0.5 us of a 2.5 us
-transform.
+one axis of a cyclic pattern with ``s > _LONG_AXIS`` is split as
+``s = a b`` when ``s`` has a divisor ``b`` in ``[sqrt(s)/8, sqrt(s)/2]``
+(Bailey's four-step FFT): pocketfft passes along ``a`` and along ``b``
+with a twiddle multiply between them, then one transposed copy that puts
+the frequencies back in digit order, so the layout of both vectors does
+not depend on the route.  The ``m <= _DENSE_PATTERN`` products and the
+last-axis dense step call ``ndarray.dot``, which goes to BLAS without the
+dispatch of the ``@`` (matmul) ufunc: at m = 64 that dispatch is about
+0.5 us of a 2.5 us transform.
 
 The public ``PatternVector``/``SpectrumVector`` constructors convert their
 values to complex and check the length.  :func:`dft_fast` and :func:`idft`
@@ -59,6 +64,13 @@ _DENSE_PATTERN = 128
 # BLAS, the product is faster up to s = 16 at every m up to 2^14, pocketfft
 # from s = 32 at 2^14; at m = 1024 the product still wins at s = 32.
 _DENSE_AXIS = 16
+# A cyclic pattern (one non-unit Smith axis, so one lane) of length
+# s > _LONG_AXIS runs as a four-step split s = a b (:func:`_split`).  Timed
+# warm as a forward plus inverse step: on one lane pocketfft wins up to
+# s = 4096 and the split from s = 8192; beside a second lane the split ties
+# at s = 8192, and beside four it loses at every s up to 32768, so only a
+# lone lane splits (CHANGES.md has the table).
+_LONG_AXIS = 4096
 
 
 class _IndexedValues(_Frozen):
@@ -158,40 +170,85 @@ def _dense_plan(M: IntMat) -> tuple[np.ndarray, np.ndarray]:
     return F, F_inv
 
 
+def _split(s: int) -> tuple[int, int] | None:
+    """The factors ``(a, b)`` of a four-step split of a cyclic axis:
+    ``s = a b`` with ``b`` the largest divisor of ``s`` with ``4 b^2 <= s``
+    (256 x 64 at s = 16384, the fastest of 128 x 128, 256 x 64 and
+    512 x 32); ``None`` when ``b = 1`` (a prime ``s``) or ``a > 64 b``, as
+    passes that uneven would not pay for the twiddle multiply and the copy."""
+    b = max((d for d in range(1, math.isqrt(s // 4) + 1) if s % d == 0), default=1)
+    return (s // b, b) if 1 < b and s <= 64 * b * b else None
+
+
+def _twiddles(s: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The twiddles ``exp(-2 pi i k n / s)``, ``k < a``, ``n < b``, of a split
+    and their conjugates, read-only with shape ``(a, b, 1)``.  As
+    ``k n < s``, they are gathered from a table of the ``s`` roots of unity
+    that is the outer product of two short ones, of the roots ``j r`` and
+    ``j`` for ``r = isqrt(s)``: no ``exp`` runs over all ``s`` entries."""
+    r = math.isqrt(s)
+    coarse = np.exp((-2j * np.pi * r / s) * np.arange(-(-s // r)))
+    fine = np.exp((-2j * np.pi / s) * np.arange(r))
+    tw = np.multiply.outer(coarse, fine).reshape(-1)[np.outer(np.arange(a), np.arange(b))]
+    tw = tw.reshape(a, b, 1)
+    tw_inv = tw.conj()
+    tw.flags.writeable = tw_inv.flags.writeable = False
+    return tw, tw_inv
+
+
 @lru_cache(maxsize=None)
 def _axis_plan(M: IntMat) -> tuple:
     """Steps over the non-unit Smith axes of a pattern with
-    ``m > _DENSE_PATTERN``.  A step is ``(view, factors)``: the view of the
-    cube that puts the axis in the middle, ``(lead, s, trail)``, or
-    ``(lead, s)`` for the last axis, and for ``s <= _DENSE_AXIS`` the pair
-    from :func:`_dense_factors` (a dense step), else ``None`` (an FFT step
-    along axis 1)."""
+    ``m > _DENSE_PATTERN``.  A step is ``(view, tables)``:
+    - a dense step, ``s <= _DENSE_AXIS``: the view ``(lead, s, trail)``, or
+      ``(lead, s)`` for the last axis, that puts the axis in the middle, and
+      the pair from :func:`_dense_factors`;
+    - a split step, for a lone lane (``lead = trail = 1``) with
+      ``s > _LONG_AXIS`` and a split ``s = a b`` from :func:`_split`: the
+      view ``(lead, a, b, trail)`` and the pair from :func:`_twiddles`;
+    - else an FFT step along axis 1 of the view, with ``None``.
+    A split step's index ``n = n_1 b + n_2`` and frequency
+    ``k = k_1 + a k_2`` give ``exp(-2 pi i k n / s)`` as the product of
+    ``exp(-2 pi i k_1 n_1 / a)``, the twiddle ``exp(-2 pi i k_1 n_2 / s)``
+    and ``exp(-2 pi i k_2 n_2 / b)`` (Bailey's four-step FFT)."""
     shape = [s for s in smith_normal_form(M).diagonal if s > 1]
     steps, lead = [], 1
     for i, s in enumerate(shape):
         trail = math.prod(shape[i + 1:])
-        view = (lead, s, trail) if trail > 1 else (lead, s)
-        steps.append((view, _dense_factors(s) if s <= _DENSE_AXIS else None))
+        if lead * trail == 1 and s > _LONG_AXIS and (split := _split(s)):
+            steps.append(((lead, *split, trail), _twiddles(s, *split)))
+        else:
+            view = (lead, s, trail) if trail > 1 else (lead, s)
+            steps.append((view, _dense_factors(s) if s <= _DENSE_AXIS else None))
         lead *= s
     return tuple(steps)
 
 
 def _transform(steps: tuple, x: np.ndarray, inverse: bool) -> np.ndarray:
-    """Run the plan's steps on the flat cube ``x``, which is never written:
-    each step leaves a fresh array, which the FFT step after it transforms
-    in place.  Only an FFT step touches ``np.fft``, whose first use imports
-    it.  A dense step on the last axis is ``cube.dot(F)``, without the
+    """Run the plan's steps on the flat cube ``x``, which is never written.
+    A dense step, and the closing copy of a split step, leave a fresh array;
+    an FFT step, and the first pass of a split step, write one only while
+    ``x`` is the caller's and run in place once the transform owns it.  Only
+    the FFT and split steps touch ``np.fft``, whose first use imports it.
+    A dense step on the last axis is ``cube.dot(F)``, without the
     matmul-ufunc dispatch of ``@``; any other axis is the batched
-    ``F @ cube``."""
-    for n, (view, factors) in enumerate(steps):
+    ``F @ cube``.  A split step runs four passes on
+    ``(lead, a, b, trail)``: an FFT along ``a``, the twiddle multiply and an
+    FFT along ``b``, both in place, and one transposed copy into
+    ``(lead, b, a, trail)``, which puts the frequencies ``k_1 + a k_2`` back
+    in C order."""
+    for n, (view, tables) in enumerate(steps):
         cube = x.reshape(view)
-        if factors is None:
+        if tables is None or len(view) == 4:
             fft = np.fft.ifft if inverse else np.fft.fft
             x = fft(cube, axis=1, out=cube if n else None)
+            if tables is not None:
+                x *= tables[inverse]
+                x = fft(x, axis=2, out=x).swapaxes(1, 2).copy()
         elif len(view) == 2:
-            x = cube.dot(factors[inverse])
+            x = cube.dot(tables[inverse])
         else:
-            x = factors[inverse] @ cube
+            x = tables[inverse] @ cube
     return x.reshape(-1)
 
 

@@ -195,8 +195,7 @@ def _reduction_sides(g: AdmissibleFn, J: IntMat, mode: str):
     def periodized(M, X, q):
         # g^M is M^T Z^d-periodic, so the rows are first reduced into
         # q M^T [-1/2, 1/2)^d: few shifts reach that box, many the whole grid
-        qMT = IntMat(tuple(tuple(q * v for v in row) for row in M.T.entries))
-        return periodized_sum_exact(g, M, _reduce_box(qMT, X), q)
+        return periodized_sum_exact(g, M, _reduce_box(M.T, X, q), q)
 
     N, q = _grid_numerators(g, box_through(J.T) if mode == "single" else box_through(J_D.T, J.T))
     Y, qy = J.inv_T_rows(N)

@@ -292,10 +292,14 @@ def test_window_dimension_must_be_a_positive_integer(build):
     # the same function as characteristic(2), with a wider support box
     (lambda: AdmissibleFn(KIND_CHARACTERISTIC, 2, (F(1, 4), F(1, 4))), InvalidParameter),
     (lambda: AdmissibleFn(KIND_CHARACTERISTIC, 2, (F(0), F(1, 4))), InvalidParameter),
+    # the same function as characteristic(2), but unequal to it and slower
+    (lambda: AdmissibleFn(KIND_CHARACTERISTIC, 2, (F(0), F(0)), order=40), InvalidParameter),
+    (lambda: AdmissibleFn(KIND_CHARACTERISTIC, 1, (F(0),), 2), InvalidParameter),
 ], ids=["characteristic(1.0)", "characteristic('2')", "tensor_linear(0.1)", "tensor_smoothed(1/10)",
         "order='2'", "order=nan", "order=inf", "order=2.5", "kind='bogus'", "kind='tensor_linear'",
         "alpha=3/5", "alpha=-1/10", "order=0", "dim=2,one-alpha", "dim=1,two-alphas",
-        "characteristic,alpha=1/4", "characteristic,alpha=(0,1/4)"])
+        "characteristic,alpha=1/4", "characteristic,alpha=(0,1/4)", "characteristic,order=40",
+        "characteristic,order=2"])
 def test_window_classmethods_reject_bad_arguments_with_typed_errors(build, error):
     # a wrong type is reported as a bad parameter, not as the TypeError or
     # ValueError of whatever operation first trips on it

@@ -16,6 +16,7 @@ from vpwave.intlat import (
     J_X,
     J_Y,
     IntMat,
+    _reduce_box,
     apply_rows,
     axis_doubling,
     chain,
@@ -673,3 +674,28 @@ def test_scaled_inverse_of_negative_determinants():
         A, q = smith_normal_form(M).scaled_inverse
         assert M.det < 0 and q == -M.det
         assert M @ A == IntMat.diagonal([q] * M.dim) == A @ M
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), data=st.data(), q=st.sampled_from([1, 2, 3, 7, 1024, 2 ** 40]))
+def test_reduce_box_over_a_denominator(d, data, q):
+    # reducing modulo q M reads the Smith form of M alone; the residues are
+    # those of the scaled matrix q M, and lie in its box q M [-1/2, 1/2)^d
+    rows = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=d, max_size=d),
+                              min_size=d, max_size=d))
+    M = IntMat.from_rows(rows)
+    assume(M.det != 0)
+    big = data.draw(st.booleans())
+    bound = 2 ** 70 if big else 10 ** 6
+    K = np.array(data.draw(st.lists(st.lists(st.integers(-bound, bound), min_size=d, max_size=d),
+                                    min_size=1, max_size=6)), dtype=object if big else np.int64)
+    qM = IntMat(tuple(tuple(q * v for v in row) for row in M.entries))
+    R = _reduce_box(M, K, q)
+    assert R.tolist() == _reduce_box(qM, K).tolist()
+    A, p = smith_normal_form(M).scaled_inverse
+    for k, r in zip(K.tolist(), R.tolist()):
+        # (q M)^{-1} (k - r) is integral, (q M)^{-1} r in [-1/2, 1/2)^d
+        diff = [sum(a * (x - y) for a, x, y in zip(row, k, r)) for row in A.entries]
+        assert all(v % (p * q) == 0 for v in diff)
+        assert all(-Fraction(1, 2) <= Fraction(sum(a * y for a, y in zip(row, r)), p * q) < Fraction(1, 2)
+                   for row in A.entries)

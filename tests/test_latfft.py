@@ -3,21 +3,26 @@ import random
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from vpwave import tol
+from vpwave import latfft, tol
 from vpwave.errors import IndexMismatch, TooLarge
 from vpwave.intlat import IntMat, apply_rows, generating_set, pattern, smith_normal_form
 from vpwave.latfft import (
     _DENSE_AXIS,
     _DENSE_PATTERN,
+    _LONG_AXIS,
     _axis_plan,
     _dense_plan,
     _phase_table,
+    _split,
+    _transform,
+    _twiddles,
     FOURIER_MATRIX_GUARD,
     PatternVector,
     SpectrumVector,
@@ -215,22 +220,28 @@ def test_public_constructors_convert_to_complex():
 
 
 def _plan_arrays(M):
+    """The read-only tables of the plan of ``M``: the dense matrices, the
+    dense axis factors and the split twiddles."""
     if M.absdet <= _DENSE_PATTERN:
         return list(_dense_plan(M))
-    return [F for _, factors in _axis_plan(M) if factors is not None for F in factors]
+    return [T for _, tables in _axis_plan(M) if tables is not None for T in tables]
 
 
-# one dense product at m = 1, 64 and the bound 128; per-axis steps above it
+# one dense product at m = 1, 64 and the bound 128; per-axis steps above it,
+# the last a split step
 @pytest.mark.parametrize("rows", [[[1]], [[0, 8], [-8, 0]], [[1, 0], [3, 128]],
-                                  [[1, 0], [3, 129]], [[8, -24], [48, -16]]],
-                         ids=["m1", "m64", "m128", "m129", "m1024"])
+                                  [[1, 0], [3, 129]], [[8, -24], [48, -16]], [[1, 0], [3, 16384]]],
+                         ids=["m1", "m64", "m128", "m129", "m1024", "m16384"])
 def test_transform_results_are_fresh_vectors(rows):
     # dft_fast/idft wrap their own arrays without the public constructor's
     # checks; the results must still be what that constructor would give
     M = IntMat.from_rows(rows)
     a = random_pattern_vector(np.random.default_rng(5), M)
+    a_bits = a.values.tobytes()
     ahat = dft_fast(a)
+    ahat_bits = ahat.values.tobytes()
     back = idft(ahat)
+    assert a.values.tobytes() == a_bits and ahat.values.tobytes() == ahat_bits
     for out, cls, source in ((ahat, SpectrumVector, a), (back, PatternVector, ahat)):
         assert type(out) is cls and out.matrix is M and len(out) == M.absdet
         v = out.values
@@ -289,10 +300,14 @@ def test_fast_transforms_random_matrices(d, data, seed):
 
 B = _DENSE_AXIS
 C = _DENSE_PATTERN
+L = _LONG_AXIS
 # (non-unit Smith axes, matrix): one dense product at m <= C, from a single
 # point up to the bound in one or several axes; above it every axis dense,
 # dense and FFT mixed, every axis FFT, axes at the dense bound and one above
-# it, axes not powers of two
+# it, axes not powers of two; a cyclic pattern at the split bound L and one
+# above it (4097 = 241 x 17, split), a prime one (8191, one FFT), an odd
+# composite one (3^8 = 243 x 27, split), and a long axis beside four lanes
+# (one FFT)
 AXIS_KIND_CASES = [
     ((8, 8), [[0, 8], [-8, 0]]),
     ((2, 4, 8), [[2, 0, 0], [0, 4, 0], [0, 0, 8]]),
@@ -316,6 +331,11 @@ AXIS_KIND_CASES = [
     ((8, 16), [[8, 0], [0, 16]]),
     ((C,), [[1, 0], [3, C]]),
     ((C + 1,), [[1, 0], [3, C + 1]]),
+    ((L,), [[1, 0], [3, L]]),
+    ((L + 1,), [[1, 0], [3, L + 1]]),
+    ((8191,), [[1, 0], [3, 8191]]),
+    ((3 ** 8,), [[1, 0], [3, 3 ** 8]]),
+    ((2, 2, 8192), [[2, 0, 0], [0, 2, 0], [0, 0, 8192]]),
 ]
 
 
@@ -421,3 +441,100 @@ def test_small_transforms_leave_numpy_fft_unimported():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("rows, steps", [
+    ([[1, 0], [3, 16384]], [(1, 256, 64, 1)]),
+    ([[1, 0], [3, 8192]], [(1, 256, 32, 1)]),
+    ([[1, 0], [3, L + 1]], [(1, 241, 17, 1)]),
+    ([[1, 0], [3, L]], [(1, L)]),
+    ([[1, 0], [3, 8191]], [(1, 8191)]),
+    ([[2, 0], [0, 8192]], [(1, 2, 8192), (2, 8192)]),
+    ([[2, 0, 0], [0, 2, 0], [0, 0, 8192]], [(1, 2, 16384), (2, 2, 8192), (4, 8192)]),
+], ids=["16384", "8192", "L+1", "L", "prime", "(2, 8192)", "(2, 2, 8192)"])
+def test_only_a_long_lone_lane_splits(rows, steps):
+    # a split step has a 4-D view and its twiddles; beside other lanes, at
+    # the bound and for a prime the axis stays one pocketfft call
+    plan = _axis_plan(IntMat.from_rows(rows))
+    assert [view for view, _ in plan] == steps
+    for view, tables in plan:
+        if len(view) == 4:
+            assert [t.shape for t in tables] == [(view[1], view[2], 1)] * 2
+
+
+def test_split_factors():
+    # s = a b with b the largest divisor of s with 4 b^2 <= s, and a <= 64 b
+    assert [_split(s) for s in (16384, 8192, 32768, 6561, 4097, 100, 18)] == [
+        (256, 64), (256, 32), (512, 64), (243, 27), (241, 17), (20, 5), (9, 2)]
+    assert [_split(s) for s in (2, 3, 17, 8191, 2 * 8191, 4 * 4099)] == [None] * 6
+
+
+@pytest.mark.parametrize("s, a, b", [(16384, 256, 64), (6561, 243, 27), (18, 9, 2), (4097, 241, 17)])
+def test_twiddles_are_the_read_only_roots(s, a, b):
+    tw, tw_inv = _twiddles(s, a, b)
+    assert tw.shape == tw_inv.shape == (a, b, 1)
+    assert not tw.flags.writeable and not tw_inv.flags.writeable
+    assert tw_inv.tobytes() == tw.conj().tobytes()
+    k, n = np.meshgrid(np.arange(a), np.arange(b), indexing="ij")
+    exact = np.exp((-2j * np.pi / s) * (k * n))[..., None]
+    assert float(np.max(np.abs(tw - exact))) <= 2e-15
+
+
+def _split_step(lead, s, trail):
+    a, b = _split(s)
+    return (lead, a, b, trail), _twiddles(s, a, b)
+
+
+@pytest.mark.parametrize("lead, s, trail", [(1, 64, 1), (2, 64, 1), (1, 64, 4), (3, 18, 5), (4, 100, 2),
+                                            (2, 6561, 1)])
+def test_split_step_beside_other_lanes(lead, s, trail):
+    # the planner splits a lone lane only, but the step is the 1-D DFT of
+    # the axis for any lead and trail, alone and after or before another step
+    rng = np.random.default_rng(s)
+    x = rng.standard_normal(2 * lead * s * trail).view(complex)
+    x.flags.writeable = False
+    cube = x.reshape(lead, s, trail)
+    step = _split_step(lead, s, trail)
+    for inverse, ref in ((False, np.fft.fft(cube, axis=1)), (True, np.fft.ifft(cube, axis=1))):
+        out = _transform((step,), x, inverse)
+        assert not np.shares_memory(out, x) and not any(np.shares_memory(out, t) for t in step[1])
+        assert float(np.max(np.abs(out - ref.reshape(-1)))) <= tol.FAST_VS_NAIVE * float(np.max(np.abs(ref)))
+    # an FFT step over the lead axis, then the split step in place, and the
+    # other way round; both are the 2-D DFT of (lead, s)
+    if trail == 1 and lead > 1:
+        fft_lead = ((1, lead, s), None)
+        ref = np.fft.fft2(x.reshape(lead, s)).reshape(-1)
+        for steps in ((fft_lead, step), (step, fft_lead)):
+            out = _transform(steps, x, False)
+            assert float(np.max(np.abs(out - ref))) <= tol.FAST_VS_NAIVE * float(np.max(np.abs(ref)))
+            back = _transform(steps, out, True)
+            assert float(np.max(np.abs(back - x))) <= tol.FAST_VS_NAIVE * float(np.max(np.abs(x)))
+
+
+@contextmanager
+def long_axis_bound(bound):
+    """Plans made inside split every lone lane above ``bound``; none of them
+    outlives the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(latfft, "_LONG_AXIS", bound)
+        _axis_plan.cache_clear()
+        try:
+            yield
+        finally:
+            _axis_plan.cache_clear()
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), data=st.data(), bound=st.sampled_from([0, 200]),
+       seed=st.integers(0, 2 ** 16))
+def test_split_matches_the_naive_dft_at_a_lowered_bound(d, data, bound, seed):
+    r = {1: 1024, 2: 40, 3: 10}[d]
+    rows = data.draw(st.lists(st.lists(st.integers(-r, r), min_size=d, max_size=d),
+                              min_size=d, max_size=d))
+    M = IntMat.from_rows(rows)
+    assume(_DENSE_PATTERN < M.absdet <= FOURIER_MATRIX_GUARD)
+    axes = [s for s in smith_normal_form(M).diagonal if s > 1]
+    with long_axis_bound(bound):
+        split = len(axes) == 1 and axes[0] > bound and _split(axes[0]) is not None
+        assert any(len(view) == 4 for view, _ in _axis_plan(M)) == split
+        assert_fast_transforms(M, np.random.default_rng(seed))

@@ -33,6 +33,7 @@ from vpwave.intlat import (
     axis_doubling,
     chain,
     plane_rotation,
+    smith_normal_form,
 )
 from vpwave.mra import (
     GRID_POINTS_PER_AXIS,
@@ -317,6 +318,18 @@ def test_reduction_single_plane_rotation_in_three_dimensions(g3, g2):
     rotated = check_reduction(g3, plane_rotation(3, 0, 1), "single")
     assert time.perf_counter() - t < 2.0
     assert rotated == check_reduction(g2, J_D, "single")
+
+
+@pytest.mark.parametrize("J", [J_D, J_X], ids=["J_D", "J_X"])
+def test_reduction_check_decomposes_no_scaled_matrix(J):
+    # the grid is reduced modulo q M^T through the cached Smith form of M^T,
+    # so a window with a new grid denominator q adds no Smith form q M^T
+    check_reduction(square_window(6), J, "single")
+    check_reduction(square_window(10), J, "double")
+    before = smith_normal_form.cache_info().currsize
+    for mode in ("single", "double"):
+        check_reduction(AdmissibleFn.tensor_linear([F(3, 37), F(5, 41)]), J, mode)
+    assert smith_normal_form.cache_info().currsize == before
 
 
 def test_reduction_rejects_unknown_mode():
