@@ -12,8 +12,9 @@ Two tensor-product families are implemented, per axis:
 * ``tensor_smoothed`` -- the indicator of ``[-1/2, 1/2]`` convolved with
   an r-fold self-convolution of a unit-mass box of halfwidth ``p/r``
   (a centered B-spline kernel supported on ``[-p, p]``); ``r - 1``
-  continuous derivatives.  Order 1 is the de la Vallee Poussin linear ramp
-  (:meth:`AdmissibleFn.tensor_linear`, which alone admits the Fejer ``p = 1/2``);
+  continuous derivatives.  ``p`` lies in ``[0, 1/2]``; the ramps meet at
+  ``p = 1/2``, which only order 1 admits: the de la Vallee Poussin linear
+  ramp (:meth:`AdmissibleFn.tensor_linear`), Fejer's window at ``p = 1/2``.
   ``p = 0`` is the modified Dirichlet limit, 1/2 at ``|t| = 1/2``.
 
 All parameters are exact rationals.  Windows and their periodizations
@@ -59,7 +60,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InexactInput, InvalidParameter, MalformedDescriptor
+from .errors import DimensionMismatch, InexactInput, InvalidParameter, MalformedDescriptor, TooLarge
 from .intlat import (_INT64_SAFE, ENUMERATION_GUARD, IntMat, _absmax, _exact_fraction, _Value,
                      apply_rows, smith_normal_form)
 
@@ -91,11 +92,11 @@ class AdmissibleFn(_Value):
     """Tensor-product admissible window on R^d: ``alpha`` holds the per-axis
     ramp halfwidths (0 for the characteristic window), and ``_ramps`` the
     same as integer pairs ``(p, s)`` with ``alpha = p / s`` in lowest terms.
-    Another kind, a ``dim`` that is not an integer >= 1, a halfwidth outside
-    ``[0, 1/2]`` or nonzero for the characteristic kind, and an order that is
-    not an integer in ``[1, MAX_ORDER]``, or not 1 for the characteristic
-    kind, raise ``InvalidParameter``,
-    ``len(alpha) != dim`` ``DimensionMismatch``.
+    The one check of the parameters: another kind, a ``dim`` that is not an
+    integer >= 1, a halfwidth outside ``[0, 1/2]``, 1/2 above order 1 or
+    nonzero for the characteristic kind, and an order that is not an integer
+    in ``[1, MAX_ORDER]``, or not 1 for the characteristic kind, raise
+    ``InvalidParameter``, ``len(alpha) != dim`` ``DimensionMismatch``.
     Equality compares every field; the hash is cached on the instance."""
 
     _fields = ("kind", "dim", "alpha", "order")
@@ -108,9 +109,9 @@ class AdmissibleFn(_Value):
         dim, alpha, order = _window_dim(dim), _halfwidths(alpha), int(order)
         if len(alpha) != dim:
             raise DimensionMismatch(f"{len(alpha)} halfwidths for a {dim}-D window")
-        # the one-sided B-spline sum of _axis_exact needs ramps that do not overlap
-        if any(a < 0 or a > HALF for a in alpha):
-            raise InvalidParameter("ramp halfwidths must lie in [0, 1/2]")
+        # _axis_exact needs ramps that do not overlap; at 1/2 they meet (Fejer)
+        if any(a < 0 or a > HALF or a == HALF and order > 1 for a in alpha):
+            raise InvalidParameter("halfwidths must lie in [0, 1/2], below 1/2 above order 1")
         if kind == KIND_CHARACTERISTIC and any(alpha):
             raise InvalidParameter("a characteristic window has halfwidths 0")
         if kind == KIND_CHARACTERISTIC and order != 1:
@@ -131,14 +132,12 @@ class AdmissibleFn(_Value):
     @classmethod
     def tensor_linear(cls, alpha: Sequence) -> "AdmissibleFn":
         """The linear ramp ``tensor_smoothed(alpha, order=1)``, with ``alpha`` in ``[0, 1/2]``."""
-        a = _halfwidths(alpha)
-        return cls(kind=KIND_SMOOTHED, dim=len(a), alpha=a, order=1)
+        return cls.tensor_smoothed(alpha, order=1)
 
     @classmethod
     def tensor_smoothed(cls, p: Sequence, order: int = 2) -> "AdmissibleFn":
+        """Per-axis halfwidths ``p`` in ``[0, 1/2]``, and 1/2 only at order 1."""
         a = _halfwidths(p)
-        if any(v < 0 or v >= HALF for v in a):
-            raise InvalidParameter("smoothing halfwidths must lie in [0, 1/2)")
         return cls(kind=KIND_SMOOTHED, dim=len(a), alpha=a, order=order)
 
     # -- support geometry ------------------------------------------------
@@ -282,7 +281,8 @@ def _shift_ranges(J: IntMat, halfwidths, lo, hi, scale: int = 1) -> list[range]:
     support box ``[-hw, hw]`` for some ``x`` in the box ``[lo, hi]``
     (``lo = hi`` for one point): ``z = J^{-T} t`` with each ``t_j`` in
     ``[-hw_j - hi_j, hw_j - lo_j]``, and ``J^{-T} = B / q`` from the Smith form
-    of ``J^T``.  Bounds given times ``scale`` keep it free of Fractions."""
+    of ``J^T``.  Bounds given times ``scale`` keep it free of Fractions.  A
+    box of more than ``ENUMERATION_GUARD`` shifts raises ``TooLarge``."""
     if not len(halfwidths) == len(lo) == len(hi) == J.dim:
         raise DimensionMismatch("point, window and factor dimensions differ")
     B, q = smith_normal_form(J.T).scaled_inverse
@@ -297,6 +297,8 @@ def _shift_ranges(J: IntMat, halfwidths, lo, hi, scale: int = 1) -> list[range]:
             elif c < 0:
                 a, b = a + c * th, b + c * tl
         ranges.append(range(-(-a // (q * scale)), b // (q * scale) + 1))
+    if (count := math.prod(map(len, ranges))) > ENUMERATION_GUARD:
+        raise TooLarge(f"refusing to enumerate {count} > {ENUMERATION_GUARD} periodization shifts")
     return ranges
 
 

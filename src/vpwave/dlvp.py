@@ -58,12 +58,10 @@ import numpy as np
 from . import tol
 from .admissible import (AdmissibleFn, exact_floats, exact_product, periodized_sum,
                          periodized_sum_exact)
-from .errors import DegenerateClass, DimensionMismatch, NotDyadic, TooLarge
-from .intlat import (_INT64_SAFE, ENUMERATION_GUARD, ChainSpec, IntMat, _absmax, _check_level,
-                     _exact_fraction, _exact_ints, _Frozen, _image_bound, generating_set,
-                     smith_normal_form)
-
-Vec = tuple[int, ...]
+from .errors import DegenerateClass, DimensionMismatch, IndexMismatch, NotDyadic, TooLarge
+from .intlat import (_INT64_SAFE, ENUMERATION_GUARD, ChainSpec, IntMat, Vec, _absmax,
+                     _check_level, _exact_fraction, _exact_ints, _Frozen, _image_bound,
+                     generating_set, smith_normal_form)
 
 DEGENERATE_REL = 1e-18
 
@@ -75,12 +73,12 @@ def _degenerate(powers: np.ndarray) -> bool:
 
 
 def _lexicographic(K: np.ndarray) -> bool:
-    """Whether the rows of ``K`` are in lexicographic order, decided for
-    all pairs of neighbouring rows at once, from the last column to the
-    first: a row follows its predecessor in order when it is larger in a
-    column, or equal there and in order on the later columns."""
+    """Whether the rows of ``K`` strictly increase in lexicographic order,
+    decided for all pairs of neighbouring rows at once, from the last
+    column to the first: a row follows its predecessor when it is larger
+    in a column, or equal there and larger on the later columns."""
     a, b = K[:-1].T, K[1:].T
-    ok = b[-1] >= a[-1]
+    ok = b[-1] > a[-1]
     for x, y in zip(a[-2::-1], b[-2::-1]):
         ok &= y >= x
         ok |= y > x
@@ -92,11 +90,12 @@ class SparseSpectrum(_Frozen):
     distinct ``keys`` as an ``(n, d)`` int64 array and the matching
     ``values``, sorted lexicographically by the constructor (keys already
     in that order, as the spectra of this module build them, are only
-    copied) and read-only.  A non-integral key raises ``InexactInput``, and
-    a key that is not a ``dim``-vector, here or in a lookup,
-    ``DimensionMismatch``.  A class vector ``a`` over ``G(M^T)`` acts by
-    the gather ``a[generating_set(M^T).class_index(keys)]``.  ``coeffs`` is
-    a dict view ``{k: c}`` of the same data, built on first use."""
+    copied) and read-only.  A non-integral key raises ``InexactInput``, a
+    repeated one ``IndexMismatch``, and a key that is not a ``dim``-vector,
+    here or in a lookup, or not one value per key ``DimensionMismatch``.
+    A class vector ``a`` over ``G(M^T)`` acts by the gather
+    ``a[generating_set(M^T).class_index(keys)]``.  ``coeffs`` is a dict view
+    ``{k: c}`` of the same data, built on first use."""
 
     def __init__(self, dim: int, keys: np.ndarray, values: np.ndarray):
         keys = np.asarray(keys)
@@ -113,6 +112,8 @@ class SparseSpectrum(_Frozen):
         else:
             order = np.lexsort(keys.T[::-1])
             keys, values = keys[order], values[order]
+            if not _lexicographic(keys):
+                raise IndexMismatch("a spectrum key is given twice")
         keys.flags.writeable = values.flags.writeable = False
         self._set(dim=dim, keys=keys, values=values)
 
@@ -131,14 +132,18 @@ class SparseSpectrum(_Frozen):
 
 
 class ScalingFunction(_Frozen):
-    """``samples`` holds the unscaled profile value ``P(M_l^{-T} k)`` of each
-    stored frequency, on the keys of ``spectrum``, so that
-    ``spectrum[k] == samples[k] / sqrt(m_l)``; it is ``None`` when the
-    coefficients are not plain profile samples (after
+    """``samples`` is a read-only float array of the unscaled profile values
+    ``P(M_l^{-T} k)`` on the rows of ``spectrum.keys`` (another length raises
+    ``DimensionMismatch``), so ``spectrum.values == samples / sqrt(m_l)``; it
+    is ``None`` when the coefficients are not plain profile samples (after
     :func:`orthonormalize`, or for a hand-built spectrum)."""
 
     def __init__(self, chain: ChainSpec, level: int, g: AdmissibleFn, spectrum: SparseSpectrum,
-                 samples: SparseSpectrum | None = None):
+                 samples: np.ndarray | None = None):
+        if samples is not None:
+            if samples.shape != (len(spectrum),):
+                raise DimensionMismatch("a scaling function needs one sample per frequency")
+            samples.flags.writeable = False
         self._set(chain=chain, level=level, g=g, spectrum=spectrum, samples=samples)
 
     @property
@@ -342,10 +347,8 @@ def scaling_spectrum(chain: ChainSpec, level: int, g: AdmissibleFn) -> ScalingFu
     p = exact_floats(P, den)
     c = p / math.sqrt(chain.size(level))
     keep = np.abs(c) > tol.ZERO_TRIM
-    return ScalingFunction(
-        chain=chain, level=level, g=g,
-        samples=SparseSpectrum(dim=chain.dim, keys=K[keep], values=p[keep]),
-        spectrum=SparseSpectrum(dim=chain.dim, keys=K[keep], values=c[keep]))
+    return ScalingFunction(chain=chain, level=level, g=g, samples=p[keep],
+                           spectrum=SparseSpectrum(dim=chain.dim, keys=K[keep], values=c[keep]))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -399,7 +402,7 @@ def class_powers(fn: ScalingFunction) -> np.ndarray:
 def orthonormalize(fn: ScalingFunction):
     """Scale each frequency class so the translates over ``P(M_l)`` become
     orthonormal: ``m_l * sum_z |c|^2 = 1`` per class afterwards."""
-    powers = class_powers(fn)
+    powers = fn.powers
     if _degenerate(powers):
         raise DegenerateClass("a frequency class carries no coefficient mass")
     scale = 1.0 / np.sqrt(fn.size * powers)

@@ -64,10 +64,11 @@ from the coefficients and digit ranges the same way, before it allocates.
 An ``IntMat`` computes what depends on its entries alone once and keeps
 it on the instance: the hash, the determinant, the transpose, and for
 :func:`apply_rows` the largest ``|entry|`` and the transpose as a read-only
-int64 array.  Input is validated by the one constructor, at the public
-boundary: entries that already are a tuple of tuples of Python ints, the
-form of every matrix the package computes (Smith factors, inverses,
-transposes, products), are taken as they are.
+int64 array.  Each value class takes only its defining inputs, which its
+one constructor validates, and derives the rest: ``IntMat`` its entries
+(a tuple of tuples of Python ints, the form of every matrix the package
+computes, is taken as it is), ``ChainSpec`` ``M0`` and the factors, and
+``GeneratingSet`` and ``Pattern`` the matrix and the enumerated rows.
 """
 
 from __future__ import annotations
@@ -432,15 +433,15 @@ class GeneratingSet(_Frozen):
     """Integer representatives of ``Z^d / M Z^d`` in canonical order.
 
     ``rep_array`` holds them as a read-only ``(m, d)`` integer array;
-    ``reps`` gives them as tuples, built on first use.  ``diagonal`` is
-    the Smith diagonal of ``M = U S V`` and ``digit_map`` is ``U^{-1}``:
-    representative ``i`` has the Smith digits ``U^{-1} rep mod diagonal``
-    of mixed-radix value ``i``.
+    ``reps`` gives them as tuples, built on first use.  From the Smith form
+    ``M = U S V``, ``diagonal`` is ``diag(S)`` and ``digit_map`` is
+    ``U^{-1}``: representative ``i`` has the Smith digits
+    ``U^{-1} rep mod diagonal`` of mixed-radix value ``i``.
     """
 
-    def __init__(self, matrix: IntMat, rep_array: np.ndarray, diagonal: tuple[int, ...],
-                 digit_map: IntMat):
-        self._set(matrix=matrix, rep_array=rep_array, diagonal=diagonal, digit_map=digit_map)
+    def __init__(self, matrix: IntMat, rep_array: np.ndarray):
+        snf = smith_normal_form(matrix)
+        self._set(matrix=matrix, rep_array=rep_array, diagonal=snf.diagonal, digit_map=snf.U_inv)
 
     def __len__(self) -> int:
         return len(self.rep_array)
@@ -475,10 +476,10 @@ class GeneratingSet(_Frozen):
 class Pattern(_Frozen):
     """Rational representatives of ``M^{-1} Z^d / Z^d`` in the digit order
     of ``G(M^T)``: point ``i`` is ``numerators[i] / denominator``, with
-    ``denominator = |det M|``."""
+    ``denominator = |det M|`` read from ``M`` by the constructor."""
 
-    def __init__(self, matrix: IntMat, numerators: np.ndarray, denominator: int):
-        self._set(matrix=matrix, numerators=numerators, denominator=denominator)
+    def __init__(self, matrix: IntMat, numerators: np.ndarray):
+        self._set(matrix=matrix, numerators=numerators, denominator=matrix.absdet)
 
     def __len__(self) -> int:
         return len(self.numerators)
@@ -499,8 +500,10 @@ class Pattern(_Frozen):
                                snf.diagonal)[0])
 
     def reduce(self, y: Sequence) -> FracVec:
-        """The point of the pattern congruent to ``y`` mod ``Z^d``."""
-        return self.points[self.index_of(y)]
+        """The point of the pattern congruent to ``y`` mod ``Z^d``, built
+        from its one row of numerators."""
+        row = self.numerators[self.index_of(y)].tolist()
+        return tuple(Fraction(n, self.denominator) for n in row)
 
 
 def _image_bound(B: Sequence[Sequence[int]], x: Sequence) -> list:
@@ -544,7 +547,7 @@ def generating_set(M: IntMat) -> GeneratingSet:
                 raise ConditionViolated(f"representatives of {M} leave the canonical class order")
     R = np.stack(R, axis=1)
     R.flags.writeable = False
-    return GeneratingSet(matrix=M, rep_array=R, diagonal=diag, digit_map=snf.U_inv)
+    return GeneratingSet(matrix=M, rep_array=R)
 
 
 @lru_cache(maxsize=None)
@@ -561,7 +564,7 @@ def pattern(M: IntMat) -> Pattern:
     bound = max(_image_bound(B, [s - 1 for s in diag])) + 2 * q
     N = np.stack([n - (n // q * q + q // 2) for n in _grid_rows(B, diag, q // 2, bound)], axis=1)
     N.flags.writeable = False
-    return Pattern(matrix=M, numerators=N, denominator=q)
+    return Pattern(matrix=M, numerators=N)
 
 
 def _in_range(value, top: int) -> bool:
@@ -579,22 +582,29 @@ def _check_level(level: int, top: int) -> None:
 
 
 class ChainSpec(_Value):
-    """Initial matrix plus dilation factors and their running products.
-
-    ``products[l] = J_l ... J_1 M_0`` and ``sizes[l] = |det products[l]|``
-    for ``l = 0..n``, read through :meth:`matrix` and :meth:`size`, which
-    raise ``LevelOutOfRange`` for any other ``l``; ``dyadic`` is set when
-    every factor has ``|det| = 2``.
-    Equality compares every field; the hash, of ``(M0, factors)``, is cached
-    on the instance.
+    """The dilation chain ``M_l = J_l ... J_1 M_0`` of ``M0`` and ``factors``,
+    which alone define it, compare and hash.  ``M0`` and each factor must be
+    regular, a factor of the same dimension with ``|det| > 1``.  Derived:
+    ``products[l] = M_l`` and ``sizes[l] = |det M_l|``, ``l = 0..n``, read
+    through :meth:`matrix` and :meth:`size` (``LevelOutOfRange`` for any
+    other ``l``), and ``dyadic``, set when every factor has ``|det| = 2``.
     """
 
-    _fields = ("M0", "factors", "products", "sizes", "dyadic")
+    _fields = ("M0", "factors")
 
-    def __init__(self, M0: IntMat, factors: tuple[IntMat, ...], products: tuple[IntMat, ...],
-                 sizes: tuple[int, ...], dyadic: bool):
-        self._set(M0=M0, factors=factors, products=products, sizes=sizes, dyadic=dyadic,
-                  _hash=hash((M0, factors)))
+    def __init__(self, M0: IntMat, factors: Sequence[IntMat] = ()):
+        M0.require_regular()
+        factors = tuple(factors)
+        products = [M0]
+        for J in factors:
+            if J.dim != M0.dim:
+                raise DimensionMismatch("factor dimension differs from M0")
+            if J.require_regular().absdet <= 1:
+                raise SingularMatrix(f"factor {J} must have |det| > 1")
+            products.append(J @ products[-1])
+        self._set(M0=M0, factors=factors, products=tuple(products),
+                  sizes=tuple(P.absdet for P in products),
+                  dyadic=all(J.absdet == 2 for J in factors), _hash=hash((M0, factors)))
 
     @property
     def n_levels(self) -> int:
@@ -615,29 +625,12 @@ class ChainSpec(_Value):
     def subchain(self, n: int) -> "ChainSpec":
         """Chain truncated to the first ``n`` factors, ``n`` in ``0..n_levels``."""
         _check_level(n, self.n_levels)
-        return chain(self.M0, self.factors[:n])
+        return ChainSpec(self.M0, self.factors[:n])
 
 
 def chain(M0: IntMat, factors: Sequence[IntMat] = ()) -> ChainSpec:
-    """Build a dilation chain ``M_l = J_l ... J_1 M_0``.
-
-    Every factor must be regular with ``|det| > 1``; the initial matrix
-    must be regular.
-    """
-    M0.require_regular()
-    d = M0.dim
-    products = [M0]
-    for J in factors:
-        if J.dim != d:
-            raise DimensionMismatch("factor dimension differs from M0")
-        J.require_regular()
-        if J.absdet <= 1:
-            raise SingularMatrix(f"factor {J} must have |det| > 1")
-        products.append(J @ products[-1])
-    sizes = tuple(P.absdet for P in products)
-    dyadic = all(J.absdet == 2 for J in factors)
-    return ChainSpec(M0=M0, factors=tuple(factors), products=tuple(products),
-                     sizes=sizes, dyadic=dyadic)
+    """The dilation chain ``M_l = J_l ... J_1 M_0``: ``ChainSpec(M0, factors)``."""
+    return ChainSpec(M0, factors)
 
 
 # The three determinant-2 matrices of the plane: quincunx rotation and the

@@ -124,16 +124,21 @@ def fourier_matrix(M: IntMat) -> np.ndarray:
     return np.exp((-2j * np.pi / q) * R) / np.sqrt(len(R))
 
 
+def _naive_sum(v: _IndexedValues, inverse: bool) -> np.ndarray:
+    """``sum_j exp(-2 pi i R[i, j] / q) v[j]`` for each ``i``, over blocks of
+    ``_NAIVE_BLOCK`` rows of phases; the inverse is the same sum over ``R^T``
+    with the opposite sign, divided by ``m``."""
+    R, q = _phase_table(v.matrix)
+    R, turn = (R.T, 2j * np.pi / q) if inverse else (R, -2j * np.pi / q)
+    out = np.empty(len(R), dtype=complex)
+    for start in range(0, len(R), _NAIVE_BLOCK):
+        out[start:start + _NAIVE_BLOCK] = np.exp(turn * R[start:start + _NAIVE_BLOCK]) @ v.values
+    return out / len(R) if inverse else out
+
+
 def dft(a: PatternVector) -> SpectrumVector:
     """Naive transform by direct summation with exact rational phases."""
-    M = a.matrix
-    R, q = _phase_table(M)
-    m = len(a)
-    out = np.empty(m, dtype=complex)
-    for start in range(0, m, _NAIVE_BLOCK):
-        block = R[start:start + _NAIVE_BLOCK]
-        out[start:start + _NAIVE_BLOCK] = np.exp((-2j * np.pi / q) * block) @ a.values
-    return SpectrumVector(matrix=M, values=out)
+    return SpectrumVector(matrix=a.matrix, values=_naive_sum(a, inverse=False))
 
 
 @lru_cache(maxsize=None)
@@ -271,11 +276,4 @@ def idft(ahat: SpectrumVector) -> PatternVector:
 
 def idft_naive(ahat: SpectrumVector) -> PatternVector:
     """Inverse by conjugate summation; oracle for :func:`idft`."""
-    M = ahat.matrix
-    R, q = _phase_table(M)
-    m = len(ahat)
-    out = np.empty(m, dtype=complex)
-    for start in range(0, m, _NAIVE_BLOCK):
-        block = R[:, start:start + _NAIVE_BLOCK]
-        out[start:start + _NAIVE_BLOCK] = ahat.values @ np.exp((2j * np.pi / q) * block) / m
-    return PatternVector(matrix=M, values=out)
+    return PatternVector(matrix=ahat.matrix, values=_naive_sum(ahat, inverse=True))

@@ -21,7 +21,6 @@ from . import tol
 from .admissible import AdmissibleFn, exact_floats, exact_gap, exact_product, periodized_sum_exact
 from .dlvp import (
     ScalingFunction,
-    SparseSpectrum,
     TwoScaleCoeffs,
     _degenerate,
     fiber_partner,
@@ -70,8 +69,9 @@ def nesting_residual(chn: ChainSpec, level: int, g: AdmissibleFn) -> float:
     The maximum is divided by ``sqrt(m_l)`` once, so it is reported in
     units of the coefficients ``c_k(phi_l)``."""
     _check_level(level, chn.n_levels - 1)
-    keys, coarse, fine = _on_union(scaling_spectrum(chn, level, g).samples,
-                                   scaling_spectrum(chn, level + 1, g).samples)
+    phi, phi_fine = scaling_spectrum(chn, level, g), scaling_spectrum(chn, level + 1, g)
+    keys, coarse, fine = _on_union(phi.spectrum.keys, phi.samples,
+                                   phi_fine.spectrum.keys, phi_fine.samples)
     N, q = chn.matrix(level).inv_T_rows(keys)
     a = exact_floats(*periodized_sum_exact(g, chn.factors[level], N, q))
     return float(np.max(np.abs(coarse - a * fine), initial=0.0)) / math.sqrt(chn.size(level))
@@ -81,7 +81,8 @@ def independent_nesting_residual(coarse: ScalingFunction, fine: ScalingFunction)
     """Nesting defect without a constructed two-scale vector: per class the
     best least-squares multiplier is fitted first.  Zero iff some vector
     links the two spectra, i.e. iff the coarse space embeds in the fine one."""
-    keys, c, f = _on_union(coarse.spectrum, fine.spectrum)
+    keys, c, f = _on_union(coarse.spectrum.keys, coarse.spectrum.values,
+                           fine.spectrum.keys, fine.spectrum.values)
     m = fine.size
     idx = generating_set(fine.matrix.T).class_index(keys)
     cf = c * np.conj(f)
@@ -91,11 +92,12 @@ def independent_nesting_residual(coarse: ScalingFunction, fine: ScalingFunction)
     return float(np.max(np.abs(c - best[idx] * f), initial=0.0))
 
 
-def _on_union(s: SparseSpectrum, t: SparseSpectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sorted union of the supports of ``s`` and ``t``, with the values of
-    each spectrum on it (0 off its own support).  Key rows are sorted by their
+def _on_union(s_keys: np.ndarray, s_values: np.ndarray, t_keys: np.ndarray,
+              t_values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted union of two sets of distinct key rows, with the values
+    given on each set placed on it (0 off that set).  Key rows are sorted by their
     C-order codes over the keys' bounding box (as rows if it has ``2^62`` points)."""
-    K = np.concatenate([s.keys, t.keys])
+    K = np.concatenate([s_keys, t_keys])
     lo, hi = (K.min(axis=0), K.max(axis=0)) if len(K) else (np.zeros(K.shape[1], np.int64),) * 2
     spans = [int(b) - int(a) + 1 for a, b in zip(lo, hi)]
     if math.prod(spans) < _INT64_SAFE:
@@ -104,10 +106,10 @@ def _on_union(s: SparseSpectrum, t: SparseSpectrum) -> tuple[np.ndarray, np.ndar
         keys = K[first]
     else:
         keys, inv = np.unique(K, axis=0, return_inverse=True)
-    a = np.zeros(len(keys), s.values.dtype)
-    b = np.zeros(len(keys), t.values.dtype)
-    a[inv[:len(s)]] = s.values
-    b[inv[len(s):]] = t.values
+    a = np.zeros(len(keys), s_values.dtype)
+    b = np.zeros(len(keys), t_values.dtype)
+    a[inv[:len(s_keys)]] = s_values
+    b[inv[len(s_keys):]] = t_values
     return keys, a, b
 
 
@@ -258,8 +260,9 @@ def tail_distance(chn: ChainSpec, g: AdmissibleFn, level: int) -> float:
     function of ``chn`` and that of ``chn.subchain(level)``, the plain window
     sampled at ``M_level``: 0.0 exactly when the factors after the level
     change none of its coefficients."""
-    _, a, b = _on_union(scaling_spectrum(chn, level, g).spectrum,
-                        scaling_spectrum(chn.subchain(level), level, g).spectrum)
+    s = scaling_spectrum(chn, level, g).spectrum
+    t = scaling_spectrum(chn.subchain(level), level, g).spectrum
+    _, a, b = _on_union(s.keys, s.values, t.keys, t.values)
     return float(np.max(np.abs(a - b), initial=0.0))
 
 
@@ -267,6 +270,11 @@ def tail_distance(chn: ChainSpec, g: AdmissibleFn, level: int) -> float:
 
 
 class LevelReport(_Frozen):
+    """The checks of one level; :meth:`MraReport.render` writes ``FIELDS`` in order."""
+
+    FIELDS = ("size", "dim_ok", "min_class_power", "nesting_residual", "support_radius",
+              "scaling_filter_defect", "wavelet_filter_defect")
+
     def __init__(self, level: int, size: int, dim_ok: bool, min_class_power: float,
                  nesting_residual: float | None, support_radius: int,
                  scaling_filter_defect: float | None, wavelet_filter_defect: float | None):
@@ -281,19 +289,15 @@ class MraReport(_Frozen):
         self._set(levels=levels, dyadic=dyadic, ok=ok)
 
     def render(self) -> str:
+        """Per level, a ``name: value`` line per ``LevelReport.FIELDS`` entry:
+        floats as ``.17g``, other values with ``str``, ``None`` left out."""
         lines = [f"levels: {len(self.levels)}", f"dyadic: {self.dyadic}"]
         for lr in self.levels:
             lines.append(f"level: {lr.level}")
-            lines.append(f"  size: {lr.size}")
-            lines.append(f"  dim_ok: {lr.dim_ok}")
-            lines.append(f"  min_class_power: {lr.min_class_power:.17g}")
-            if lr.nesting_residual is not None:
-                lines.append(f"  nesting_residual: {lr.nesting_residual:.17g}")
-            lines.append(f"  support_radius: {lr.support_radius}")
-            if lr.scaling_filter_defect is not None:
-                lines.append(f"  scaling_filter_defect: {lr.scaling_filter_defect:.17g}")
-            if lr.wavelet_filter_defect is not None:
-                lines.append(f"  wavelet_filter_defect: {lr.wavelet_filter_defect:.17g}")
+            for name in LevelReport.FIELDS:
+                v = getattr(lr, name)
+                if v is not None:
+                    lines.append(f"  {name}: {format(v, '.17g') if isinstance(v, float) else v}")
         lines.append(f"ok: {self.ok}")
         return "\n".join(lines) + "\n"
 
@@ -306,8 +310,7 @@ def build_report(chn: ChainSpec, g: AdmissibleFn) -> MraReport:
     for level in range(chn.n_levels + 1):
         dim_ok, min_power = basis_check(chn, level, g)
         ok &= dim_ok
-        nest = None
-        fdef_a = fdef_b = None
+        nest = fdef_a = fdef_b = None
         if level < chn.n_levels:
             nest = nesting_residual(chn, level, g)
             ok &= nest < tol.TWO_SCALE
@@ -317,11 +320,8 @@ def build_report(chn: ChainSpec, g: AdmissibleFn) -> MraReport:
                 fdef_b = audit_orthonormality(b2)
                 ok &= fdef_a < tol.ORTHO and fdef_b < tol.ORTHO
         levels.append(LevelReport(
-            level=level, size=chn.size(level), dim_ok=dim_ok,
-            min_class_power=min_power, nesting_residual=nest,
-            support_radius=radii[level],
-            scaling_filter_defect=fdef_a, wavelet_filter_defect=fdef_b,
-        ))
-        if level > 0 and radii[level] < radii[level - 1]:
-            ok = False
+            level=level, size=chn.size(level), dim_ok=dim_ok, min_class_power=min_power,
+            nesting_residual=nest, support_radius=radii[level],
+            scaling_filter_defect=fdef_a, wavelet_filter_defect=fdef_b))
+    ok &= all(a <= b for a, b in zip(radii, radii[1:]))  # no support radius shrinks
     return MraReport(levels=tuple(levels), dyadic=chn.dyadic, ok=ok)

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,8 @@ from vpwave.admissible import (
     periodized_sum_exact,
 )
 from vpwave.dlvp import scaling_spectrum
-from vpwave.errors import DimensionMismatch, InvalidParameter, VpwaveError
+from vpwave.errors import (DimensionMismatch, InvalidParameter, MalformedDescriptor, TooLarge,
+                           VpwaveError)
 from vpwave.intlat import J_D, J_X, J_Y, IntMat, apply_rows, chain
 
 F = Fraction
@@ -73,11 +75,20 @@ def assert_same_window(a, b):
 def test_linear_is_the_order_one_smoothed_window():
     for a in ([F(1, 12)], [F(0), F(1, 10)]):
         assert_same_window(AdmissibleFn.tensor_linear(a), AdmissibleFn.tensor_smoothed(a, order=1))
-    # only the linear constructor takes the Fejer halfwidth 1/2, where the ramps meet
+    # only order 1 takes the Fejer halfwidth 1/2, where the ramps meet, in
+    # every spelling; the constructor checks it for all of them
     fejer = AdmissibleFn.tensor_linear([F(1, 2)])
     assert (fejer.kind, fejer.order) == (KIND_SMOOTHED, 1)
-    with pytest.raises(InvalidParameter):
-        AdmissibleFn.tensor_smoothed([F(1, 2)], order=2)
+    for same in (AdmissibleFn.tensor_smoothed([F(1, 2)], order=1),
+                 AdmissibleFn(KIND_SMOOTHED, 1, (F(1, 2),), 1),
+                 parse_admissible("tensor_smoothed(p = 1/2, order = 1)", 1)):
+        assert_same_window(fejer, same)
+    for build in (lambda: AdmissibleFn.tensor_smoothed([F(1, 2)], order=2),
+                  lambda: AdmissibleFn(KIND_SMOOTHED, 1, (F(1, 2),), 2),
+                  lambda: AdmissibleFn(KIND_SMOOTHED, 2, (F(1, 4), F(1, 2)), 3),
+                  lambda: parse_admissible("tensor_smoothed(p = 1/2)", 1)):
+        with pytest.raises(InvalidParameter):
+            build()
 
 
 def test_smoothed_plateau_and_support():
@@ -225,9 +236,17 @@ def test_parse_admissible():
     "tensor_linear(alpha = [1/10, ])",
     "tensor_linear(alpha = [, 1/10])",
     "tensor_linear(alpha = [1/10,,1/10])",
+    # text that is not a call at all
+    "",
+    "tensor_linear(alpha = 1/10",
+    "Characteristic",
+    "tensor_linear alpha = 1/10",
+    # a per-axis list of another length than the dimension
+    "tensor_linear(alpha = [1/10, 1/10, 1/10])",
+    "tensor_smoothed(p = [0, 1/10, 1/8], order = 2)",
 ])
 def test_parse_admissible_rejects_malformed_descriptors(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedDescriptor):
         parse_admissible(text, 2)
 
 
@@ -524,9 +543,10 @@ def test_periodized_sum_exact_on_an_empty_shift_box():
 def test_periodized_sum_exact_in_blocks(monkeypatch):
     # a small stacking bound splits the shifts into blocks of one or more
     # shifts; every block gives the same exact sums, and so do Python
-    # integers in place of int64 (a zero int64 bound)
+    # integers in place of int64 (a zero int64 bound).  The same bound
+    # refuses a box of more shifts than it
     g = AdmissibleFn.tensor_linear([F(3, 10), F(1, 7)])
-    N = np.array([[v, 3 * v - 11] for v in range(-40, 41, 3)], dtype=np.int64)
+    N = np.array([[v, 3 * v - 11] for v in range(-40, 41)], dtype=np.int64)
     J = IntMat.from_rows([[2, 1], [-1, 3]])
     expected = periodized_sum_exact(g, J, N, 9)
     shifted = apply_rows(J.T, N, addend=5)
@@ -539,7 +559,10 @@ def test_periodized_sum_exact_in_blocks(monkeypatch):
         return evaluate(self, Y, q)
 
     monkeypatch.setattr(AdmissibleFn, "eval_exact", counted)
-    for guard in (1, 2 * len(N), 7 * len(N) + 1):  # 80 shifts: blocks of 1, 2 and 7
+    monkeypatch.setattr(admissible, "ENUMERATION_GUARD", 89)
+    with pytest.raises(TooLarge):
+        periodized_sum_exact(g, J, N, 9)
+    for guard in (90, 2 * len(N), 7 * len(N) + 1):  # 90 shifts: blocks of 1, 2 and 7
         monkeypatch.setattr(admissible, "ENUMERATION_GUARD", guard)
         seen.clear()
         num, den = periodized_sum_exact(g, J, N, 9)
@@ -581,3 +604,17 @@ def test_axis_denominators_match_the_exact_values(data):
         values = [F(v, axis_dens[axis]) for v in g._axis_exact(axis, n, q).tolist()]
         assert values == [g.eval_axis(axis, F(v, q)) for v in n.tolist()]
     assert [F(v, den) for v in num.tolist()] == [g(tuple(F(v, q) for v in x)) for x in N.tolist()]
+
+
+def test_shift_box_guard_raises_before_work():
+    # a box of more than ENUMERATION_GUARD shifts is refused at once, on the
+    # batched path (10^8 shifts) and on the scalar one (a shear of 2^21)
+    g = AdmissibleFn.tensor_linear([F(1, 10)] * 2)
+    calls = (lambda: periodized_sum_exact(g, IntMat.identity(2),
+                                          np.array([[0, 0], [10 ** 4, 10 ** 4]]), 1),
+             lambda: periodized_sum(g, IntMat.from_rows([[1, 0], [2 ** 21, 2]]), (0, 0)))
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(TooLarge):
+            call()
+        assert time.perf_counter() - start < 0.5

@@ -27,8 +27,8 @@ from vpwave.dlvp import (
     wavelet_spectrum,
     wavelet_two_scale,
 )
-from vpwave.errors import (DegenerateClass, DimensionMismatch, InexactInput, LevelOutOfRange,
-                           NotDyadic, TooLarge)
+from vpwave.errors import (DegenerateClass, DimensionMismatch, IndexMismatch, InexactInput,
+                           LevelOutOfRange, NotDyadic, TooLarge)
 from vpwave.intlat import (
     J_D,
     J_X,
@@ -715,6 +715,19 @@ def test_spectrum_keys_must_be_integers():
     for key in ((0,), (0, 0, 0), ()):
         with pytest.raises(DimensionMismatch):
             s[key]
+    # one value per key, no more and no fewer
+    for values in ([1.0], [1.0, 2.0, 3.0], np.zeros((2, 1))):
+        with pytest.raises(DimensionMismatch):
+            SparseSpectrum(dim=2, keys=[[0, 0], [1, 0]], values=values)
+
+
+@pytest.mark.parametrize("keys", [[[0, 0], [0, 0], [1, 0]], [[1, 0], [0, 0], [1, 0]],
+                                  [[2, 5], [2, 5]]])
+def test_spectrum_keys_must_be_distinct(keys):
+    # sorted or not, a repeated key would leave len and coeffs disagreeing
+    with pytest.raises(IndexMismatch):
+        SparseSpectrum(dim=2, keys=keys, values=np.arange(1.0, len(keys) + 1))
+    assert len(SparseSpectrum(dim=2, keys=[[1, 0], [0, 1], [0, 0]], values=[1.0, 2.0, 3.0])) == 3
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=str)
@@ -833,3 +846,27 @@ def test_partner_and_phases_on_python_integers(case, monkeypatch):
         slow = complement_phases.__wrapped__(c, level)
         assert np.array_equal(slow.view(np.float64), phases.view(np.float64))
     assert applied and all(dt == object for dt in applied)
+
+
+def test_samples_are_one_read_only_array_on_the_spectrum_keys():
+    c, g = example_48()
+    for level in range(c.n_levels + 1):
+        sf = scaling_spectrum(c, level, g)
+        assert type(sf.samples) is np.ndarray and sf.samples.dtype == np.float64
+        assert not sf.samples.flags.writeable
+        assert sf.samples.shape == (len(sf.spectrum),)
+        assert np.array_equal(sf.samples / math.sqrt(c.size(level)), sf.spectrum.values)
+    sf = scaling_spectrum(c, 0, g)
+    with pytest.raises(DimensionMismatch):
+        ScalingFunction(c, 0, g, sf.spectrum, samples=sf.samples[1:])
+    assert orthonormalize(sf).samples is None
+
+
+def test_orthonormalize_reads_the_cached_class_powers(monkeypatch):
+    c, g = example_48()
+    fn = ScalingFunction(c, 1, g, scaling_spectrum(c, 1, g).spectrum)
+    calls = []
+    sums = dlvp.class_powers
+    monkeypatch.setattr(dlvp, "class_powers", lambda f: calls.append(f) or sums(f))
+    first, second = orthonormalize(fn), orthonormalize(fn)
+    assert calls == [fn] and np.array_equal(first.spectrum.values, second.spectrum.values)

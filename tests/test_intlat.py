@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import random
@@ -15,7 +16,10 @@ from vpwave.intlat import (
     J_D,
     J_X,
     J_Y,
+    ChainSpec,
+    GeneratingSet,
     IntMat,
+    Pattern,
     _reduce_box,
     apply_rows,
     axis_doubling,
@@ -332,12 +336,43 @@ def test_chain_to_square_1024():
 
 
 def test_chain_rejects_bad_factors():
-    with pytest.raises(SingularMatrix):
-        chain(IntMat.identity(2), [IntMat.identity(2)])  # |det| = 1
-    with pytest.raises(DimensionMismatch):
-        chain(IntMat.identity(2), [IntMat.from_rows([[2]])])
+    for build in (chain, ChainSpec):
+        with pytest.raises(SingularMatrix):
+            build(IntMat.identity(2), [IntMat.identity(2)])  # |det| = 1
+        with pytest.raises(SingularMatrix):
+            build(IntMat.from_rows([[1, 2], [2, 4]]), [J_X])
+        with pytest.raises(DimensionMismatch):
+            build(IntMat.identity(2), [IntMat.from_rows([[2]])])
     with pytest.raises(DimensionMismatch):
         J_X @ IntMat.identity(3)
+
+
+def test_value_constructors_take_only_their_defining_inputs():
+    # the derived fields are computed by the one constructor, never passed in
+    params = {cls: list(inspect.signature(cls).parameters)
+              for cls in (ChainSpec, GeneratingSet, Pattern)}
+    assert params == {ChainSpec: ["M0", "factors"], GeneratingSet: ["matrix", "rep_array"],
+                      Pattern: ["matrix", "numerators"]}
+    M0 = IntMat.diagonal([4, 4])
+    with pytest.raises(TypeError):  # a chain whose sizes contradict its factors
+        ChainSpec(M0=M0, factors=(J_D,), products=(M0, M0), sizes=(16, 16), dyadic=True)
+    c = ChainSpec(M0, [J_D])
+    assert c == chain(M0, [J_D]) and hash(c) == hash(chain(M0, [J_D]))
+    assert c.products == (M0, J_D @ M0) and c.sizes == (16, 32) and c.dyadic
+    assert not ChainSpec(M0, (IntMat.diagonal([3, 1]),)).dyadic
+    M = IntMat.from_rows([[3, 1], [-1, 5]])
+    snf = smith_normal_form(M)
+    gs = GeneratingSet(M, generating_set(M).rep_array)
+    assert gs.diagonal == snf.diagonal and gs.digit_map == snf.U_inv
+    assert Pattern(M, pattern(M).numerators).denominator == M.absdet == 16
+
+
+def test_pattern_reduce_builds_one_point():
+    M = IntMat.diagonal([4, 8])
+    pat = Pattern(M, pattern(M).numerators)
+    assert pat.reduce((Fraction(9, 4), Fraction(-7, 8))) == (Fraction(1, 4), Fraction(1, 8))
+    assert "points" not in vars(pat)
+    assert pat.reduce((Fraction(-1, 2), 3)) in pat.points
 
 
 def test_highdim_factor_constructors():
@@ -591,6 +626,11 @@ def test_class_index_and_reduce_check_dimension():
         gs.class_index(np.zeros((4, 3), dtype=np.int64))
     with pytest.raises(DimensionMismatch):
         gs.reduce((1,))
+    M = IntMat.from_rows([[3, 1], [0, 2]])
+    for apply in (M.inv_apply, M.inv_T_apply):
+        for v in ((1,), (1, 2, 3)):
+            with pytest.raises(DimensionMismatch):
+                apply(v)
 
 
 def test_lookups_reject_non_integral_frequencies():

@@ -35,8 +35,11 @@ from vpwave.intlat import (
     plane_rotation,
     smith_normal_form,
 )
+from vpwave import mra
 from vpwave.mra import (
     GRID_POINTS_PER_AXIS,
+    LevelReport,
+    MraReport,
     _grid_numerators,
     _on_union,
     _reduction_sides,
@@ -432,6 +435,31 @@ def test_report_example48():
     assert "min_class_power" in text and "ok: True" in text
 
 
+def test_report_renders_each_level_from_one_field_list():
+    # floats as .17g, other values with str, None fields left out
+    levels = (LevelReport(level=0, size=64, dim_ok=True, min_class_power=0.1, nesting_residual=0.0,
+                          support_radius=2, scaling_filter_defect=1 / 3,
+                          wavelet_filter_defect=8.8817841970012523e-16),
+              LevelReport(level=1, size=128, dim_ok=False, min_class_power=0.0,
+                          nesting_residual=None, support_radius=3, scaling_filter_defect=None,
+                          wavelet_filter_defect=None))
+    assert MraReport(levels=levels, dyadic=True, ok=False).render() == (
+        "levels: 2\ndyadic: True\nlevel: 0\n  size: 64\n  dim_ok: True\n"
+        "  min_class_power: 0.10000000000000001\n  nesting_residual: 0\n  support_radius: 2\n"
+        "  scaling_filter_defect: 0.33333333333333331\n"
+        "  wavelet_filter_defect: 8.8817841970012523e-16\nlevel: 1\n  size: 128\n"
+        "  dim_ok: False\n  min_class_power: 0\n  support_radius: 3\nok: False\n")
+    assert set(LevelReport.FIELDS) == set(vars(levels[0])) - {"level"}
+
+
+def test_report_fails_when_a_support_radius_shrinks(monkeypatch):
+    c, g = example_48()
+    assert build_report(c, g).ok
+    monkeypatch.setattr(mra, "support_radii", lambda chn, g: [3, 2])
+    rep = build_report(c, g)
+    assert [lr.support_radius for lr in rep.levels] == [3, 2] and not rep.ok
+
+
 def test_report_detects_near_degenerate_window():
     # Fejer-type window on a quincunx chain: classes pair half-values on the
     # closed boundary; report should still complete and carry finite numbers
@@ -474,7 +502,7 @@ def test_on_union_matches_row_unique(d, bound, data):
     # small boxes take the 1-D codes, 2^40 and 2^62 (d >= 2) the row sort
     s, t = data.draw(spectra(d, bound)), data.draw(spectra(d, bound))
     for u, v in ((s, t), (t, s), (s, s)):
-        got, want = _on_union(u, v), on_union_oracle(u, v)
+        got, want = _on_union(u.keys, u.values, v.keys, v.values), on_union_oracle(u, v)
         for x, y in zip(got, want):
             assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
 
@@ -485,8 +513,8 @@ def test_on_union_one_row_and_disjoint_inputs():
                          values=np.array([1.0, 2.0, 3.0]))
     empty = SparseSpectrum(dim=2, keys=np.zeros((0, 2)), values=np.zeros(0))
     for u, v in ((one, one), (one, far), (far, one), (one, empty), (empty, far), (empty, empty)):
-        for x, y in zip(_on_union(u, v), on_union_oracle(u, v)):
+        for x, y in zip(_on_union(u.keys, u.values, v.keys, v.values), on_union_oracle(u, v)):
             assert x.shape == y.shape and np.array_equal(x, y)
-    keys, a, b = _on_union(one, far)
+    keys, a, b = _on_union(one.keys, one.values, far.keys, far.values)
     assert keys.tolist() == [[-9, 4], [3, -7], [100, 0], [100, 1]]
     assert a.tolist() == [0.0, 2.0, 0.0, 0.0] and b.tolist() == [1.0, 0.0, 2.0, 3.0]

@@ -252,3 +252,33 @@ def test_declared_console_scripts_resolve():
         except (ImportError, AttributeError) as exc:
             missing.append(f"{name} = {target!r}: {exc!r}")
     assert not missing, f"console scripts that do not resolve: {missing}"
+
+
+def test_every_box_enumeration_is_guarded():
+    # a function that enumerates a box with np.indices, np.meshgrid or
+    # itertools.product either raises TooLarge itself or takes its box from
+    # _shift_ranges, which does; _dense_plan is only called for
+    # m <= _DENSE_PATTERN
+    exempt = {"latfft.py _dense_plan"}
+    enumerating, guarded = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        products = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "itertools"
+                    for alias in node.names if alias.name == "product"}
+        for qualname, function in _functions(tree):
+            name = f"{path.name} {qualname}"
+            calls = [node.func for node in ast.walk(function) if isinstance(node, ast.Call)]
+            called = {getattr(f.value, "id", None) + "." + f.attr if isinstance(f, ast.Attribute)
+                      and isinstance(f.value, ast.Name) else getattr(f, "id", None) for f in calls}
+            if called & {"np.indices", "np.meshgrid", "itertools.product"} or called & products:
+                enumerating.add(name)
+            raised = {getattr(node.exc.func, "id", None) for node in ast.walk(function)
+                      if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)}
+            if "TooLarge" in raised or "_shift_ranges" in called:
+                guarded.add(name)
+    assert "admissible.py _shift_ranges" in guarded
+    assert {"admissible.py periodized_sum", "admissible.py periodized_sum_exact",
+            "dlvp.py _frequency_candidates", "mra.py _grid_numerators"} | exempt <= enumerating
+    unguarded = sorted(enumerating - guarded - exempt)
+    assert not unguarded, f"box enumerations without a size guard: {unguarded}"

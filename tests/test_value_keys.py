@@ -23,8 +23,8 @@ from vpwave import dlvp
 from vpwave.admissible import AdmissibleFn, parse_admissible
 from vpwave.dlvp import ScalingFunction, scaling_spectrum, two_scale, wavelet_spectrum
 from vpwave.errors import FrozenValue
-from vpwave.intlat import (J_D, J_X, J_Y, IntMat, _Frozen, chain, generating_set, pattern,
-                           smith_normal_form)
+from vpwave.intlat import (J_D, J_X, J_Y, ChainSpec, IntMat, _Frozen, chain, generating_set,
+                           pattern, smith_normal_form)
 from vpwave.latfft import PatternVector, dft_fast
 from vpwave.mra import build_report
 
@@ -172,10 +172,11 @@ def test_value_reprs_are_constructor_calls():
     M = IntMat.from_rows([[1, 0], [0, 2]])
     assert repr(M) == "IntMat(entries=((1, 0), (0, 2)))"
     assert eval(repr(M)) == M
+    c = chain(IntMat.diagonal([2, 2]), [J_D])
+    assert eval(repr(c)) == c
     assert repr(chain(IntMat.diagonal([2, 2]), [J_D])) == (
         "ChainSpec(M0=IntMat(entries=((2, 0), (0, 2))), factors=(IntMat(entries=((1, -1), "
-        "(1, 1))),), products=(IntMat(entries=((2, 0), (0, 2))), IntMat(entries=((2, -2), "
-        "(2, 2)))), sizes=(4, 8), dyadic=True)")
+        "(1, 1))),))")
     assert repr(parse_admissible("tensor_smoothed(p = [1/20, 1/8], order = 3)", 2)) == (
         "AdmissibleFn(kind='tensor_smoothed', dim=2, alpha=(Fraction(1, 20), Fraction(1, 8)), "
         "order=3)")
