@@ -26,7 +26,8 @@ All parameters are exact rationals.  Windows and their periodizations
   and the direct profiles of ``dlvp`` use it;
 * the exact batched path -- :meth:`AdmissibleFn.eval_exact` and
   :func:`periodized_sum_exact` at the rows of ``N / q`` for an ``(n, d)``
-  integer array ``N``, as integer numerators over one denominator that
+  integer array ``N`` and an integer ``q >= 1`` (another ``q`` raises
+  ``InvalidParameter``), as integer numerators over one denominator that
   depends on ``q`` only; every spectrum and every identity check is built
   from it, so half-open support boundaries, zero tests and equalities are
   decided exactly.  Per axis, with ``alpha = p / s``, the numerators are
@@ -36,6 +37,12 @@ All parameters are exact rationals.  Windows and their periodizations
   ``r! (4 p q)^r`` (smoothed); the axes multiply.  As in ``intlat.apply_rows``,
   an array whose entries could pass ``2^62`` is computed on Python integers
   (``dtype=object``) instead of int64.
+
+Both paths sum ``g`` only at the points ``x + J^T z`` in its support box
+``[-hw, hw]``: over the common denominator ``q`` of the point (oracle) or
+the rows (batched), :func:`vpwave.intlat.lattice_points` walks them on
+``q`` times the Hermite basis of ``J^T``.  The oracle evaluates ``g`` on
+Fractions; the batched path evaluates each block of rows in one call.
 
 A window keeps its ramps once more as the integer pairs ``(p, s)``, so
 the batched path runs on integers alone: the support reach
@@ -55,14 +62,13 @@ import math
 import numbers
 import re
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InexactInput, InvalidParameter, MalformedDescriptor, TooLarge
+from .errors import DimensionMismatch, InexactInput, InvalidParameter, MalformedDescriptor
 from .intlat import (_INT64_SAFE, ENUMERATION_GUARD, IntMat, _absmax, _exact_fraction, _Value,
-                     apply_rows, smith_normal_form)
+                     lattice_points)
 
 HALF = Fraction(1, 2)
 
@@ -74,11 +80,11 @@ KIND_SMOOTHED = "tensor_smoothed"
 MAX_ORDER = 100
 
 
-def _window_dim(dim) -> int:
-    """``dim`` as an ``int``; anything but an integer >= 1 raises ``InvalidParameter``."""
-    if not isinstance(dim, numbers.Integral) or isinstance(dim, bool) or dim < 1:
-        raise InvalidParameter(f"a window needs an integer dimension >= 1, got {dim!r}")
-    return int(dim)
+def _whole(value, least: int, what: str) -> int:
+    """``value`` as an ``int`` if an integer (no bool) >= ``least``, else ``InvalidParameter``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise InvalidParameter(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def _halfwidths(values) -> tuple[Fraction, ...]:
@@ -106,7 +112,7 @@ class AdmissibleFn(_Value):
             raise InvalidParameter(f"unknown window kind {kind!r}")
         if not (isinstance(order, numbers.Real) and 1 <= order <= MAX_ORDER and order % 1 == 0):
             raise InvalidParameter(f"order must be an integer in [1, {MAX_ORDER}], got {order!r}")
-        dim, alpha, order = _window_dim(dim), _halfwidths(alpha), int(order)
+        dim, alpha, order = _whole(dim, 1, "dim"), _halfwidths(alpha), int(order)
         if len(alpha) != dim:
             raise DimensionMismatch(f"{len(alpha)} halfwidths for a {dim}-D window")
         # _axis_exact needs ramps that do not overlap; at 1/2 they meet (Fejer)
@@ -127,7 +133,7 @@ class AdmissibleFn(_Value):
 
     @classmethod
     def characteristic(cls, dim: int) -> "AdmissibleFn":
-        return cls(kind=KIND_CHARACTERISTIC, dim=dim, alpha=(Fraction(0),) * _window_dim(dim))
+        return cls(kind=KIND_CHARACTERISTIC, dim=dim, alpha=(Fraction(0),) * _whole(dim, 1, "dim"))
 
     @classmethod
     def tensor_linear(cls, alpha: Sequence) -> "AdmissibleFn":
@@ -183,9 +189,10 @@ class AdmissibleFn(_Value):
 
     def eval_exact(self, N: np.ndarray, q: int) -> tuple[np.ndarray, int]:
         """Exact values at the rows of ``N / q`` for an ``(n, d)`` integer
-        array ``N`` and an integer ``q >= 1``: the numerators, and their
-        common denominator, which depends on ``q`` only."""
+        array ``N`` and an integer ``q >= 1`` (else ``InvalidParameter``): the
+        numerators, and their common denominator, which depends on ``q`` only."""
         N = _numerator_rows(N, self.dim)
+        q = _whole(q, 1, "the denominator q")
         den = self._denominator(q)
         # every factor is at most 1, so |num| <= den
         num = np.ones(len(N), dtype=np.int64 if den < _INT64_SAFE else object)
@@ -212,15 +219,6 @@ class AdmissibleFn(_Value):
         ``[-hw, hw]`` exactly when ``|n| <= floor(hw q)``; with
         ``hw = 1/2 + p/s`` that is ``(s + 2 p) q // (2 s)``."""
         return [(s + 2 * p) * q // (2 * s) for p, s in self._ramps]
-
-    def in_support(self, columns, q: int) -> np.ndarray:
-        """Whether the points ``n / q`` lie in the closed support box, for the
-        integer coordinate arrays ``columns`` (one per axis, all of one
-        shape); the window is 0 at every other point."""
-        near = True
-        for n, r in zip(columns, self.support_reach(q)):
-            near = near & (np.abs(n) <= r)
-        return near
 
     def _axis_exact(self, axis: int, n: np.ndarray, q: int) -> np.ndarray:
         """One axis factor at ``n / q``: the numerators over
@@ -276,76 +274,42 @@ def _bspline_cdf_scalar(y, r: int):
 # -- periodization ----------------------------------------------------------
 
 
-def _shift_ranges(J: IntMat, halfwidths, lo, hi, scale: int = 1) -> list[range]:
-    """Per-axis integer ranges holding every ``z`` with ``x + J^T z`` in the
-    support box ``[-hw, hw]`` for some ``x`` in the box ``[lo, hi]``
-    (``lo = hi`` for one point): ``z = J^{-T} t`` with each ``t_j`` in
-    ``[-hw_j - hi_j, hw_j - lo_j]``, and ``J^{-T} = B / q`` from the Smith form
-    of ``J^T``.  Bounds given times ``scale`` keep it free of Fractions.  A
-    box of more than ``ENUMERATION_GUARD`` shifts raises ``TooLarge``."""
-    if not len(halfwidths) == len(lo) == len(hi) == J.dim:
-        raise DimensionMismatch("point, window and factor dimensions differ")
-    B, q = smith_normal_form(J.T).scaled_inverse
-    t_lo = [-h - u for h, u in zip(halfwidths, hi)]
-    t_hi = [h - l for h, l in zip(halfwidths, lo)]
-    ranges = []
-    for row in B.entries:
-        a = b = 0
-        for c, tl, th in zip(row, t_lo, t_hi):
-            if c > 0:
-                a, b = a + c * tl, b + c * th
-            elif c < 0:
-                a, b = a + c * th, b + c * tl
-        ranges.append(range(-(-a // (q * scale)), b // (q * scale) + 1))
-    if (count := math.prod(map(len, ranges))) > ENUMERATION_GUARD:
-        raise TooLarge(f"refusing to enumerate {count} > {ENUMERATION_GUARD} periodization shifts")
-    return ranges
-
-
 def periodized_sum(g: AdmissibleFn, J: IntMat, x: Sequence):
-    """``sum_z g(x + J^T z)``, finite because the support box is compact;
-    exact, float input is converted with ``Fraction(v)``."""
+    """``sum_z g(x + J^T z)`` over the points in the support box, exact; float
+    input is converted with ``Fraction(v)``."""
     xv = tuple(map(_exact_fraction, x))
-    total = 0
-    for z in product(*_shift_ranges(J, g.support_halfwidths, xv, xv)):
-        total = total + g(tuple(a + b for a, b in zip(xv, J.T.apply(z))))
-    return total
+    if not len(xv) == g.dim == J.dim:
+        raise DimensionMismatch("point, window and factor dimensions differ")
+    q = math.lcm(*(v.denominator for v in xv))
+    reach = g.support_reach(q)
+    H = [[q * v for v in row] for row in J.T.hermite.entries]
+    _, Y = lattice_points(H, np.array([[int(v * q) for v in xv]], dtype=object),
+                          [-r for r in reach], reach)
+    return sum((g(tuple(Fraction(v, q) for v in y)) for y in Y.tolist()), 0)
 
 
 def periodized_sum_exact(g: AdmissibleFn, J: IntMat, N: np.ndarray,
                          q: int) -> tuple[np.ndarray, int]:
     """Exact ``sum_z g(N_i / q + J^T z)`` for every row ``N_i`` of an
     ``(n, d)`` integer array, as numerators over one denominator (that of
-    :meth:`AdmissibleFn.eval_exact` for ``q``).  The shifts come from one
-    box around all rows and are taken together, in blocks of at most
-    ``ENUMERATION_GUARD`` (shift, row) pairs: per axis, the coordinates of
-    ``N_i + q J^T z`` for every pair give the pairs inside the support box,
-    outside of which every window is 0; those points are evaluated in one
-    call per block, and each value is added to its row ``i`` with
-    ``np.add.at``."""
+    :meth:`AdmissibleFn.eval_exact` for ``q``), from the points
+    ``N_i + q J^T z`` with ``|Y| <= floor(hw q)``.  A walk step holds at most
+    ``prod_j (2 floor(hw_j q) // (q H_jj) + 1)`` points per row, so each block
+    of rows, one at least, holds at most ``ENUMERATION_GUARD`` by that bound."""
     N = _numerator_rows(N, g.dim)
     if J.dim != g.dim:
         raise DimensionMismatch("factor and window dimensions differ")
+    q = _whole(q, 1, "the denominator q")
     den = g._denominator(q)
     # partition of unity: the sum is at most 1, so |total| <= den
     total = np.zeros(len(N), dtype=np.int64 if den < _INT64_SAFE else object)
-    if not len(N):
-        return total, den
-    # a shift in use moves some row into |Y| <= floor(hw q), all in units of 1 / q
-    ranges = _shift_ranges(J, g.support_reach(q), N.min(axis=0).tolist(), N.max(axis=0).tolist(), q)
-    # the shifts q J^T z as the rows q z^T J; q z in int64 when it fits, and
-    # the product in int64 when the shifts and their sums with N fit
-    reach = q * max(1, *(abs(v) for r in ranges for v in (r.start, r.stop - 1)))
-    dtype = np.int64 if reach < _INT64_SAFE else object
-    Z = (np.indices([len(r) for r in ranges], dtype=dtype).reshape(g.dim, -1).T
-         + np.array([r.start for r in ranges], dtype=dtype))
-    shifts = apply_rows(J.T, q * Z, addend=_absmax(N))
-    N = N.astype(shifts.dtype, copy=False)
-    block = max(1, ENUMERATION_GUARD // len(N))
-    for start in range(0, len(shifts), block):
-        S = shifts[start:start + block]
-        z, i = np.nonzero(g.in_support([n + s[:, None] for n, s in zip(N.T, S.T)], q))
-        np.add.at(total, i, g.eval_exact(N[i] + S[z], q)[0].astype(total.dtype, copy=False))
+    reach = g.support_reach(q)
+    H = [[q * v for v in row] for row in J.T.hermite.entries]
+    per_row = math.prod(2 * r // H[j][j] + 1 for j, r in enumerate(reach))
+    block = max(1, ENUMERATION_GUARD // per_row)
+    for start in range(0, len(N), block):
+        i, Y = lattice_points(H, N[start:start + block], [-r for r in reach], reach)
+        np.add.at(total, start + i, g.eval_exact(Y, q)[0].astype(total.dtype, copy=False))
     return total, den
 
 
@@ -385,9 +349,10 @@ def _numerator_rows(N: np.ndarray, dim: int) -> np.ndarray:
 
 def check_partition_of_unity(g: AdmissibleFn, n_samples: int = 10_000,
                              seed: int = 0) -> float:
-    """Max deviation of ``sum_z g(x + z)`` from 1 at random points of
-    ``[-1, 1]^d`` on the grid ``2^-20 Z^d``, decided exactly and returned
+    """Max deviation of ``sum_z g(x + z)`` from 1 at ``n_samples >= 0`` random
+    points of ``[-1, 1]^d`` on the grid ``2^-20 Z^d``, decided exactly and returned
     correctly rounded: 0.0 exactly when the identity holds at every point."""
+    n_samples = _whole(n_samples, 0, "n_samples")
     q = 2 ** 20
     N = np.random.default_rng(seed).integers(-q, q, size=(n_samples, g.dim), endpoint=True)
     total, den = periodized_sum_exact(g, IntMat.identity(g.dim), N, q)

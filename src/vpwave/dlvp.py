@@ -14,9 +14,9 @@ periodic, the value ``g^J(M_l^{-T} k)`` depends only on the class of
 ``k`` modulo ``M_{l+1}^T`` (the two-scale relation).  The spectra are
 built from it:
 
-* the top level samples ``g`` once, at ``M_n^{-T} k`` for every ``k`` in
-  the bounding box of ``M_n^T [-hw, hw]`` (``hw`` the support halfwidths)
-  whose ``M_n^{-T} k`` lies in the support box;
+* the top level samples ``g`` once, at ``M_n^{-T} k`` for every ``k``
+  whose ``M_n^{-T} k`` lies in the support box ``[-hw, hw]`` (``hw`` the
+  support halfwidths): the lattice points of ``M_n^{-T} Z^d`` in that box;
 * each lower level multiplies the level above by ``g^J`` evaluated once
   per class of ``G(M_{l+1}^T)``;
 * for a dyadic factor (``|det J| = 2``) the wavelet, whose translates
@@ -58,10 +58,10 @@ import numpy as np
 from . import tol
 from .admissible import (AdmissibleFn, exact_floats, exact_product, periodized_sum,
                          periodized_sum_exact)
-from .errors import DegenerateClass, DimensionMismatch, IndexMismatch, NotDyadic, TooLarge
-from .intlat import (_INT64_SAFE, ENUMERATION_GUARD, ChainSpec, IntMat, Vec, _absmax,
-                     _check_level, _exact_fraction, _exact_ints, _Frozen, _image_bound,
-                     generating_set, smith_normal_form)
+from .errors import DegenerateClass, DimensionMismatch, IndexMismatch, NotDyadic
+from .intlat import (_INT64_SAFE, ChainSpec, IntMat, Vec, _absmax, _check_level,
+                     _exact_fraction, _exact_ints, _Frozen, apply_rows, generating_set,
+                     lattice_points, smith_normal_form)
 
 DEGENERATE_REL = 1e-18
 
@@ -241,17 +241,6 @@ def wavelet_profile(chain: ChainSpec, level: int, g: AdmissibleFn, x: Sequence) 
     return phase * float(first) * float(rest)
 
 
-def _frequency_candidates(M: IntMat, hw: Sequence[Fraction]) -> np.ndarray:
-    """Integer points of the bounding box of ``M^T [-hw, hw]``, as an
-    ``(n, d)`` array in lexicographic order."""
-    d = M.dim
-    bounds = [math.floor(b) for b in _image_bound(M.T.entries, hw)]
-    count = math.prod(2 * b + 1 for b in bounds)
-    if count > ENUMERATION_GUARD:
-        raise TooLarge(f"refusing to sample the window at {count} > {ENUMERATION_GUARD} frequencies")
-    return np.indices([2 * b + 1 for b in bounds]).reshape(d, -1).T - np.array(bounds)
-
-
 @lru_cache(maxsize=None, typed=True)
 def _class_sums(chain: ChainSpec, level: int, g: AdmissibleFn) -> tuple:
     """Exact ``g^J(M_l^{-T} h)`` over the classes ``h`` of ``G(M_{l+1}^T)``, as
@@ -317,17 +306,21 @@ def _complement(chain: ChainSpec, level: int, a: np.ndarray) -> np.ndarray:
 def _exact_samples(chain: ChainSpec, level: int, g: AdmissibleFn) -> tuple:
     """The nonzero exact samples ``P_l(M_l^{-T} k)``: read-only arrays of the
     keys ``k`` in lexicographic order and of the numerators, and their
-    denominator.  ``g`` is sampled once at the top level, on the candidates
-    inside its support box; each level down is
+    denominator.  ``g`` is sampled once at the top level, at the points
+    ``N = B k``, ``(B, q)`` the scaled inverse of ``M_n^T``, with
+    ``|N| <= floor(hw q)``, keyed by ``k = M_n^T N / q``; each level down is
     the level above times the two-scale value of each key's class."""
     if level == chain.n_levels:
         if g.dim != chain.dim:
             raise DimensionMismatch(f"window of dimension {g.dim} on a chain of dimension {chain.dim}")
         M = chain.matrix(level)
-        K = _frequency_candidates(M, g.support_halfwidths)
-        N, q = M.inv_T_rows(K)
-        near = g.in_support(N.T, q)
-        K, (P, den) = K[near], g.eval_exact(N[near], q)
+        B, q = smith_normal_form(M.T).scaled_inverse
+        reach = g.support_reach(q)
+        _, N = lattice_points(B.hermite.entries, np.zeros((1, chain.dim), dtype=np.int64),
+                              [-r for r in reach], reach)
+        K = apply_rows(M.T, N) // q
+        order = np.lexsort(K.T[::-1])
+        K, (P, den) = K[order], g.eval_exact(N[order], q)
     else:
         K, P, den = _exact_samples(chain, level + 1, g)
         a, a_den = _class_sums(chain, level, g)

@@ -55,11 +55,18 @@ sets are stored as integer arrays, the pattern as numerators over the
 single denominator ``q``; the tuples ``reps`` and the ``Fraction`` points
 are formed only on demand.
 
+Lattice points: periodization shifts and the frequencies in a window's
+support are lattice points around given rows in a closed box.  On the
+lower-triangular Hermite basis (:attr:`IntMat.hermite`; H. Cohen, *A Course
+in Computational Algebraic Number Theory*, 2.4) coordinate ``j`` of ``x + H w``
+depends on ``w_0..w_j`` only: :func:`lattice_points` walks no bounding box.
+
 Overflow rule: before each array product the entries are bounded
 (``max|B| max(max|X|, 1) d`` plus any addend) against ``2^62``; if the
 bound fails, the product runs on ``dtype=object`` arrays of Python
 integers, so int64 never wraps silently.  An enumeration bounds its rows
 from the coefficients and digit ranges the same way, before it allocates.
+The lattice walk bounds its partial points from ``max|X|``, the box and ``H``.
 
 An ``IntMat`` computes what depends on its entries alone once and keeps
 it on the instance: the hash, the determinant, the transpose, and for
@@ -86,7 +93,7 @@ from .errors import (ConditionViolated, DimensionMismatch, FrozenValue, IndexMis
 Vec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
 
-# Largest m = |det M| for which G(M), P(M) or a frequency box is enumerated.
+# Most points that G(M), P(M) or one step of lattice_points may enumerate.
 ENUMERATION_GUARD = 2 ** 20
 # Bound on every entry of an int64 array product; above it, Python ints.
 _INT64_SAFE = 2 ** 62
@@ -208,6 +215,22 @@ class IntMat(_Value):
     @cached_property
     def T(self) -> "IntMat":
         return IntMat(tuple(zip(*self.entries)))
+
+    @cached_property
+    def hermite(self) -> "IntMat":
+        """The Hermite normal form ``H = M W`` (``W`` unimodular) of the column
+        lattice of a regular ``M``: lower triangular, ``0 <= H[i][k] < H[i][i]``
+        for ``k < i``; column operations by Euclid's algorithm, row by row."""
+        cols = [list(c) for c in zip(*self.require_regular().entries)]
+        for i, col in enumerate(cols):
+            for other in cols[i + 1:]:
+                while other[i]:
+                    f = col[i] // other[i]
+                    col[:], other[:] = other, [a - f * b for a, b in zip(col, other)]
+            col[:] = [a if col[i] > 0 else -a for a in col]
+            for left in cols[:i]:
+                left[:] = [a - left[i] // col[i] * b for a, b in zip(left, col)]
+        return IntMat(tuple(zip(*cols)))
 
     @cached_property
     def _max_entry(self) -> int:
@@ -417,16 +440,14 @@ def _integer_row(k: Sequence) -> np.ndarray:
     return np.array([_exact_ints(k)], dtype=object)
 
 
-def _reduce_box(M: IntMat, K: np.ndarray, q: int = 1) -> np.ndarray:
-    """Representatives in ``q M [-1/2,1/2)^d`` of the rows of ``K`` modulo
-    ``q M Z^d``: ``K - q M floor(M^{-1} K / q + 1/2)``.  With ``A = p M^{-1}``
-    from the Smith form of ``M``, ``floor((2 A k + pq) / (2 pq))`` equals
-    ``floor((A k + floor(pq/2)) / (pq))``, which is what is computed; ``q M``
-    itself is never formed or decomposed."""
-    A, p = smith_normal_form(M).scaled_inverse
-    pq = p * q
-    F = (apply_rows(A, K, addend=pq) + pq // 2) // pq
-    return K - apply_rows(M, q * F, addend=_absmax(K))
+def _reduce_box(M: IntMat, K: np.ndarray) -> np.ndarray:
+    """Representatives in ``M [-1/2,1/2)^d`` of the rows of ``K`` modulo
+    ``M Z^d``: ``K - M floor(M^{-1} K + 1/2)``.  With ``A = q M^{-1}`` from
+    the Smith form of ``M``, ``floor((2 A k + q) / (2 q))`` equals
+    ``floor((A k + floor(q/2)) / q)``, which is what is computed."""
+    A, q = smith_normal_form(M).scaled_inverse
+    F = (apply_rows(A, K, addend=q) + q // 2) // q
+    return K - apply_rows(M, F, addend=_absmax(K))
 
 
 class GeneratingSet(_Frozen):
@@ -504,6 +525,33 @@ class Pattern(_Frozen):
         from its one row of numerators."""
         row = self.numerators[self.index_of(y)].tolist()
         return tuple(Fraction(n, self.denominator) for n in row)
+
+
+def lattice_points(H: Sequence[Sequence[int]], X: np.ndarray, lo: Sequence[int],
+                   hi: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The row positions and the points ``x + H w`` (``w`` in ``Z^d``) in the
+    closed box ``[lo, hi]``, ``lo <= hi``, of the rows ``x`` of ``X``, by row,
+    then in lexicographic order; ``H`` (rows of ints) lower triangular with
+    ``H_jj > 0``.  Step ``j`` repeats each partial point ``p`` once per ``w_j``
+    in ``ceil((lo_j - p_j) / H_jj) .. floor((hi_j - p_j) / H_jj)``; with these
+    counts clipped (no cast or sum wraps), a step of over ``ENUMERATION_GUARD``
+    points raises ``TooLarge`` before it allocates them."""
+    box = max(map(abs, [*lo, *hi])) + 1
+    bound = _absmax(X)  # on |partial point|, as |w_j| <= (bound + box) / H_jj + 1
+    for j, column in enumerate(zip(*H)):
+        bound += max(map(abs, column)) * ((bound + box) // column[j] + 1)
+    dtype = np.int64 if bound + box < _INT64_SAFE else object
+    P, index = X.astype(dtype, copy=False), np.arange(len(X))
+    for j, column in enumerate(zip(*H)):
+        h, p = column[j], P[:, j]
+        first = (p - lo[j]) // h  # minus the least w_j
+        count = np.minimum((hi[j] + h - p) // h + first, ENUMERATION_GUARD + 1).astype(np.intp)
+        if (total := int(count.sum())) > ENUMERATION_GUARD:
+            raise TooLarge(f"refusing to enumerate more than {ENUMERATION_GUARD} lattice points")
+        w = np.arange(total) - np.repeat(np.cumsum(count) - count + first, count)
+        P, index = np.repeat(P, count, axis=0), np.repeat(index, count)
+        P[:, j:] += w[:, None] * np.array(column[j:], dtype=dtype)
+    return index, P
 
 
 def _image_bound(B: Sequence[Sequence[int]], x: Sequence) -> list:

@@ -37,7 +37,6 @@ from .intlat import (
     _check_level,
     _Frozen,
     _image_bound,
-    _reduce_box,
     generating_set,
 )
 
@@ -194,20 +193,15 @@ def _reduction_sides(g: AdmissibleFn, J: IntMat, mode: str):
             b = _image_bound(A.entries, b)
         return b
 
-    def periodized(M, X, q):
-        # g^M is M^T Z^d-periodic, so the rows are first reduced into
-        # q M^T [-1/2, 1/2)^d: few shifts reach that box, many the whole grid
-        return periodized_sum_exact(g, M, _reduce_box(M.T, X, q), q)
-
     N, q = _grid_numerators(g, box_through(J.T) if mode == "single" else box_through(J_D.T, J.T))
     Y, qy = J.inv_T_rows(N)
     qy *= q
-    outer = periodized(J, N, q)
+    outer = periodized_sum_exact(g, J, N, q)
     if mode == "single":
         return N, q, exact_product(*outer, *g.eval_exact(Y, qy)), g.eval_exact(N, q)
     Z, qz = J_D.inv_T_rows(Y)
     qz *= qy
-    inner = exact_product(*periodized(J_D, Y, qy), *g.eval_exact(Z, qz))
+    inner = exact_product(*periodized_sum_exact(g, J_D, Y, qy), *g.eval_exact(Z, qz))
     return N, q, exact_product(*outer, *inner), exact_product(*outer, *g.eval_exact(Y, qy))
 
 

@@ -12,7 +12,6 @@ from vpwave.admissible import (
     KIND_SMOOTHED,
     MAX_ORDER,
     AdmissibleFn,
-    _shift_ranges,
     check_partition_of_unity,
     exact_floats,
     parse_admissible,
@@ -22,7 +21,7 @@ from vpwave.admissible import (
 from vpwave.dlvp import scaling_spectrum
 from vpwave.errors import (DimensionMismatch, InvalidParameter, MalformedDescriptor, TooLarge,
                            VpwaveError)
-from vpwave.intlat import J_D, J_X, J_Y, IntMat, apply_rows, chain
+from vpwave.intlat import J_D, J_X, J_Y, IntMat, chain, lattice_points
 
 F = Fraction
 
@@ -390,56 +389,6 @@ def test_periodized_sum_checks_dimensions():
         periodized_sum_exact(g, J_D, np.zeros((4, 2)), 5)
 
 
-def inverse_T_by_cofactors(J):
-    """(J^T)^{-1} = C / det J, with C the cofactor matrix of J."""
-    d = J.dim
-
-    def minor(i, j):
-        return IntMat.from_rows([[J.entries[r][c] for c in range(d) if c != j]
-                                 for r in range(d) if r != i])
-    return tuple(tuple(F((-1) ** (i + j) * minor(i, j).det, J.det)
-                       for j in range(d)) for i in range(d))
-
-
-def shift_range_oracle(J, halfwidths, lo, hi):
-    """The former bound: z = (J^T)^{-1} (y - x) over the support box of y and
-    the box [lo, hi] of x, per axis the extremes of each product's four
-    corner values; for lo = hi this is the former per-point bound."""
-    inv = inverse_T_by_cofactors(J)
-    ranges = []
-    for row in inv:
-        a = b = 0
-        for c, h, l, u in zip(row, halfwidths, lo, hi):
-            corners = [c * (-h - u), c * (-h - l), c * (h - u), c * (h - l)]
-            a, b = a + min(corners), b + max(corners)
-        ranges.append(range(math.ceil(a), math.floor(b) + 1))
-    return ranges
-
-
-SHIFT_FACTORS = [J_D, J_X, J_Y, IntMat.from_rows([[1, 1], [0, 2]]),
-                 IntMat.from_rows([[2, 1, 0], [0, 1, 1], [1, 0, 1]])]
-rationals = st.fractions(min_value=-3, max_value=3, max_denominator=60)
-
-
-@settings(max_examples=100, deadline=None)
-@given(J=st.sampled_from(SHIFT_FACTORS), data=st.data())
-def test_shift_ranges_match_the_former_bound(J, data):
-    d = J.dim
-    hw = data.draw(st.lists(st.fractions(min_value=F(1, 2), max_value=1, max_denominator=30),
-                            min_size=d, max_size=d))
-    lo = data.draw(st.lists(rationals, min_size=d, max_size=d))
-    if data.draw(st.booleans()):
-        hi = lo
-    else:
-        hi = [v + w for v, w in zip(lo, data.draw(st.lists(
-            st.fractions(min_value=0, max_value=2, max_denominator=60), min_size=d, max_size=d)))]
-    assert _shift_ranges(J, hw, lo, hi) == shift_range_oracle(J, hw, lo, hi)
-    # the same bounds as integers times a common denominator
-    s = math.lcm(*(v.denominator for v in hw + lo + hi))
-    assert _shift_ranges(J, *([int(v * s) for v in vs] for vs in (hw, lo, hi)), s) == \
-        _shift_ranges(J, hw, lo, hi)
-
-
 # -- exact batched periodization ----------------------------------------------
 
 # per-axis parameters: the alpha = 0 limit, small rationals, and Fraction(0.1),
@@ -527,30 +476,55 @@ def test_partition_of_unity_exact_on_python_integers(monkeypatch):
         assert num.dtype == object and num.tolist() == [den] * len(N)
 
 
+@pytest.mark.parametrize("q", [0, -1, F(3, 2), 2.0, True, "3", None])
+def test_denominator_must_be_an_integer_of_at_least_one(q):
+    # q = 0 divided by zero, eval_exact(N, 0) gave the denominator 0 and
+    # q = -1 summed to 0 where g^J(0) = 1
+    g = AdmissibleFn.tensor_linear([F(1, 10)] * 2)
+    N = np.zeros((1, 2), dtype=np.int64)
+    with pytest.raises(InvalidParameter):
+        periodized_sum_exact(g, J_D, N, q)
+    with pytest.raises(InvalidParameter):
+        g.eval_exact(N, q)
+    num, den = periodized_sum_exact(g, J_D, N, np.int64(3))
+    assert (num.tolist(), den) == ([den], g.eval_exact(N, 3)[1])
+
+
+@pytest.mark.parametrize("n", [-1, 2.0, True, "10"])
+def test_sample_count_must_be_an_integer_of_at_least_zero(n):
+    g = AdmissibleFn.tensor_linear([F(1, 10)] * 2)
+    with pytest.raises(InvalidParameter):
+        check_partition_of_unity(g, n_samples=n)
+    assert check_partition_of_unity(g, n_samples=0) == 0.0
+
+
 def test_periodized_sum_exact_on_an_empty_shift_box():
-    # no shift J^T z moves x = N / 2 into the support box: the shift box is empty
+    # no shift J^T z moves x = N / 2 into the support box: the walk finds no point
     for g, J, N in ((AdmissibleFn.characteristic(1), IntMat.diagonal([4]), [[2]]),
                     (AdmissibleFn.tensor_linear([F(1, 10)]), IntMat.diagonal([4]), [[6]]),
                     (AdmissibleFn.tensor_linear([F(0)] * 2), IntMat.diagonal([4, 4]), [[4, 5]])):
         N = np.array(N, dtype=np.int64)
         lo = hi = [F(v, 2) for v in N[0].tolist()]
-        assert any(len(r) == 0 for r in _shift_ranges(J, g.support_halfwidths, lo, hi))
+        reach = g.support_reach(2)
+        H = [[2 * v for v in row] for row in J.T.hermite.entries]
+        assert len(lattice_points(H, N, [-r for r in reach], reach)[1]) == 0
         num, den = periodized_sum_exact(g, J, N, 2)
         assert num.tolist() == [0] and den == g.eval_exact(N, 2)[1]
         assert periodized_sum(g, J, lo) == 0
 
 
 def test_periodized_sum_exact_in_blocks(monkeypatch):
-    # a small stacking bound splits the shifts into blocks of one or more
-    # shifts; every block gives the same exact sums, and so do Python
-    # integers in place of int64 (a zero int64 bound).  The same bound
-    # refuses a box of more shifts than it
+    # with q = 9 the shifts are 9 H Z^2, H = [[1, 0], [4, 7]] the Hermite basis
+    # of J^T, so a row reaches at most 2 x 1 points of the support box
+    # |Y| <= (7, 5), and a guard of G points walks the rows in blocks of G // 2;
+    # every block gives the same exact sums, on int64 and on Python integers
+    # (a zero int64 bound)
     g = AdmissibleFn.tensor_linear([F(3, 10), F(1, 7)])
     N = np.array([[v, 3 * v - 11] for v in range(-40, 41)], dtype=np.int64)
     J = IntMat.from_rows([[2, 1], [-1, 3]])
+    assert J.T.hermite == IntMat.from_rows([[1, 0], [4, 7]])
     expected = periodized_sum_exact(g, J, N, 9)
-    shifted = apply_rows(J.T, N, addend=5)
-    assert expected[0].dtype == shifted.dtype == np.int64
+    assert expected[0].dtype == np.int64
     seen = []
     evaluate = AdmissibleFn.eval_exact
 
@@ -559,21 +533,25 @@ def test_periodized_sum_exact_in_blocks(monkeypatch):
         return evaluate(self, Y, q)
 
     monkeypatch.setattr(AdmissibleFn, "eval_exact", counted)
-    monkeypatch.setattr(admissible, "ENUMERATION_GUARD", 89)
-    with pytest.raises(TooLarge):
-        periodized_sum_exact(g, J, N, 9)
-    for guard in (90, 2 * len(N), 7 * len(N) + 1):  # 90 shifts: blocks of 1, 2 and 7
-        monkeypatch.setattr(admissible, "ENUMERATION_GUARD", guard)
+    for guard, rows in ((2, 1), (6, 3), (20, 10), (1000, 81)):
+        for module in (intlat, admissible):
+            monkeypatch.setattr(module, "ENUMERATION_GUARD", guard)
         seen.clear()
         num, den = periodized_sum_exact(g, J, N, 9)
         assert den == expected[1] and num.tolist() == expected[0].tolist()
-        assert len(seen) > 2 and max(seen) <= max(guard, len(N))
+        assert len(seen) == -(-len(N) // rows) and max(seen) <= guard
+    # below the bound of one row, blocks of one row run while no step of the
+    # walk passes the guard: N = (0, 0) reaches one point, (3, 0) two
+    for module in (intlat, admissible):
+        monkeypatch.setattr(module, "ENUMERATION_GUARD", 1)
+    assert periodized_sum_exact(g, J, np.zeros((1, 2), dtype=np.int64), 9)[0].tolist() == [den]
+    with pytest.raises(TooLarge):
+        periodized_sum_exact(g, J, np.array([[3, 0]]), 9)
     for module in (intlat, admissible):
         monkeypatch.setattr(module, "_INT64_SAFE", 0)
+        monkeypatch.setattr(module, "ENUMERATION_GUARD", 6)
     num, den = periodized_sum_exact(g, J, N, 9)
     assert num.dtype == object and den == expected[1] and num.tolist() == expected[0].tolist()
-    slow = apply_rows(J.T, N, addend=5)
-    assert slow.dtype == object and slow.tolist() == shifted.tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -606,15 +584,22 @@ def test_axis_denominators_match_the_exact_values(data):
     assert [F(v, den) for v in num.tolist()] == [g(tuple(F(v, q) for v in x)) for x in N.tolist()]
 
 
-def test_shift_box_guard_raises_before_work():
-    # a box of more than ENUMERATION_GUARD shifts is refused at once, on the
-    # batched path (10^8 shifts) and on the scalar one (a shear of 2^21)
+def test_shift_box_guard_raises_before_work(monkeypatch):
+    # a row 10^4 away from the support, on the batched path, and a shear of
+    # 2^21 on the scalar one: the walk meets the one point in the support box
+    # at once, where a box of shifts held 10^8 and 1 258 293 of them.  A
+    # guard below the points of one step raises before any window value
     g = AdmissibleFn.tensor_linear([F(1, 10)] * 2)
-    calls = (lambda: periodized_sum_exact(g, IntMat.identity(2),
-                                          np.array([[0, 0], [10 ** 4, 10 ** 4]]), 1),
+    calls = (lambda: exact_floats(*periodized_sum_exact(
+                 g, IntMat.identity(2), np.array([[0, 0], [10 ** 4, 10 ** 4]]), 1)).tolist(),
              lambda: periodized_sum(g, IntMat.from_rows([[1, 0], [2 ** 21, 2]]), (0, 0)))
-    for call in calls:
+    for call, value in zip(calls, ([1, 1], 1)):
         start = time.perf_counter()
+        assert call() == value
+        assert time.perf_counter() - start < 0.5
+    monkeypatch.setattr(intlat, "ENUMERATION_GUARD", 0)
+    monkeypatch.setattr(AdmissibleFn, "eval_exact", lambda *args: pytest.fail("evaluated"))
+    monkeypatch.setattr(AdmissibleFn, "__call__", lambda *args: pytest.fail("evaluated"))
+    for call in calls:
         with pytest.raises(TooLarge):
             call()
-        assert time.perf_counter() - start < 0.5

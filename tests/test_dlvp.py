@@ -795,14 +795,26 @@ PRUNING_CASES = {**ORACLE_CASES,
                                      AdmissibleFn.tensor_linear([F(1, 10), F(1, 10)]))}
 
 
+def support_box_walk(M, g):
+    """The integer points of the bounding box of ``M^T [-hw, hw]`` in
+    lexicographic order; those ``k`` whose ``M^{-T} k = N / q`` lies in the
+    support box, with their ``N``; and ``q``: each point of the box tested."""
+    bounds = [math.floor(sum(abs(a) * h for a, h in zip(row, g.support_halfwidths)))
+              for row in M.T.entries]
+    box = np.array(list(product(*(range(-b, b + 1) for b in bounds))), dtype=np.int64)
+    N, q = M.inv_T_rows(box)
+    near = np.all(np.abs(N) <= g.support_reach(q), axis=1)
+    return box, box[near], N[near], q
+
+
 @pytest.mark.parametrize("case", PRUNING_CASES)
 def test_top_level_samples_only_inside_the_support_box(case, monkeypatch):
-    # the window is evaluated only on candidates inside its support box, and
-    # the samples equal those of every candidate with the zeros dropped
+    # the window is evaluated once, on exactly the frequencies of the bounding
+    # box whose points lie in its support box, and the samples are those
+    # with the zeros dropped, in lexicographic key order
     c, g = PRUNING_CASES[case]()
-    M = c.matrix(c.n_levels)
-    K = dlvp._frequency_candidates(M, g.support_halfwidths)
-    P, den = g.eval_exact(*M.inv_T_rows(K))
+    box, K, N, q = support_box_walk(c.matrix(c.n_levels), g)
+    P, den = g.eval_exact(N, q)
     seen = []
     evaluate = AdmissibleFn.eval_exact
 
@@ -815,12 +827,10 @@ def test_top_level_samples_only_inside_the_support_box(case, monkeypatch):
     assert np.array_equal(keys, K[P != 0])
     assert samples.dtype == P.dtype and samples.tolist() == P[P != 0].tolist()
     assert sample_den == den
-    N, q = seen[0]
-    assert len(seen) == 1 and len(N) <= len(K)
+    (walked, walked_q), = seen
+    assert walked_q == q and sorted(map(tuple, walked.tolist())) == sorted(map(tuple, N.tolist()))
     if case == "sheared":
-        assert (len(N), len(K)) == (189, 1071)
-    reach = [math.floor(h * q) for h in g.support_halfwidths]
-    assert np.all(np.abs(N) <= reach)
+        assert (len(N), len(box)) == (189, 1071)
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from vpwave import intlat
 from vpwave.errors import (DimensionMismatch, IndexMismatch, InexactInput, InvalidParameter,
                            LevelOutOfRange, SingularMatrix, TooLarge)
 from vpwave.intlat import (
@@ -25,6 +26,7 @@ from vpwave.intlat import (
     axis_doubling,
     chain,
     generating_set,
+    lattice_points,
     pattern,
     plane_rotation,
     smith_normal_form,
@@ -719,8 +721,8 @@ def test_scaled_inverse_of_negative_determinants():
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(1, 3), data=st.data(), q=st.sampled_from([1, 2, 3, 7, 1024, 2 ** 40]))
 def test_reduce_box_over_a_denominator(d, data, q):
-    # reducing modulo q M reads the Smith form of M alone; the residues are
-    # those of the scaled matrix q M, and lie in its box q M [-1/2, 1/2)^d
+    # the residues modulo a scaled matrix q M are congruent to the rows and
+    # lie in its box q M [-1/2, 1/2)^d
     rows = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=d, max_size=d),
                               min_size=d, max_size=d))
     M = IntMat.from_rows(rows)
@@ -730,8 +732,7 @@ def test_reduce_box_over_a_denominator(d, data, q):
     K = np.array(data.draw(st.lists(st.lists(st.integers(-bound, bound), min_size=d, max_size=d),
                                     min_size=1, max_size=6)), dtype=object if big else np.int64)
     qM = IntMat(tuple(tuple(q * v for v in row) for row in M.entries))
-    R = _reduce_box(M, K, q)
-    assert R.tolist() == _reduce_box(qM, K).tolist()
+    R = _reduce_box(qM, K)
     A, p = smith_normal_form(M).scaled_inverse
     for k, r in zip(K.tolist(), R.tolist()):
         # (q M)^{-1} (k - r) is integral, (q M)^{-1} r in [-1/2, 1/2)^d
@@ -739,3 +740,82 @@ def test_reduce_box_over_a_denominator(d, data, q):
         assert all(v % (p * q) == 0 for v in diff)
         assert all(-Fraction(1, 2) <= Fraction(sum(a * y for a, y in zip(row, r)), p * q) < Fraction(1, 2)
                    for row in A.entries)
+
+
+# -- Hermite bases and the lattice-point walk ------------------------------------
+
+
+@st.composite
+def sheared_matrices(draw, max_dim=3):
+    """A regular matrix of small entries times a shear ``I + s e_i e_j^T``, ``|s| <= 2^20``."""
+    M = draw(regular_matrices(max_dim=max_dim))
+    d = M.dim
+    rows = IntMat.identity(d).to_lists()
+    if d > 1:
+        i, j = draw(st.permutations(range(d)))[:2]
+        rows[i][j] = draw(st.integers(-2 ** 20, 2 ** 20))
+    return M @ IntMat.from_rows(rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(M=st.one_of(regular_matrices(max_dim=4), sheared_matrices()))
+def test_hermite_basis_spans_the_column_lattice(M):
+    H = M.hermite
+    d = M.dim
+    rows = H.entries
+    assert all(rows[i][k] == 0 for i in range(d) for k in range(i + 1, d))
+    assert all(rows[i][i] > 0 for i in range(d))
+    assert all(0 <= rows[i][k] < rows[i][i] for i in range(d) for k in range(i))
+    assert H.absdet == M.absdet
+    # both transition matrices M^{-1} H and H^{-1} M are integral
+    for X, Y in ((M, H), (H, M)):
+        A, q = smith_normal_form(X).scaled_inverse
+        assert all(v % q == 0 for row in (A @ Y).entries for v in row)
+    assert M.hermite is H
+
+
+def box_walk(B, X, lo, hi):
+    """Every point of the box ``[lo, hi]`` congruent to a row of ``X`` modulo
+    ``B Z^d``, by testing each point of the box: ``A (y - x) = 0 mod q`` with
+    ``(A, q)`` the scaled inverse of ``B``; in the order of the rows, and for
+    each row in lexicographic order."""
+    A, q = smith_normal_form(B).scaled_inverse
+    box = list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+    return [(i, y) for i, x in enumerate(X) for y in box
+            if all(sum(a * (u - v) for a, u, v in zip(row, y, x)) % q == 0 for row in A.entries)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(B=sheared_matrices(), bound=st.sampled_from([5, 2 ** 40, 2 ** 70]), data=st.data())
+def test_lattice_points_match_a_box_walk(B, bound, data):
+    # the walk on the Hermite basis gives the points of the brute-force walk
+    # over the box, in the same order, on int64 and on Python integers
+    d = B.dim
+    X = data.draw(st.lists(st.lists(st.integers(-bound, bound), min_size=d, max_size=d),
+                           min_size=0, max_size=5))
+    lo = data.draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d))
+    hi = [a + w for a, w in zip(lo, data.draw(st.lists(st.integers(0, 7), min_size=d,
+                                                         max_size=d)))]
+    expected = box_walk(B, X, lo, hi)
+    rows = np.array(X, dtype=np.int64 if bound < 2 ** 62 else object).reshape(-1, d)
+    index, P = lattice_points(B.hermite.entries, rows, lo, hi)
+    assert list(zip(index.tolist(), map(tuple, P.tolist()))) == expected
+    if bound == 5:
+        assert P.dtype == np.int64
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intlat, "_INT64_SAFE", 0)
+        index, P = lattice_points(B.hermite.entries, rows, lo, hi)
+    assert P.dtype == object and list(zip(index.tolist(), map(tuple, P.tolist()))) == expected
+
+
+def test_lattice_points_guard_counts_the_points_of_a_step(monkeypatch):
+    # the guard bounds the points each step holds, not a box: the 7 x 3 = 21
+    # points of Z x 2Z in [-3, 3]^2 pass a guard of 21 and fail one of 20
+    H = ((1, 0), (0, 2))
+    X = np.zeros((1, 2), dtype=np.int64)
+    monkeypatch.setattr(intlat, "ENUMERATION_GUARD", 21)
+    index, P = lattice_points(H, X, [-3, -3], [3, 3])
+    assert len(P) == 21 and not index.any()
+    monkeypatch.setattr(intlat, "ENUMERATION_GUARD", 20)
+    with pytest.raises(TooLarge):
+        lattice_points(H, X, [-3, -3], [3, 3])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vpwave import tol
 from vpwave.admissible import AdmissibleFn, exact_gap
 from vpwave.dlvp import (
     ScalingFunction,
@@ -26,6 +27,7 @@ from vpwave.dlvp import (
 from vpwave.errors import (DimensionMismatch, InvalidParameter, LevelOutOfRange, TooLarge,
                            UnsupportedDimension)
 from vpwave.intlat import (
+    ENUMERATION_GUARD,
     J_D,
     J_X,
     J_Y,
@@ -325,8 +327,8 @@ def test_reduction_single_plane_rotation_in_three_dimensions(g3, g2):
 
 @pytest.mark.parametrize("J", [J_D, J_X], ids=["J_D", "J_X"])
 def test_reduction_check_decomposes_no_scaled_matrix(J):
-    # the grid is reduced modulo q M^T through the cached Smith form of M^T,
-    # so a window with a new grid denominator q adds no Smith form q M^T
+    # the shifts of the grid walk the cached Hermite basis of J^T, scaled by
+    # the grid denominator q, so a window with a new q adds no Smith form
     check_reduction(square_window(6), J, "single")
     check_reduction(square_window(10), J, "double")
     before = smith_normal_form.cache_info().currsize
@@ -375,6 +377,82 @@ def test_tail_distance_sees_a_quincunx_tail():
     dist = [tail_distance(c, g, level) for level in range(4)]
     assert dist[:2] == [0.0, 0.0] and dist[2] > 0 and dist[3] == 0.0
     assert dist[2] == pytest.approx(tail_distance_oracle(c, g, 2), rel=1e-12, abs=0)
+
+
+# -- shear-heavy chains in two and three dimensions ---------------------------------
+
+
+def shear(d, i, j, transpose=False):
+    """The factor doubling axis ``i`` and adding it to axis ``j``: ``[[1, 1], [0, 2]]``
+    for ``d = 2``, ``i = 1``, ``j = 0``; or its transpose."""
+    rows = IntMat.identity(d).to_lists()
+    rows[i][i] = 2
+    rows[j][i] = 1
+    return IntMat.from_rows(rows).T if transpose else IntMat.from_rows(rows)
+
+
+@st.composite
+def shear_chains(draw):
+    """A chain of 4 to 10 determinant-2 factors in d = 2 or 3, drawn from the
+    shears, their transposes, the plane rotations and the axis doublings,
+    from ``M_0 = I`` or ``2 I``; the finest ``m`` stays below ENUMERATION_GUARD."""
+    d = draw(st.sampled_from([2, 3]))
+    axes = st.integers(0, d - 1)
+    pairs = st.tuples(axes, axes).filter(lambda p: p[0] != p[1])
+    factor = st.one_of(st.builds(lambda p, t: shear(d, *p, t), pairs, st.booleans()),
+                       st.builds(lambda p: plane_rotation(d, *p), pairs),
+                       st.builds(lambda i: axis_doubling(d, i), axes))
+    M0 = IntMat.diagonal([draw(st.sampled_from([1, 2]))] * d)
+    c = chain(M0, draw(st.lists(factor, min_size=4, max_size=10)))
+    window = draw(st.sampled_from([AdmissibleFn.tensor_linear([F(1, 10)] * d),
+                                   AdmissibleFn.tensor_smoothed([F(1, 4)] * d, order=3),
+                                   AdmissibleFn.characteristic(d)]))
+    return c, window
+
+
+@settings(max_examples=12, deadline=None)
+@given(cg=shear_chains(), seed=st.integers(0, 2 ** 16))
+def test_shear_heavy_chains_match_their_profiles(cg, seed):
+    # the spectra of the top level and of level 0 equal the directly
+    # evaluated profile at seeded keys, half of them in the support; every
+    # step nests and has orthonormal filters; the tail distance of level 0
+    # bounds the profile's distance from the plain window at those keys
+    c, g = cg
+    n = c.n_levels
+    assert c.size(n) < ENUMERATION_GUARD
+    rng = np.random.default_rng(seed)
+    for level in (n, 0):
+        M, root = c.matrix(level), math.sqrt(c.size(level))
+        keys = scaling_spectrum(c, level, g).spectrum.keys
+        lo, hi = keys.min(axis=0) - 1, keys.max(axis=0) + 1
+        picks = [*keys[rng.choice(len(keys), 24)].tolist(),
+                 *rng.integers(lo, hi + 1, size=(24, c.dim)).tolist()]
+        tail = tail_distance(c, g, level)
+        for k in picks:
+            x = M.inv_T_apply(k)
+            expected = float(scaling_profile(c, level, g, x)) / root
+            got = scaling_spectrum(c, level, g).spectrum[k]
+            assert got == (expected if abs(expected) > tol.ZERO_TRIM else 0.0), (level, k)
+            assert abs(expected - float(g(x)) / root) <= tail + 2 * tol.ZERO_TRIM
+    assert tail_distance(c, g, n) == 0.0
+    for level in range(n):
+        assert nesting_residual(c, level, g) < tol.TWO_SCALE
+        assert all(audit_orthonormality(f) < tol.ORTHO for f in normalized_filters(c, level, g))
+
+
+def test_alternating_shear_chain_builds():
+    # the bounding box of M_8^T [-hw, hw] held 1 343 977 frequencies, so the
+    # report raised TooLarge; the support box holds 5 895 nonzero samples
+    c = chain(IntMat.diagonal([4, 4]), [shear(2, 1, 0), shear(2, 0, 1)] * 4)
+    g = square_window(10)
+    assert build_report(c, g).ok
+    rng = np.random.default_rng(8)
+    for level in (c.n_levels, 0):
+        M, root = c.matrix(level), math.sqrt(c.size(level))
+        phi = scaling_spectrum(c, level, g).spectrum
+        assert level == 0 or len(phi) == 5895
+        for k in phi.keys[rng.choice(len(phi), 48, replace=False)].tolist():
+            assert phi[k] == float(scaling_profile(c, level, g, M.inv_T_apply(k))) / root
 
 
 # -- level arguments ----------------------------------------------------------------

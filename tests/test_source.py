@@ -214,8 +214,8 @@ def test_window_and_lattice_kernels_build_no_matrices_or_fractions():
     # transpose, the largest entry, the integer ramps) and build neither an
     # IntMat nor a Fraction per call; nor do they read the Fraction fields
     kernels = {"admissible.py": {"periodized_sum_exact", "eval_exact", "_axis_exact",
-                                 "in_support", "support_reach"},
-               "intlat.py": {"apply_rows"}}
+                                 "support_reach"},
+               "intlat.py": {"apply_rows", "lattice_points"}}
     builders = {"IntMat", "Fraction", "_exact_fraction", "_exact_ints"}
     fraction_fields = {"HALF", "alpha", "support_halfwidths", "breakpoints_1d"}
     found, seen = [], set()
@@ -255,10 +255,11 @@ def test_declared_console_scripts_resolve():
 
 
 def test_every_box_enumeration_is_guarded():
-    # a function that enumerates a box with np.indices, np.meshgrid or
-    # itertools.product either raises TooLarge itself or takes its box from
-    # _shift_ranges, which does; _dense_plan is only called for
-    # m <= _DENSE_PATTERN
+    # a function that enumerates with np.indices, np.meshgrid,
+    # itertools.product or np.repeat either raises TooLarge itself or goes
+    # through lattice_points, which does; _dense_plan is only called for
+    # m <= _DENSE_PATTERN.  The periodizations and the top-level samples walk
+    # lattice points, not a bounding box
     exempt = {"latfft.py _dense_plan"}
     enumerating, guarded = set(), set()
     for path in sorted(SRC.glob("*.py")):
@@ -271,14 +272,16 @@ def test_every_box_enumeration_is_guarded():
             calls = [node.func for node in ast.walk(function) if isinstance(node, ast.Call)]
             called = {getattr(f.value, "id", None) + "." + f.attr if isinstance(f, ast.Attribute)
                       and isinstance(f.value, ast.Name) else getattr(f, "id", None) for f in calls}
-            if called & {"np.indices", "np.meshgrid", "itertools.product"} or called & products:
+            if (called & {"np.indices", "np.meshgrid", "np.repeat", "itertools.product"}
+                    or called & products):
                 enumerating.add(name)
             raised = {getattr(node.exc.func, "id", None) for node in ast.walk(function)
                       if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)}
-            if "TooLarge" in raised or "_shift_ranges" in called:
+            if "TooLarge" in raised or "lattice_points" in called:
                 guarded.add(name)
-    assert "admissible.py _shift_ranges" in guarded
-    assert {"admissible.py periodized_sum", "admissible.py periodized_sum_exact",
-            "dlvp.py _frequency_candidates", "mra.py _grid_numerators"} | exempt <= enumerating
+    walks = {"admissible.py periodized_sum", "admissible.py periodized_sum_exact",
+             "dlvp.py _exact_samples"}
+    assert walks <= guarded and not walks & enumerating
+    assert {"intlat.py lattice_points", "mra.py _grid_numerators"} | exempt <= enumerating
     unguarded = sorted(enumerating - guarded - exempt)
     assert not unguarded, f"box enumerations without a size guard: {unguarded}"
