@@ -43,8 +43,8 @@ is that of ``M^T``), a batch ``K`` reduces into the box as
 by exact floor division.  ``G(M)`` is the Smith digit grid mapped by
 ``U`` and reduced in one such step, with ``A U = V^{-1} diag(q/s_k)`` for
 ``M = U S V`` (``P(M)`` takes ``U'^{-T} diag(q/s_k)``): each coordinate is
-one contiguous row, an outer sum of a short array per Smith axis, and the
-``d`` rows are stacked once into the ``(m, d)`` array.  As
+one contiguous row, an outer sum of a short array per Smith axis, reduced
+in place and written once into its column of the ``(m, d)`` array.  As
 ``M Z^d = U S Z^d``, the class of ``k`` is the digit vector
 ``U^{-1} k mod diag(S)``, and its mixed-radix value is its position in
 the canonical order; :meth:`GeneratingSet.class_index` computes it for a
@@ -64,9 +64,15 @@ depends on ``w_0..w_j`` only: :func:`lattice_points` walks no bounding box.
 Overflow rule: before each array product the entries are bounded
 (``max|B| max(max|X|, 1) d`` plus any addend) against ``2^62``; if the
 bound fails, the product runs on ``dtype=object`` arrays of Python
-integers, so int64 never wraps silently.  An enumeration bounds its rows
-from the coefficients and digit ranges the same way, before it allocates.
-The lattice walk bounds its partial points from ``max|X|``, the box and ``H``.
+integers, so int64 never wraps silently.  An enumeration bounds every
+entry it computes, from the coefficients and digit ranges
+(:func:`_image_bound`), before it allocates, and runs in the narrowest
+width that holds the bound: int32 below ``2^31``, int64 below ``2^62``, else
+Python integers (:func:`_row_dtype`).  Under NumPy's promotion rules (NEP 50)
+an int32 array times a Python int stays int32 and wraps silently when the
+product overflows, so the bound, never a result, decides the width; the
+stored sets are int64, or ``dtype=object`` on the Python-int path.  The
+lattice walk bounds its partial points from ``max|X|``, the box and ``H``.
 
 An ``IntMat`` computes what depends on its entries alone once and keeps
 it on the instance: the hash, the determinant, the transpose, and for
@@ -97,6 +103,8 @@ FracVec = tuple[Fraction, ...]
 ENUMERATION_GUARD = 2 ** 20
 # Bound on every entry of an int64 array product; above it, Python ints.
 _INT64_SAFE = 2 ** 62
+# Bound on every entry of an int32 enumeration row; above it, int64.
+_INT32_SAFE = 2 ** 31
 
 
 class _Frozen:
@@ -555,64 +563,149 @@ def lattice_points(H: Sequence[Sequence[int]], X: np.ndarray, lo: Sequence[int],
 
 
 def _image_bound(B: Sequence[Sequence[int]], x: Sequence) -> list:
-    """Per row ``j``, ``sum_k |B[j][k]| x_k``: a bound on ``|(B y)_j|`` for
-    every ``y`` with ``|y_k| <= x_k`` (``x`` of ints or Fractions)."""
+    """Per row ``j``, ``sum_k |B[j][k]| x_k``: a bound on ``|(B y)_j|``, and on
+    every partial sum of its terms, for every ``y`` with ``|y_k| <= x_k``
+    (``x`` of ints or Fractions)."""
     return [sum(abs(b) * v for b, v in zip(row, x)) for row in B]
 
 
-def _grid_rows(B: Sequence[Sequence[int]], diag: Vec, addend: int, bound: int) -> list:
-    """Row ``j`` is ``sum_k B[j][k] c_k + addend`` over the digit vectors ``c``
-    of ``diag`` in C order, one contiguous array: an outer sum of one short
-    array per axis with ``s_k > 1``; int64 if ``bound < 2^62``, else Python ints."""
-    dtype = np.int64 if bound < _INT64_SAFE else object
-    axes = [(k, np.arange(s, dtype=dtype)) for k, s in enumerate(diag) if s > 1]
-    return [reduce(np.add.outer, [row[k] * c for k, c in axes], np.array([addend], dtype)).ravel()
-            for row in B]
+def _row_dtype(bound: int):
+    """The narrowest exact width for integers of magnitude at most ``bound``:
+    int32 below ``2^31``, int64 below ``2^62``, else Python ints (``object``)."""
+    return np.int32 if bound < _INT32_SAFE else np.int64 if bound < _INT64_SAFE else object
+
+
+def _grid_rows(B: Sequence[Sequence[int]], diag: Vec, addend: int, dtype) -> np.ndarray:
+    """The ``(len(B), m)`` array, ``m = prod(diag)``, whose row ``j`` is
+    ``sum_k B[j][k] c_k + addend`` over the digit vectors ``c`` of ``diag`` in
+    C order, each row contiguous: the short terms of the leading axes with
+    ``s_k > 1`` (a suffix of the Smith diagonal) are summed by broadcasting,
+    and the last axis's term is added to them in one pass.  ``dtype``, int32,
+    int64 or ``object`` (:func:`_row_dtype`), must hold ``|addend|`` plus
+    :func:`_image_bound` of ``B`` over the digit ranges ``s_k - 1``, which
+    bounds every coefficient read, product and partial sum, so a fixed-width
+    row never wraps; the coefficients of the axes with ``s_k = 1`` are not
+    read, as nothing bounds them."""
+    axes = [k for k, s in enumerate(diag) if s > 1]
+    if not axes:
+        return np.full((len(B), 1), addend, dtype)
+    shape = [diag[k] for k in axes]
+    n = len(shape)
+    coefs = np.array([[row[k] for row in B] for k in axes], dtype).reshape(n, len(B), *[1] * n)
+    last = coefs[-1] * np.arange(shape[-1], dtype=dtype)
+    if n == 1:
+        last += addend
+        return last
+    partial = sum((coefs[i] * np.arange(s, dtype=dtype).reshape([-1] + [1] * (n - 1 - i))
+                   for i, s in enumerate(shape[:-1])), addend)
+    return np.add(partial, last).reshape(len(B), -1)
+
+
+def _add_multiple(out: np.ndarray, b: int, row: np.ndarray, scratch: np.ndarray) -> None:
+    """``out += b * row`` in place, with the product in ``scratch`` unless
+    ``b`` is 0 or +-1."""
+    if b == 1:
+        out += row
+    elif b == -1:
+        out -= row
+    elif b:
+        np.multiply(row, b, out=scratch)
+        out += scratch
+
+
+def _stored(rows: np.ndarray, addend: int = 0) -> np.ndarray:
+    """The ``(d, m)`` rows minus ``addend`` as the read-only, C-contiguous
+    ``(m, d)`` array of a set, written one coordinate at a time: int64 after
+    an int32 or int64 computation, ``object`` on the Python-int path."""
+    out = np.empty(rows.shape[::-1], object if rows.dtype == object else np.int64)
+    for j, row in enumerate(rows):
+        if addend:
+            np.subtract(row, addend, out=out[:, j])
+        else:
+            out[:, j] = row
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=None)
 def generating_set(M: IntMat) -> GeneratingSet:
     """Canonically ordered generating set ``G(M)`` (reps of ``Z^d / M Z^d``):
-    ``U c - M floor((V^{-1} diag(q/s_k) c + floor(q/2)) / q)`` per digit vector ``c``."""
+    per digit vector ``c`` of ``M = U S V``, ``q = |det M|``,
+    ``R = U c - M F`` with ``F = floor((V^{-1} diag(q/s_k) c + floor(q/2)) / q)``.
+
+    Each coordinate is one contiguous row.  The rows of ``F`` and of ``U c``
+    come from :func:`_grid_rows`; ``F`` is floor-divided in place, and
+    ``R_i -= M_ij F_j`` accumulates into ``U c`` through one scratch row.
+    Every point must carry the Smith digits of its position:
+    ``E = (U^{-1} R)_j - c_j`` satisfies ``E // s_j * s_j == E``, computed in
+    a row of ``F`` (no longer needed) and the scratch row.
+
+    The width is the narrowest of int32, int64 and Python ints
+    (:func:`_row_dtype`) that holds one bound on every entry computed: on
+    the rows of ``F`` before the division, :func:`_image_bound` over the
+    digit ranges plus ``floor(q/2)``; on every product and partial sum of
+    ``R``, ``|U c|`` plus ``|M|`` times the bound on ``|F|``; for the check,
+    ``|U^{-1}|`` times that bound plus ``2 q``, as ``|E // s_j * s_j| < |E| + s_j``.
+    The stored ``(m, d)`` array is int64, or ``object`` on the Python-int path."""
     m = M.require_regular().absdet
     if m > ENUMERATION_GUARD:
         raise TooLarge(f"refusing to enumerate {m} > {ENUMERATION_GUARD} lattice points")
     snf = smith_normal_form(M)
-    diag, d = snf.diagonal, M.dim
+    diag, d, h = snf.diagonal, M.dim, m // 2
     A = [[v * (m // s) for v, s in zip(row, diag)] for row in snf.V_inv.entries]
     top = [s - 1 for s in diag]
-    bound_F = (max(_image_bound(A, top)) + m // 2) // m + 1
+    bound_A = max(_image_bound(A, top)) + h
+    bound_F = bound_A // m + 1
     bound_R = max(_image_bound(snf.U.entries, top)) + max(_image_bound(M.entries, [bound_F] * d))
-    bound = max(bound_F * m, max(_image_bound(snf.U_inv.entries, [bound_R] * d)) + m)
-    F = [f // m for f in _grid_rows(A, diag, m // 2, bound)]
-    R = [r - sum(b * f for b, f in zip(row, F) if b)
-         for r, row in zip(_grid_rows(snf.U.entries, diag, 0, bound), M.entries)]
+    dtype = _row_dtype(max(bound_A, max(_image_bound(snf.U_inv.entries, [bound_R] * d)) + 2 * m))
+    F = _grid_rows(A, diag, h, dtype)
+    F //= m
+    R = _grid_rows(snf.U.entries, diag, 0, dtype)
+    scratch = np.empty(m, dtype)
+    for r, row in zip(R, M.entries):
+        for b, f in zip(row, F):
+            _add_multiple(r, -b, f, scratch)
+    shape = [s for s in diag if s > 1]
+    E = F[0]
     for j, (row, s) in enumerate(zip(snf.U_inv.entries, diag)):
         if s > 1:
-            E = sum(b * r for b, r in zip(row, R) if b).reshape(diag)
-            E -= np.arange(s, dtype=E.dtype).reshape([-1 if k == j else 1 for k in range(d)])
-            if (E // s * s != E).any():
+            (b0, r0), *terms = [(b, r) for b, r in zip(row, R) if b]
+            np.multiply(r0, b0, out=E)
+            for b, r in terms:
+                _add_multiple(E, b, r, scratch)
+            axis = j - (d - len(shape))  # the axes with s > 1 are a suffix
+            grid = E.reshape(shape)
+            grid -= np.arange(s, dtype=dtype).reshape([-1] + [1] * (len(shape) - 1 - axis))
+            np.floor_divide(E, s, out=scratch)
+            scratch *= s
+            if (scratch != E).any():
                 raise ConditionViolated(f"representatives of {M} leave the canonical class order")
-    R = np.stack(R, axis=1)
-    R.flags.writeable = False
-    return GeneratingSet(matrix=M, rep_array=R)
+    return GeneratingSet(matrix=M, rep_array=_stored(R))
 
 
 @lru_cache(maxsize=None)
 def pattern(M: IntMat) -> Pattern:
     """Pattern ``P(M)`` in the digit order of ``G(M^T)``, ``M^T = U' S V'``: over
     ``q = |det M|``, the numerators ``n = U'^{-T} diag(q/s_k) c`` of each digit
-    vector ``c``, centred into ``[-q/2, q/2)`` as ``n - q floor((n + floor(q/2)) / q)``."""
+    vector ``c``, centred into ``[-q/2, q/2)`` as ``n - q floor((n + floor(q/2)) / q)``.
+
+    The rows ``N = n + floor(q/2)`` come from :func:`_grid_rows`, ``N -= q (N // q)``
+    runs in place, and ``N - floor(q/2)`` is written into the stored ``(q, d)``
+    array, int64 or ``object`` on the Python-int path.  The width is the
+    narrowest of int32, int64 and Python ints (:func:`_row_dtype`) that holds
+    :func:`_image_bound` of ``n`` plus ``2 q``, a bound on ``N`` and on
+    ``q (N // q)``."""
     q = M.require_regular().absdet
     if q > ENUMERATION_GUARD:
         raise TooLarge(f"refusing to enumerate {q} > {ENUMERATION_GUARD} lattice points")
     snf = smith_normal_form(M.T)
-    diag = snf.diagonal
+    diag, h = snf.diagonal, q // 2
     B = [[v * (q // s) for v, s in zip(col, diag)] for col in zip(*snf.U_inv.entries)]
-    bound = max(_image_bound(B, [s - 1 for s in diag])) + 2 * q
-    N = np.stack([n - (n // q * q + q // 2) for n in _grid_rows(B, diag, q // 2, bound)], axis=1)
-    N.flags.writeable = False
-    return Pattern(matrix=M, numerators=N)
+    N = _grid_rows(B, diag, h, _row_dtype(max(_image_bound(B, [s - 1 for s in diag])) + 2 * q))
+    wraps = N // q
+    wraps *= q
+    N -= wraps
+    return Pattern(matrix=M, numerators=_stored(N, h))
 
 
 def _in_range(value, top: int) -> bool:

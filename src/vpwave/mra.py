@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -119,18 +118,24 @@ def support_radii(chn: ChainSpec, g: AdmissibleFn) -> list[int]:
     half-open support box of side ``s = 2^j``, ``j >= 1``, such as
     ``[-s/2, s/2)^d`` from the Dirichlet window at even quincunx levels,
     has radius ``2^{j-1} - 1``: the face at distance ``s/2`` is missing on
-    one side of each axis.  The radius is one less than the smallest
-    sup-norm of a missing frequency: in the keys' bounding box ``[lo, hi]``,
-    or beyond it, at an axis point ``lo_i - 1`` or ``hi_i + 1``."""
+    one side of each axis.
+
+    The keys are counted per sup-norm shell ``t``, which holds
+    ``(2t+1)^d - (2t-1)^d`` points, and one, the origin, at ``t = 0``.  As the
+    keys are distinct, the ball of radius ``r`` lies in the support iff each
+    shell ``t <= r`` holds that many keys: the radius is one less than the
+    first shell with fewer.  Norms are clipped at ``top``, where
+    ``(2 top - 1)^d`` exceeds the number of keys, so some shell below ``top``
+    is short, and nothing the size of the keys' bounding box is allocated."""
     out = []
     for level in range(chn.n_levels + 1):
         keys = scaling_spectrum(chn, level, g).spectrum.keys
-        lo, hi = keys.min(axis=0), keys.max(axis=0)
-        inside = np.zeros(hi - lo + 1, dtype=bool)
-        inside[tuple((keys - lo).T)] = True
-        norms = reduce(np.maximum, np.ix_(*(np.abs(np.arange(a, b + 1)) for a, b in zip(lo, hi))))
-        beyond = min(1 - lo.max(), hi.min() + 1)
-        out.append(max(int(np.min(norms[~inside], initial=beyond)) - 1, 0))
+        d = keys.shape[1]
+        top = int(len(keys) ** (1 / d)) // 2 + 2
+        norms = np.minimum(np.abs(keys).max(axis=1), top).astype(np.intp)
+        t = np.arange(top + 1)
+        shell = (2 * t + 1) ** d - np.maximum(2 * t - 1, 0) ** d
+        out.append(max(int(np.argmax(np.bincount(norms, minlength=top + 1) < shell)) - 1, 0))
     return out
 
 

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from vpwave import intlat
-from vpwave.errors import (DimensionMismatch, IndexMismatch, InexactInput, InvalidParameter,
-                           LevelOutOfRange, SingularMatrix, TooLarge)
+from vpwave.errors import (ConditionViolated, DimensionMismatch, IndexMismatch, InexactInput,
+                           InvalidParameter, LevelOutOfRange, SingularMatrix, TooLarge)
 from vpwave.intlat import (
     ENUMERATION_GUARD,
     J_D,
@@ -504,6 +504,81 @@ def test_enumeration_bound_catches_a_wrapping_grid_product():
     reps = oracle_reps(M)
     assert generating_set(M).reps == reps
     assert set(pattern(M).points) == {M.inv_apply(r) for r in reps}
+
+
+def test_enumeration_bound_catches_a_grid_product_that_wraps_in_int32():
+    # the same on the int32 rung of the width ladder: the coefficient fits
+    # int32 and the product with the top digit fits int64, but not int32
+    M = IntMat.from_rows([[4, 3 * 2 ** 26 + 1], [0, 4]])
+    snf = smith_normal_form(M)
+    s = snf.diagonal[-1]
+    coef = snf.V_inv.entries[0][-1] * (M.absdet // s)
+    assert abs(coef) < 2 ** 31 <= abs((s - 1) * coef) < 2 ** 62
+    assert int((np.arange(s, dtype=np.int32) * np.int32(coef))[-1]) != (s - 1) * coef
+    assert int((np.arange(s, dtype=np.int64) * np.int64(coef))[-1]) == (s - 1) * coef
+    reps = oracle_reps(M)
+    assert generating_set(M).reps == reps
+    assert set(pattern(M).points) == {M.inv_apply(r) for r in reps}
+
+
+def test_enumeration_width_covers_the_canonical_order_check():
+    # every representative and every partial sum of R fits int32, but U^{-1} R
+    # of the check does not: a width read from R alone wraps there and
+    # rejects a correct set
+    M = IntMat.from_rows([[1769687, 148035, 269320], [-19450, -1627, -2960], [-5184, -432, 6]])
+    reps = oracle_reps(M)
+    U_inv = smith_normal_form(M).U_inv
+    assert max(abs(v) for r in reps for v in r) < 2 ** 31
+    assert max(abs(v) for r in reps for v in U_inv.apply(r)) >= 2 ** 31
+    assert generating_set(M).reps == reps
+
+
+# [[1, b], [0, s]] whose bound in the named enumeration sits just below or
+# just above 2^31, where the width changes from int32 to int64
+INT32_EDGES = {
+    "generating_set-below": ("generating_set", [[1, 53508], [0, 4]], np.int32),
+    "generating_set-above": ("generating_set", [[1, 53509], [0, 4]], np.int64),
+    "pattern-below": ("pattern", [[1, 429496727], [0, 6]], np.int32),
+    "pattern-above": ("pattern", [[1, 429496728], [0, 6]], np.int64),
+}
+
+
+@pytest.mark.parametrize("name, rows, width", INT32_EDGES.values(), ids=INT32_EDGES)
+def test_enumerations_at_the_int32_edge(name, rows, width, monkeypatch):
+    M = IntMat.from_rows(rows)
+    bounds, row_dtype = [], intlat._row_dtype
+    monkeypatch.setattr(intlat, "_row_dtype", lambda b: bounds.append(b) or row_dtype(b))
+    getattr(intlat, name).__wrapped__(M)
+    assert 2 ** 31 - 2 ** 17 < bounds[0] < 2 ** 31 + 2 ** 17
+    assert row_dtype(bounds[0]) is width
+    gs, pat = generating_set.__wrapped__(M), pattern.__wrapped__(M)
+    for arr in (gs.rep_array, pat.numerators):
+        assert arr.dtype == np.int64 and arr.flags.c_contiguous and not arr.flags.writeable
+    assert gs.reps == oracle_reps(M)
+    assert pat.points == tuple(oracle_point(M, i) for i in range(M.absdet))
+
+
+@pytest.mark.parametrize("rows, width", [([[8, 3], [-2, 16]], np.int32),
+                                         ([[1, 2 ** 62], [0, 3]], object)],
+                         ids=["int32", "object"])
+def test_canonical_order_check_catches_a_misplaced_representative(rows, width, monkeypatch):
+    # swapping the digit vectors of positions 0 and 1 in every grid row swaps
+    # two representatives: each is a valid one of its class, but the class of
+    # position 0 then has the Smith digits of value 1
+    M = IntMat.from_rows(rows)
+    widths, grid_rows = [], intlat._grid_rows
+
+    def swapped(B, diag, addend, dtype):
+        widths.append(dtype)
+        out = grid_rows(B, diag, addend, dtype)
+        out[:, [0, 1]] = out[:, [1, 0]]
+        return out
+
+    assert generating_set.__wrapped__(M).reps == oracle_reps(M)
+    monkeypatch.setattr(intlat, "_grid_rows", swapped)
+    with pytest.raises(ConditionViolated):
+        generating_set.__wrapped__(M)
+    assert widths == [width, width]
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,7 @@
+import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -453,6 +455,52 @@ def test_alternating_shear_chain_builds():
         assert level == 0 or len(phi) == 5895
         for k in phi.keys[rng.choice(len(phi), 48, replace=False)].tolist():
             assert phi[k] == float(scaling_profile(c, level, g, M.inv_T_apply(k))) / root
+
+
+def support_radii_box_oracle(c, g):
+    """The radii as the least sup-norm of a missing frequency minus one, over
+    a dense boolean array of the keys' bounding box, or beyond it at an axis
+    point ``lo_i - 1`` or ``hi_i + 1``."""
+    out = []
+    for level in range(c.n_levels + 1):
+        keys = scaling_spectrum(c, level, g).spectrum.keys
+        lo, hi = keys.min(axis=0), keys.max(axis=0)
+        inside = np.zeros(hi - lo + 1, dtype=bool)
+        inside[tuple((keys - lo).T)] = True
+        norms = np.abs(np.indices(hi - lo + 1) + lo.reshape(-1, *[1] * c.dim)).max(axis=0)
+        beyond = min(1 - lo.max(), hi.min() + 1)
+        out.append(max(int(np.min(norms[~inside], initial=beyond)) - 1, 0))
+    return out
+
+
+@settings(max_examples=10, deadline=None)
+@given(cg=shear_chains())
+def test_support_radii_match_a_bounding_box(cg):
+    c, g = cg
+    assert support_radii(c, g) == support_radii_box_oracle(c, g)
+
+
+def test_support_radii_of_six_alternating_shear_pairs_fit_in_memory():
+    # m = 65536 at the top: the keys' bounding box there holds 315 595 123
+    # frequencies, about 2.8 GB as the dense arrays of a box; the shell counts
+    # allocate a few arrays of the keys' length
+    c = chain(IntMat.diagonal([4, 4]), [shear(2, 1, 0), shear(2, 0, 1)] * 6)
+    g = square_window(10)
+    for level in range(c.n_levels + 1):
+        scaling_spectrum(c, level, g)
+    keys = scaling_spectrum(c, c.n_levels, g).spectrum.keys
+    assert math.prod(int(v) + 1 for v in keys.max(axis=0) - keys.min(axis=0)) == 315_595_123
+    tracemalloc.start()
+    try:
+        radii = support_radii(c, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert radii == [2] * (c.n_levels + 1)
+    supp = set(map(tuple, keys.tolist()))
+    assert all(k in supp for k in itertools.product(range(-2, 3), repeat=2))
+    assert not all(k in supp for k in itertools.product(range(-3, 4), repeat=2))
 
 
 # -- level arguments ----------------------------------------------------------------

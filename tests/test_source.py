@@ -255,11 +255,12 @@ def test_declared_console_scripts_resolve():
 
 
 def test_every_box_enumeration_is_guarded():
-    # a function that enumerates with np.indices, np.meshgrid,
+    # a function that enumerates with np.indices, np.meshgrid, np.ix_,
     # itertools.product or np.repeat either raises TooLarge itself or goes
     # through lattice_points, which does; _dense_plan is only called for
     # m <= _DENSE_PATTERN.  The periodizations and the top-level samples walk
-    # lattice points, not a bounding box
+    # lattice points, not a bounding box, and support_radii counts its keys
+    # per shell, not over their bounding box
     exempt = {"latfft.py _dense_plan"}
     enumerating, guarded = set(), set()
     for path in sorted(SRC.glob("*.py")):
@@ -272,7 +273,8 @@ def test_every_box_enumeration_is_guarded():
             calls = [node.func for node in ast.walk(function) if isinstance(node, ast.Call)]
             called = {getattr(f.value, "id", None) + "." + f.attr if isinstance(f, ast.Attribute)
                       and isinstance(f.value, ast.Name) else getattr(f, "id", None) for f in calls}
-            if (called & {"np.indices", "np.meshgrid", "np.repeat", "itertools.product"}
+            if (called & {"np.indices", "np.meshgrid", "np.ix_", "np.repeat",
+                          "itertools.product"}
                     or called & products):
                 enumerating.add(name)
             raised = {getattr(node.exc.func, "id", None) for node in ast.walk(function)
@@ -282,6 +284,7 @@ def test_every_box_enumeration_is_guarded():
     walks = {"admissible.py periodized_sum", "admissible.py periodized_sum_exact",
              "dlvp.py _exact_samples"}
     assert walks <= guarded and not walks & enumerating
+    assert "mra.py support_radii" not in enumerating
     assert {"intlat.py lattice_points", "mra.py _grid_numerators"} | exempt <= enumerating
     unguarded = sorted(enumerating - guarded - exempt)
     assert not unguarded, f"box enumerations without a size guard: {unguarded}"
