@@ -34,9 +34,8 @@ All parameters are exact rationals.  Windows and their periodizations
   ``[-q <= 2 N < q]`` over 1 (characteristic), ``2, 1, 0`` for ``2 |N|``
   below, at or above ``q`` over 2 (``alpha = 0``), and the one-sided B-spline
   sum ``sum_j (-1)^j C(r, j) max(r s (q - 2 |N|) + 2 (r - 2 j) p q, 0)^r`` over
-  ``r! (4 p q)^r`` (smoothed); the axes multiply.  As in ``intlat.apply_rows``,
-  an array whose entries could pass ``2^62`` is computed on Python integers
-  (``dtype=object``) instead of int64.
+  ``r! (4 p q)^r`` (smoothed); the axes multiply.  Every array takes the
+  width that :func:`vpwave.intlat.exact_dtype` gives a bound on its entries.
 
 Both paths sum ``g`` only at the points ``x + J^T z`` in its support box
 ``[-hw, hw]``: over the common denominator ``q`` of the point (oracle) or
@@ -66,9 +65,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InexactInput, InvalidParameter, MalformedDescriptor
-from .intlat import (_INT64_SAFE, ENUMERATION_GUARD, IntMat, _absmax, _exact_fraction, _Value,
-                     lattice_points)
+from . import intlat
+from .errors import DimensionMismatch, InvalidParameter, MalformedDescriptor
+from .intlat import (IntMat, _absmax, _exact_fraction, _in_range, _integer_row, _integer_rows,
+                     _Value, exact_dtype, lattice_points)
 
 HALF = Fraction(1, 2)
 
@@ -82,7 +82,7 @@ MAX_ORDER = 100
 
 def _whole(value, least: int, what: str) -> int:
     """``value`` as an ``int`` if an integer (no bool) >= ``least``, else ``InvalidParameter``."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+    if not _in_range(value, least):
         raise InvalidParameter(f"{what} must be an integer >= {least}, got {value!r}")
     return int(value)
 
@@ -191,11 +191,11 @@ class AdmissibleFn(_Value):
         """Exact values at the rows of ``N / q`` for an ``(n, d)`` integer
         array ``N`` and an integer ``q >= 1`` (else ``InvalidParameter``): the
         numerators, and their common denominator, which depends on ``q`` only."""
-        N = _numerator_rows(N, self.dim)
+        N = _integer_rows(N, self.dim, "numerators")
         q = _whole(q, 1, "the denominator q")
         den = self._denominator(q)
         # every factor is at most 1, so |num| <= den
-        num = np.ones(len(N), dtype=np.int64 if den < _INT64_SAFE else object)
+        num = np.ones(len(N), dtype=exact_dtype(den))
         for axis, n in enumerate(N.T):
             num = num * self._axis_exact(axis, n, q)
         return num, den
@@ -227,8 +227,8 @@ class AdmissibleFn(_Value):
         (p, s), r = self._ramps[axis], self.order
         # bounds 2|n| + q and each term of the B-spline sum
         bound = r * s * (2 * _absmax(n) + q) + 2 * r * p * q
-        if 2 ** (r + 1) * bound ** r >= _INT64_SAFE:
-            n = n.astype(object)
+        if n.dtype != object:  # only ever cast up
+            n = n.astype(exact_dtype(2 ** (r + 1) * bound ** r), copy=False)
         if self.kind == KIND_CHARACTERISTIC:
             return ((-q <= 2 * n) & (2 * n < q)).astype(np.int64)
         if p == 0:
@@ -283,8 +283,7 @@ def periodized_sum(g: AdmissibleFn, J: IntMat, x: Sequence):
     q = math.lcm(*(v.denominator for v in xv))
     reach = g.support_reach(q)
     H = [[q * v for v in row] for row in J.T.hermite.entries]
-    _, Y = lattice_points(H, np.array([[int(v * q) for v in xv]], dtype=object),
-                          [-r for r in reach], reach)
+    _, Y = lattice_points(H, _integer_row([v * q for v in xv]), [-r for r in reach], reach)
     return sum((g(tuple(Fraction(v, q) for v in y)) for y in Y.tolist()), 0)
 
 
@@ -296,17 +295,17 @@ def periodized_sum_exact(g: AdmissibleFn, J: IntMat, N: np.ndarray,
     ``N_i + q J^T z`` with ``|Y| <= floor(hw q)``.  A walk step holds at most
     ``prod_j (2 floor(hw_j q) // (q H_jj) + 1)`` points per row, so each block
     of rows, one at least, holds at most ``ENUMERATION_GUARD`` by that bound."""
-    N = _numerator_rows(N, g.dim)
+    N = _integer_rows(N, g.dim, "numerators")
     if J.dim != g.dim:
         raise DimensionMismatch("factor and window dimensions differ")
     q = _whole(q, 1, "the denominator q")
     den = g._denominator(q)
     # partition of unity: the sum is at most 1, so |total| <= den
-    total = np.zeros(len(N), dtype=np.int64 if den < _INT64_SAFE else object)
+    total = np.zeros(len(N), dtype=exact_dtype(den))
     reach = g.support_reach(q)
     H = [[q * v for v in row] for row in J.T.hermite.entries]
     per_row = math.prod(2 * r // H[j][j] + 1 for j, r in enumerate(reach))
-    block = max(1, ENUMERATION_GUARD // per_row)
+    block = max(1, intlat.ENUMERATION_GUARD // per_row)
     for start in range(0, len(N), block):
         i, Y = lattice_points(H, N[start:start + block], [-r for r in reach], reach)
         np.add.at(total, start + i, g.eval_exact(Y, q)[0].astype(total.dtype, copy=False))
@@ -324,27 +323,18 @@ def exact_floats(num: np.ndarray, den: int) -> np.ndarray:
 
 def exact_product(x: np.ndarray, x_den: int, y: np.ndarray, y_den: int) -> tuple[np.ndarray, int]:
     """Exact product of two arrays of values in ``[0, 1]``, numerators over
-    ``x_den * y_den``; on Python integers once that bound on them reaches ``2^62``."""
+    ``x_den * y_den``, in the :func:`~vpwave.intlat.exact_dtype` of that bound on them."""
     den = x_den * y_den
-    return (x if den < _INT64_SAFE else x.astype(object)) * y, den
+    return x.astype(exact_dtype(den), copy=False) * y, den
 
 
 def exact_gap(x: np.ndarray, x_den: int, y: np.ndarray, y_den: int) -> float:
     """``max |x / x_den - y / y_den|`` over two arrays of values in ``[0, 1]``,
-    decided on the numerators over ``lcm(x_den, y_den)`` (Python integers
-    once that reaches ``2^62``) and returned correctly rounded."""
+    decided on the numerators over ``lcm(x_den, y_den)``, in the
+    :func:`~vpwave.intlat.exact_dtype` of that bound, and returned correctly rounded."""
     den = math.lcm(x_den, y_den)
-    if den >= _INT64_SAFE:
-        x, y = x.astype(object), y.astype(object)
+    x, y = x.astype(exact_dtype(den), copy=False), y.astype(exact_dtype(den), copy=False)
     return int(np.max(np.abs(x * (den // x_den) - y * (den // y_den)), initial=0)) / den
-
-
-def _numerator_rows(N: np.ndarray, dim: int) -> np.ndarray:
-    if N.ndim != 2 or N.shape[1] != dim:
-        raise DimensionMismatch("numerator rows and window dimension differ")
-    if N.dtype.kind not in "iO":
-        raise InexactInput(f"numerators must be integers, not {N.dtype}")
-    return N
 
 
 def check_partition_of_unity(g: AdmissibleFn, n_samples: int = 10_000,

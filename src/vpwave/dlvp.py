@@ -59,8 +59,8 @@ from . import tol
 from .admissible import (AdmissibleFn, exact_floats, exact_product, periodized_sum,
                          periodized_sum_exact)
 from .errors import DegenerateClass, DimensionMismatch, IndexMismatch, NotDyadic
-from .intlat import (_INT64_SAFE, ChainSpec, IntMat, Vec, _absmax, _check_level,
-                     _exact_fraction, _exact_ints, _Frozen, apply_rows, generating_set,
+from .intlat import (ChainSpec, IntMat, Vec, _absmax, _check_level, _exact_fraction,
+                     _exact_ints, _Frozen, apply_rows, exact_dtype, generating_set,
                      lattice_points, smith_normal_form)
 
 DEGENERATE_REL = 1e-18
@@ -258,13 +258,13 @@ def complement_phases(chain: ChainSpec, level: int) -> np.ndarray:
     """Unit phases ``exp(-2 pi i h . M_l^{-1} w)`` over ``G(M_{l+1}^T)``, read-only;
     they flip sign between the two classes a dyadic factor pairs.  With
     ``M_l^{-T} h = N / q`` and ``2 w`` integral, the turns ``N . (2 w) / (2 q)``
-    are reduced mod 1 exactly in integers: int64 while ``max|N| max|2 w| d``
-    stays below ``2^62``, Python integers beyond."""
+    are reduced mod 1 exactly in integers, in the :func:`~vpwave.intlat.exact_dtype`
+    of ``max|N| max|2 w| d``."""
     _check_level(level, chain.n_levels - 1)
     _, w = wavelet_shift_vectors(chain.factors[level])
     N, q = chain.matrix(level).inv_T_rows(generating_set(chain.matrix(level + 1).T).rep_array)
     two_w = [int(2 * c) for c in w]
-    dtype = np.int64 if _absmax(N) * max(map(abs, two_w)) * len(w) < _INT64_SAFE else object
+    dtype = exact_dtype(_absmax(N) * max(map(abs, two_w)) * len(w))
     turns = (N.astype(dtype) @ np.array(two_w, dtype=dtype) % (2 * q)).astype(float) / (2 * q)
     phases = np.exp(-2j * math.pi * turns)
     phases.flags.writeable = False

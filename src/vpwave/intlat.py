@@ -61,18 +61,18 @@ lower-triangular Hermite basis (:attr:`IntMat.hermite`; H. Cohen, *A Course
 in Computational Algebraic Number Theory*, 2.4) coordinate ``j`` of ``x + H w``
 depends on ``w_0..w_j`` only: :func:`lattice_points` walks no bounding box.
 
-Overflow rule: before each array product the entries are bounded
-(``max|B| max(max|X|, 1) d`` plus any addend) against ``2^62``; if the
-bound fails, the product runs on ``dtype=object`` arrays of Python
-integers, so int64 never wraps silently.  An enumeration bounds every
-entry it computes, from the coefficients and digit ranges
-(:func:`_image_bound`), before it allocates, and runs in the narrowest
-width that holds the bound: int32 below ``2^31``, int64 below ``2^62``, else
-Python integers (:func:`_row_dtype`).  Under NumPy's promotion rules (NEP 50)
-an int32 array times a Python int stays int32 and wraps silently when the
-product overflows, so the bound, never a result, decides the width; the
-stored sets are int64, or ``dtype=object`` on the Python-int path.  The
-lattice walk bounds its partial points from ``max|X|``, the box and ``H``.
+Overflow rule: :func:`exact_dtype` is the package's one width rule.  Every
+exact array computation, in any module, first bounds each entry, product
+and partial sum it forms and asks ``exact_dtype(bound)`` for the width:
+int64 below ``2^62``, else Python integers (``object``), so int64 never
+wraps silently.  :func:`apply_rows` bounds ``max|B| max(max|X|, 1) d`` plus
+any addend, the lattice walk its partial points from ``max|X|``, the box
+and ``H``.  An enumeration bounds every entry from the coefficients and
+digit ranges (:func:`_image_bound`) before it allocates, and adds one
+narrower tier, int32 below ``2^31`` (:func:`_row_dtype`): under NumPy's
+promotion rules (NEP 50) an int32 array times a Python int stays int32 and
+wraps silently, so the bound, never a result, decides the width.  The
+stored sets are int64, or Python integers on the object path.
 
 An ``IntMat`` computes what depends on its entries alone once and keeps
 it on the instance: the hash, the determinant, the transpose, and for
@@ -101,7 +101,7 @@ FracVec = tuple[Fraction, ...]
 
 # Most points that G(M), P(M) or one step of lattice_points may enumerate.
 ENUMERATION_GUARD = 2 ** 20
-# Bound on every entry of an int64 array product; above it, Python ints.
+# exact_dtype's bound on every entry of an int64 computation; above it, Python ints.
 _INT64_SAFE = 2 ** 62
 # Bound on every entry of an int32 enumeration row; above it, int64.
 _INT32_SAFE = 2 ** 31
@@ -421,15 +421,17 @@ def _absmax(X: np.ndarray) -> int:
     return int(np.abs(X).max()) if X.size else 0
 
 
-def apply_rows(B: IntMat, X: np.ndarray, addend: int = 0) -> np.ndarray:
-    """``B x`` for every row ``x`` of the integer array ``X``, exactly.
+def exact_dtype(bound: int):
+    """The exact width for integers of magnitude at most ``bound``: int64
+    below ``2^62``, else Python integers (``object``); the package's one rule."""
+    return np.int64 if bound < _INT64_SAFE else object
 
-    The product runs in int64 when ``max|B| max(max|X|, 1) d + addend``
-    stays below ``2^62`` (``addend`` reserves room for a later sum), and on
-    Python integers (``dtype=object``) otherwise.  ``max|B|`` and the int64
-    copy of ``B`` are cached on the matrix.
-    """
-    if B._max_entry * max(_absmax(X), 1) * B.dim + addend < _INT64_SAFE:
+
+def apply_rows(B: IntMat, X: np.ndarray, addend: int = 0) -> np.ndarray:
+    """``B x`` for every row ``x`` of the integer array ``X``, exactly, in the
+    :func:`exact_dtype` of ``max|B| max(max|X|, 1) d + addend`` (``addend`` reserves
+    room for a later sum); ``max|B|`` and the int64 copy of ``B`` are cached on ``B``."""
+    if exact_dtype(B._max_entry * max(_absmax(X), 1) * B.dim + addend) is np.int64:
         return X.astype(np.int64, copy=False) @ B._int64_T
     return X.astype(object) @ np.array(B.entries, dtype=object).T
 
@@ -446,6 +448,16 @@ def _integer_row(k: Sequence) -> np.ndarray:
     """``k`` as a one-row ``dtype=object`` array of Python integers, by the
     rule of :func:`_exact_ints`."""
     return np.array([_exact_ints(k)], dtype=object)
+
+
+def _integer_rows(K: np.ndarray, d: int, what: str) -> np.ndarray:
+    """``K`` if it is an ``(n, d)`` integer array, int64 or Python ints, else
+    ``DimensionMismatch`` (shape) or ``InexactInput`` (dtype) naming ``what``."""
+    if K.ndim != 2 or K.shape[1] != d:
+        raise DimensionMismatch(f"{what} must be (n, {d}) rows, not of shape {K.shape}")
+    if K.dtype.kind not in "iO":
+        raise InexactInput(f"{what} must be integers, not {K.dtype}")
+    return K
 
 
 def _reduce_box(M: IntMat, K: np.ndarray) -> np.ndarray:
@@ -488,12 +500,8 @@ class GeneratingSet(_Frozen):
 
     def class_index(self, K: np.ndarray) -> np.ndarray:
         """Positions in ``reps`` of the classes of the rows of the ``(n, d)``
-        integer array ``K`` (int64, or ``dtype=object`` for larger entries);
-        any other dtype raises ``InexactInput``."""
-        if K.ndim != 2 or K.shape[1] != len(self.diagonal):
-            raise DimensionMismatch("vector length differs from matrix dimension")
-        if K.dtype.kind not in "iO":
-            raise InexactInput(f"frequencies must be integers, not {K.dtype}")
+        integer array ``K`` (:func:`_integer_rows`)."""
+        K = _integer_rows(K, len(self.diagonal), "frequencies")
         return digit_index(apply_rows(self.digit_map, K), self.diagonal)
 
     def index_of(self, k: Sequence[int]) -> int:
@@ -548,7 +556,7 @@ def lattice_points(H: Sequence[Sequence[int]], X: np.ndarray, lo: Sequence[int],
     bound = _absmax(X)  # on |partial point|, as |w_j| <= (bound + box) / H_jj + 1
     for j, column in enumerate(zip(*H)):
         bound += max(map(abs, column)) * ((bound + box) // column[j] + 1)
-    dtype = np.int64 if bound + box < _INT64_SAFE else object
+    dtype = exact_dtype(bound + box)
     P, index = X.astype(dtype, copy=False), np.arange(len(X))
     for j, column in enumerate(zip(*H)):
         h, p = column[j], P[:, j]
@@ -571,8 +579,8 @@ def _image_bound(B: Sequence[Sequence[int]], x: Sequence) -> list:
 
 def _row_dtype(bound: int):
     """The narrowest exact width for integers of magnitude at most ``bound``:
-    int32 below ``2^31``, int64 below ``2^62``, else Python ints (``object``)."""
-    return np.int32 if bound < _INT32_SAFE else np.int64 if bound < _INT64_SAFE else object
+    int32 below ``2^31``, else :func:`exact_dtype`."""
+    return np.int32 if bound < _INT32_SAFE else exact_dtype(bound)
 
 
 def _grid_rows(B: Sequence[Sequence[int]], diag: Vec, addend: int, dtype) -> np.ndarray:
@@ -708,17 +716,17 @@ def pattern(M: IntMat) -> Pattern:
     return Pattern(matrix=M, numerators=_stored(N, h))
 
 
-def _in_range(value, top: int) -> bool:
-    """Whether ``value`` is an integer in ``0..top``."""
+def _in_range(value, lo: int, hi: float = float("inf")) -> bool:
+    """Whether ``value`` is an integer (``operator.index`` takes it), not a bool, in ``lo..hi``."""
     try:
-        return 0 <= operator.index(value) <= top
+        return not isinstance(value, bool) and lo <= operator.index(value) <= hi
     except TypeError:
         return False
 
 
 def _check_level(level: int, top: int) -> None:
     """Raise ``LevelOutOfRange`` unless ``level`` is an integer in ``0..top``."""
-    if not _in_range(level, top):
+    if not _in_range(level, 0, top):
         raise LevelOutOfRange(f"level {level!r} outside 0..{top}")
 
 
@@ -783,7 +791,7 @@ J_Y = IntMat.from_rows([[1, 0], [0, 2]])
 
 def axis_doubling(d: int, i: int) -> IntMat:
     """d-dimensional factor scaling axis ``i`` by 2."""
-    if not _in_range(i, d - 1):
+    if not _in_range(i, 0, d - 1):
         raise InvalidParameter(f"axis {i!r} outside 0..{d - 1}")
     rows = IntMat.identity(d).to_lists()
     rows[i][i] = 2
@@ -792,7 +800,7 @@ def axis_doubling(d: int, i: int) -> IntMat:
 
 def plane_rotation(d: int, i: int, j: int) -> IntMat:
     """d-dimensional factor rotating the (i,j) plane by pi/4 with sqrt(2) scale."""
-    if not (_in_range(i, d - 1) and _in_range(j, d - 1)):
+    if not (_in_range(i, 0, d - 1) and _in_range(j, 0, d - 1)):
         raise InvalidParameter(f"plane axes {i!r}, {j!r} outside 0..{d - 1}")
     if i == j:
         raise InvalidParameter("plane axes must differ")

@@ -46,10 +46,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IndexMismatch, TooLarge
-from .intlat import IntMat, _Frozen, generating_set, pattern, smith_normal_form
+from .intlat import (IntMat, _absmax, _Frozen, exact_dtype, generating_set, pattern,
+                     smith_normal_form)
 
 # Largest m for which the naive m x m phase table (naive DFT, Fourier matrix)
-# is built; it holds m^2 Python integers, about 72 MB at m = 1024.
+# is built; it holds m^2 int64 entries while max|H| max|N| d stays within
+# intlat.exact_dtype's int64 bound: 8 MB at m = 1024.
 FOURIER_MATRIX_GUARD = 2 ** 10
 _NAIVE_BLOCK = 256
 # Largest m whose transform is one product with a dense m x m matrix.  Timed
@@ -111,10 +113,10 @@ def _phase_table(M: IntMat) -> tuple[np.ndarray, int]:
     m = M.require_regular().absdet
     if m > FOURIER_MATRIX_GUARD:
         raise TooLarge(f"refusing to build a {m}x{m} phase table")
-    pat = pattern(M)
-    H = generating_set(M.T).rep_array.astype(object)
-    R = (H @ pat.numerators.astype(object).T) % pat.denominator
-    return R.astype(np.int64), pat.denominator
+    H, N = generating_set(M.T).rep_array, pattern(M).numerators
+    dtype = exact_dtype(_absmax(H) * _absmax(N) * M.dim)
+    R = (H.astype(dtype, copy=False) @ N.astype(dtype, copy=False).T) % m
+    return R.astype(np.int64, copy=False), m
 
 
 def fourier_matrix(M: IntMat) -> np.ndarray:

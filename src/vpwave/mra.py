@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import tol
+from . import intlat, tol
 from .admissible import AdmissibleFn, exact_floats, exact_gap, exact_product, periodized_sum_exact
 from .dlvp import (
     ScalingFunction,
@@ -28,14 +28,13 @@ from .dlvp import (
 )
 from .errors import DimensionMismatch, InvalidParameter, TooLarge, UnsupportedDimension
 from .intlat import (
-    _INT64_SAFE,
-    ENUMERATION_GUARD,
     ChainSpec,
     IntMat,
     J_D,
     _check_level,
     _Frozen,
     _image_bound,
+    exact_dtype,
     generating_set,
 )
 
@@ -93,12 +92,12 @@ def independent_nesting_residual(coarse: ScalingFunction, fine: ScalingFunction)
 def _on_union(s_keys: np.ndarray, s_values: np.ndarray, t_keys: np.ndarray,
               t_values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sorted union of two sets of distinct key rows, with the values
-    given on each set placed on it (0 off that set).  Key rows are sorted by their
-    C-order codes over the keys' bounding box (as rows if it has ``2^62`` points)."""
+    given on each set placed on it (0 off that set).  Key rows are sorted by their C-order
+    codes over the keys' bounding box, or as rows when ``exact_dtype`` of its size is not int64."""
     K = np.concatenate([s_keys, t_keys])
     lo, hi = (K.min(axis=0), K.max(axis=0)) if len(K) else (np.zeros(K.shape[1], np.int64),) * 2
     spans = [int(b) - int(a) + 1 for a, b in zip(lo, hi)]
-    if math.prod(spans) < _INT64_SAFE:
+    if exact_dtype(math.prod(spans)) is np.int64:
         _, first, inv = np.unique(np.ravel_multi_index(tuple((K - lo).T), spans),
                                   return_index=True, return_inverse=True)
         keys = K[first]
@@ -183,7 +182,7 @@ def _grid_numerators(g: AdmissibleFn, halfwidths: Sequence[Fraction]) -> tuple[n
     # an axis has at most 2 GRID_POINTS_PER_AXIS uniform points: a 2-D grid
     # stays near 2^20 rows, a 3-D one passes 2^27
     n = math.prod(map(len, axes))
-    if n > 4 * ENUMERATION_GUARD:
+    if n > 4 * intlat.ENUMERATION_GUARD:
         raise TooLarge(f"refusing a {len(axes)}-D reduction grid of {n} points")
     return np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1), q
 

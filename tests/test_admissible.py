@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from vpwave import admissible, intlat
+from vpwave import intlat
 from vpwave.admissible import (
     KIND_CHARACTERISTIC,
     KIND_SMOOTHED,
@@ -466,8 +466,7 @@ def test_partition_of_unity_exact_on_python_integers(monkeypatch):
     windows_ = (AdmissibleFn.characteristic(2), AdmissibleFn.tensor_linear([F(0.1), F(0)]),
                 AdmissibleFn.tensor_smoothed([F(0.1), F(1, 7)], order=3))
     expected = [periodized_sum_exact(g, J, N, 97) for g in windows_ for J in (J_D, J_X)]
-    for module in (intlat, admissible):
-        monkeypatch.setattr(module, "_INT64_SAFE", 0)
+    monkeypatch.setattr(intlat, "_INT64_SAFE", 0)
     slow = [periodized_sum_exact(g, J, N, 97) for g in windows_ for J in (J_D, J_X)]
     for (fast, den), (num, slow_den) in zip(expected, slow):
         assert num.dtype == object and slow_den == den and num.tolist() == fast.tolist()
@@ -488,6 +487,23 @@ def test_denominator_must_be_an_integer_of_at_least_one(q):
         g.eval_exact(N, q)
     num, den = periodized_sum_exact(g, J_D, N, np.int64(3))
     assert (num.tolist(), den) == ([den], g.eval_exact(N, 3)[1])
+
+
+@pytest.mark.parametrize("dtype, scale", [(np.int8, 1), (np.int16, 1), (np.int32, 11)])
+def test_narrow_integer_rows_are_widened_before_any_product(dtype, scale):
+    # rows of a narrower signed integer type take the exact width first:
+    # int8 rows would wrap already in 2 N, and int32 rows in the cubes of the
+    # B-spline sum once its numerators pass 2^31 (q = 1111)
+    N = np.array([[100, -100], [50, 3], [-51, 0], [0, 0], [7, 60]], dtype=dtype) * dtype(scale)
+    q = 101 * scale
+    for g in (AdmissibleFn.characteristic(2),
+              AdmissibleFn.tensor_smoothed([F(1, 10)] * 2, order=3)):
+        num, den = g.eval_exact(N, q)
+        assert num.tolist() == g.eval_exact(N.astype(np.int64), q)[0].tolist()
+        expected = [g(tuple(F(v, q) for v in x)) for x in N.tolist()]
+        assert [F(v, den) for v in num.tolist()] == expected
+        total, _ = periodized_sum_exact(g, J_D, N, q)
+        assert total.tolist() == periodized_sum_exact(g, J_D, N.astype(np.int64), q)[0].tolist()
 
 
 @pytest.mark.parametrize("n", [-1, 2.0, True, "10"])
@@ -534,22 +550,19 @@ def test_periodized_sum_exact_in_blocks(monkeypatch):
 
     monkeypatch.setattr(AdmissibleFn, "eval_exact", counted)
     for guard, rows in ((2, 1), (6, 3), (20, 10), (1000, 81)):
-        for module in (intlat, admissible):
-            monkeypatch.setattr(module, "ENUMERATION_GUARD", guard)
+        monkeypatch.setattr(intlat, "ENUMERATION_GUARD", guard)
         seen.clear()
         num, den = periodized_sum_exact(g, J, N, 9)
         assert den == expected[1] and num.tolist() == expected[0].tolist()
         assert len(seen) == -(-len(N) // rows) and max(seen) <= guard
     # below the bound of one row, blocks of one row run while no step of the
     # walk passes the guard: N = (0, 0) reaches one point, (3, 0) two
-    for module in (intlat, admissible):
-        monkeypatch.setattr(module, "ENUMERATION_GUARD", 1)
+    monkeypatch.setattr(intlat, "ENUMERATION_GUARD", 1)
     assert periodized_sum_exact(g, J, np.zeros((1, 2), dtype=np.int64), 9)[0].tolist() == [den]
     with pytest.raises(TooLarge):
         periodized_sum_exact(g, J, np.array([[3, 0]]), 9)
-    for module in (intlat, admissible):
-        monkeypatch.setattr(module, "_INT64_SAFE", 0)
-        monkeypatch.setattr(module, "ENUMERATION_GUARD", 6)
+    monkeypatch.setattr(intlat, "_INT64_SAFE", 0)
+    monkeypatch.setattr(intlat, "ENUMERATION_GUARD", 6)
     num, den = periodized_sum_exact(g, J, N, 9)
     assert num.dtype == object and den == expected[1] and num.tolist() == expected[0].tolist()
 

@@ -850,7 +850,6 @@ def test_partner_and_phases_on_python_integers(case, monkeypatch):
 
     monkeypatch.setattr(intlat, "apply_rows", spy)
     monkeypatch.setattr(intlat, "_INT64_SAFE", 0)
-    monkeypatch.setattr(dlvp, "_INT64_SAFE", 0)
     for level, (coarse, phases) in zip(levels, fast):
         assert np.array_equal(coarse_of_fine.__wrapped__(c, level), coarse)
         slow = complement_phases.__wrapped__(c, level)

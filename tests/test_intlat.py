@@ -311,9 +311,10 @@ def test_chain_products_and_sizes():
     assert c.dyadic
 
 
-@pytest.mark.parametrize("level", [-1, 3, 1.5, 1.0, "1"])
+@pytest.mark.parametrize("level", [-1, 3, 1.5, 1.0, "1", True])
 def test_chain_accessors_reject_levels_outside_the_chain(level):
-    # no indexing from the end, no bare IndexError past the top level
+    # no indexing from the end, no bare IndexError past the top level, and a
+    # bool is not the integer 0 or 1
     c = chain(IntMat.identity(2), [J_X, J_D])
     for accessor in (c.matrix, c.size, c.subchain):
         with pytest.raises(LevelOutOfRange):
@@ -385,11 +386,12 @@ def test_highdim_factor_constructors():
     assert R.apply((1, 0, 0)) == (1, 0, 1)
     with pytest.raises(InvalidParameter):
         plane_rotation(3, 1, 1)
-    # axes are integers in 0..d-1: no IndexError, and no negative index that
-    # silently counts from the end
+    # axes are integers in 0..d-1, not bools: no IndexError, and no negative
+    # index that silently counts from the end
     for build in (lambda: axis_doubling(2, 5), lambda: axis_doubling(2, -1),
                   lambda: axis_doubling(2, 1.0), lambda: plane_rotation(2, 0, 5),
-                  lambda: plane_rotation(3, -1, 0), lambda: plane_rotation(3, 0, "1")):
+                  lambda: plane_rotation(3, -1, 0), lambda: plane_rotation(3, 0, "1"),
+                  lambda: axis_doubling(2, True), lambda: plane_rotation(3, False, 1)):
         with pytest.raises(InvalidParameter):
             build()
 

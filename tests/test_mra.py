@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vpwave import tol
+from vpwave import intlat, tol
 from vpwave.admissible import AdmissibleFn, exact_gap
 from vpwave.dlvp import (
     ScalingFunction,
@@ -277,6 +277,16 @@ def test_reduction_rejects_other_dimensions():
                         IntMat.from_rows([[1, 0, 1], [1, 1, 0], [0, 1, 1]]), "single")
 
 
+def test_reduction_grid_reads_the_guard_of_intlat(monkeypatch):
+    # the grid is bounded by four times intlat.ENUMERATION_GUARD, read at call
+    # time, so one patch of intlat reaches it
+    g, J = AdmissibleFn.tensor_linear([F(1, 10)]), IntMat.from_rows([[2]])
+    assert check_reduction(g, J, "single") == (True, 0.0)
+    monkeypatch.setattr(intlat, "ENUMERATION_GUARD", 1)
+    with pytest.raises(TooLarge):
+        check_reduction(g, J, "single")
+
+
 @pytest.mark.parametrize("g, J", [
     (square_window(6), J_X),
     (square_window(6), J_Y),
@@ -524,13 +534,14 @@ LEVEL_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("level", ["below", "past_top", "fractional"])
+@pytest.mark.parametrize("level", ["below", "past_top", "fractional", "bool"])
 @pytest.mark.parametrize("name", LEVEL_TAKERS)
 def test_levels_outside_the_chain_raise_level_out_of_range(name, level):
     # each raises at once: no indexing from the end, no unbounded recursion
-    # on a fractional level, no IndexError past the last factor
+    # on a fractional level, no IndexError past the last factor, and True is
+    # not the level 1
     c, g = chain(IntMat.diagonal([2, 2]), [J_D, J_X]), square_window(10)
-    value = {"below": -1, "past_top": c.n_levels + 1, "fractional": 1.5}[level]
+    value = {"below": -1, "past_top": c.n_levels + 1, "fractional": 1.5, "bool": True}[level]
     with pytest.raises(LevelOutOfRange):
         LEVEL_TAKERS[name](c, g, value)
     LEVEL_TAKERS[name](c, g, np.int64(1))

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -288,3 +289,16 @@ def test_every_box_enumeration_is_guarded():
     assert {"intlat.py lattice_points", "mra.py _grid_numerators"} | exempt <= enumerating
     unguarded = sorted(enumerating - guarded - exempt)
     assert not unguarded, f"box enumerations without a size guard: {unguarded}"
+
+
+def test_only_intlat_names_the_integer_width():
+    # intlat.exact_dtype is the one int64-or-Python-int rule: no other module
+    # names its bounds or builds an object array by hand, in code or in prose
+    width = re.compile(r"_INT(64|32)_SAFE|dtype\s*=\s*object\b|astype\(\s*object\s*\)")
+    named = {path.name: [f"{path.name}:{n}: {line.strip()}"
+                         for n, line in enumerate(path.read_text().splitlines(), 1)
+                         if width.search(line)]
+             for path in sorted(SRC.glob("*.py"))}
+    assert named.pop("intlat.py"), "the pattern no longer finds the rule in intlat.py"
+    found = [line for lines in named.values() for line in lines]
+    assert not found, f"integer widths chosen outside intlat.exact_dtype: {found}"
