@@ -52,7 +52,8 @@ for ``q`` is the product of one per-axis formula (1, 2 or
 
 :func:`exact_floats` turns exact numerators into float64, each correctly
 rounded, as ``float(Fraction(n, q))`` is; :func:`exact_gap` gives the
-largest difference of two such arrays, decided exactly, rounded once.
+largest difference of two such arrays, decided exactly, rounded once;
+:func:`lowest_terms` divides numerators and denominator by their gcd.
 """
 
 from __future__ import annotations
@@ -326,6 +327,17 @@ def exact_product(x: np.ndarray, x_den: int, y: np.ndarray, y_den: int) -> tuple
     ``x_den * y_den``, in the :func:`~vpwave.intlat.exact_dtype` of that bound on them."""
     den = x_den * y_den
     return x.astype(exact_dtype(den), copy=False) * y, den
+
+
+def lowest_terms(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """The same values in ``[0, 1]`` with the numerators and the denominator
+    divided by their greatest common divisor, the numerators in the
+    :func:`~vpwave.intlat.exact_dtype` of the new denominator; an empty
+    array comes back over 1."""
+    f = math.gcd(int(np.gcd.reduce(num)), den)
+    if f > 1:
+        num, den = num // f, den // f
+    return num.astype(exact_dtype(den), copy=False), den
 
 
 def exact_gap(x: np.ndarray, x_den: int, y: np.ndarray, y_den: int) -> float:

@@ -18,7 +18,10 @@ built from it:
   whose ``M_n^{-T} k`` lies in the support box ``[-hw, hw]`` (``hw`` the
   support halfwidths): the lattice points of ``M_n^{-T} Z^d`` in that box;
 * each lower level multiplies the level above by ``g^J`` evaluated once
-  per class of ``G(M_{l+1}^T)``;
+  per class of ``G(M_{l+1}^T)``, at one unreduced representative per class,
+  ``U c`` for the Smith digit vectors ``c`` of ``M_{l+1}^T = U S V``
+  (:func:`~vpwave.intlat.class_representatives`); no generating set is
+  enumerated;
 * for a dyadic factor (``|det J| = 2``) the wavelet, whose translates
   span the orthogonal complement between consecutive spaces, multiplies
   the level-``(l+1)`` samples by ``g^J`` shifted by ``J^T v`` and by one
@@ -32,36 +35,45 @@ Frequency arguments ``M_l^{-T} k`` are integer numerators over
 ``q = |det M_l|``; windows are evaluated on them in exact batches, and
 samples stay integer numerators over one denominator until each float is
 one correctly rounded division, so half-open support boundaries (the
-Dirichlet window) and zero tests are decided exactly.  Every class vector
-(two-scale values, phases, class powers, filters) is a plain array indexed
-by ``G(M^T)`` in the canonical order of :mod:`vpwave.intlat`; the filters
-of step ``l`` are complex arrays over ``G(M_{l+1}^T)``.  A spectrum is
-a sorted key array with a value array; a class vector acts on it by one
-gather over ``class_index(keys)``, and per-class sums are one ``np.bincount``.
+Dirichlet window) and zero tests are decided exactly.  Each level's
+samples and each class-sum table are kept in lowest terms, which keeps
+their products on int64 where the unreduced denominators would need
+Python integers; no value, and so no rounded float, changes.  Every class
+vector (two-scale values, phases, class powers, filters) is a plain array
+indexed by ``G(M^T)`` in the canonical order of :mod:`vpwave.intlat`; the
+filters of step ``l`` are complex arrays over ``G(M_{l+1}^T)``.  A
+spectrum is a sorted key array with a value array; a class vector acts
+on it by one gather over the class indices of its keys, which
+:meth:`~vpwave.intlat.SmithDecomposition.class_index` reads from the
+Smith form of ``M^T`` alone.  The exact samples carry these indices: the
+top level computes them once, and each level down gathers them through
+:func:`coarse_of_fine`.  Per-class sums are one ``np.bincount``.
 :func:`scaling_profile` and :func:`wavelet_profile` evaluate the product
 directly at one point, exactly (float input is converted with
 ``Fraction(v)``; NaN and infinities raise ``InexactInput``); they are the
 reference the spectra are tested against.  A level outside the chain, or
-not an integer, raises ``LevelOutOfRange``.
+not an integer, raises ``LevelOutOfRange``; a NumPy integer level is
+cached as the Python int it equals.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from typing import Sequence
 
 import numpy as np
 
 from . import tol
-from .admissible import (AdmissibleFn, exact_floats, exact_product, periodized_sum,
+from .admissible import (AdmissibleFn, exact_floats, exact_product, lowest_terms, periodized_sum,
                          periodized_sum_exact)
 from .errors import DegenerateClass, DimensionMismatch, IndexMismatch, NotDyadic
 from .intlat import (ChainSpec, IntMat, Vec, _absmax, _check_level, _exact_fraction,
-                     _exact_ints, _Frozen, apply_rows, exact_dtype, generating_set,
-                     lattice_points, smith_normal_form)
+                     _exact_ints, _Frozen, _in_range, apply_rows, class_representatives,
+                     exact_dtype, generating_set, lattice_points, smith_normal_form)
 
 DEGENERATE_REL = 1e-18
 
@@ -94,7 +106,7 @@ class SparseSpectrum(_Frozen):
     repeated one ``IndexMismatch``, and a key that is not a ``dim``-vector,
     here or in a lookup, or not one value per key ``DimensionMismatch``.
     A class vector ``a`` over ``G(M^T)`` acts by the gather
-    ``a[generating_set(M^T).class_index(keys)]``.  ``coeffs`` is a dict view
+    ``a[smith_normal_form(M^T).class_index(keys)]``.  ``coeffs`` is a dict view
     ``{k: c}`` of the same data, built on first use."""
 
     def __init__(self, dim: int, keys: np.ndarray, values: np.ndarray):
@@ -241,28 +253,62 @@ def wavelet_profile(chain: ChainSpec, level: int, g: AdmissibleFn, x: Sequence) 
     return phase * float(first) * float(rest)
 
 
-@lru_cache(maxsize=None, typed=True)
+def _level_cache(fn):
+    """``lru_cache(maxsize=None, typed=True)`` of ``fn(chain, level, ...)`` that
+    keys an integer level other than a bool, a NumPy integer too, as the
+    Python int, so it shares that int's entry; any other level is passed on
+    as given, and keyed by its type, for :func:`_check_level` to reject
+    (``1.0`` never hits the entry of ``1``).  ``__wrapped__``, ``cache_info``
+    and ``cache_clear`` are those of the cache."""
+    cached = lru_cache(maxsize=None, typed=True)(fn)
+
+    @wraps(fn)
+    def call(chain, level, *rest):
+        if type(level) is not int and _in_range(level, 0):
+            level = operator.index(level)
+        return cached(chain, level, *rest)
+
+    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    return call
+
+
+@_level_cache
+def _class_points(chain: ChainSpec, level: int) -> tuple:
+    """One unreduced representative ``h`` of each class of ``G(M_{l+1}^T)``,
+    in its order (:func:`~vpwave.intlat.class_representatives`), and the
+    numerators of ``M_l^{-T} h`` over ``q``: the rows :func:`coarse_of_fine`
+    classifies and the points where :func:`_class_sums` and
+    :func:`complement_phases` evaluate, whose values are class functions."""
+    _check_level(level, chain.n_levels - 1)
+    H = class_representatives(chain.matrix(level + 1).T)
+    N, q = chain.matrix(level).inv_T_rows(H)
+    N.flags.writeable = False
+    return H, N, q
+
+
+@_level_cache
 def _class_sums(chain: ChainSpec, level: int, g: AdmissibleFn) -> tuple:
     """Exact ``g^J(M_l^{-T} h)`` over the classes ``h`` of ``G(M_{l+1}^T)``, as
-    read-only numerators and their denominator; the value of every frequency
-    of the class.  The wavelet modulus ``g^J(M_l^{-T} h - J^T v)`` is the
-    value of the partner class, which ``M_l^T J^T v`` pairs with ``h``."""
-    reps = generating_set(chain.matrix(level + 1).T).rep_array
-    sums, den = periodized_sum_exact(g, chain.factors[level], *chain.matrix(level).inv_T_rows(reps))
+    read-only numerators and their denominator in lowest terms; the value of
+    every frequency of the class.  The wavelet modulus ``g^J(M_l^{-T} h - J^T v)``
+    is the value of the partner class, which ``M_l^T J^T v`` pairs with ``h``."""
+    _, N, q = _class_points(chain, level)
+    sums, den = lowest_terms(*periodized_sum_exact(g, chain.factors[level], N, q))
     sums.flags.writeable = False
     return sums, den
 
 
-@lru_cache(maxsize=None, typed=True)
+@_level_cache
 def complement_phases(chain: ChainSpec, level: int) -> np.ndarray:
     """Unit phases ``exp(-2 pi i h . M_l^{-1} w)`` over ``G(M_{l+1}^T)``, read-only;
     they flip sign between the two classes a dyadic factor pairs.  With
     ``M_l^{-T} h = N / q`` and ``2 w`` integral, the turns ``N . (2 w) / (2 q)``
     are reduced mod 1 exactly in integers, in the :func:`~vpwave.intlat.exact_dtype`
-    of ``max|N| max|2 w| d``."""
+    of ``max|N| max|2 w| d``; as ``J w`` is integral, any representative ``h``
+    of a class gives its phase."""
     _check_level(level, chain.n_levels - 1)
     _, w = wavelet_shift_vectors(chain.factors[level])
-    N, q = chain.matrix(level).inv_T_rows(generating_set(chain.matrix(level + 1).T).rep_array)
+    _, N, q = _class_points(chain, level)
     two_w = [int(2 * c) for c in w]
     dtype = exact_dtype(_absmax(N) * max(map(abs, two_w)) * len(w))
     turns = (N.astype(dtype) @ np.array(two_w, dtype=dtype) % (2 * q)).astype(float) / (2 * q)
@@ -271,18 +317,18 @@ def complement_phases(chain: ChainSpec, level: int) -> np.ndarray:
     return phases
 
 
-@lru_cache(maxsize=None, typed=True)
+@_level_cache
 def coarse_of_fine(chain: ChainSpec, level: int) -> np.ndarray:
     """For each class of ``G(M_{l+1}^T)``, the position of its class in
-    ``G(M_l^T)``, as a read-only intp array."""
-    _check_level(level, chain.n_levels - 1)
-    index = generating_set(chain.matrix(level).T).class_index(
-        generating_set(chain.matrix(level + 1).T).rep_array)
+    ``G(M_l^T)``, as a read-only intp array: the class index of its
+    representative, read from the Smith form of ``M_l^T``."""
+    H, _, _ = _class_points(chain, level)
+    index = smith_normal_form(chain.matrix(level).T).class_index(H)
     index.flags.writeable = False
     return index
 
 
-@lru_cache(maxsize=None, typed=True)
+@_level_cache
 def fiber_partner(chain: ChainSpec, level: int) -> np.ndarray:
     """For each class of ``G(M_{l+1}^T)``, the index of the other class of
     its :func:`coarse_of_fine` fiber, which a dyadic factor makes a pair; a
@@ -302,41 +348,48 @@ def _complement(chain: ChainSpec, level: int, a: np.ndarray) -> np.ndarray:
     return complement_phases(chain, level) * np.conj(a[fiber_partner(chain, level)])
 
 
-@lru_cache(maxsize=None, typed=True)
+@_level_cache
 def _exact_samples(chain: ChainSpec, level: int, g: AdmissibleFn) -> tuple:
     """The nonzero exact samples ``P_l(M_l^{-T} k)``: read-only arrays of the
-    keys ``k`` in lexicographic order and of the numerators, and their
-    denominator.  ``g`` is sampled once at the top level, at the points
-    ``N = B k``, ``(B, q)`` the scaled inverse of ``M_n^T``, with
-    ``|N| <= floor(hw q)``, keyed by ``k = M_n^T N / q``; each level down is
-    the level above times the two-scale value of each key's class."""
+    keys ``k`` in lexicographic order and of the numerators, their
+    denominator in lowest terms, and the read-only class indices of the
+    keys in ``G(M_l^T)``.  ``g`` is sampled once at the top level, at the
+    points ``N = B k``, ``(B, q)`` the scaled inverse of ``M_n^T``, with
+    ``|N| <= floor(hw q)``, keyed by ``k = M_n^T N / q``, whose classes are
+    read from the Smith form of ``M_n^T``; each level down is the level
+    above times the two-scale value of each key's class, and the classes
+    one level down are the :func:`coarse_of_fine` gather of those above."""
     if level == chain.n_levels:
         if g.dim != chain.dim:
             raise DimensionMismatch(f"window of dimension {g.dim} on a chain of dimension {chain.dim}")
         M = chain.matrix(level)
-        B, q = smith_normal_form(M.T).scaled_inverse
+        snf = smith_normal_form(M.T)
+        B, q = snf.scaled_inverse
         reach = g.support_reach(q)
         _, N = lattice_points(B.hermite.entries, np.zeros((1, chain.dim), dtype=np.int64),
                               [-r for r in reach], reach)
         K = apply_rows(M.T, N) // q
         order = np.lexsort(K.T[::-1])
         K, (P, den) = K[order], g.eval_exact(N[order], q)
+        keep = P != 0
+        K, P = K[keep], P[keep]
+        index = snf.class_index(K)
     else:
-        K, P, den = _exact_samples(chain, level + 1, g)
+        K, P, den, fine = _exact_samples(chain, level + 1, g)
         a, a_den = _class_sums(chain, level, g)
-        P, den = exact_product(a[generating_set(chain.matrix(level + 1).T).class_index(K)], a_den,
-                               P, den)
-    keep = P != 0
-    K, P = K[keep], P[keep]
-    K.flags.writeable = P.flags.writeable = False
-    return K, P, den
+        P, den = exact_product(a[fine], a_den, P, den)
+        keep = P != 0
+        K, P, index = K[keep], P[keep], coarse_of_fine(chain, level)[fine[keep]]
+    P, den = lowest_terms(P, den)
+    K.flags.writeable = P.flags.writeable = index.flags.writeable = False
+    return K, P, den, index
 
 
-@lru_cache(maxsize=None, typed=True)
+@_level_cache
 def scaling_spectrum(chain: ChainSpec, level: int, g: AdmissibleFn) -> ScalingFunction:
     """Fourier coefficients of the level-``level`` scaling function."""
     _check_level(level, chain.n_levels)
-    K, P, den = _exact_samples(chain, level, g)
+    K, P, den, _ = _exact_samples(chain, level, g)
     p = exact_floats(P, den)
     c = p / math.sqrt(chain.size(level))
     keep = np.abs(c) > tol.ZERO_TRIM
@@ -344,14 +397,13 @@ def scaling_spectrum(chain: ChainSpec, level: int, g: AdmissibleFn) -> ScalingFu
                            spectrum=SparseSpectrum(dim=chain.dim, keys=K[keep], values=c[keep]))
 
 
-@lru_cache(maxsize=None, typed=True)
+@_level_cache
 def wavelet_spectrum(chain: ChainSpec, level: int, g: AdmissibleFn) -> Wavelet:
     """Fourier coefficients of the level-``level`` wavelet (dyadic factor):
     per frequency the wavelet class value times ``P_{l+1}`` times the
-    class phase."""
+    class phase, gathered by the class indices of the level-``(l+1)`` samples."""
     _check_level(level, chain.n_levels - 1)
-    K, P, den = _exact_samples(chain, level + 1, g)
-    idx = generating_set(chain.matrix(level + 1).T).class_index(K)
+    K, P, den, idx = _exact_samples(chain, level + 1, g)
     a, a_den = _class_sums(chain, level, g)
     modulus = (exact_floats(*exact_product(a[fiber_partner(chain, level)[idx]], a_den, P, den))
                / math.sqrt(chain.size(level)))
@@ -386,10 +438,9 @@ def wavelet_two_scale(chain: ChainSpec, level: int, g: AdmissibleFn) -> TwoScale
 def class_powers(fn: ScalingFunction) -> np.ndarray:
     """Per-class sums ``sum_z |c_{h + M_l^T z}|^2`` over ``G(M_l^T)``, in key
     order, with the C library's ``hypot`` and ``pow`` as in ``abs(c) ** 2``."""
-    gs = generating_set(fn.matrix.T)
     c = fn.spectrum.values
-    return np.bincount(gs.class_index(fn.spectrum.keys), minlength=len(gs),
-                       weights=np.float_power(np.hypot(c.real, c.imag), 2.0))
+    return np.bincount(smith_normal_form(fn.matrix.T).class_index(fn.spectrum.keys),
+                       minlength=fn.size, weights=np.float_power(np.hypot(c.real, c.imag), 2.0))
 
 
 def orthonormalize(fn: ScalingFunction):
@@ -401,11 +452,11 @@ def orthonormalize(fn: ScalingFunction):
     scale = 1.0 / np.sqrt(fn.size * powers)
     s = fn.spectrum
     spec = SparseSpectrum(dim=s.dim, keys=s.keys,
-                          values=s.values * scale[generating_set(fn.matrix.T).class_index(s.keys)])
+                          values=s.values * scale[smith_normal_form(fn.matrix.T).class_index(s.keys)])
     return type(fn)(fn.chain, fn.level, fn.g, spec)
 
 
-@lru_cache(maxsize=None, typed=True)
+@_level_cache
 def normalized_filters(chain: ChainSpec, level: int,
                        g: AdmissibleFn) -> tuple[TwoScaleCoeffs, TwoScaleCoeffs]:
     """Orthonormal two-scale filter pair of one dyadic refinement step.
@@ -432,15 +483,15 @@ def normalized_filters(chain: ChainSpec, level: int,
             TwoScaleCoeffs(chain=chain, level=level, values=_complement(chain, level, a_vals)))
 
 
-@lru_cache(maxsize=None, typed=True)
+@_level_cache
 def orthonormal_wavelet(chain: ChainSpec, level: int, g: AdmissibleFn) -> Wavelet:
     """The wavelet spanning the orthogonal complement of the level space
     inside the next one, with orthonormal translates: the complement
     filter applied to the orthonormalized next-level scaling function."""
     _, b2 = normalized_filters(chain, level, g)
     fine = orthonormalize(scaling_spectrum(chain, level + 1, g)).spectrum
-    gs = generating_set(chain.matrix(level + 1).T)
-    vals = b2.values[gs.class_index(fine.keys)] * fine.values
+    idx = smith_normal_form(chain.matrix(level + 1).T).class_index(fine.keys)
+    vals = b2.values[idx] * fine.values
     keep = np.abs(vals) > tol.ZERO_TRIM
     return Wavelet(chain=chain, level=level, g=g,
                    spectrum=SparseSpectrum(dim=chain.dim, keys=fine.keys[keep], values=vals[keep]))

@@ -47,9 +47,13 @@ one contiguous row, an outer sum of a short array per Smith axis, reduced
 in place and written once into its column of the ``(m, d)`` array.  As
 ``M Z^d = U S Z^d``, the class of ``k`` is the digit vector
 ``U^{-1} k mod diag(S)``, and its mixed-radix value is its position in
-the canonical order; :meth:`GeneratingSet.class_index` computes it for a
-whole ``(n, d)`` batch (``index_of`` is its one-row form), so a class
-vector over ``G(M)`` acts on many frequencies by one gather.  A pattern
+the canonical order.  :meth:`SmithDecomposition.class_index` computes it
+for a whole ``(n, d)`` batch from ``U^{-1}`` and ``diag(S)`` alone, with no
+set enumerated (``GeneratingSet.class_index`` and ``index_of``, its one-row
+form, delegate to it), so a class vector over ``G(M)`` acts on many
+frequencies by one gather.  Where only classes matter, as for the
+two-scale values, :func:`class_representatives` gives one unreduced
+representative ``U c`` per digit vector ``c``, in the same order.  A pattern
 point ``y`` has the digits ``V'^{-T} M y = S U'^T y mod diag(S)``.  Both
 sets are stored as integer arrays, the pattern as numerators over the
 single denominator ``q``; the tuples ``reps`` and the ``Fraction`` points
@@ -338,6 +342,13 @@ class SmithDecomposition(_Frozen):
         scaled = [[v * (q // s) for v, s in zip(row, diag)] for row in self.V_inv.entries]
         return IntMat(_product(scaled, self.U_inv.entries)), q
 
+    def class_index(self, K: np.ndarray) -> np.ndarray:
+        """Positions in the canonical order of the classes modulo ``M Z^d`` of
+        the rows of the ``(n, d)`` integer array ``K`` (:func:`_integer_rows`):
+        the mixed-radix values of their digits ``U^{-1} k mod diag(S)``."""
+        K = _integer_rows(K, self.S.dim, "frequencies")
+        return digit_index(apply_rows(self.U_inv, K), self.diagonal)
+
 
 @lru_cache(maxsize=None)
 def smith_normal_form(M: IntMat) -> SmithDecomposition:
@@ -499,10 +510,9 @@ class GeneratingSet(_Frozen):
         return tuple(_reduce_box(self.matrix, _integer_row(k))[0].tolist())
 
     def class_index(self, K: np.ndarray) -> np.ndarray:
-        """Positions in ``reps`` of the classes of the rows of the ``(n, d)``
-        integer array ``K`` (:func:`_integer_rows`)."""
-        K = _integer_rows(K, len(self.diagonal), "frequencies")
-        return digit_index(apply_rows(self.digit_map, K), self.diagonal)
+        """Positions in ``reps`` of the classes of the rows of ``K``:
+        :meth:`SmithDecomposition.class_index` of ``M``."""
+        return smith_normal_form(self.matrix).class_index(K)
 
     def index_of(self, k: Sequence[int]) -> int:
         """Position of the class of ``k`` in ``reps``; a non-integral entry
@@ -633,6 +643,22 @@ def _stored(rows: np.ndarray, addend: int = 0) -> np.ndarray:
             out[:, j] = row
     out.flags.writeable = False
     return out
+
+
+def class_representatives(M: IntMat) -> np.ndarray:
+    """Unreduced representatives of ``Z^d / M Z^d`` in the canonical order:
+    the read-only ``(m, d)`` array of ``U c`` over the digit vectors ``c`` of
+    ``M = U S V``, whose digits ``U^{-1} U c = c`` are those of its position.
+    Where a value is ``M Z^d`` periodic any representative serves, so this
+    is ``G(M)`` without its reduction into the box and its order check:
+    :func:`_grid_rows` of ``U`` alone, in the width of :func:`_image_bound`
+    over the digit ranges."""
+    m = M.require_regular().absdet
+    if m > ENUMERATION_GUARD:
+        raise TooLarge(f"refusing to enumerate {m} > {ENUMERATION_GUARD} lattice points")
+    snf = smith_normal_form(M)
+    U, diag = snf.U.entries, snf.diagonal
+    return _stored(_grid_rows(U, diag, 0, _row_dtype(max(_image_bound(U, [s - 1 for s in diag])))))
 
 
 @lru_cache(maxsize=None)

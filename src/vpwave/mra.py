@@ -35,7 +35,7 @@ from .intlat import (
     _Frozen,
     _image_bound,
     exact_dtype,
-    generating_set,
+    smith_normal_form,
 )
 
 GRID_POINTS_PER_AXIS = 512
@@ -81,7 +81,7 @@ def independent_nesting_residual(coarse: ScalingFunction, fine: ScalingFunction)
     keys, c, f = _on_union(coarse.spectrum.keys, coarse.spectrum.values,
                            fine.spectrum.keys, fine.spectrum.values)
     m = fine.size
-    idx = generating_set(fine.matrix.T).class_index(keys)
+    idx = smith_normal_form(fine.matrix.T).class_index(keys)
     cf = c * np.conj(f)
     num = np.bincount(idx, cf.real, m) + 1j * np.bincount(idx, cf.imag, m)
     den = np.bincount(idx, np.abs(f) ** 2, m)

@@ -14,6 +14,7 @@ from vpwave.admissible import (
     AdmissibleFn,
     check_partition_of_unity,
     exact_floats,
+    lowest_terms,
     parse_admissible,
     periodized_sum,
     periodized_sum_exact,
@@ -120,6 +121,21 @@ def test_partition_of_unity_exact_rationals():
     for t in (F(0), F(1, 3), F(-7, 13), F(99, 100)):
         total = periodized_sum(g, IntMat.identity(1), (t,))
         assert total == 1
+
+
+def test_lowest_terms_keeps_every_value():
+    # values in [0, 1]: the gcd leaves the numerators and the denominator,
+    # and the numerators take the width of the reduced denominator
+    num, den = lowest_terms(np.array([0, 6, 12, 18], dtype=np.int64), 24)
+    assert num.dtype == np.int64 and (num.tolist(), den) == ([0, 1, 2, 3], 4)
+    num, den = lowest_terms(np.array([0, 2, 2 ** 70], dtype=object), 2 ** 72)
+    assert num.dtype == object and (num.tolist(), den) == ([0, 1, 2 ** 69], 2 ** 71)
+    num, den = lowest_terms(np.array([0, 3 * 2 ** 61, 2 ** 62], dtype=object), 2 ** 64)
+    assert num.dtype == np.int64 and (num.tolist(), den) == ([0, 3, 2], 8)
+    num, den = lowest_terms(np.array([1, 7], dtype=np.int64), 9)
+    assert (num.tolist(), den) == ([1, 7], 9)
+    num, den = lowest_terms(np.zeros(0, dtype=np.int64), 12)
+    assert num.shape == (0,) and den == 1
 
 
 def test_periodized_sum_identity_is_f2():

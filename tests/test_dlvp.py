@@ -811,7 +811,7 @@ def support_box_walk(M, g):
 def test_top_level_samples_only_inside_the_support_box(case, monkeypatch):
     # the window is evaluated once, on exactly the frequencies of the bounding
     # box whose points lie in its support box, and the samples are those
-    # with the zeros dropped, in lexicographic key order
+    # with the zeros dropped, in lexicographic key order and lowest terms
     c, g = PRUNING_CASES[case]()
     box, K, N, q = support_box_walk(c.matrix(c.n_levels), g)
     P, den = g.eval_exact(N, q)
@@ -823,14 +823,39 @@ def test_top_level_samples_only_inside_the_support_box(case, monkeypatch):
         return evaluate(self, N, q)
 
     monkeypatch.setattr(AdmissibleFn, "eval_exact", spy)
-    keys, samples, sample_den = dlvp._exact_samples.__wrapped__(c, c.n_levels, g)
+    keys, samples, sample_den, index = dlvp._exact_samples.__wrapped__(c, c.n_levels, g)
     assert np.array_equal(keys, K[P != 0])
-    assert samples.dtype == P.dtype and samples.tolist() == P[P != 0].tolist()
-    assert sample_den == den
+    assert [F(n, sample_den) for n in samples.tolist()] == [F(n, den) for n in P[P != 0].tolist()]
+    assert math.gcd(*samples.tolist(), sample_den) == 1 and den % sample_den == 0
+    assert samples.dtype == intlat.exact_dtype(sample_den)
+    assert np.array_equal(index, generating_set(c.matrix(c.n_levels).T).class_index(keys))
     (walked, walked_q), = seen
     assert walked_q == q and sorted(map(tuple, walked.tolist())) == sorted(map(tuple, N.tolist()))
     if case == "sheared":
         assert (len(N), len(box)) == (189, 1071)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_samples_and_class_sums_are_in_lowest_terms(case):
+    # every level's numerators and denominator, and every class-sum table,
+    # share no factor, in the width of the reduced denominator
+    c, g = ORACLE_CASES[case]()
+    for level in range(c.n_levels + 1):
+        _, P, den, _ = dlvp._exact_samples(c, level, g)
+        assert math.gcd(den, *P.tolist()) == 1 and P.dtype == intlat.exact_dtype(den)
+    for level in range(c.n_levels):
+        a, a_den = dlvp._class_sums(c, level, g)
+        assert math.gcd(a_den, *a.tolist()) == 1 and a.dtype == intlat.exact_dtype(a_den)
+
+
+def test_report_vp_samples_stay_on_int64():
+    # unreduced, levels 2, 1 and 0 of this chain were over 2^66, 2^84 and 2^100,
+    # on Python ints; in lowest terms every level is over at most 2^14
+    c = chain(IntMat.diagonal([8, 8]), [J_D, J_X, J_D, J_Y])
+    g = AdmissibleFn.tensor_linear([F(1, 10)] * 2)
+    for level in range(c.n_levels + 1):
+        _, P, den, _ = dlvp._exact_samples(c, level, g)
+        assert P.dtype == np.int64 and den <= 2 ** 14, level
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)

@@ -25,6 +25,7 @@ from vpwave.intlat import (
     apply_rows,
     axis_doubling,
     chain,
+    class_representatives,
     generating_set,
     lattice_points,
     pattern,
@@ -493,6 +494,31 @@ def test_enumerations_of_huge_entries_match_fraction_oracle(M):
     assert set(pattern(M).points) == {M.inv_apply(r) for r in reps}
 
 
+def assert_digit_classes(M):
+    """``class_representatives(M)`` holds one row per class in the canonical
+    order: its Smith class index is its position, and each row differs from
+    the row of ``G(M)`` at that position by a point of ``M Z^d``."""
+    H, R = class_representatives(M), generating_set(M).rep_array
+    assert H.shape == R.shape and H.dtype in (np.int64, object)
+    assert H.flags.c_contiguous and not H.flags.writeable
+    assert np.array_equal(smith_normal_form(M).class_index(H), np.arange(M.absdet))
+    A, q = smith_normal_form(M).scaled_inverse  # A = q M^{-1}
+    D = (H.astype(object) - R.astype(object)) @ np.array(A.entries, dtype=object).T
+    assert not (D % q).any()
+
+
+@settings(max_examples=80, deadline=None)
+@given(M=regular_matrices())
+def test_class_representatives_are_the_digit_classes(M):
+    assert_digit_classes(M)
+
+
+@settings(max_examples=30, deadline=None)
+@given(M=huge_triangular_matrices())
+def test_class_representatives_of_huge_entries_are_the_digit_classes(M):
+    assert_digit_classes(M)
+
+
 def test_enumeration_bound_catches_a_wrapping_grid_product():
     # the coefficient of the last Smith axis in the box offsets fits int64,
     # but its product with the top digit wraps: only the bound keeps it exact
@@ -675,7 +701,7 @@ def test_int64_overflow_falls_back_to_python_ints():
 def test_enumeration_guard_raises_before_work():
     M = IntMat.diagonal([1024, 1025])
     assert M.absdet > ENUMERATION_GUARD
-    for build in (generating_set, pattern):
+    for build in (generating_set, pattern, class_representatives):
         t0 = time.perf_counter()
         with pytest.raises(TooLarge):
             build(M)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vpwave import intlat, tol
+from vpwave import admissible, dlvp, intlat, latfft, tol
 from vpwave.admissible import AdmissibleFn, exact_gap
 from vpwave.dlvp import (
     ScalingFunction,
@@ -36,6 +36,8 @@ from vpwave.intlat import (
     IntMat,
     axis_doubling,
     chain,
+    class_representatives,
+    generating_set,
     plane_rotation,
     smith_normal_form,
 )
@@ -452,6 +454,36 @@ def test_shear_heavy_chains_match_their_profiles(cg, seed):
         assert all(audit_orthonormality(f) < tol.ORTHO for f in normalized_filters(c, level, g))
 
 
+@settings(max_examples=10, deadline=None)
+@given(cg=shear_chains())
+def test_class_indices_of_shear_chains_match_direct_lookups(cg):
+    # per level: the digit representatives of G(M_l^T) carry the class
+    # indices 0..m-1 and name the classes of its enumeration, and the class
+    # indices that the samples gather from the level above are the direct ones
+    c, g = cg
+    for level in range(c.n_levels + 1):
+        MT = c.matrix(level).T
+        H = class_representatives(MT)
+        assert np.array_equal(smith_normal_form(MT).class_index(H), np.arange(c.size(level)))
+        assert np.array_equal(intlat._reduce_box(MT, H), generating_set(MT).rep_array)
+        K, _, _, index = dlvp._exact_samples(c, level, g)
+        assert np.array_equal(index, generating_set(MT).class_index(K))
+
+
+def test_cold_report_enumerates_no_generating_set(monkeypatch):
+    # report_vp's chain: every class comes from a Smith form, none from G(M)
+    def refuse(M):
+        raise AssertionError(f"generating_set({M}) enumerated by a report")
+
+    for value in vars(dlvp).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    monkeypatch.setattr(intlat, "generating_set", refuse)
+    monkeypatch.setattr(dlvp, "generating_set", refuse)
+    c = chain(IntMat.diagonal([8, 8]), [J_D, J_X, J_D, J_Y])
+    assert build_report(c, square_window(10)).ok
+
+
 def test_alternating_shear_chain_builds():
     # the bounding box of M_8^T [-hw, hw] held 1 343 977 frequencies, so the
     # report raised TooLarge; the support box holds 5 895 nonzero samples
@@ -558,6 +590,27 @@ def test_float_level_raises_after_the_int_level_is_cached(index, name):
     with pytest.raises(LevelOutOfRange):
         LEVEL_TAKERS[name](c, g, 1.0)
     LEVEL_TAKERS[name](c, g, np.int64(1))
+
+
+def cache_sizes():
+    return {f"{module.__name__}.{name}": value.cache_info().currsize
+            for module in (intlat, latfft, admissible, dlvp, mra)
+            for name, value in vars(module).items() if hasattr(value, "cache_info")}
+
+
+@pytest.mark.parametrize("index, name", enumerate(LEVEL_TAKERS))
+def test_numpy_integer_level_shares_the_int_entry(index, name):
+    # a NumPy integer level is the Python int level: it adds no cache entry
+    # anywhere, and a cached result is the very object the int level built
+    c, g = chain(IntMat.diagonal([5, 3 + index]), [J_D, J_X]), square_window(10)
+    first = LEVEL_TAKERS[name](c, g, 1)
+    cached = LEVEL_TAKERS[name](c, g, 1) is first
+    sizes = cache_sizes()
+    again = LEVEL_TAKERS[name](c, g, np.int64(1))
+    assert cache_sizes() == sizes
+    assert not cached or again is first
+    if cached and hasattr(first, "level"):
+        assert type(first.level) is int
 
 
 # -- report -------------------------------------------------------------------------------

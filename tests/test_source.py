@@ -75,13 +75,29 @@ def test_every_raise_uses_a_package_error():
 
 
 def test_no_scalar_class_lookup_in_spectral_layer():
-    # spectra apply class vectors by one gather over GeneratingSet.class_index
+    # spectra apply class vectors by one gather over the class indices that
+    # SmithDecomposition.class_index gives, or that the samples carry down
+    # the chain; no class is looked up one frequency at a time
     found = [f"{name}:{node.lineno}"
              for name in ("dlvp.py", "mra.py")
              for node in ast.walk(ast.parse((SRC / name).read_text(), filename=name))
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "index_of"]
     assert not found, f"scalar index_of calls in the spectral layer: {found}"
+
+
+def test_spectral_layer_enumerates_no_generating_set():
+    # the spectra, the class maps and the class powers read classes from the
+    # Smith form alone: its digit representatives and SmithDecomposition.class_index
+    readers = {"_class_points", "_exact_samples", "_class_sums", "complement_phases",
+               "coarse_of_fine", "class_powers", "wavelet_spectrum"}
+    tree = ast.parse((SRC / "dlvp.py").read_text(), filename="dlvp.py")
+    seen = {qualname for qualname, _ in _functions(tree)} & readers
+    found = [f"dlvp.py:{node.lineno} {qualname}" for qualname, function in _functions(tree)
+             if qualname in readers for node in ast.walk(function)
+             if getattr(node, "id", getattr(node, "attr", None)) == "generating_set"]
+    assert seen == readers, f"functions not found: {readers - seen}"
+    assert not found, f"generating sets enumerated in the spectral layer: {found}"
 
 
 def _functions(tree):
@@ -102,7 +118,8 @@ def test_enumerations_invert_no_smith_factor():
     # grid, with no (n, d) array product
     inverses = {"scaled_inverse", "inv_apply", "inv_T_apply", "inv_T_rows"}
     wanted = {"intlat.py": {"generating_set": inverses | {"apply_rows"},
-                            "pattern": inverses | {"apply_rows"}},
+                            "pattern": inverses | {"apply_rows"},
+                            "class_representatives": inverses | {"apply_rows"}},
               "dlvp.py": {"wavelet_shift_vectors": inverses}}
     found, seen, det_callers = [], set(), []
     for path in sorted(SRC.glob("*.py")):
@@ -119,7 +136,7 @@ def test_enumerations_invert_no_smith_factor():
             if banned is not None:
                 seen.add(qualname)
                 found += [f"{path.name} {qualname} reads {name}" for name in sorted(used & banned)]
-    assert seen == {"generating_set", "pattern", "wavelet_shift_vectors"}
+    assert seen == {"generating_set", "pattern", "class_representatives", "wavelet_shift_vectors"}
     assert det_callers == ["IntMat.det"], f"Bareiss determinants outside IntMat.det: {det_callers}"
     assert not found, f"cofactors, inverses or row products where none belong: {found}"
 
@@ -260,8 +277,9 @@ def test_every_box_enumeration_is_guarded():
     # itertools.product or np.repeat either raises TooLarge itself or goes
     # through lattice_points, which does; _dense_plan is only called for
     # m <= _DENSE_PATTERN.  The periodizations and the top-level samples walk
-    # lattice points, not a bounding box, and support_radii counts its keys
-    # per shell, not over their bounding box
+    # lattice points, not a bounding box, support_radii counts its keys per
+    # shell, not over their bounding box, and the digit grid of the class
+    # representatives, built by broadcasting, has its own guard
     exempt = {"latfft.py _dense_plan"}
     enumerating, guarded = set(), set()
     for path in sorted(SRC.glob("*.py")):
@@ -285,6 +303,7 @@ def test_every_box_enumeration_is_guarded():
     walks = {"admissible.py periodized_sum", "admissible.py periodized_sum_exact",
              "dlvp.py _exact_samples"}
     assert walks <= guarded and not walks & enumerating
+    assert "intlat.py class_representatives" in guarded
     assert "mra.py support_radii" not in enumerating
     assert {"intlat.py lattice_points", "mra.py _grid_numerators"} | exempt <= enumerating
     unguarded = sorted(enumerating - guarded - exempt)
