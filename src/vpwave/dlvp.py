@@ -21,7 +21,8 @@ built from it:
   per class of ``G(M_{l+1}^T)``, at one unreduced representative per class,
   ``U c`` for the Smith digit vectors ``c`` of ``M_{l+1}^T = U S V``
   (:func:`~vpwave.intlat.class_representatives`); no generating set is
-  enumerated;
+  enumerated, and the class sums of every level are one exact batch
+  per chain;
 * for a dyadic factor (``|det J| = 2``) the wavelet, whose translates
   span the orthogonal complement between consecutive spaces, multiplies
   the level-``(l+1)`` samples by ``g^J`` shifted by ``J^T v`` and by one
@@ -286,16 +287,26 @@ def _class_points(chain: ChainSpec, level: int) -> tuple:
     return H, N, q
 
 
-@_level_cache
 def _class_sums(chain: ChainSpec, level: int, g: AdmissibleFn) -> tuple:
     """Exact ``g^J(M_l^{-T} h)`` over the classes ``h`` of ``G(M_{l+1}^T)``, as
     read-only numerators and their denominator in lowest terms; the value of
     every frequency of the class.  The wavelet modulus ``g^J(M_l^{-T} h - J^T v)``
-    is the value of the partner class, which ``M_l^T J^T v`` pairs with ``h``."""
-    _, N, q = _class_points(chain, level)
-    sums, den = lowest_terms(*periodized_sum_exact(g, chain.factors[level], N, q))
-    sums.flags.writeable = False
-    return sums, den
+    is the value of the partner class, which ``M_l^T J^T v`` pairs with ``h``.
+    The level is read from :func:`_chain_class_sums`, one exact batch per chain."""
+    _check_level(level, chain.n_levels - 1)
+    return _chain_class_sums(chain, g)[level]
+
+
+@lru_cache(maxsize=None)
+def _chain_class_sums(chain: ChainSpec, g: AdmissibleFn) -> tuple:
+    """:func:`_class_sums` of every level, from one exact periodization of the
+    points of every level's :func:`_class_points`."""
+    points = [_class_points(chain, level) for level in range(chain.n_levels)]
+    sums, den = periodized_sum_exact(g, [(J, N, q) for J, (_, N, q) in zip(chain.factors, points)])
+    out = tuple(lowest_terms(num, den) for num in sums)
+    for num, _ in out:
+        num.flags.writeable = False
+    return out
 
 
 @_level_cache
@@ -416,8 +427,8 @@ def wavelet_spectrum(chain: ChainSpec, level: int, g: AdmissibleFn) -> Wavelet:
 def two_scale(chain: ChainSpec, level: int, g: AdmissibleFn) -> TwoScaleCoeffs:
     """Raw two-scale vector: ``sqrt(|det J|) * g^J`` sampled on
     ``M_l^{-T} G(M_{l+1}^T)``; the unscaled samples ``g^J`` are kept too."""
-    _check_level(level, chain.n_levels - 1)
     samples = exact_floats(*_class_sums(chain, level, g))
+    level = operator.index(level)  # a Python int, as the cached entry points store
     vals = (math.sqrt(chain.factors[level].absdet) * samples).astype(complex)
     return TwoScaleCoeffs(chain=chain, level=level, samples=samples, values=vals)
 
@@ -428,7 +439,8 @@ def wavelet_two_scale(chain: ChainSpec, level: int, g: AdmissibleFn) -> TwoScale
     ``samples``."""
     a = two_scale(chain, level, g)
     # real, as conj(+0j) = -0j would flip the sign of zeros among the products
-    return TwoScaleCoeffs(chain=chain, level=level, values=_complement(chain, level, a.values.real),
+    return TwoScaleCoeffs(chain=chain, level=a.level,
+                          values=_complement(chain, level, a.values.real),
                           samples=a.samples[fiber_partner(chain, level)])
 
 

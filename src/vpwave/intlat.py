@@ -485,15 +485,13 @@ class GeneratingSet(_Frozen):
     """Integer representatives of ``Z^d / M Z^d`` in canonical order.
 
     ``rep_array`` holds them as a read-only ``(m, d)`` integer array;
-    ``reps`` gives them as tuples, built on first use.  From the Smith form
-    ``M = U S V``, ``diagonal`` is ``diag(S)`` and ``digit_map`` is
-    ``U^{-1}``: representative ``i`` has the Smith digits
-    ``U^{-1} rep mod diagonal`` of mixed-radix value ``i``.
+    ``reps`` gives them as tuples, built on first use.  For the Smith form
+    ``M = U S V``, representative ``i`` has the Smith digits
+    ``U^{-1} rep mod diag(S)`` of mixed-radix value ``i``.
     """
 
     def __init__(self, matrix: IntMat, rep_array: np.ndarray):
-        snf = smith_normal_form(matrix)
-        self._set(matrix=matrix, rep_array=rep_array, diagonal=snf.diagonal, digit_map=snf.U_inv)
+        self._set(matrix=matrix, rep_array=rep_array)
 
     def __len__(self) -> int:
         return len(self.rep_array)

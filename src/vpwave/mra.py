@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -58,20 +59,31 @@ def nesting_residual(chn: ChainSpec, level: int, g: AdmissibleFn) -> float:
 
     The identity is checked on the unscaled samples, as
     ``P_l(k) = g^J(M_l^{-T} k) P_{l+1}(k)``, with ``g^J`` evaluated
-    directly at every ``k`` in one exact batch, not looked up per class as
-    the spectra are built; the top level holds plain window samples, so
-    this checks the construction of every level by induction.  The
-    square roots of ``m_l``, ``m_{l+1}`` and ``|det J|`` cancel, so no
-    rounding of them enters and the Dirichlet window gives exactly 0.0.
-    The maximum is divided by ``sqrt(m_l)`` once, so it is reported in
-    units of the coefficients ``c_k(phi_l)``."""
+    directly at every ``k``, not looked up per class as the spectra are
+    built; the top level holds plain window samples, so this checks the
+    construction of every level by induction.  The square roots of
+    ``m_l``, ``m_{l+1}`` and ``|det J|`` cancel, so no rounding of them
+    enters and the Dirichlet window gives exactly 0.0.  The maximum is
+    divided by ``sqrt(m_l)`` once, so it is reported in units of the
+    coefficients ``c_k(phi_l)``.  The defects of every level come from one
+    exact batch per chain, :func:`_nesting_residuals`."""
     _check_level(level, chn.n_levels - 1)
-    phi, phi_fine = scaling_spectrum(chn, level, g), scaling_spectrum(chn, level + 1, g)
-    keys, coarse, fine = _on_union(phi.spectrum.keys, phi.samples,
-                                   phi_fine.spectrum.keys, phi_fine.samples)
-    N, q = chn.matrix(level).inv_T_rows(keys)
-    a = exact_floats(*periodized_sum_exact(g, chn.factors[level], N, q))
-    return float(np.max(np.abs(coarse - a * fine), initial=0.0)) / math.sqrt(chn.size(level))
+    return _nesting_residuals(chn, g)[level]
+
+
+@lru_cache(maxsize=None)
+def _nesting_residuals(chn: ChainSpec, g: AdmissibleFn) -> tuple[float, ...]:
+    """:func:`nesting_residual` of every level: ``g^J(M_l^{-T} k)`` at the keys
+    ``k`` of each level's union of supports, in one exact batch per chain."""
+    spectra = [scaling_spectrum(chn, level, g) for level in range(chn.n_levels + 1)]
+    unions = [_on_union(c.spectrum.keys, c.samples, f.spectrum.keys, f.samples)
+              for c, f in zip(spectra, spectra[1:])]
+    items = [(chn.factors[level], *chn.matrix(level).inv_T_rows(keys))
+             for level, (keys, _, _) in enumerate(unions)]
+    sums, den = periodized_sum_exact(g, items)
+    return tuple(float(np.max(np.abs(coarse - exact_floats(a, den) * fine), initial=0.0))
+                 / math.sqrt(chn.size(level))
+                 for level, ((_, coarse, fine), a) in enumerate(zip(unions, sums)))
 
 
 def independent_nesting_residual(coarse: ScalingFunction, fine: ScalingFunction) -> float:
@@ -200,12 +212,14 @@ def _reduction_sides(g: AdmissibleFn, J: IntMat, mode: str):
     N, q = _grid_numerators(g, box_through(J.T) if mode == "single" else box_through(J_D.T, J.T))
     Y, qy = J.inv_T_rows(N)
     qy *= q
-    outer = periodized_sum_exact(g, J, N, q)
+    (num,), den = periodized_sum_exact(g, [(J, N, q)])
+    outer = num, den
     if mode == "single":
         return N, q, exact_product(*outer, *g.eval_exact(Y, qy)), g.eval_exact(N, q)
     Z, qz = J_D.inv_T_rows(Y)
     qz *= qy
-    inner = exact_product(*periodized_sum_exact(g, J_D, Y, qy), *g.eval_exact(Z, qz))
+    (num,), den = periodized_sum_exact(g, [(J_D, Y, qy)])
+    inner = exact_product(num, den, *g.eval_exact(Z, qz))
     return N, q, exact_product(*outer, *inner), exact_product(*outer, *g.eval_exact(Y, qy))
 
 

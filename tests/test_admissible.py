@@ -27,6 +27,12 @@ from vpwave.intlat import J_D, J_X, J_Y, IntMat, chain, lattice_points
 F = Fraction
 
 
+def periodized_one(g, J, N, q):
+    """The one-item call of :func:`periodized_sum_exact`: ``(numerators, denominator)``."""
+    (num,), den = periodized_sum_exact(g, [(J, N, q)])
+    return num, den
+
+
 def exact_values(g, points):
     """``g`` at rational points by the exact batched path, as Fractions."""
     q = math.lcm(*(F(v).denominator for x in points for v in x))
@@ -141,7 +147,7 @@ def test_lowest_terms_keeps_every_value():
 def test_periodized_sum_identity_is_f2():
     g = AdmissibleFn.tensor_linear([F(1, 6), F(1, 8)])
     N = np.random.default_rng(6).integers(-2 * 2 ** 20, 2 * 2 ** 20, size=(500, 2), endpoint=True)
-    num, den = periodized_sum_exact(g, IntMat.identity(2), N, 2 ** 20)
+    num, den = periodized_one(g, IntMat.identity(2), N, 2 ** 20)
     assert np.all(num == den)
 
 
@@ -396,13 +402,13 @@ def test_periodized_sum_checks_dimensions():
     for N in (np.zeros((4, 1), dtype=np.int64), np.zeros((4, 3), dtype=np.int64),
               np.zeros(4, dtype=np.int64)):
         with pytest.raises(DimensionMismatch):
-            periodized_sum_exact(g, J_D, N, 5)
+            periodized_one(g, J_D, N, 5)
         with pytest.raises(DimensionMismatch):
             g.eval_exact(N, 5)
     with pytest.raises(DimensionMismatch):
-        periodized_sum_exact(g, IntMat.identity(3), np.zeros((4, 2), dtype=np.int64), 5)
+        periodized_one(g, IntMat.identity(3), np.zeros((4, 2), dtype=np.int64), 5)
     with pytest.raises(TypeError):
-        periodized_sum_exact(g, J_D, np.zeros((4, 2)), 5)
+        periodized_one(g, J_D, np.zeros((4, 2)), 5)
 
 
 # -- exact batched periodization ----------------------------------------------
@@ -450,7 +456,7 @@ def test_periodized_sum_exact_matches_scalar_oracle(data):
     N = np.array(rows, dtype=object) + np.array([q * v for v in J.T.apply((w,) * d)], dtype=object)
     if not w:
         N = N.astype(np.int64)
-    num, den = periodized_sum_exact(g, J, N, q)
+    num, den = periodized_one(g, J, N, q)
     got = exact_floats(num, den)
     for n, f, x in zip(num.tolist(), got.tolist(), N.tolist()):
         exact = periodized_sum(g, J, tuple(F(v, q) for v in x))
@@ -466,7 +472,7 @@ def test_partition_of_unity_exact_batched(data):
     q = data.draw(st.integers(1, 200))
     N = np.array(data.draw(st.lists(st.lists(st.integers(-5 * q, 5 * q), min_size=d, max_size=d),
                                     min_size=1, max_size=20)), dtype=np.int64)
-    num, den = periodized_sum_exact(g, IntMat.identity(d), N, q)
+    num, den = periodized_one(g, IntMat.identity(d), N, q)
     assert all(n == den for n in num.tolist())
 
 
@@ -474,20 +480,20 @@ def test_partition_of_unity_exact_on_python_integers(monkeypatch):
     N = np.array([[7, -40], [48, 48], [-49, 0], [0, 1]], dtype=np.int64)
     for g in (AdmissibleFn.tensor_linear([F(0.1), F(0)]),
               AdmissibleFn.tensor_smoothed([F(0.1), F(1, 7)], order=3)):
-        num, den = periodized_sum_exact(g, IntMat.identity(2), N, 997)
+        num, den = periodized_one(g, IntMat.identity(2), N, 997)
         assert den >= 2 ** 62 and num.dtype == object
         assert all(n == den for n in num.tolist())
     # with a zero int64 bound every shift, window value and sum is a Python
     # integer, the shift grid included: the same sums as on int64
     windows_ = (AdmissibleFn.characteristic(2), AdmissibleFn.tensor_linear([F(0.1), F(0)]),
                 AdmissibleFn.tensor_smoothed([F(0.1), F(1, 7)], order=3))
-    expected = [periodized_sum_exact(g, J, N, 97) for g in windows_ for J in (J_D, J_X)]
+    expected = [periodized_one(g, J, N, 97) for g in windows_ for J in (J_D, J_X)]
     monkeypatch.setattr(intlat, "_INT64_SAFE", 0)
-    slow = [periodized_sum_exact(g, J, N, 97) for g in windows_ for J in (J_D, J_X)]
+    slow = [periodized_one(g, J, N, 97) for g in windows_ for J in (J_D, J_X)]
     for (fast, den), (num, slow_den) in zip(expected, slow):
         assert num.dtype == object and slow_den == den and num.tolist() == fast.tolist()
     for g in windows_:
-        num, den = periodized_sum_exact(g, IntMat.identity(2), N, 97)
+        num, den = periodized_one(g, IntMat.identity(2), N, 97)
         assert num.dtype == object and num.tolist() == [den] * len(N)
 
 
@@ -498,10 +504,10 @@ def test_denominator_must_be_an_integer_of_at_least_one(q):
     g = AdmissibleFn.tensor_linear([F(1, 10)] * 2)
     N = np.zeros((1, 2), dtype=np.int64)
     with pytest.raises(InvalidParameter):
-        periodized_sum_exact(g, J_D, N, q)
+        periodized_one(g, J_D, N, q)
     with pytest.raises(InvalidParameter):
         g.eval_exact(N, q)
-    num, den = periodized_sum_exact(g, J_D, N, np.int64(3))
+    num, den = periodized_one(g, J_D, N, np.int64(3))
     assert (num.tolist(), den) == ([den], g.eval_exact(N, 3)[1])
 
 
@@ -518,8 +524,8 @@ def test_narrow_integer_rows_are_widened_before_any_product(dtype, scale):
         assert num.tolist() == g.eval_exact(N.astype(np.int64), q)[0].tolist()
         expected = [g(tuple(F(v, q) for v in x)) for x in N.tolist()]
         assert [F(v, den) for v in num.tolist()] == expected
-        total, _ = periodized_sum_exact(g, J_D, N, q)
-        assert total.tolist() == periodized_sum_exact(g, J_D, N.astype(np.int64), q)[0].tolist()
+        total, _ = periodized_one(g, J_D, N, q)
+        assert total.tolist() == periodized_one(g, J_D, N.astype(np.int64), q)[0].tolist()
 
 
 @pytest.mark.parametrize("n", [-1, 2.0, True, "10"])
@@ -528,6 +534,23 @@ def test_sample_count_must_be_an_integer_of_at_least_zero(n):
     with pytest.raises(InvalidParameter):
         check_partition_of_unity(g, n_samples=n)
     assert check_partition_of_unity(g, n_samples=0) == 0.0
+
+
+def test_stacked_items_of_unrelated_denominators_match_each_item():
+    # the lcm of q = 3, 4, 5 and 2^70 + 1 (a multiple of 5) is none of them,
+    # so every row is rescaled, past int64 onto Python integers; an item of
+    # no rows gives an empty array, and items of one factor are walked together
+    g = AdmissibleFn.tensor_smoothed([F(1, 10), F(1, 7)], order=2)
+    N = np.array([[1, -2], [0, 3], [-3, 3], [7, 1]], dtype=np.int64)
+    items = [(J_D, N, 3), (J_X, N[:0], 5), (J_D, N * 5, 4), (J_X, N, 2 ** 70 + 1), (J_D, N, 3)]
+    sums, den = periodized_sum_exact(g, items)
+    assert den == g.eval_exact(N[:0], math.lcm(3, 5, 4, 2 ** 70 + 1))[1] and den > 2 ** 62
+    assert [len(num) for num in sums] == [4, 0, 4, 4, 4]
+    for (J, rows, q), num in zip(items, sums):
+        alone, alone_den = periodized_one(g, J, rows, q)
+        assert [F(n, den) for n in num.tolist()] == [F(n, alone_den) for n in alone.tolist()]
+        assert [F(n, den) for n in num.tolist()] == [
+            periodized_sum(g, J, [F(v, q) for v in x]) for x in rows.tolist()]
 
 
 def test_periodized_sum_exact_on_an_empty_shift_box():
@@ -540,7 +563,7 @@ def test_periodized_sum_exact_on_an_empty_shift_box():
         reach = g.support_reach(2)
         H = [[2 * v for v in row] for row in J.T.hermite.entries]
         assert len(lattice_points(H, N, [-r for r in reach], reach)[1]) == 0
-        num, den = periodized_sum_exact(g, J, N, 2)
+        num, den = periodized_one(g, J, N, 2)
         assert num.tolist() == [0] and den == g.eval_exact(N, 2)[1]
         assert periodized_sum(g, J, lo) == 0
 
@@ -555,7 +578,7 @@ def test_periodized_sum_exact_in_blocks(monkeypatch):
     N = np.array([[v, 3 * v - 11] for v in range(-40, 41)], dtype=np.int64)
     J = IntMat.from_rows([[2, 1], [-1, 3]])
     assert J.T.hermite == IntMat.from_rows([[1, 0], [4, 7]])
-    expected = periodized_sum_exact(g, J, N, 9)
+    expected = periodized_one(g, J, N, 9)
     assert expected[0].dtype == np.int64
     seen = []
     evaluate = AdmissibleFn.eval_exact
@@ -568,18 +591,18 @@ def test_periodized_sum_exact_in_blocks(monkeypatch):
     for guard, rows in ((2, 1), (6, 3), (20, 10), (1000, 81)):
         monkeypatch.setattr(intlat, "ENUMERATION_GUARD", guard)
         seen.clear()
-        num, den = periodized_sum_exact(g, J, N, 9)
+        num, den = periodized_one(g, J, N, 9)
         assert den == expected[1] and num.tolist() == expected[0].tolist()
         assert len(seen) == -(-len(N) // rows) and max(seen) <= guard
     # below the bound of one row, blocks of one row run while no step of the
     # walk passes the guard: N = (0, 0) reaches one point, (3, 0) two
     monkeypatch.setattr(intlat, "ENUMERATION_GUARD", 1)
-    assert periodized_sum_exact(g, J, np.zeros((1, 2), dtype=np.int64), 9)[0].tolist() == [den]
+    assert periodized_one(g, J, np.zeros((1, 2), dtype=np.int64), 9)[0].tolist() == [den]
     with pytest.raises(TooLarge):
-        periodized_sum_exact(g, J, np.array([[3, 0]]), 9)
+        periodized_one(g, J, np.array([[3, 0]]), 9)
     monkeypatch.setattr(intlat, "_INT64_SAFE", 0)
     monkeypatch.setattr(intlat, "ENUMERATION_GUARD", 6)
-    num, den = periodized_sum_exact(g, J, N, 9)
+    num, den = periodized_one(g, J, N, 9)
     assert num.dtype == object and den == expected[1] and num.tolist() == expected[0].tolist()
 
 
@@ -606,7 +629,7 @@ def test_axis_denominators_match_the_exact_values(data):
                                     min_size=1, max_size=8)), dtype=np.int64)
     num, den = g.eval_exact(N, q)
     axis_dens = [g._axis_denominator(axis, q) for axis in range(d)]
-    assert den == math.prod(axis_dens) == periodized_sum_exact(g, IntMat.identity(d), N[:0], q)[1]
+    assert den == math.prod(axis_dens) == periodized_one(g, IntMat.identity(d), N[:0], q)[1]
     for axis, n in enumerate(N.T):
         values = [F(v, axis_dens[axis]) for v in g._axis_exact(axis, n, q).tolist()]
         assert values == [g.eval_axis(axis, F(v, q)) for v in n.tolist()]
@@ -619,7 +642,7 @@ def test_shift_box_guard_raises_before_work(monkeypatch):
     # at once, where a box of shifts held 10^8 and 1 258 293 of them.  A
     # guard below the points of one step raises before any window value
     g = AdmissibleFn.tensor_linear([F(1, 10)] * 2)
-    calls = (lambda: exact_floats(*periodized_sum_exact(
+    calls = (lambda: exact_floats(*periodized_one(
                  g, IntMat.identity(2), np.array([[0, 0], [10 ** 4, 10 ** 4]]), 1)).tolist(),
              lambda: periodized_sum(g, IntMat.from_rows([[1, 0], [2 ** 21, 2]]), (0, 0)))
     for call, value in zip(calls, ([1, 1], 1)):

@@ -123,25 +123,41 @@ def test_scaling_profile_converts_float_input_exactly():
             assert got == exact and type(got) is type(exact)
 
 
-def test_filters_reuse_the_class_sums_of_the_spectra(monkeypatch):
-    # the spectra and the two-scale vectors share one exact class-sum table:
-    # building the spectra periodizes once per level, the filters never
-    c = chain(IntMat.from_rows([[5, 1], [-1, 3]]), [J_D, J_X])
+def test_one_exact_periodization_per_chain(monkeypatch):
+    # the class sums of every level are one exact batch, which the spectra and
+    # the two-scale vectors share; a cold report makes one more, the nesting
+    # check of every level, and no call per level
+    c = chain(IntMat.from_rows([[5, 1], [-1, 3]]), [J_D, J_X, J_D])
     g = AdmissibleFn.tensor_linear([F(1, 7), F(1, 9)])
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return periodized_sum_exact(*args)
+    def counted(window, items):
+        calls.append([(J, len(N), q) for J, N, q in items])
+        return periodized_sum_exact(window, items)
 
-    monkeypatch.setattr(dlvp, "periodized_sum_exact", counted)
+    def cold():
+        calls.clear()
+        for module in (dlvp, mra):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+    for module in (dlvp, mra):
+        monkeypatch.setattr(module, "periodized_sum_exact", counted)
+    cold()
     for level in range(c.n_levels + 1):
         scaling_spectrum(c, level, g)
-    assert len(calls) == c.n_levels
+    # level l periodizes over J_l at the classes of G(M_{l+1}^T), over m_l
+    assert calls == [[(J, c.size(level + 1), c.size(level)) for level, J in enumerate(c.factors)]]
     for level in range(c.n_levels):
         two_scale(c, level, g)
+        wavelet_two_scale(c, level, g)
         normalized_filters(c, level, g)
-    assert len(calls) == c.n_levels
+    assert len(calls) == 1
+    cold()
+    assert mra.build_report(c, g).ok
+    assert len(calls) == 2 and [len(items) for items in calls] == [c.n_levels] * 2
+    assert [J for J, _, _ in calls[1]] == list(c.factors)
 
 
 def test_scaling_profile_positive_on_unit_cube():

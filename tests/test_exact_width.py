@@ -49,7 +49,9 @@ def test_one_bound_reaches_every_exact_product():
                        lambda bound: widths.append(intlat.exact_dtype(bound)) or widths[-1])
             phases = complement_phases.__wrapped__(c, 1)
         return {"eval_exact": num,
-                "periodized_sum_exact": periodized_sum_exact(g, J_X, N, 9)[0],
+                # a stacked call: two levels share J_X, and the rows over 3 go to 9
+                "periodized_sum_exact": np.concatenate(periodized_sum_exact(
+                    g, [(J_X, N, 9), (J_D, N, 9), (J_X, N, 3)])[0]),
                 "exact_product": exact_product(num, den, num, den)[0],
                 "complement_phases": widths,
                 "lattice_points": lattice_points(H, N, [-5, -5], [5, 5])[1],

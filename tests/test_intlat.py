@@ -365,9 +365,8 @@ def test_value_constructors_take_only_their_defining_inputs():
     assert c.products == (M0, J_D @ M0) and c.sizes == (16, 32) and c.dyadic
     assert not ChainSpec(M0, (IntMat.diagonal([3, 1]),)).dyadic
     M = IntMat.from_rows([[3, 1], [-1, 5]])
-    snf = smith_normal_form(M)
     gs = GeneratingSet(M, generating_set(M).rep_array)
-    assert gs.diagonal == snf.diagonal and gs.digit_map == snf.U_inv
+    assert vars(gs).keys() == {"matrix", "rep_array"}
     assert Pattern(M, pattern(M).numerators).denominator == M.absdet == 16
 
 

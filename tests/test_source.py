@@ -303,6 +303,12 @@ def test_every_box_enumeration_is_guarded():
     walks = {"admissible.py periodized_sum", "admissible.py periodized_sum_exact",
              "dlvp.py _exact_samples"}
     assert walks <= guarded and not walks & enumerating
+    # the stacked periodization walks the rows of every item in blocks, each
+    # capped by the guard on its points as well as by BLOCK_ROWS
+    stacked, = [function for qualname, function in _functions(
+        ast.parse((SRC / "admissible.py").read_text())) if qualname == "periodized_sum_exact"]
+    read = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(stacked)}
+    assert {"ENUMERATION_GUARD", "BLOCK_ROWS", "lattice_points"} <= read
     assert "intlat.py class_representatives" in guarded
     assert "mra.py support_radii" not in enumerating
     assert {"intlat.py lattice_points", "mra.py _grid_numerators"} | exempt <= enumerating
